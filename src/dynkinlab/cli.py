@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and every requested verification passed), 1 usage
-or domain error, 2 mathematical identity failure.  Output is deterministic
+or domain error, 2 mathematical identity failure, including an exact
+division that does not divide.  Output is deterministic
 for a fixed command line; char-polynomial output uses L for the eigenvalue
 variable, series output uses t.
 """
@@ -61,6 +62,10 @@ _CHECKS = (
     "mckay-shift",
     "molien-folded",
 )
+
+
+# checks that compare consecutive series terms need at least this many
+_MIN_TERMS = {"all": 2, "kostant-relation": 2}
 
 
 class _UsageError(Exception):
@@ -176,8 +181,15 @@ def _cmd_coxeter(args) -> int:
     return 0
 
 
-def _cmd_charpoly(args) -> int:
+def _parse_k_target(args) -> DiagramId:
     did = DiagramId.parse(args.diagram)
+    if args.k is not None and did.family != "A":
+        raise _UsageError(f"--k applies to family A only, not {did.family}")
+    return did
+
+
+def _cmd_charpoly(args) -> int:
+    did = _parse_k_target(args)
     chi, chi_affine = char_polys(did, args.k)
     if args.format == "json":
         _emit_json({
@@ -196,7 +208,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    did = DiagramId.parse(args.diagram)
+    did = _parse_k_target(args)
     q = ebeling_quotient(did, args.k)
     if args.format == "json":
         _emit_json({
@@ -346,6 +358,9 @@ def _verify_reports(check: str, target: str | None, terms: int) -> list[Report]:
 
 
 def _cmd_verify(args) -> int:
+    least = _MIN_TERMS.get(args.check, 1)
+    if args.terms < least:
+        raise _UsageError(f"check {args.check!r} needs --terms >= {least}")
     reports = _verify_reports(args.check, args.target, args.terms)
     ok = all(r.passed for r in reports)
     if args.format == "json":
@@ -388,7 +403,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (IdentityViolationError, NumericalDriftError, GeneratorSetError,
-            CatalogCorruptionError) as exc:
+            CatalogCorruptionError, ArithmeticError) as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 2
     except DynkinlabError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, PoleAtOriginError, RankError
@@ -25,6 +26,17 @@ def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
         if not isinstance(c, int):
             raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
     return tuple(out)
+
+
+def _trusted(coeffs: Sequence[int]) -> "IntPoly":
+    """IntPoly for the kernel's own int results: trims trailing zeros but
+    skips the public constructor's per-coefficient type check."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    p = object.__new__(IntPoly)
+    object.__setattr__(p, "coeffs", tuple(coeffs[:n]))
+    return p
 
 
 class IntPoly:
@@ -83,26 +95,25 @@ class IntPoly:
         if isinstance(other, IntPoly):
             return other
         if isinstance(other, int):
-            return IntPoly((other,))
+            return _trusted((other,))
         return None
 
     def __add__(self, other: object) -> "IntPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return IntPoly(self.coeff(i) + o.coeff(i) for i in range(n))
+        return _trusted([a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+        return _trusted([-c for c in self.coeffs])
 
     def __sub__(self, other: object) -> "IntPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _trusted([a - b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
 
     def __rsub__(self, other: object) -> "IntPoly":
         o = self._coerce(other)
@@ -115,13 +126,13 @@ class IntPoly:
         if o is None:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
-            return IntPoly()
+            return _trusted(())
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -175,17 +186,17 @@ class IntPoly:
     def primitive(self) -> "IntPoly":
         c = self.content()
         if c == 0:
-            return IntPoly()
+            return _trusted(())
         if self.leading() < 0:
             c = -c
-        return IntPoly(a // c for a in self.coeffs)
+        return _trusted([a // c for a in self.coeffs])
 
     def divexact(self, d: "IntPoly") -> "IntPoly":
         """Quotient self / d, valid only when d divides self in Z[t]."""
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
-            return IntPoly()
+            return _trusted(())
         rem = list(self.coeffs)
         dc = d.coeffs
         dn = len(dc)
@@ -203,7 +214,7 @@ class IntPoly:
                     rem[k + j] -= q[k] * b
         if any(rem):
             raise ArithmeticError("division is not exact")
-        return IntPoly(q)
+        return _trusted(q)
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
@@ -363,11 +374,6 @@ def _as_poly(v) -> IntPoly:
     raise TypeError(f"cannot interpret {type(v).__name__} as a polynomial")
 
 
-def ratfunc_reduce(num, den) -> RatFunc:
-    """Reduced canonical rational function num/den."""
-    return RatFunc(num, den)
-
-
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
 
@@ -453,6 +459,7 @@ class IntMatrix:
         return out
 
     def mulvec(self, v: Sequence[int]) -> tuple[int, ...]:
+        """self @ v; the entries of v may also be IntPolys."""
         if len(v) != self.ncols:
             raise DimensionError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
@@ -504,14 +511,6 @@ class PolyMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def replace_col(self, j: int, col: Sequence[IntPoly | int]) -> "PolyMatrix":
-        if len(col) != self.size:
-            raise DimensionError("column length mismatch")
-        return PolyMatrix(
-            tuple(_as_poly(col[i]) if jj == j else v for jj, v in enumerate(row))
-            for i, row in enumerate(self.rows)
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -562,63 +561,83 @@ def charpoly(m: IntMatrix) -> IntPoly:
     return IntPoly(reversed(coeffs))
 
 
-def _det_cofactor(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    n = len(rows)
-    if n == 0:
-        return IntPoly.one()
-    if n == 1:
-        return rows[0][0]
-    acc = IntPoly.zero()
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = a * _det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def det_poly(m: PolyMatrix) -> IntPoly:
-    """Determinant over Z[t]: cofactor expansion below size 5, Bareiss above.
-
-    Bareiss one-step fraction-free elimination keeps every intermediate
-    entry in Z[t]; each division is exact by construction.
-    """
-    n = m.size
-    if n < 5:
-        return _det_cofactor(m.rows)
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = IntPoly.one()
-    for k in range(n - 1):
+def _eliminate(a: list[list[IntPoly]], n: int) -> int:
+    """Bareiss elimination in place on the first n columns of the n-row array
+    a (extra columns ride along): a[k][k] becomes the k-th leading minor of
+    the row-permuted input, and every division is an exact divexact.
+    Returns the sign of the row permutation, or 0 if the block is singular."""
+    sign, prev = 1, IntPoly.one()
+    for k in range(n):
         if a[k][k].is_zero():
             pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
             if pivot is None:
-                return IntPoly.zero()
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
-            a[i][k] = IntPoly.zero()
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+        row_k, pk = a[k], a[k][k]
+        for row_i in a[k + 1:]:
+            aik = row_i[k]
+            for j in range(k + 1, len(row_k)):
+                row_i[j] = (pk * row_i[j] - aik * row_k[j]).divexact(prev)
+        prev = pk
+    return sign
 
 
-def series_expand(f: RatFunc, nterms: int) -> list[Fraction]:
-    """First nterms Taylor coefficients of f at t = 0."""
+def det_poly(m: PolyMatrix) -> IntPoly:
+    """Determinant over Z[t] by Bareiss fraction-free elimination."""
+    n = m.size
+    a = [list(row) for row in m.rows]
+    sign = _eliminate(a, n)
+    return sign * a[n - 1][n - 1] if n else IntPoly.one()
+
+
+def cramer_solve(
+    m: PolyMatrix, rhs: Sequence[IntPoly | int]
+) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """(det M, (det M_0, ..., det M_(n-1))), M_i being M with column i
+    replaced by rhs, so that M x = rhs has x_i = det M_i / det M.
+
+    One fraction-free elimination of [M | rhs], then fraction-free back
+    substitution a[i][i] y_i = d rhs'_i - sum_(j > i) a[i][j] y_j with d the
+    last pivot, each an exact division (Bareiss 1968; Nakos, Turner and
+    Williams 1997).  A row swap negates det and every numerator alike.
+    Raises RankError when M is singular."""
+    n = m.size
+    if len(rhs) != n:
+        raise DimensionError("right-hand side length mismatch")
+    a = [list(row) + [_as_poly(b)] for row, b in zip(m.rows, rhs)]
+    sign = _eliminate(a, n)
+    if sign == 0:
+        raise RankError("singular matrix: Cramer's rule needs det != 0")
+    d = a[n - 1][n - 1] if n else IntPoly.one()
+    ys = [IntPoly.zero()] * n
+    for i in reversed(range(n)):
+        acc = d * a[i][n] - sum((a[i][j] * ys[j] for j in range(i + 1, n)), IntPoly.zero())
+        ys[i] = acc.divexact(a[i][i])
+    return sign * d, tuple(sign * y for y in ys)
+
+
+def series_expand(f: RatFunc | IntPoly, nterms: int, den: IntPoly | None = None) -> list:
+    """First nterms Taylor coefficients at t = 0 of f, or of f / den when den
+    is given (unreduced).  ints when den(0) = +-1, else Fractions."""
     if nterms < 0:
         raise ValueError("negative number of terms")
-    d0 = f.den.coeff(0)
+    if den is None:
+        f, den = f.num, f.den
+    d0 = den.coeff(0)
     if d0 == 0:
         raise PoleAtOriginError("denominator vanishes at the origin")
-    out: list[Fraction] = []
+    # dividing by a unit d0 is multiplying by it, which keeps every term an int
+    scale = d0 if d0 in (1, -1) else Fraction(1, d0)
+    taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
+    out = []
     for k in range(nterms):
-        acc = Fraction(f.num.coeff(k))
-        for j in range(1, min(k, f.den.degree) + 1):
-            acc -= f.den.coeff(j) * out[k - j]
-        out.append(acc / d0)
+        acc = f.coeff(k)
+        for j, c in taps:
+            if j > k:
+                break
+            acc -= c * out[k - j]
+        out.append(acc * scale)
     return out
 
 

@@ -1,11 +1,13 @@
 """Kostant generating functions for extended diagrams.
 
 The vector of generating functions x(t) solves ((1+t^2) I - t B) x = e0
-with B the McKay operator 2I - K of the extended diagram.  Components are
-extracted by Cramer's rule, so both the common denominator det M(t) and
-the numerators det M_i(t) stay available as exact polynomials; Ebeling's
+with B the McKay operator 2I - K of the extended diagram.  One
+fraction-free solve of [M | e0] gives the common denominator det M(t) and
+every Cramer numerator det M_i(t) as exact polynomials; Ebeling's
 identities equate them with characteristic polynomials of the affine and
-finite Coxeter transformations at lambda = t^2.
+finite Coxeter transformations at lambda = t^2.  t B x = (1 + t^2) x - e0
+is checked on the numerators with det M cleared, and since det M(0) = 1
+the series of det M_i / det M expand in integers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .exact import (
     PolyMatrix,
     RatFunc,
     charpoly,
-    det_poly,
+    cramer_solve,
     series_expand,
     vec_add,
 )
@@ -46,14 +48,10 @@ def mckay_operator(diagram: Diagram) -> IntMatrix:
 
 def cramer_matrix(diagram: Diagram) -> PolyMatrix:
     """M(t) = (1 + t^2) I - t B."""
-    b = mckay_operator(diagram)
-    n = diagram.size
     q = 1 + T**2
     return PolyMatrix(
-        tuple(
-            tuple((q if i == j else IntPoly.zero()) - T * b[i, j] for j in range(n))
-            for i in range(n)
-        )
+        ((q if i == j else 0) - T * v for j, v in enumerate(row))
+        for i, row in enumerate(mckay_operator(diagram).rows)
     )
 
 
@@ -64,17 +62,11 @@ class GeneratingFunction:
     numerators: tuple[IntPoly, ...]  # det M_i(t), unreduced
     det_m: IntPoly                   # det M(t), the common denominator
 
-    def __getitem__(self, i: int) -> RatFunc:
-        return self.components[i]
-
 
 @lru_cache(maxsize=None)
 def generating_function(diagram: Diagram) -> GeneratingFunction:
-    m = cramer_matrix(diagram)
-    det_m = det_poly(m)
-    n = diagram.size
-    e0 = tuple(IntPoly.const(1 if i == 0 else 0) for i in range(n))
-    numerators = tuple(det_poly(m.replace_col(i, e0)) for i in range(n))
+    e0 = tuple(1 if i == 0 else 0 for i in range(diagram.size))
+    det_m, numerators = cramer_solve(cramer_matrix(diagram), e0)
     for i, num in enumerate(numerators):
         if num.coeff(0) != (1 if i == 0 else 0):
             raise IdentityViolationError(
@@ -101,8 +93,8 @@ class SeriesVector:
 def multiplicities(diagram: Diagram, nterms: int) -> SeriesVector:
     gf = generating_function(diagram)
     columns = []
-    for i, comp in enumerate(gf.components):
-        coeffs = series_expand(comp, nterms)
+    for i, num in enumerate(gf.numerators):
+        coeffs = series_expand(num, nterms, gf.det_m)
         for k, c in enumerate(coeffs):
             if c.denominator != 1 or c < 0:
                 raise IdentityViolationError(
@@ -126,14 +118,14 @@ def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
     rec_ok = all(
         b.mulvec(v[n]) == vec_add(v[n - 1], v[n + 1]) for n in range(1, nterms)
     )
+    # x = y / det M: clear the common denominator and compare in Z[t]
     gf = generating_function(diagram)
-    x = gf.components
-    func_ok = True
-    for i in range(diagram.size):
-        lhs = sum((RatFunc(T * b[i, j]) * x[j] for j in range(diagram.size)), RatFunc(0))
-        rhs = RatFunc(1 + T**2) * x[i] - (1 if i == 0 else 0)
-        if lhs != rhs:
-            func_ok = False
+    y = gf.numerators
+    by = b.mulvec(y)
+    func_ok = all(
+        T * by[i] == (1 + T**2) * y[i] - (gf.det_m if i == 0 else 0)
+        for i in range(diagram.size)
+    )
     return Report(
         name,
         (

@@ -21,7 +21,3 @@ class Report:
 
     def render(self) -> str:
         return "\n".join(self.lines())
-
-
-def merge(name: str, reports: list[Report]) -> Report:
-    return Report(name, tuple((r.name, r.passed) for r in reports))

@@ -113,3 +113,43 @@ def test_verify_json_shape(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["reports"][0]["checks"]
+
+
+def test_too_few_terms_is_a_usage_error(capsys):
+    # with one term the recurrence range 1 <= n <= 0 is empty: nothing to check
+    for argv in (("verify", "kostant-relation", "E6", "--terms", "1"),
+                 ("verify", "all", "--terms", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--terms >= 2" in err
+    code, out, _ = run(capsys, "verify", "kostant-relation", "E6", "--terms", "2")
+    assert code == 0
+    assert "1 <= n <= 1" in out
+
+
+def test_k_is_a_usage_error_outside_family_a(capsys):
+    for verb in ("charpoly", "quotient"):
+        for target in ("E6", "D5", "B4", "G2"):
+            code, out, err = run(capsys, verb, target, "--k", "3")
+            assert code == 1, (verb, target)
+            assert out == ""
+            assert "family A" in err
+        assert run(capsys, verb, "A5", "--k", "3")[0] == 0
+    assert "(k = 3)" in run(capsys, "charpoly", "A5", "--k", "3")[1]
+
+
+def test_inexact_division_is_an_identity_violation(capsys, monkeypatch):
+    def refuse(self, d):
+        raise ArithmeticError("division is not exact")
+
+    monkeypatch.setattr(IntPoly, "divexact", refuse)
+    cli.generating_function.cache_clear()  # make the Cramer solve run again
+    try:
+        code, out, err = run(capsys, "verify", "ebeling", "E6")
+    finally:
+        cli.generating_function.cache_clear()
+    assert code == 2
+    assert out == ""
+    assert err == "identity violation: division is not exact\n"
+    assert "Traceback" not in err

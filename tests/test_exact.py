@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from dynkinlab.errors import PoleAtOriginError, RankError
 from dynkinlab.exact import (
@@ -15,6 +17,7 @@ from dynkinlab.exact import (
     PolyMatrix,
     RatFunc,
     charpoly,
+    cramer_solve,
     det_poly,
     format_poly,
     format_ratfunc,
@@ -22,11 +25,56 @@ from dynkinlab.exact import (
     nullspace_primitive,
     parse_poly,
     poly_gcd,
-    ratfunc_reduce,
     series_expand,
 )
 
 T = IntPoly.x()
+SYM_T = sympy.Symbol("t")
+
+
+def perm_det(rows):
+    """Leibniz permutation sum: the determinant straight from its definition."""
+    n = len(rows)
+    acc = IntPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            if seen[i]:
+                continue
+            j, clen = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                clen += 1
+            if clen % 2 == 0:
+                sign = -sign
+        term = IntPoly.one()
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        acc = acc + (term if sign > 0 else -term)
+    return acc
+
+
+def sympy_det(rows) -> IntPoly:
+    """Determinant computed by sympy over its own polynomial ring ZZ[t]."""
+    ring = sympy.ZZ[SYM_T]
+    elems = [[ring.ring.from_dict({(k,): c for k, c in enumerate(p.coeffs) if c}) for p in row]
+             for row in rows]
+    det = dict(DomainMatrix(elems, (len(rows), len(rows)), ring).det())
+    top = max((k for (k,) in det), default=-1)
+    return IntPoly(int(det.get((k,), 0)) for k in range(top + 1))
+
+
+def random_poly_rows(rng, n, density=0.6):
+    return [
+        [
+            IntPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+            if rng.random() < density else IntPoly.zero()
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
 
 
 def test_poly_normalization():
@@ -35,6 +83,19 @@ def test_poly_normalization():
     assert IntPoly().is_zero()
     assert IntPoly((5,)).degree == 0
     assert IntPoly().degree == -1
+
+
+def test_public_constructor_checks_types_and_results_stay_trimmed():
+    with pytest.raises(TypeError):
+        IntPoly((1, 2.0))
+    with pytest.raises(TypeError):
+        IntPoly((Fraction(1, 2),))
+    # kernel results skip the type check but are still trimmed
+    assert ((T + 1) - T).coeffs == (1,)
+    assert ((T**2 + T) + (-(T**2))).coeffs == (0, 1)
+    assert (3 * T - 3 * T).coeffs == ()
+    assert (2 * T**2 + 4).primitive().coeffs == (2, 0, 1)
+    assert (T**2 - 1).divexact(T - 1).coeffs == (1, 1)
 
 
 def test_poly_arithmetic():
@@ -142,12 +203,12 @@ def test_nullspace_frozen_values():
 
 
 def test_ratfunc_frozen_values():
-    f = ratfunc_reduce(T**3 + 1, T + 1)
+    f = RatFunc(T**3 + 1, T + 1)
     assert f.is_polynomial()
     assert f.as_poly() == T**2 - T + 1
-    z = ratfunc_reduce(IntPoly.zero(), T**5 - 3)
+    z = RatFunc(IntPoly.zero(), T**5 - 3)
     assert z.num == IntPoly.zero() and z.den == IntPoly.one()
-    assert ratfunc_reduce(T**2 - 1, T - 1).as_poly() == T + 1
+    assert RatFunc(T**2 - 1, T - 1).as_poly() == T + 1
     # denominator leading coefficient is made positive
     f = RatFunc(IntPoly.one(), 1 - T)
     assert f.den == T - 1 and f.num == IntPoly.const(-1)
@@ -178,29 +239,6 @@ def test_cayley_hamilton_random():
 
 def test_det_cofactor_against_permutation_sum():
     rng = random.Random(7)
-
-    def perm_det(rows):
-        n = len(rows)
-        acc = IntPoly.zero()
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            for i in range(n):
-                if seen[i]:
-                    continue
-                j, clen = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    clen += 1
-                if clen % 2 == 0:
-                    sign = -sign
-            term = IntPoly.one()
-            for i in range(n):
-                term = term * rows[i][perm[i]]
-            acc = acc + (term if sign > 0 else -term)
-        return acc
-
     for n in (2, 3, 4):
         for _ in range(6):
             rows = [
@@ -210,17 +248,58 @@ def test_det_cofactor_against_permutation_sum():
             assert det_poly(PolyMatrix(rows)) == perm_det(rows)
 
 
-def test_det_poly_bareiss_against_cofactor():
+def test_det_poly_against_permutation_sum_and_sympy():
     rng = random.Random(99)
     for _ in range(5):
         rows = [
             [IntPoly([rng.randint(-2, 2) for _ in range(2)]) for _ in range(5)]
             for _ in range(5)
         ]
-        pm = PolyMatrix(rows)
-        from dynkinlab.exact import _det_cofactor
+        assert det_poly(PolyMatrix(rows)) == perm_det(rows) == sympy_det(rows)
+    for n in (5, 6, 7):
+        for _ in range(3):
+            rows = random_poly_rows(rng, n)
+            rows[0][0] = IntPoly.zero()  # force a row swap at the first pivot
+            assert det_poly(PolyMatrix(rows)) == perm_det(rows) == sympy_det(rows)
 
-        assert det_poly(pm) == _det_cofactor(pm.rows)
+
+def test_det_poly_and_cramer_solve_against_sympy():
+    rng = random.Random(2024)
+    for n in range(2, 13):
+        for trial in range(3):
+            rows = random_poly_rows(rng, n, density=0.5)
+            if trial:
+                # zero leading pivots force row swaps
+                rows[0][0] = IntPoly.zero()
+                if trial == 2:
+                    rows[1][0] = rows[1][1] = IntPoly.zero()
+            rhs = [IntPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 2))]) for _ in range(n)]
+            det = sympy_det(rows)
+            assert det_poly(PolyMatrix(rows)) == det
+            if det.is_zero():
+                with pytest.raises(RankError):
+                    cramer_solve(PolyMatrix(rows), rhs)
+                continue
+            got_det, nums = cramer_solve(PolyMatrix(rows), rhs)
+            assert got_det == det
+            for i in range(n):
+                replaced = [row[:i] + [rhs[k]] + row[i + 1:] for k, row in enumerate(rows)]
+                assert nums[i] == sympy_det(replaced), (n, trial, i)
+
+
+def test_cramer_solve_row_swap_sign():
+    # the antidiagonal takes n // 2 row swaps, an odd number except at n = 5;
+    # det and the numerators must flip sign together
+    for n in (2, 3, 5, 6, 7):
+        rows = [[(1 + T) if j == n - 1 - i else IntPoly.zero() for j in range(n)] for i in range(n)]
+        rhs = [IntPoly.const(i + 1) for i in range(n)]
+        det, nums = cramer_solve(PolyMatrix(rows), rhs)
+        assert det == perm_det(rows)
+        # x_(n-1-i) = (i + 1) / (1 + t), so det M_(n-1-i) = (i + 1) det / (1 + t)
+        assert nums == tuple(det.divexact(1 + T) * (n - j) for j in range(n))
+    with pytest.raises(RankError):
+        cramer_solve(PolyMatrix([[T, T], [T, T]]), [1, 0])
+    assert cramer_solve(PolyMatrix(()), ()) == (IntPoly.one(), ())
 
 
 def test_det_int_against_poly_route():
@@ -246,6 +325,37 @@ def test_series_reconstruction_random():
             for j in range(0, min(k, f.den.degree) + 1):
                 acc += f.den.coeff(j) * c[k - j]
             assert acc == f.num.coeff(k)
+
+
+def fraction_series(num: IntPoly, den: IntPoly, nterms: int) -> list[Fraction]:
+    """Long division in Fractions, term by term."""
+    out: list[Fraction] = []
+    for k in range(nterms):
+        acc = Fraction(num.coeff(k))
+        for j in range(1, min(k, den.degree) + 1):
+            acc -= den.coeff(j) * out[k - j]
+        out.append(acc / den.coeff(0))
+    return out
+
+
+def test_series_integer_against_fraction_reference():
+    rng = random.Random(777)
+    for trial in range(60):
+        d0 = (1, -1, 2, -2)[trial % 4]
+        num = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 8))])
+        tail = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(rng.randint(0, 10))]
+        den = IntPoly([d0] + tail)
+        ref = fraction_series(num, den, 40)
+        # unreduced num / den and the reduced RatFunc give the same series
+        got = series_expand(num, 40, den)
+        assert got == ref
+        assert series_expand(RatFunc(num, den), 40) == ref
+        if d0 in (1, -1):
+            assert all(type(c) is int for c in got)
+        else:
+            assert all(isinstance(c, Fraction) for c in got)
+    with pytest.raises(PoleAtOriginError):
+        series_expand(IntPoly.one(), 3, T + T**2)
 
 
 def test_ratfunc_equivalence_random():
