@@ -66,6 +66,9 @@ _CHECKS = (
 
 # checks that compare consecutive series terms need at least this many
 _MIN_TERMS = {"all": 2, "kostant-relation": 2}
+# input bounds: the largest rank and number of series terms accepted
+MAX_RANK = 128
+MAX_TERMS = 100_000
 
 
 class _UsageError(Exception):
@@ -77,14 +80,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive(text: str) -> int:
+def _terms(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+    if not 1 <= n <= MAX_TERMS:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_TERMS}")
     return n
+
+
+def _diagram_id(text: str) -> DiagramId:
+    did = DiagramId.parse(text)
+    if did.rank is not None and did.rank > MAX_RANK:
+        raise _UsageError(f"rank {did.rank} is above the limit {MAX_RANK}")
+    return did
 
 
 def _build_parser() -> _Parser:
@@ -100,7 +110,7 @@ def _build_parser() -> _Parser:
             q.add_argument("--k", type=int, default=None,
                            help="conjugacy class index for family A (1 <= k <= rank)")
         if terms:
-            q.add_argument("--terms", type=_positive, default=40,
+            q.add_argument("--terms", type=_terms, default=40,
                            help="number of series coefficients (default 40)")
         q.add_argument("--format", choices=("text", "json"), default="text")
         return q
@@ -115,14 +125,14 @@ def _build_parser() -> _Parser:
 
     m = sub.add_parser("molien", help="Molien series of a binary polyhedral group")
     m.add_argument("group", help="cyclic:N, binary_dihedral:N, binary_tetrahedral, binary_octahedral, binary_icosahedral")
-    m.add_argument("--terms", type=_positive, default=40)
+    m.add_argument("--terms", type=_terms, default=40)
     m.add_argument("--format", choices=("text", "json"), default="text")
 
     v = sub.add_parser("verify", help="run named identity checks")
     v.add_argument("check", choices=_CHECKS)
     v.add_argument("target", nargs="?", default=None,
                    help="diagram or group to check (default: whole catalog)")
-    v.add_argument("--terms", type=_positive, default=40)
+    v.add_argument("--terms", type=_terms, default=40)
     v.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
@@ -146,7 +156,7 @@ def _matrix_lines(labels, m) -> list[str]:
 
 
 def _cmd_cartan(args) -> int:
-    d = build(DiagramId.parse(args.diagram), extended=args.extended)
+    d = build(_diagram_id(args.diagram), extended=args.extended)
     if args.format == "json":
         _emit_json({
             "diagram": d.did.text,
@@ -161,7 +171,7 @@ def _cmd_cartan(args) -> int:
 
 
 def _cmd_coxeter(args) -> int:
-    d = build(DiagramId.parse(args.diagram), extended=args.extended)
+    d = build(_diagram_id(args.diagram), extended=args.extended)
     c = coxeter_transform(d)
     h = None if d.extended else coxeter_number(d)
     if args.format == "json":
@@ -182,7 +192,7 @@ def _cmd_coxeter(args) -> int:
 
 
 def _parse_k_target(args) -> DiagramId:
-    did = DiagramId.parse(args.diagram)
+    did = _diagram_id(args.diagram)
     if args.k is not None and did.family != "A":
         raise _UsageError(f"--k applies to family A only, not {did.family}")
     return did
@@ -223,7 +233,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    did = DiagramId.parse(args.diagram)
+    did = _diagram_id(args.diagram)
     ext = build(did, extended=True)
     gf = generating_function(ext)
     coeffs = [v[0] for v in multiplicities(ext, args.terms).vectors]
@@ -244,7 +254,7 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    d = build(DiagramId.parse(args.diagram))
+    d = build(_diagram_id(args.diagram))
     table = assembling_vectors(d)
     if args.format == "json":
         _emit_json({
@@ -259,7 +269,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_zpoly(args) -> int:
-    d = build(DiagramId.parse(args.diagram))
+    d = build(_diagram_id(args.diagram))
     table = assembling_vectors(d)
     ext = build(d.did, extended=True)
     if args.format == "json":
@@ -332,23 +342,23 @@ def _verify_reports(check: str, target: str | None, terms: int) -> list[Report]:
         return [mckay_matrix_numeric(b, terms)[1] for b in groups]
 
     if check == "ebeling":
-        exts = [build(DiagramId.parse(target), extended=True)] if target else list(catalog_extended())
+        exts = [build(_diagram_id(target), extended=True)] if target else list(catalog_extended())
         return [verify_ebeling(d) for d in exts]
     if check == "kostant-relation":
-        exts = [build(DiagramId.parse(target), extended=True)] if target else list(catalog_extended())
+        exts = [build(_diagram_id(target), extended=True)] if target else list(catalog_extended())
         return [verify_kostant_relation(d, terms) for d in exts]
     if check == "closed-form":
         if target:
-            dids = [DiagramId.parse(target)]
+            dids = [_diagram_id(target)]
         else:
             dids = [e.did for e in catalog_extended() if e.did.family in _ADE]
         return [verify_closed_form(did) for did in dids]
     if check == "molien-folded":
-        dids = [DiagramId.parse(target)] if target else _folded_ids()
+        dids = [_diagram_id(target)] if target else _folded_ids()
         return [folded_component_report(did, terms) for did in dids]
 
     # orbit-based checks on finite simply-laced diagrams with even h
-    diagrams = [build(DiagramId.parse(target))] if target else _even_h_ade()
+    diagrams = [build(_diagram_id(target))] if target else _even_h_ade()
     fn = {
         "orbit-form": verify_kostant_form,
         "z-recurrence": verify_z_recurrence,

@@ -7,6 +7,14 @@ transformation is C = w2 w1.  On a finite simply-laced diagram the class
 orientation is chosen so that w2 fixes the highest root; on an extended
 diagram the affine vertex sits in part_y, which makes C independent of the
 choice up to similarity.
+
+No reflection is multiplied out: K[i, j] = 0 for i != j in one class, so
+the product over a class is the class sum I - sum(e_i K_i), whose class
+rows are e_i - K_i and whose other rows are the identity's (Steinberg 1959;
+A'Campo 1976).  C then has about four nonzeros per row (317 on D80), and an
+IntMatrix product costs the nonzeros of its left factor times the width, so
+the order loop takes C^(m+1) = C C^m with C on the left, as charpoly's
+Faddeev-LeVerrier steps do: each product is O(nnz n), not O(n^3).
 """
 
 from __future__ import annotations
@@ -35,23 +43,14 @@ class BicoloredPair:
     reflects: tuple[tuple[int, ...], tuple[int, ...]]  # (class of w1, class of w2)
 
 
-def reflection(diagram: Diagram, i: int) -> IntMatrix:
-    k = diagram.cartan
-    n = diagram.size
+def _class_sum(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
+    """prod(S_i, i in part) as the class sum I - sum(e_i (row_i K), i in part)."""
+    k, n = diagram.cartan.rows, diagram.size
+    members = set(part)
     return IntMatrix(
-        tuple(
-            tuple((1 if r == c else 0) - (k[i, c] if r == i else 0) for c in range(n))
-            for r in range(n)
-        )
+        tuple((1 if r == c else 0) - (k[r][c] if r in members else 0) for c in range(n))
+        for r in range(n)
     )
-
-
-def _product_over(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
-    # vertices of one class commute, so the product is order-independent
-    out = IntMatrix.identity(diagram.size)
-    for i in part:
-        out = out @ reflection(diagram, i)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -62,8 +61,8 @@ def bicolored_reflections(diagram: Diagram) -> BicoloredPair:
         )
     part_x, part_y = diagram.bipartition
     return BicoloredPair(
-        w1=_product_over(diagram, part_y),
-        w2=_product_over(diagram, part_x),
+        w1=_class_sum(diagram, part_y),
+        w2=_class_sum(diagram, part_x),
         reflects=(part_y, part_x),
     )
 
@@ -84,7 +83,7 @@ def coxeter_number(diagram: Diagram) -> int:
     for m in range(1, bound + 1):
         if cur == ident:
             return m
-        cur = cur @ c
+        cur = c @ cur  # the sparse factor on the left
     raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
 
 

@@ -171,15 +171,6 @@ class IntPoly:
             acc = acc * p + c
         return acc
 
-    def eval_matrix(self, m: "IntMatrix") -> "IntMatrix":
-        n = m.nrows
-        if n != m.ncols:
-            raise DimensionError("square matrix required")
-        acc = IntMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ m + IntMatrix.identity(n) * c
-        return acc
-
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
@@ -374,6 +365,13 @@ def _as_poly(v) -> IntPoly:
     raise TypeError(f"cannot interpret {type(v).__name__} as a polynomial")
 
 
+def _trusted_matrix(rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+    """IntMatrix for the kernel's own int rows, without the per-entry int()."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
 
@@ -390,11 +388,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _trusted_matrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "IntMatrix":
-        return cls(tuple((0,) * m for _ in range(n)))
+        return _trusted_matrix(((0,) * m,) * n)
 
     @property
     def nrows(self) -> int:
@@ -417,46 +415,43 @@ class IntMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError("shape mismatch")
-        return IntMatrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
+        return _trusted_matrix(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(-v for v in row) for row in self.rows)
+        return _trusted_matrix(tuple(tuple(-v for v in row) for row in self.rows))
 
     def __mul__(self, scalar: int) -> "IntMatrix":
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntMatrix(tuple(v * scalar for v in row) for row in self.rows)
+        return _trusted_matrix(tuple(tuple(v * scalar for v in row) for row in self.rows))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i is sum(self[i, l] other[l]) over the nonzero self[i, l]: a
+        sparse left factor costs O(nnz(self) * other.ncols), not a cube."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions differ")
-        cols = tuple(zip(*other.rows)) if other.rows else ()
-        return IntMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
-        )
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        if self.nrows != self.ncols:
-            raise DimensionError("square matrix required")
-        if k < 0:
-            raise ValueError("negative power")
-        out = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
+        zero = (0,) * other.ncols
+        out = []
+        for row in self.rows:
+            acc = zero
+            for a, brow in [(a, brow) for a, brow in zip(row, other.rows) if a]:
+                if a == 1:
+                    acc = [x + y for x, y in zip(acc, brow)]
+                elif a == -1:
+                    acc = [x - y for x, y in zip(acc, brow)]
+                else:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            out.append(tuple(acc))
+        return _trusted_matrix(tuple(out))
 
     def mulvec(self, v: Sequence[int]) -> tuple[int, ...]:
         """self @ v; the entries of v may also be IntPolys."""
@@ -471,11 +466,6 @@ class IntMatrix:
         if self.nrows != self.ncols:
             raise DimensionError("square matrix required")
         return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def det(self) -> int:
-        p = charpoly(self)
-        n = self.nrows
-        return p.coeff(0) if n % 2 == 0 else -p.coeff(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -523,17 +513,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows!r})"
 
 
-def lambda_identity_minus(m: IntMatrix) -> PolyMatrix:
-    """The matrix x*I - m over Z[x]."""
-    if m.nrows != m.ncols:
-        raise DimensionError("square matrix required")
-    x = IntPoly.x()
-    return PolyMatrix(
-        tuple(x - m.rows[i][j] if i == j else IntPoly.const(-m.rows[i][j]) for j in range(m.ncols))
-        for i in range(m.nrows)
-    )
-
-
 def charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
@@ -555,7 +534,9 @@ def charpoly(m: IntMatrix) -> IntPoly:
             raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
         ck = -(tr // k)
         coeffs.append(ck)
-        mk = am + ident * ck
+        mk = _trusted_matrix(
+            tuple(row[:i] + (row[i] + ck,) + row[i + 1:] for i, row in enumerate(am.rows))
+        )
     if mk != IntMatrix.zeros(n, n):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return IntPoly(reversed(coeffs))
@@ -644,24 +625,28 @@ def series_expand(f: RatFunc | IntPoly, nterms: int, den: IntPoly | None = None)
 def nullspace_primitive(m: IntMatrix) -> tuple[int, ...]:
     """Primitive positive integer kernel vector of a corank-one matrix.
 
+    Fraction-free Gauss-Jordan: pivot pv of row r clears column c by
+    row_i <- pv row_i - f row_r, then row_i is divided by its gcd.
     Raises RankError unless the kernel has dimension exactly 1 and the
     generator can be scaled to have all entries positive.
     """
     n, cols = m.nrows, m.ncols
-    a = [[Fraction(v) for v in row] for row in m.rows]
+    a = [list(row) for row in m.rows]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
+        pivot = next((i for i in range(r, n) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
+        row_r = a[r]
+        pv = row_r[c]
         for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = [pv * v - f * w for v, w in zip(a[i], row_r)]
+                g = math.gcd(*row)
+                a[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
@@ -670,10 +655,11 @@ def nullspace_primitive(m: IntMatrix) -> tuple[int, ...]:
     if len(free) != 1:
         raise RankError(f"kernel dimension is {len(free)}, expected 1")
     fc = free[0]
+    # with x_fc = 1, row k reads a[k][pc] x_pc + a[k][fc] = 0
     vec = [Fraction(0)] * cols
     vec[fc] = Fraction(1)
     for row_idx, pc in enumerate(pivots):
-        vec[pc] = -a[row_idx][fc]
+        vec[pc] = Fraction(-a[row_idx][fc], a[row_idx][pc])
     denom = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
     g = math.gcd(*ints)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagram import DiagramId, build
 from .errors import (
@@ -160,8 +161,10 @@ def _generators(bid: BpgId) -> tuple[Mat2, ...]:
     return (w, _quaternion(phi / 2, 1 / (2 * phi), 0.5, 0))
 
 
+@lru_cache(maxsize=None)
 def enumerate_group(bid: BpgId) -> BpgGroup:
-    """Closure of the generator set, checked against the expected order."""
+    """Closure of the generator set, checked against the expected order;
+    cached, which is safe as BpgGroup is frozen and holds only tuples."""
     expected = bid.order
     identity: Mat2 = ((1, 0), (0, 1))
     elems: list[Mat2] = [identity]

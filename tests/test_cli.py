@@ -153,3 +153,33 @@ def test_inexact_division_is_an_identity_violation(capsys, monkeypatch):
     assert out == ""
     assert err == "identity violation: division is not exact\n"
     assert "Traceback" not in err
+
+
+def test_rank_above_the_limit_is_a_usage_error(capsys):
+    assert cli.MAX_RANK == 128
+    for argv in (("cartan", "D129"), ("coxeter", "A129"), ("charpoly", "A129", "--k", "1"),
+                 ("quotient", "B129"), ("poincare", "D129"), ("orbit", "A129"),
+                 ("zpoly", "D129"), ("verify", "ebeling", "C129"),
+                 ("verify", "orbit-form", "D129")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "usage error: rank 129 is above the limit 128\n"
+    code, out, _ = run(capsys, "cartan", "A128")
+    assert code == 0
+    assert out.startswith("cartan matrix of A128 (finite)")
+
+
+def test_terms_above_the_limit_is_a_usage_error(capsys):
+    assert cli.MAX_TERMS == 100_000
+    for argv in (("poincare", "A1", "--terms", "100001"),
+                 ("molien", "cyclic:2", "--terms", "100001"),
+                 ("verify", "molien", "cyclic:2", "--terms", "100001")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("usage error: ") and "1..100000" in err
+        assert "Traceback" not in err
+    code, out, _ = run(capsys, "molien", "cyclic:2", "--terms", "100000")
+    assert code == 0
+    assert out.startswith("group cyclic:2, order 2")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import sympy
 
 from dynkinlab.coxeter import (
     affine_A_charpoly,
@@ -12,7 +13,16 @@ from dynkinlab.coxeter import (
     coxeter_transform,
     ebeling_quotient,
 )
-from dynkinlab.diagram import SIMPLY_LACED, DiagramId, build, catalog_extended, highest_root, nil_root
+from dynkinlab.diagram import (
+    SIMPLY_LACED,
+    Diagram,
+    DiagramId,
+    build,
+    catalog_extended,
+    finite_part,
+    highest_root,
+    nil_root,
+)
 from dynkinlab.errors import ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, charpoly
 
@@ -38,6 +48,49 @@ W2_E6 = IntMatrix(
         (0, 0, 0, 0, 0, 1),
     )
 )
+
+
+def reflection_product(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
+    """prod(S_i, i in part) as a chain of dense products of the reflections
+    S_i = I - e_i (row_i K)."""
+    k, n = diagram.cartan, diagram.size
+    out = IntMatrix.identity(n)
+    for i in part:
+        s_i = IntMatrix(
+            tuple((1 if r == c else 0) - (k[i, c] if r == i else 0) for c in range(n))
+            for r in range(n)
+        )
+        out = out @ s_i
+    return out
+
+
+def matrix_power(m: IntMatrix, k: int) -> IntMatrix:
+    out = IntMatrix.identity(m.nrows)
+    for _ in range(k):
+        out = out @ m
+    return out
+
+
+def test_pair_matches_reflection_products_on_catalog():
+    diagrams = [d for ext in catalog_extended() for d in (ext, finite_part(ext))]
+    bipartite = [d for d in diagrams if d.bipartition is not None]
+    assert len(bipartite) == 78
+    for d in bipartite:
+        pair = bicolored_reflections(d)
+        part_x, part_y = d.bipartition
+        assert pair.w1 == reflection_product(d, part_y)
+        assert pair.w2 == reflection_product(d, part_x)
+        assert pair.w2 == reflection_product(d, tuple(reversed(part_x)))
+
+
+def test_coxeter_number_closed_forms():
+    for n in range(1, 41):
+        assert coxeter_number(build(DiagramId("A", n))) == n + 1
+    for n in range(2, 41):
+        assert coxeter_number(build(DiagramId("B", n))) == 2 * n
+        assert coxeter_number(build(DiagramId("C", n))) == 2 * n
+    for n in range(4, 41):
+        assert coxeter_number(build(DiagramId("D", n))) == 2 * n - 2
 
 
 def test_a1_pair():
@@ -85,7 +138,7 @@ def test_involutions_and_determinant():
         assert pair.w1 @ pair.w1 == ident
         assert pair.w2 @ pair.w2 == ident
         c = coxeter_transform(d)
-        assert c.det() == (1 if d.size % 2 == 0 else -1)
+        assert sympy.Matrix(c.rows).det() == (1 if d.size % 2 == 0 else -1)
 
 
 def test_w2_fixes_highest_root():
@@ -176,5 +229,5 @@ def test_coxeter_number_matches_charpoly_roots():
         d = build(did)
         assert coxeter_number(d) == h
         c = coxeter_transform(d)
-        assert c**h == IntMatrix.identity(d.size)
-        assert all(c**m != IntMatrix.identity(d.size) for m in range(1, h))
+        assert matrix_power(c, h) == IntMatrix.identity(d.size)
+        assert all(matrix_power(c, m) != IntMatrix.identity(d.size) for m in range(1, h))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import sympy
 
 from dynkinlab.diagram import (
     SIMPLY_LACED,
@@ -142,7 +143,7 @@ def test_finite_determinants_positive():
     ids = [DiagramId("A", 5), DiagramId("D", 6), DiagramId("E7"), DiagramId("B", 4),
            DiagramId("C", 4), DiagramId("F4"), DiagramId("G2")]
     for did in ids:
-        assert build(did).cartan.det() > 0
+        assert sympy.Matrix(build(did).cartan.rows).det() > 0
 
 
 def test_bipartition_is_proper():

@@ -5,6 +5,7 @@ oracle: invariants of -I on binary forms give n+1 in even degrees, and
 (1+t^12)/((1-t^6)(1-t^8)) was multiplied out for the tetrahedral case.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -80,8 +81,23 @@ def test_elements_unitary_unimodular():
 def test_closure_guards_order(monkeypatch):
     bad = (((1, 0), (0, 1)),)  # identity alone can never close to 24 elements
     monkeypatch.setattr(molien, "_generators", lambda bid: bad)
-    with pytest.raises(GeneratorSetError):
-        enumerate_group(BpgId.parse("binary_tetrahedral"))
+    enumerate_group.cache_clear()  # make the closure run again
+    try:
+        with pytest.raises(GeneratorSetError):
+            enumerate_group(BpgId.parse("binary_tetrahedral"))
+    finally:
+        enumerate_group.cache_clear()
+
+
+def test_enumeration_is_cached_and_immutable():
+    enumerate_group.cache_clear()
+    first = grp("binary_octahedral")
+    assert grp("binary_octahedral") is first
+    assert enumerate_group.cache_info().misses == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.elements = ()
+    assert isinstance(first.elements, tuple)
+    assert all(isinstance(row, tuple) for m in first.elements for row in m)
 
 
 def test_molien_frozen_values():
