@@ -5,6 +5,10 @@ or domain error, 2 mathematical identity failure, including an exact
 division that does not divide.  Output is deterministic
 for a fixed command line; char-polynomial output uses L for the eigenvalue
 variable, series output uses t.
+
+`verify` looks its checks up in one table, `_checks`.  Inputs beyond the
+MAX_* bounds are usage errors; a group that a check pairs with a diagram
+must also keep that diagram within MAX_RANK.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import sys
 
 from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quotient
-from .diagram import Diagram, DiagramId, build, catalog_extended, finite_part
+from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended, finite_part
 from .errors import (
     CatalogCorruptionError,
     DynkinlabError,
@@ -33,6 +37,7 @@ from .kostant import (
 from .mckay import verify_observation, verify_z_recurrence
 from .molien import (
     BpgId,
+    catalog_groups,
     crosscheck,
     enumerate_group,
     folded_component_report,
@@ -49,25 +54,9 @@ from .orbit import (
 )
 from .report import Report
 
-_ADE = ("A", "D", "E6", "E7", "E8")
-_CHECKS = (
-    "all",
-    "ebeling",
-    "kostant-relation",
-    "closed-form",
-    "orbit-form",
-    "z-recurrence",
-    "mckay-observation",
-    "molien",
-    "mckay-shift",
-    "molien-folded",
-)
-
-
-# checks that compare consecutive series terms need at least this many
-_MIN_TERMS = {"all": 2, "kostant-relation": 2}
-# input bounds: the largest rank and number of series terms accepted
+# input bounds: the largest rank, group order and number of series terms
 MAX_RANK = 128
+MAX_GROUP_ORDER = 1024
 MAX_TERMS = 100_000
 
 
@@ -90,11 +79,29 @@ def _terms(text: str) -> int:
     return n
 
 
-def _diagram_id(text: str) -> DiagramId:
-    did = DiagramId.parse(text)
+def _bounded(did: DiagramId, source: str = "") -> DiagramId:
     if did.rank is not None and did.rank > MAX_RANK:
-        raise _UsageError(f"rank {did.rank} is above the limit {MAX_RANK}")
+        raise _UsageError(f"{source}rank {did.rank} is above the limit {MAX_RANK}")
     return did
+
+
+def _diagram_id(text: str) -> DiagramId:
+    return _bounded(DiagramId.parse(text))
+
+
+def _group_id(text: str) -> BpgId:
+    bid = BpgId.parse(text)
+    if bid.order > MAX_GROUP_ORDER:
+        raise _UsageError(f"group order {bid.order} is above the limit {MAX_GROUP_ORDER}")
+    return bid
+
+
+def _paired_group_id(text: str) -> BpgId:
+    """A group target of a check that also runs on its paired diagram."""
+    bid = _group_id(text)
+    did = bid.paired_diagram()
+    _bounded(did, f"{bid.text} pairs with {did.text}, ")
+    return bid
 
 
 def _build_parser() -> _Parser:
@@ -129,7 +136,7 @@ def _build_parser() -> _Parser:
     m.add_argument("--format", choices=("text", "json"), default="text")
 
     v = sub.add_parser("verify", help="run named identity checks")
-    v.add_argument("check", choices=_CHECKS)
+    v.add_argument("check", choices=("all", *_checks()))
     v.add_argument("target", nargs="?", default=None,
                    help="diagram or group to check (default: whole catalog)")
     v.add_argument("--terms", type=_terms, default=40)
@@ -286,7 +293,7 @@ def _cmd_zpoly(args) -> int:
 
 
 def _cmd_molien(args) -> int:
-    bid = BpgId.parse(args.group)
+    bid = _group_id(args.group)
     group = enumerate_group(bid)
     coeffs = molien_coeffs(group, args.terms - 1)
     if args.format == "json":
@@ -304,73 +311,58 @@ def _cmd_molien(args) -> int:
     return 0
 
 
-def _group_catalog() -> list[BpgId]:
-    out = [BpgId("cyclic", n) for n in range(2, 9)]
-    out += [BpgId("binary_dihedral", n) for n in range(2, 7)]
-    out += [BpgId("binary_tetrahedral"), BpgId("binary_octahedral"), BpgId("binary_icosahedral")]
-    return out
-
-
 def _even_h_ade() -> list[Diagram]:
-    out = []
-    for ext in catalog_extended():
-        if ext.did.family not in _ADE:
-            continue
-        d = finite_part(ext)
-        if coxeter_number(d) % 2 == 0:
-            out.append(d)
-    return out
+    ade = [finite_part(e) for e in catalog_extended() if e.did.family in SIMPLY_LACED]
+    return [d for d in ade if coxeter_number(d) % 2 == 0]
 
 
-def _folded_ids() -> list[DiagramId]:
-    return [ext.did for ext in catalog_extended() if ext.did.family not in _ADE]
+def _checks() -> dict:
+    """The verify table, in the order `verify all` runs it: check name ->
+    (target parser, default targets, check function of (target, terms),
+    least --terms).  Built per call, so each function is looked up in the
+    module when the check runs, not captured at import."""
+
+    def extended(text):
+        return build(_diagram_id(text), extended=True)
+
+    def finite(text):
+        return build(_diagram_id(text))
+
+    def catalog_ids(simply_laced):
+        return [e.did for e in catalog_extended() if (e.did.family in SIMPLY_LACED) == simply_laced]
+
+    return {
+        "ebeling": (extended, catalog_extended, lambda d, terms: verify_ebeling(d), 1),
+        # compares consecutive series terms, so it needs at least two
+        "kostant-relation": (extended, catalog_extended, verify_kostant_relation, 2),
+        "closed-form": (_diagram_id, lambda: catalog_ids(True),
+                        lambda did, terms: verify_closed_form(did), 1),
+        "orbit-form": (finite, _even_h_ade, lambda d, terms: verify_kostant_form(d), 1),
+        "z-recurrence": (finite, _even_h_ade, lambda d, terms: verify_z_recurrence(d), 1),
+        "mckay-observation": (finite, _even_h_ade, lambda d, terms: verify_observation(d), 1),
+        "molien": (_paired_group_id, catalog_groups, crosscheck, 1),
+        "mckay-shift": (_paired_group_id, catalog_groups,
+                        lambda bid, terms: mckay_matrix_numeric(bid, terms)[1], 1),
+        "molien-folded": (_diagram_id, lambda: catalog_ids(False), folded_component_report, 1),
+    }
 
 
 def _verify_reports(check: str, target: str | None, terms: int) -> list[Report]:
-    if check == "all":
-        if target is not None:
-            raise _UsageError("check 'all' takes no target")
-        reports: list[Report] = []
-        for name in _CHECKS[1:]:
-            reports.extend(_verify_reports(name, None, terms))
-        return reports
-
-    if check in ("molien", "mckay-shift"):
-        groups = [BpgId.parse(target)] if target else _group_catalog()
-        if check == "molien":
-            return [crosscheck(b, terms) for b in groups]
-        return [mckay_matrix_numeric(b, terms)[1] for b in groups]
-
-    if check == "ebeling":
-        exts = [build(_diagram_id(target), extended=True)] if target else list(catalog_extended())
-        return [verify_ebeling(d) for d in exts]
-    if check == "kostant-relation":
-        exts = [build(_diagram_id(target), extended=True)] if target else list(catalog_extended())
-        return [verify_kostant_relation(d, terms) for d in exts]
-    if check == "closed-form":
-        if target:
-            dids = [_diagram_id(target)]
-        else:
-            dids = [e.did for e in catalog_extended() if e.did.family in _ADE]
-        return [verify_closed_form(did) for did in dids]
-    if check == "molien-folded":
-        dids = [_diagram_id(target)] if target else _folded_ids()
-        return [folded_component_report(did, terms) for did in dids]
-
-    # orbit-based checks on finite simply-laced diagrams with even h
-    diagrams = [build(_diagram_id(target))] if target else _even_h_ade()
-    fn = {
-        "orbit-form": verify_kostant_form,
-        "z-recurrence": verify_z_recurrence,
-        "mckay-observation": verify_observation,
-    }[check]
-    return [fn(d) for d in diagrams]
+    table = _checks()
+    rows = list(table.values()) if check == "all" else [table[check]]
+    least = max(row[3] for row in rows)
+    if terms < least:
+        raise _UsageError(f"check {check!r} needs --terms >= {least}")
+    if check == "all" and target is not None:
+        raise _UsageError("check 'all' takes no target")
+    reports: list[Report] = []
+    for parse, default, fn, _ in rows:
+        targets = [parse(target)] if target else default()
+        reports += [fn(x, terms) for x in targets]
+    return reports
 
 
 def _cmd_verify(args) -> int:
-    least = _MIN_TERMS.get(args.check, 1)
-    if args.terms < least:
-        raise _UsageError(f"check {args.check!r} needs --terms >= {least}")
     reports = _verify_reports(args.check, args.target, args.terms)
     ok = all(r.passed for r in reports)
     if args.format == "json":

@@ -277,11 +277,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den == IntPoly.one()
 
-    def as_poly(self) -> IntPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num
-
     @staticmethod
     def _coerce(other: object) -> "RatFunc | None":
         if isinstance(other, RatFunc):
@@ -289,51 +284,6 @@ class RatFunc:
         if isinstance(other, (IntPoly, int)):
             return RatFunc(other)
         return None
-
-    def __add__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -343,15 +293,6 @@ class RatFunc:
 
     def __hash__(self) -> int:
         return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
-
-    def __call__(self, value: Fraction) -> Fraction:
-        d = self.den(value)
-        if d == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return Fraction(self.num(value)) / d
-
-    def substitute(self, p: IntPoly) -> "RatFunc":
-        return RatFunc(self.num.substitute(p), self.den.substitute(p))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num.coeffs!r}, {self.den.coeffs!r})"

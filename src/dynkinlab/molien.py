@@ -94,6 +94,13 @@ class BpgId:
         return DiagramId.parse(name)
 
 
+def catalog_groups() -> tuple[BpgId, ...]:
+    """Every group exercised by the verification suites."""
+    return (tuple(BpgId("cyclic", n) for n in range(2, 9))
+            + tuple(BpgId("binary_dihedral", n) for n in range(2, 7))
+            + tuple(map(BpgId, _EXCEPTIONAL)))
+
+
 @dataclass(frozen=True)
 class BpgGroup:
     bid: BpgId

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from dynkinlab.coxeter import bicolored_reflections, char_polys, ebeling_quotient
 from dynkinlab.diagram import (
+    SIMPLY_LACED,
     DiagramId,
     build,
     catalog_extended,
@@ -27,12 +28,11 @@ from dynkinlab.kostant import (
     verify_kostant_relation,
 )
 from dynkinlab.mckay import verify_observation
-from dynkinlab.molien import BpgId, crosscheck, enumerate_group, molien_coeffs
+from dynkinlab.molien import catalog_groups, crosscheck, enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
 
 L = IntPoly.x()
 GOLDEN = Path(__file__).parent / "golden"
-ADE = ("A", "D", "E6", "E7", "E8")
 
 
 def _eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
@@ -98,7 +98,7 @@ def test_closed_form_and_degree_table():
     }
     for ext in catalog_extended():
         did = ext.did
-        if did.family not in ADE:
+        if did.family not in SIMPLY_LACED:
             continue
         rep = verify_closed_form(did)
         assert rep.passed, rep.render()
@@ -163,10 +163,8 @@ def test_quotient_coincidences():
 
 
 def test_molien_oracle_agreement():
-    groups = [BpgId("cyclic", n) for n in range(2, 9)]
-    groups += [BpgId("binary_dihedral", n) for n in range(2, 7)]
-    groups += [BpgId("binary_tetrahedral"), BpgId("binary_octahedral"),
-               BpgId("binary_icosahedral")]
+    groups = catalog_groups()
+    assert len(groups) == 15
     for bid in groups:
         group = enumerate_group(bid)
         assert group.order == bid.order

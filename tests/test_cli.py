@@ -1,6 +1,8 @@
 """Exit codes, output shapes and JSON round-trips of the command line."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import dynkinlab.cli as cli
 from dynkinlab.cli import main
@@ -9,6 +11,16 @@ from dynkinlab.diagram import DiagramId, build
 from dynkinlab.exact import IntPoly, parse_poly
 from dynkinlab.orbit import z_polynomials
 from dynkinlab.report import Report
+
+BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+# the nominal sizes of the high-degree workload; its other references
+# differ from these by a few terms or a group parameter
+HIGH_DEGREE_NOMINAL = (
+    "poincare E8 --terms 3000",
+    "molien binary_icosahedral --terms 3000",
+    "molien binary_dihedral:200 --terms 3000",
+    "verify molien binary_octahedral --terms 1000",
+)
 
 
 def run(capsys, *argv):
@@ -183,3 +195,54 @@ def test_terms_above_the_limit_is_a_usage_error(capsys):
     code, out, _ = run(capsys, "molien", "cyclic:2", "--terms", "100000")
     assert code == 0
     assert out.startswith("group cyclic:2, order 2")
+
+
+def test_group_pairing_above_the_rank_limit_is_a_usage_error(capsys):
+    for argv, pair in ((("verify", "molien", "binary_dihedral:127"), "D129"),
+                       (("verify", "mckay-shift", "cyclic:130"), "A129")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"usage error: {argv[2]} pairs with {pair}, rank 129 is above the limit 128\n"
+    assert cli._paired_group_id("binary_dihedral:126").n == 126  # pairs with D128
+    # cyclic:1 pairs with no diagram at all: a domain error, as before
+    code, out, err = run(capsys, "verify", "molien", "cyclic:1")
+    assert (code, out) == (1, "")
+    assert err == "error: cyclic:1 has no paired diagram in the catalog\n"
+
+
+def test_group_order_above_the_limit_is_a_usage_error(capsys):
+    assert cli.MAX_GROUP_ORDER == 1024
+    for argv in (("molien", "binary_dihedral:257"), ("molien", "cyclic:1025"),
+                 ("verify", "molien", "binary_dihedral:2000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("usage error: group order ") and "above the limit 1024" in err
+        assert "Traceback" not in err
+    assert cli._group_id("binary_dihedral:256").order == 1024
+    assert cli._group_id("binary_dihedral:202").order == 808  # the bench's largest group
+
+
+def test_verify_all_runs_the_table_rows_in_order(capsys):
+    code, whole, _ = run(capsys, "verify", "all")
+    assert code == 0
+    parts = []
+    for check in cli._checks():
+        code, out, _ = run(capsys, "verify", check)
+        assert code == 0, check
+        parts.append(out)
+    assert whole == "\n".join(parts)
+
+
+def test_bench_reference_outputs(capsys):
+    """Exit code and stdout digest of every catalog and rank-ladder bench
+    invocation, and of the nominal high-degree ones, against bench/refs.json."""
+    refs = json.loads(BENCH_REFS.read_text())["outputs"]
+    pinned = [k for k in refs if not k.startswith(("poincare", "molien", "verify molien"))]
+    pinned += HIGH_DEGREE_NOMINAL
+    assert len(pinned) == 57
+    for key in pinned:
+        code, out, _ = run(capsys, *key.split())
+        assert code == refs[key]["exit"], key
+        assert hashlib.sha256(out.encode()).hexdigest() == refs[key]["sha256"], key
