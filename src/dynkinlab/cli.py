@@ -26,7 +26,7 @@ from .errors import (
     IdentityViolationError,
     NumericalDriftError,
 )
-from .exact import format_poly, format_ratfunc
+from .exact import RatFunc, format_poly, format_ratfunc
 from .kostant import (
     generating_function,
     multiplicities,
@@ -243,18 +243,19 @@ def _cmd_poincare(args) -> int:
     did = _diagram_id(args.diagram)
     ext = build(did, extended=True)
     gf = generating_function(ext)
+    component0 = RatFunc(gf.numerators[0], gf.det_m)
     coeffs = [v[0] for v in multiplicities(ext, args.terms).vectors]
     if args.format == "json":
         _emit_json({
             "diagram": did.text,
             "terms": args.terms,
-            "rational": {"num": format_poly(gf.components[0].num),
-                         "den": format_poly(gf.components[0].den)},
+            "rational": {"num": format_poly(component0.num),
+                         "den": format_poly(component0.den)},
             "component0": coeffs,
         })
         return 0
     _emit("\n".join([
-        f"component 0 for {did.text}: {format_ratfunc(gf.components[0])}",
+        f"component 0 for {did.text}: {format_ratfunc(component0)}",
         f"coefficients (t^0..t^{args.terms - 1}): " + ", ".join(str(c) for c in coeffs),
     ]))
     return 0

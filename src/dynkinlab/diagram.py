@@ -97,7 +97,6 @@ class Diagram:
     affine_index: int | None
     u0: tuple[int, ...] | None
     display: tuple[tuple[tuple[int, int], ...], ...] | None = None
-    fold_source: tuple[str, tuple[tuple[str, ...], ...], str] | None = None
 
     @property
     def size(self) -> int:
@@ -170,7 +169,6 @@ def _make(
     cartan: IntMatrix,
     attach: tuple[int, ...] | None = None,
     display: tuple[tuple[tuple[int, int], ...], ...] | None = None,
-    fold_source: tuple[str, tuple[tuple[str, ...], ...], str] | None = None,
 ) -> Diagram:
     n = cartan.nrows
     if cartan.ncols != n or len(labels) != n:
@@ -194,7 +192,6 @@ def _make(
         affine_index=affine_index,
         u0=attach,
         display=display,
-        fold_source=fold_source,
     )
 
 
@@ -327,15 +324,8 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
             order = [holder] + [a for a in range(m) if a != holder]
             rows = [[rows[a][b] for b in order] for a in order]
             labels = tuple(labels[a] for a in order)
-            resolved = [resolved[a] for a in order]
-    src = (
-        diagram.did.text if diagram.did else "?",
-        tuple(tuple(diagram.labels[v] for v in orb) for orb in resolved),
-    )
-    primary = _make(None, extended, labels, IntMatrix(rows),
-                    fold_source=src + ("primary",))
-    dual = _make(None, extended, labels, IntMatrix(rows).transpose(),
-                 fold_source=src + ("dual",))
+    primary = _make(None, extended, labels, IntMatrix(rows))
+    dual = _make(None, extended, labels, IntMatrix(rows).transpose())
     return primary, dual
 
 

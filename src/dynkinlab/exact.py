@@ -3,8 +3,9 @@
 Everything downstream (Cartan matrices, Coxeter transformations, generating
 functions) is computed over Z or Q with no floating point.  Polynomials are
 dense coefficient tuples in ascending order; the zero polynomial is the
-empty tuple.  Rational functions are kept reduced with a positive leading
-denominator coefficient, so equal functions compare equal structurally.
+empty tuple.  Identities between fractions are checked by cross-multiplying
+in Z[t]; a rational function is reduced only to be printed, then with a
+positive leading denominator coefficient, so the reduced form is canonical.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 class RatFunc:
-    """Reduced rational function num/den over Z[t].
+    """Reduced rational function num/den over Z[t], built for output.
 
     Canonical form: gcd(num, den) = 1 and the leading coefficient of den is
     positive, so equality is plain structural equality.
@@ -277,19 +278,10 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den == IntPoly.one()
 
-    @staticmethod
-    def _coerce(other: object) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (IntPoly, int)):
-            return RatFunc(other)
-        return None
-
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num * o.den == o.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
@@ -420,40 +412,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
-class PolyMatrix:
-    """Immutable square matrix with IntPoly entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[IntPoly | int]]):
-        rs = tuple(tuple(_as_poly(v) for v in row) for row in rows)
-        if any(len(r) != len(rs) for r in rs):
-            raise DimensionError("square matrix required")
-        object.__setattr__(self, "rows", rs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolyMatrix is immutable")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> IntPoly:
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("PolyMatrix", tuple(tuple(p.coeffs for p in row) for row in self.rows)))
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.rows!r})"
-
-
 def charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
@@ -483,55 +441,40 @@ def charpoly(m: IntMatrix) -> IntPoly:
     return IntPoly(reversed(coeffs))
 
 
-def _eliminate(a: list[list[IntPoly]], n: int) -> int:
-    """Bareiss elimination in place on the first n columns of the n-row array
-    a (extra columns ride along): a[k][k] becomes the k-th leading minor of
-    the row-permuted input, and every division is an exact divexact.
-    Returns the sign of the row permutation, or 0 if the block is singular."""
-    sign, prev = 1, IntPoly.one()
-    for k in range(n):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        row_k, pk = a[k], a[k][k]
-        for row_i in a[k + 1:]:
-            aik = row_i[k]
-            for j in range(k + 1, len(row_k)):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]).divexact(prev)
-        prev = pk
-    return sign
-
-
-def det_poly(m: PolyMatrix) -> IntPoly:
-    """Determinant over Z[t] by Bareiss fraction-free elimination."""
-    n = m.size
-    a = [list(row) for row in m.rows]
-    sign = _eliminate(a, n)
-    return sign * a[n - 1][n - 1] if n else IntPoly.one()
-
-
 def cramer_solve(
-    m: PolyMatrix, rhs: Sequence[IntPoly | int]
+    rows: Sequence[Sequence[IntPoly | int]], rhs: Sequence[IntPoly | int]
 ) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """(det M, (det M_0, ..., det M_(n-1))), M_i being M with column i
-    replaced by rhs, so that M x = rhs has x_i = det M_i / det M.
+    """(det M, (det M_0, ..., det M_(n-1))) for the square matrix M given by
+    its rows, M_i being M with column i replaced by rhs, so that M x = rhs
+    has x_i = det M_i / det M.
 
     One fraction-free elimination of [M | rhs], then fraction-free back
     substitution a[i][i] y_i = d rhs'_i - sum_(j > i) a[i][j] y_j with d the
     last pivot, each an exact division (Bareiss 1968; Nakos, Turner and
     Williams 1997).  A row swap negates det and every numerator alike.
-    Raises RankError when M is singular."""
-    n = m.size
+    Raises DimensionError unless M is square and rhs has one entry per row,
+    and RankError when M is singular."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionError("square matrix required")
     if len(rhs) != n:
         raise DimensionError("right-hand side length mismatch")
-    a = [list(row) + [_as_poly(b)] for row, b in zip(m.rows, rhs)]
-    sign = _eliminate(a, n)
-    if sign == 0:
-        raise RankError("singular matrix: Cramer's rule needs det != 0")
-    d = a[n - 1][n - 1] if n else IntPoly.one()
+    a = [[_as_poly(v) for v in row] + [_as_poly(b)] for row, b in zip(rows, rhs)]
+    # Bareiss: a[k][k] becomes the k-th leading minor of the row-permuted M
+    sign, d = 1, IntPoly.one()
+    for k in range(n):
+        if a[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if pivot is None:
+                raise RankError("singular matrix: Cramer's rule needs det != 0")
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k, pk = a[k], a[k][k]
+        for row_i in a[k + 1:]:
+            aik = row_i[k]
+            for j in range(k + 1, n + 1):
+                row_i[j] = (pk * row_i[j] - aik * row_k[j]).divexact(d)
+        d = pk
     ys = [IntPoly.zero()] * n
     for i in reversed(range(n)):
         acc = d * a[i][n] - sum((a[i][j] * ys[j] for j in range(i + 1, n)), IntPoly.zero())
@@ -539,13 +482,11 @@ def cramer_solve(
     return sign * d, tuple(sign * y for y in ys)
 
 
-def series_expand(f: RatFunc | IntPoly, nterms: int, den: IntPoly | None = None) -> list:
-    """First nterms Taylor coefficients at t = 0 of f, or of f / den when den
-    is given (unreduced).  ints when den(0) = +-1, else Fractions."""
+def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
+    """First nterms Taylor coefficients at t = 0 of f / den, reduced or not.
+    ints when den(0) = +-1, else Fractions."""
     if nterms < 0:
         raise ValueError("negative number of terms")
-    if den is None:
-        f, den = f.num, f.den
     d0 = den.coeff(0)
     if d0 == 0:
         raise PoleAtOriginError("denominator vanishes at the origin")

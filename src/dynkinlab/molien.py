@@ -110,16 +110,6 @@ class BpgGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def traces(self) -> tuple[float, ...]:
-        out = []
-        for m in self.elements:
-            tr = m[0][0] + m[1][1]
-            if abs(tr.imag) >= _STRICT:
-                raise NumericalDriftError(f"non-real trace {tr}")
-            out.append(tr.real)
-        return tuple(out)
-
     def contains_minus_identity(self) -> bool:
         return any(_near(m, ((-1, 0), (0, -1))) for m in self.elements)
 

@@ -23,7 +23,7 @@ from .errors import (
     IdentityViolationError,
     UnsupportedFamilyError,
 )
-from .exact import IntPoly, RatFunc, vec_sub
+from .exact import IntPoly, vec_sub
 from .kostant import generating_function
 from .report import Report
 
@@ -117,7 +117,8 @@ def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:
 
 
 def verify_kostant_form(diagram: Diagram) -> Report:
-    """Orbit route against the Cramer route, component by component."""
+    """Orbit route against the Cramer route, component by component, as
+    det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
     a, b, _, _ = kostant_numbers(diagram.did)
     zt = z_polynomials(diagram)
     den = (1 - T**a) * (1 - T**b)
@@ -126,7 +127,7 @@ def verify_kostant_form(diagram: Diagram) -> Report:
     checks = tuple(
         (
             f"[P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^{a})(1 - t^{b}))",
-            gf.components[i] == RatFunc(zt[i], den),
+            gf.numerators[i] * den == zt[i] * gf.det_m,
         )
         for i in range(ext.size)
     )

@@ -1,10 +1,14 @@
 """Exit codes, output shapes and JSON round-trips of the command line."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import dynkinlab.cli as cli
+import dynkinlab.exact as exact
+import dynkinlab.kostant as kostant
+import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
 from dynkinlab.coxeter import char_polys
 from dynkinlab.diagram import DiagramId, build
@@ -165,6 +169,47 @@ def test_inexact_division_is_an_identity_violation(capsys, monkeypatch):
     assert out == ""
     assert err == "identity violation: division is not exact\n"
     assert "Traceback" not in err
+
+
+def test_verify_all_reduces_no_fraction(capsys, monkeypatch):
+    calls = []
+    gcd = exact.poly_gcd
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(exact, "poly_gcd", counting_gcd)
+    kostant.generating_function.cache_clear()  # a cached result would hide its gcds
+    assert run(capsys, "verify", "all")[0] == 0
+    assert calls == []
+    # printing component 0 reduces it, so the counter does see gcds
+    assert run(capsys, "poincare", "E6", "--terms", "3")[0] == 0
+    assert calls
+
+
+def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
+    """det M_i (1 - t^a)(1 - t^b) = z(t)_i det M and its closed-form twin
+    must fail once one Cramer numerator of extended E6 is off by t^k."""
+    ext = build(DiagramId("E6"), extended=True)
+    real = kostant.generating_function
+    gf = real(ext)
+    for i, k in ((0, 3), (0, 40), (ext.size - 1, 5)):
+        nums = list(gf.numerators)
+        nums[i] = nums[i] + IntPoly.monomial(k)
+        broken = dataclasses.replace(gf, numerators=tuple(nums))
+
+        def patched(d, broken=broken):
+            return broken if d == ext else real(d)
+
+        monkeypatch.setattr(kostant, "generating_function", patched)
+        monkeypatch.setattr(orbit, "generating_function", patched)
+        code, out, _ = run(capsys, "verify", "orbit-form", "E6")
+        assert code == 2, (i, k)
+        failed = [line for line in out.splitlines() if line.startswith("  FAIL")]
+        assert failed == [f"  FAIL  [P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^6)(1 - t^8))"]
+        code, out, _ = run(capsys, "verify", "closed-form", "E6")
+        assert (code, out.startswith("[FAIL]")) == ((2, True) if i == 0 else (0, False)), (i, k)
 
 
 def test_rank_above_the_limit_is_a_usage_error(capsys):
