@@ -441,47 +441,6 @@ def charpoly(m: IntMatrix) -> IntPoly:
     return IntPoly(reversed(coeffs))
 
 
-def cramer_solve(
-    rows: Sequence[Sequence[IntPoly | int]], rhs: Sequence[IntPoly | int]
-) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """(det M, (det M_0, ..., det M_(n-1))) for the square matrix M given by
-    its rows, M_i being M with column i replaced by rhs, so that M x = rhs
-    has x_i = det M_i / det M.
-
-    One fraction-free elimination of [M | rhs], then fraction-free back
-    substitution a[i][i] y_i = d rhs'_i - sum_(j > i) a[i][j] y_j with d the
-    last pivot, each an exact division (Bareiss 1968; Nakos, Turner and
-    Williams 1997).  A row swap negates det and every numerator alike.
-    Raises DimensionError unless M is square and rhs has one entry per row,
-    and RankError when M is singular."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise DimensionError("square matrix required")
-    if len(rhs) != n:
-        raise DimensionError("right-hand side length mismatch")
-    a = [[_as_poly(v) for v in row] + [_as_poly(b)] for row, b in zip(rows, rhs)]
-    # Bareiss: a[k][k] becomes the k-th leading minor of the row-permuted M
-    sign, d = 1, IntPoly.one()
-    for k in range(n):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                raise RankError("singular matrix: Cramer's rule needs det != 0")
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        row_k, pk = a[k], a[k][k]
-        for row_i in a[k + 1:]:
-            aik = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]).divexact(d)
-        d = pk
-    ys = [IntPoly.zero()] * n
-    for i in reversed(range(n)):
-        acc = d * a[i][n] - sum((a[i][j] * ys[j] for j in range(i + 1, n)), IntPoly.zero())
-        ys[i] = acc.divexact(a[i][i])
-    return sign * d, tuple(sign * y for y in ys)
-
-
 def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
     """First nterms Taylor coefficients at t = 0 of f / den, reduced or not.
     ints when den(0) = +-1, else Fractions."""

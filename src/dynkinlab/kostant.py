@@ -1,37 +1,36 @@
 """Kostant generating functions for extended diagrams.
 
-The vector of generating functions x(t) solves ((1+t^2) I - t B) x = e0
-with B the McKay operator 2I - K of the extended diagram.  One
-fraction-free solve of [M | e0] gives the common denominator det M(t) and
-every Cramer numerator det M_i(t) as exact polynomials; Ebeling's
-identities equate them with characteristic polynomials of the affine and
-finite Coxeter transformations at lambda = t^2.  Every identity on x(t),
-t B x = (1 + t^2) x - e0 and the closed form of component 0 alike, is
-checked on the numerators in Z[t] with det M cleared, and since
-det M(0) = 1 the series of det M_i / det M expand in integers.  Nothing
-here reduces a fraction.
+x(t) solves M(t) x = e0 with M(t) = (1 + t^2) I - t B and B = 2I - K the
+McKay operator of the extended diagram, a tree F (its finite part) plus
+the affine vertex 0.  With q = 1 + t^2 and b_ij = -K_ij, the Schur
+complement at vertex 0 gives det M = q det M_F - t^2 sum b_0u adj(M_F)_uw
+b_w0 and the Cramer numerators y_0 = det M_F, y_v = t sum adj(M_F)_vu b_u0
+(u, w over the neighbours N(0) of vertex 0).  On a tree, adj(M_F)_vu is
+t^d prod b_(child, parent) along the path from u down to v times the
+determinant of the forest the path leaves (Godsil, Algebraic
+Combinatorics, 1993), so one leaf-to-root and one root-to-leaf pass per
+u in N(0) give every entry in Z[t] with no division.  Ebeling's
+identities compare y_0 and det M with Coxeter characteristic polynomials
+at lambda = t^2, computed from C alone.  Every identity on x(t) is checked
+on the y_i with det M cleared, and since det M(0) = 1 the series of
+y_i / det M expand in integers.  Nothing here reduces a fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, kostant_numbers
 from .errors import DomainError, IdentityViolationError
-from .exact import (
-    IntMatrix,
-    IntPoly,
-    charpoly,
-    cramer_solve,
-    series_expand,
-    vec_add,
-)
+from .exact import IntMatrix, IntPoly, charpoly, series_expand, vec_add
 from .report import Report
 
 T = IntPoly.x()
 T2 = IntPoly.monomial(2)
+Q = 1 + T2
 
 
 def _name(diagram: Diagram) -> str:
@@ -46,15 +45,6 @@ def mckay_operator(diagram: Diagram) -> IntMatrix:
     return IntMatrix.identity(diagram.size) * 2 - diagram.cartan
 
 
-def cramer_matrix(diagram: Diagram) -> tuple[tuple[IntPoly, ...], ...]:
-    """The rows of M(t) = (1 + t^2) I - t B."""
-    q = 1 + T**2
-    return tuple(
-        tuple((q if i == j else 0) - T * v for j, v in enumerate(row))
-        for i, row in enumerate(mckay_operator(diagram).rows)
-    )
-
-
 @dataclass(frozen=True)
 class GeneratingFunction:
     diagram: Diagram
@@ -62,10 +52,51 @@ class GeneratingFunction:
     det_m: IntPoly                   # det M(t), the common denominator
 
 
+def _adjugate_column(diagram: Diagram, root: int) -> tuple[IntPoly, dict[int, IntPoly]]:
+    """(det M_F, {v: adj(M_F)_(v, root)}) with the finite part F rooted at root."""
+    k = diagram.cartan
+    parent, children, order = {root: 0}, {root: []}, [root]
+    for v in order:  # breadth first; order grows while it is walked
+        for c in diagram.neighbors(v):
+            if c not in (0, parent[v]):
+                if c in parent:
+                    raise DomainError(f"the finite part of {_name(diagram)} has a cycle")
+                parent[c], children[c] = v, []
+                children[v].append(c)
+                order.append(c)
+    if len(order) != diagram.size - 1:
+        raise DomainError(f"the finite part of {_name(diagram)} is disconnected")
+    # leaf to root: d[v] = D_v and e[v] = E_v for the subtree of v, rest[c] the
+    # product of D over the siblings of c
+    d, e, rest = {}, {}, {}
+    for v in reversed(order):
+        cs = children[v]
+        for i, c in enumerate(cs):
+            rest[c] = math.prod(d[x] for x in cs[:i] + cs[i + 1:])
+        e[v] = math.prod(d[c] for c in cs)
+        d[v] = Q * e[v] - T2 * sum(k[v, c] * k[c, v] * e[c] * rest[c] for c in cs)
+    # root to leaf: path[v] = t^d prod b_(child, parent) from root down to v,
+    # times the determinants of the subtrees hanging off the path above v
+    path = {root: IntPoly.one()}
+    for v in order[1:]:
+        path[v] = -k[v, parent[v]] * T * path[parent[v]] * rest[v]
+    return d[root], {v: path[v] * e[v] for v in order}
+
+
 @lru_cache(maxsize=None)
 def generating_function(diagram: Diagram) -> GeneratingFunction:
-    e0 = tuple(1 if i == 0 else 0 for i in range(diagram.size))
-    det_m, numerators = cramer_solve(cramer_matrix(diagram), e0)
+    if not diagram.extended:
+        raise DomainError("the generating functions live on the extended diagram")
+    if not diagram.u0:
+        raise DomainError(f"the affine vertex of {_name(diagram)} has no neighbours")
+    k, u0 = diagram.cartan, diagram.u0
+    dets, columns = zip(*(_adjugate_column(diagram, u) for u in u0))
+    numerators = (dets[0],) + tuple(
+        T * sum(-k[u, 0] * adj[v] for u, adj in zip(u0, columns)) for v in range(1, diagram.size)
+    )
+    det_m = Q * dets[0] - T2 * sum(
+        k[0, w] * k[u, 0] * adj[w] for u, adj in zip(u0, columns) for w in u0
+    )
     for i, num in enumerate(numerators):
         if num.coeff(0) != (1 if i == 0 else 0):
             raise IdentityViolationError(

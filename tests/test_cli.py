@@ -12,7 +12,7 @@ import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
 from dynkinlab.coxeter import char_polys
 from dynkinlab.diagram import DiagramId, build
-from dynkinlab.exact import IntPoly, parse_poly
+from dynkinlab.exact import IntMatrix, IntPoly, parse_poly
 from dynkinlab.orbit import z_polynomials
 from dynkinlab.report import Report
 
@@ -160,15 +160,35 @@ def test_inexact_division_is_an_identity_violation(capsys, monkeypatch):
         raise ArithmeticError("division is not exact")
 
     monkeypatch.setattr(IntPoly, "divexact", refuse)
-    cli.generating_function.cache_clear()  # make the Cramer solve run again
-    try:
-        code, out, err = run(capsys, "verify", "ebeling", "E6")
-    finally:
-        cli.generating_function.cache_clear()
+    # the Cramer solve divides nothing; the reduction of component 0 for
+    # printing does
+    code, out, err = run(capsys, "poincare", "E6", "--terms", "3")
     assert code == 2
     assert out == ""
     assert err == "identity violation: division is not exact\n"
     assert "Traceback" not in err
+
+
+def test_extended_cycle_at_the_rank_limit(capsys):
+    code, out, _ = run(capsys, "poincare", "A128", "--terms", "2")
+    assert code == 0
+    assert out.endswith("/ (1 - t - t^129 + t^130)\ncoefficients (t^0..t^1): 1, 0\n")
+    code, out, _ = run(capsys, "verify", "mckay-shift", "cyclic:129", "--terms", "2")
+    assert code == 0
+    assert out.startswith("[PASS] mckay shift for cyclic:129 via A128\n")
+    assert "FAIL" not in out and out.count("  PASS  ") == 4
+
+
+def test_domain_error_in_the_solve_exits_1(capsys, monkeypatch):
+    # an "extended E6" whose finite part holds a triangle
+    rows = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, -1], [0, -1, -1, 2]]
+    triangle = dataclasses.replace(build(DiagramId("E6"), extended=True),
+                                   labels=("a0", "p", "q", "r"), cartan=IntMatrix(rows), u0=(1,))
+    monkeypatch.setattr(cli, "build", lambda did, extended=False: triangle)
+    code, out, err = run(capsys, "poincare", "E6", "--terms", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the finite part of extended E6 has a cycle\n"
 
 
 def test_verify_all_reduces_no_fraction(capsys, monkeypatch):

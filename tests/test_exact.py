@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.matrices import DomainMatrix
 
 from dynkinlab.diagram import catalog_extended
 from dynkinlab.errors import DimensionError, PoleAtOriginError, RankError
@@ -17,7 +15,6 @@ from dynkinlab.exact import (
     IntPoly,
     RatFunc,
     charpoly,
-    cramer_solve,
     format_poly,
     format_ratfunc,
     nullspace_primitive,
@@ -25,52 +22,9 @@ from dynkinlab.exact import (
     poly_gcd,
     series_expand,
 )
+from oracles import cramer_solve, det, perm_det, sympy_det
 
 T = IntPoly.x()
-SYM_T = sympy.Symbol("t")
-
-
-def perm_det(rows):
-    """Leibniz permutation sum: the determinant straight from its definition."""
-    n = len(rows)
-    acc = IntPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen % 2 == 0:
-                sign = -sign
-        term = IntPoly.one()
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        acc = acc + (term if sign > 0 else -term)
-    return acc
-
-
-def sympy_det(rows) -> IntPoly:
-    """Determinant computed by sympy over its own polynomial ring ZZ[t]."""
-    ring = sympy.ZZ[SYM_T]
-    elems = [[ring.ring.from_dict({(k,): c for k, c in enumerate(p.coeffs) if c}) for p in row]
-             for row in rows]
-    got = dict(DomainMatrix(elems, (len(rows), len(rows)), ring).det())
-    top = max((k for (k,) in got), default=-1)
-    return IntPoly(int(got.get((k,), 0)) for k in range(top + 1))
-
-
-def det(rows) -> IntPoly:
-    """det M from the Cramer solve with a zero right-hand side; 0 when the
-    solve reports M singular."""
-    try:
-        return cramer_solve(rows, [0] * len(rows))[0]
-    except RankError:
-        return IntPoly.zero()
 
 
 def int_det(m: IntMatrix) -> int:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from dynkinlab.diagram import DiagramId, build, catalog_extended
+from dynkinlab.diagram import Diagram, DiagramId, build, catalog_extended
 from dynkinlab.errors import DomainError
-from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, cramer_solve
+from dynkinlab.exact import IntMatrix, IntPoly, RatFunc
 from dynkinlab.kostant import (
     closed_form_component0,
-    cramer_matrix,
     generating_function,
     mckay_operator,
     multiplicities,
@@ -17,12 +18,29 @@ from dynkinlab.kostant import (
     verify_ebeling,
     verify_kostant_relation,
 )
+from oracles import cramer_matrix, cramer_solve, sympy_det
 
 T = IntPoly.x()
 
 
-def _ext(text: str) -> "Diagram":
+def _ext(text: str) -> Diagram:
     return build(DiagramId.parse(text), extended=True)
+
+
+def _hand_made(bonds, n: int) -> Diagram:
+    """An extended diagram on vertices 0..n-1 from {(v, c): (b_vc, b_cv)}."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (v, c), (b_vc, b_cv) in bonds.items():
+        rows[v][c], rows[c][v] = -b_vc, -b_cv
+    u0 = tuple(j for j in range(1, n) if rows[0][j])
+    return Diagram(None, True, tuple(f"v{i}" for i in range(n)), IntMatrix(rows), None, 0, u0)
+
+
+def _assert_solve_matches_oracle(d: Diagram) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    gf = generating_function(d)
+    expected = cramer_solve(cramer_matrix(d), [1] + [0] * (d.size - 1))
+    assert (gf.det_m, gf.numerators) == expected, d.labels
+    return expected
 
 
 def test_mckay_operator_a1():
@@ -35,6 +53,52 @@ def test_cramer_matrix_determinants():
     for text, det_m in (("A1", (1 - T**2) ** 2), ("E6", (T**6 - 1) ** 2 * (T**2 + 1))):
         rows = cramer_matrix(_ext(text))
         assert cramer_solve(rows, [0] * len(rows))[0] == det_m
+
+
+def test_tree_solve_matches_the_bareiss_oracle():
+    for d in catalog_extended():
+        _assert_solve_matches_oracle(d)
+    for text in ("A32", "D32", "B32", "C32", "DD32", "CD32"):
+        _assert_solve_matches_oracle(_ext(text))
+
+
+def test_tree_solve_on_random_trees():
+    # asymmetric bonds tell the path product b_(child, parent) from its
+    # transpose, which no symmetric (ADE) tree can
+    rng = random.Random(20261018)
+    pairs = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1))
+    seen_sizes, seen_cycles = set(), 0
+    for trial in range(90):
+        n = 2 + trial % 8
+        bonds = {(rng.randrange(1, c), c): rng.choice(pairs) for c in range(2, n)}
+        ends = rng.sample(range(1, n), 2) if n > 2 and rng.random() < 0.3 else [rng.randrange(1, n)]
+        for u in ends:
+            bonds[0, u] = rng.choice(pairs + ((2, 2),)) if len(ends) == 1 else rng.choice(pairs)
+        d = _hand_made(bonds, n)
+        det_m, numerators = _assert_solve_matches_oracle(d)
+        rows = cramer_matrix(d)
+        assert det_m == sympy_det(rows)
+        for i in range(n):
+            replaced = [row[:i] + (IntPoly.one() if k == 0 else IntPoly.zero(),) + row[i + 1:]
+                        for k, row in enumerate(rows)]
+            assert numerators[i] == sympy_det(replaced), (bonds, i)
+        seen_sizes.add(n)
+        seen_cycles += len(ends) == 2
+    assert seen_sizes == set(range(2, 10)) and seen_cycles >= 10
+
+
+def test_tree_solve_domain_errors():
+    with pytest.raises(DomainError, match="extended"):
+        generating_function(build(DiagramId("E6")))
+    one = (1, 1)
+    with pytest.raises(DomainError, match="cycle"):  # a triangle in F
+        generating_function(_hand_made({(0, 1): one, (1, 2): one, (2, 3): one, (1, 3): one}, 4))
+    with pytest.raises(DomainError, match="disconnected"):  # vertex 0 joins two parts of F
+        generating_function(_hand_made({(0, 1): one, (0, 2): one}, 3))
+    with pytest.raises(DomainError, match="disconnected"):
+        generating_function(_hand_made({(0, 1): one, (2, 3): one}, 4))
+    with pytest.raises(DomainError, match="no neighbours"):
+        generating_function(_hand_made({(1, 2): one}, 3))
 
 
 def test_generating_function_a1():
