@@ -1,5 +1,6 @@
 """Exact Coxeter-transformation and Poincare-series computations on Dynkin
-diagrams, with a floating-point Molien oracle for cross-checking."""
+diagrams, with a Molien oracle for cross-checking: groups closed exactly
+over F_p, Molien sums in floating point once per trace class."""
 
 from .coxeter import (
     bicolored_reflections,

@@ -110,13 +110,12 @@ class Diagram:
         return self.labels.index(label)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            j for j in range(self.size) if j != i and self.cartan[i, j] != 0
-        )
+        return tuple(j for j, v in enumerate(self.cartan.rows[i]) if j != i and v != 0)
 
 
 def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    n = k.nrows
+    rows = k.rows
+    n = len(rows)
     color = [-1] * n
     for start in range(n):
         if color[start] != -1:
@@ -125,8 +124,8 @@ def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
         queue = [start]
         while queue:
             i = queue.pop()
-            for j in range(n):
-                if j == i or k[i, j] == 0:
+            for j, v in enumerate(rows[i]):
+                if j == i or v == 0:
                     continue
                 if color[j] == -1:
                     color[j] = 1 - color[i]
@@ -170,18 +169,20 @@ def _make(
     attach: tuple[int, ...] | None = None,
     display: tuple[tuple[tuple[int, int], ...], ...] | None = None,
 ) -> Diagram:
-    n = cartan.nrows
+    rows = cartan.rows
+    n = len(rows)
     if cartan.ncols != n or len(labels) != n:
         raise CatalogCorruptionError("label/matrix size mismatch")
-    for i in range(n):
-        if cartan[i, i] != 2:
+    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row[i] != 2:
             raise CatalogCorruptionError("diagonal entry is not 2")
-        for j in range(n):
-            if i != j and (cartan[i, j] > 0 or (cartan[i, j] == 0) != (cartan[j, i] == 0)):
-                raise CatalogCorruptionError("off-diagonal sign pattern broken")
+        if max(row[:i] + row[i + 1:], default=0) > 0 or (
+            [v == 0 for v in row] != [w == 0 for w in col]
+        ):
+            raise CatalogCorruptionError("off-diagonal sign pattern broken")
     affine_index = 0 if extended else None
     if extended:
-        attach = tuple(j for j in range(1, n) if cartan[0, j] != 0)
+        attach = tuple(j for j in range(1, n) if rows[0][j] != 0)
     parts = _orient(_two_coloring(cartan), affine_index, attach)
     return Diagram(
         did=did,
@@ -292,7 +293,7 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
     on the chosen representative j.  Returns the folded diagram together
     with its dual (transposed Cartan matrix).
     """
-    k = diagram.cartan
+    k = diagram.cartan.rows
     n = diagram.size
     resolved: list[tuple[int, ...]] = []
     for orb in orbits:
@@ -303,16 +304,17 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
     for orb in resolved:
         for i in orb:
             for j in orb:
-                if i != j and k[i, j] != 0:
+                if i != j and k[i][j] != 0:
                     raise FoldingError("orbit contains a bond")
     m = len(resolved)
     rows = [[0] * m for _ in range(m)]
     for a, orb_a in enumerate(resolved):
+        summed = [sum(col) for col in zip(*(k[i] for i in orb_a))]
         for b, orb_b in enumerate(resolved):
             if a == b:
                 rows[a][b] = 2
                 continue
-            sums = {sum(k[i, j] for i in orb_a) for j in orb_b}
+            sums = {summed[j] for j in orb_b}
             if len(sums) != 1:
                 raise FoldingError("entry sum depends on the representative")
             rows[a][b] = sums.pop()

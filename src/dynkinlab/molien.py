@@ -1,15 +1,25 @@
 """Binary polyhedral groups and the Molien series oracle.
 
-This is the only module that touches floating point.  Group elements are
-2x2 complex matrices enumerated by closure from fixed generators; the
-Molien sums are rounded to integers with a drift assertion before they
-cross back into the exact world.
+A group is closed exactly over F_p: its elements are 2x2 matrices with
+entries mod p, generated from the quaternion formulas with every constant
+taken from one root of unity zeta in F_p.  p is the least prime
+congruent to 1 mod L, with L = lcm(120, 2N) and N the group's parameter
+(1 for the exceptional groups), so F_p holds zeta of exact order L and
+with it i, 1/2, sqrt 2 and the golden ratio.  Reduction mod
+such a prime is injective on a finite matrix group (Minkowski's lemma),
+and the closure's size is checked against |G|.
+
+Each element's trace is zeta^j + zeta^-j for one j in 0..L/2, so the group
+is summarised by trace classes (j, count).  Floating point enters only in
+the Molien sums, which run one recurrence per class with trace
+2 cos(2 pi j / L) and are rounded to integers with a drift assertion before
+they cross back into the exact world.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +35,7 @@ from .exact import IntMatrix, vec_add
 from .kostant import mckay_operator, multiplicities
 from .report import Report
 
-Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 _EXCEPTIONAL = {
     "binary_tetrahedral": 24,
@@ -35,7 +45,6 @@ _EXCEPTIONAL = {
 _PARAMETRIC = ("cyclic", "binary_dihedral")
 
 _TOL = 1e-6
-_STRICT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,77 +112,108 @@ def catalog_groups() -> tuple[BpgId, ...]:
 
 @dataclass(frozen=True)
 class BpgGroup:
+    """The elements mod p of a closed group, with the field they live in
+    (the prime p and the level L of its root of unity zeta) and the trace
+    classes: (j, count) for each trace zeta^j + zeta^-j that occurs."""
+
     bid: BpgId
     elements: tuple[Mat2, ...]
+    p: int
+    level: int
+    classes: tuple[tuple[int, int], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def contains_minus_identity(self) -> bool:
-        return any(_near(m, ((-1, 0), (0, -1))) for m in self.elements)
+        return ((self.p - 1, 0), (0, self.p - 1)) in self.elements
 
 
-def _quaternion(a: float, b: float, c: float, d: float) -> Mat2:
-    """a + bi + cj + dk as a matrix in the standard SU(2) embedding."""
-    return ((complex(a, b), complex(c, d)), (complex(-c, d), complex(a, -b)))
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n, by trial division."""
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | {n} - {1}
 
 
-def _mul(x: Mat2, y: Mat2) -> Mat2:
+def _field(level: int) -> tuple[int, int]:
+    """(p, zeta): the least prime p = 1 mod level, by trial division, and an
+    element zeta of exact order level in F_p."""
+    p = level + 1
+    while _prime_factors(p) != {p}:
+        p += level
+    factors = _prime_factors(level)
+    candidates = (pow(a, (p - 1) // level, p) for a in range(2, p))
+    return p, next(z for z in candidates if all(pow(z, level // q, p) != 1 for q in factors))
+
+
+def _mul(x: Mat2, y: Mat2, p: int) -> Mat2:
     return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
+        ((x[0][0] * y[0][0] + x[0][1] * y[1][0]) % p, (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % p),
+        ((x[1][0] * y[0][0] + x[1][1] * y[1][0]) % p, (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % p),
     )
 
 
-def _renorm(m: Mat2) -> Mat2:
-    # project back onto the unit quaternions: m = p*1 + q*j up to conjugates
-    p = (m[0][0] + m[1][1].conjugate()) / 2
-    q = (m[0][1] - m[1][0].conjugate()) / 2
-    norm = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
-    p, q = p / norm, q / norm
-    return ((p, q), (-q.conjugate(), p.conjugate()))
+def _generators(bid: BpgId, p: int, level: int, zeta: int) -> tuple[Mat2, ...]:
+    """The generators mod p, each constant a polynomial in zeta."""
 
+    def root(k: int) -> int:  # exp(2 pi i / k)
+        return pow(zeta, level // k, p)
 
-def _near(x: Mat2, y: Mat2) -> bool:
-    return all(abs(x[i][j] - y[i][j]) < _TOL for i in range(2) for j in range(2))
+    def quaternion(a: int, b: int, c: int, d: int) -> Mat2:
+        """a + bi + cj + dk in the standard SU(2) embedding."""
+        i = root(4)
+        return (((a + b * i) % p, (c + d * i) % p), ((-c + d * i) % p, (a - b * i) % p))
 
-
-def _generators(bid: BpgId) -> tuple[Mat2, ...]:
-    if bid.family == "cyclic":
-        z = cmath.exp(2j * math.pi / bid.n)
-        return (((z, 0), (0, z.conjugate())),)
-    if bid.family == "binary_dihedral":
-        z = cmath.exp(1j * math.pi / bid.n)
-        s = ((0, -1), (1, 0))
-        return (((z, 0), (0, z.conjugate())), s)
-    quat_i = _quaternion(0, 1, 0, 0)
-    w = _quaternion(0.5, 0.5, 0.5, 0.5)
+    if bid.family in _PARAMETRIC:
+        z = root(bid.n if bid.family == "cyclic" else 2 * bid.n)
+        rotation = ((z, 0), (0, pow(z, -1, p)))
+        return (rotation,) if bid.family == "cyclic" else (rotation, ((0, p - 1), (1, 0)))
+    half = pow(2, -1, p)
+    quat_i = quaternion(0, 1, 0, 0)
+    w = quaternion(half, half, half, half)
     if bid.family == "binary_tetrahedral":
         return (quat_i, w)
     if bid.family == "binary_octahedral":
-        r = 1 / math.sqrt(2)
-        return (quat_i, w, _quaternion(r, r, 0, 0))
-    phi = (1 + math.sqrt(5)) / 2
-    return (w, _quaternion(phi / 2, 1 / (2 * phi), 0.5, 0))
+        r = pow(root(8) + pow(root(8), -1, p), -1, p)  # 1 / sqrt 2
+        return (quat_i, w, quaternion(r, r, 0, 0))
+    phi = 1 + root(5) + pow(root(5), -1, p)
+    return (w, quaternion(phi * half, pow(2 * phi, -1, p), half, 0))
 
 
 @lru_cache(maxsize=None)
 def enumerate_group(bid: BpgId) -> BpgGroup:
-    """Closure of the generator set, checked against the expected order;
-    cached, which is safe as BpgGroup is frozen and holds only tuples."""
+    """Closure of the generator set over F_p, checked against the expected
+    order; cached, which is safe as BpgGroup is frozen and holds only tuples.
+
+    Each element is multiplied by each generator exactly once.  Every
+    generator must have determinant 1, hence so has every element."""
     expected = bid.order
+    # 120 holds the element orders 3, 5, 8 and 10 of the exceptional groups,
+    # 2N the rotation orders of the parametric ones
+    level = math.lcm(120, 2 * (bid.n if bid.family in _PARAMETRIC else 1))
+    p, zeta = _field(level)
+    gens = _generators(bid, p, level, zeta)
+    for g in gens:
+        if (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p != 1:
+            raise GeneratorSetError(f"{bid.text}: generator {g} has determinant != 1 mod {p}")
     identity: Mat2 = ((1, 0), (0, 1))
+    seen = {identity}
     elems: list[Mat2] = [identity]
     frontier = [identity]
-    gens = _generators(bid)
     while frontier:
         fresh: list[Mat2] = []
         for x in frontier:
             for g in gens:
-                y = _renorm(_mul(x, g))
-                if any(_near(y, e) for e in elems):
+                y = _mul(x, g, p)
+                if y in seen:
                     continue
+                seen.add(y)
                 elems.append(y)
                 fresh.append(y)
                 if len(elems) > expected:
@@ -185,15 +225,19 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
         raise GeneratorSetError(
             f"{bid.text}: closure has {len(elems)} elements, expected {expected}"
         )
-    for m in elems:
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if abs(det - 1) >= _STRICT:
-            raise NumericalDriftError(f"{bid.text}: determinant drifted to {det}")
-        dot = m[0][0] * m[1][0].conjugate() + m[0][1] * m[1][1].conjugate()
-        row0 = abs(m[0][0]) ** 2 + abs(m[0][1]) ** 2
-        if abs(dot) >= _STRICT or abs(row0 - 1) >= _STRICT:
-            raise NumericalDriftError(f"{bid.text}: element is not unitary")
-    return BpgGroup(bid, tuple(elems))
+    # zeta^j + zeta^-j differs for each j in 0..L/2, so each trace takes one j
+    traces = Counter((m[0][0] + m[1][1]) % p for m in elems)
+    classes: list[tuple[int, int]] = []
+    up, down, inverse = 1, 1, pow(zeta, -1, p)  # zeta^j, zeta^-j, zeta^-1
+    for j in range(level // 2 + 1):
+        if count := traces.pop((up + down) % p, 0):
+            classes.append((j, count))
+        up, down = up * zeta % p, down * inverse % p
+    if traces:
+        raise GeneratorSetError(
+            f"{bid.text}: trace {min(traces)} mod {p} is not zeta^j + zeta^-j for any j"
+        )
+    return BpgGroup(bid, tuple(elems), p, level, tuple(classes))
 
 
 def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], float]:
@@ -201,20 +245,22 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], float]:
 
     1/det(I - tg) = 1/(1 - tr(g) t + t^2) since det g = 1, so the degree-n
     character of g on binary forms satisfies s_n = tr(g) s_(n-1) - s_(n-2).
+    It depends on g only through its trace, so the recurrence runs once per
+    trace class, with trace 2 cos(2 pi j / L), weighted by the class size.
     """
-    sums = [0j] * (nterms + 1)
-    for m in group.elements:
-        tr = m[0][0] + m[1][1]
-        prev, cur = 0j, 1 + 0j
+    sums = [0.0] * (nterms + 1)
+    for j, count in group.classes:
+        tr = 2 * math.cos(2 * math.pi * j / group.level)
+        prev, cur = 0.0, 1.0
         for n in range(nterms + 1):
-            sums[n] += cur
+            sums[n] += count * cur
             prev, cur = cur, tr * cur - prev
     out: list[int] = []
     worst = 0.0
     for n, total in enumerate(sums):
         value = total / group.order
-        nearest = round(value.real)
-        dev = max(abs(value.real - nearest), abs(value.imag))
+        nearest = round(value)
+        dev = abs(value - nearest)
         worst = max(worst, dev)
         if dev >= _TOL:
             raise NumericalDriftError(

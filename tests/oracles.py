@@ -1,22 +1,37 @@
 """Oracles for the tests: the general fraction-free Cramer solve, the
-Leibniz permutation sum and sympy's determinant over ZZ[t].
+Leibniz permutation sum, sympy's determinant over ZZ[t] and the float
+closure of the binary polyhedral groups.
 
 `cramer_solve` is a dense Bareiss elimination that knows nothing of the
 diagram's shape; `kostant.generating_function` is checked against it.
+`float_enumerate_group` closes each group as 2x2 unitary complex matrices
+with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
+per element; the exact closure over F_p in `molien.py` and its per-class
+sums are checked against them.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
+from functools import lru_cache
 from typing import Sequence
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from dynkinlab.diagram import Diagram
-from dynkinlab.errors import DimensionError, RankError
+from dynkinlab.errors import (
+    DimensionError,
+    GeneratorSetError,
+    IdentityViolationError,
+    NumericalDriftError,
+    RankError,
+)
 from dynkinlab.exact import IntPoly, _as_poly
 from dynkinlab.kostant import mckay_operator
+from dynkinlab.molien import BpgId
 
 T = IntPoly.x()
 SYM_T = sympy.Symbol("t")
@@ -113,3 +128,124 @@ def det(rows) -> IntPoly:
         return cramer_solve(rows, [0] * len(rows))[0]
     except RankError:
         return IntPoly.zero()
+
+
+Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+_TOL = 1e-6
+_STRICT = 1e-9
+
+
+def _quaternion(a: float, b: float, c: float, d: float) -> Mat2:
+    """a + bi + cj + dk as a matrix in the standard SU(2) embedding."""
+    return ((complex(a, b), complex(c, d)), (complex(-c, d), complex(a, -b)))
+
+
+def _mul(x: Mat2, y: Mat2) -> Mat2:
+    return (
+        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
+        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
+    )
+
+
+def _renorm(m: Mat2) -> Mat2:
+    # project back onto the unit quaternions: m = p*1 + q*j up to conjugates
+    p = (m[0][0] + m[1][1].conjugate()) / 2
+    q = (m[0][1] - m[1][0].conjugate()) / 2
+    norm = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
+    p, q = p / norm, q / norm
+    return ((p, q), (-q.conjugate(), p.conjugate()))
+
+
+def _near(x: Mat2, y: Mat2) -> bool:
+    return all(abs(x[i][j] - y[i][j]) < _TOL for i in range(2) for j in range(2))
+
+
+def _generators(bid: BpgId) -> tuple[Mat2, ...]:
+    if bid.family == "cyclic":
+        z = cmath.exp(2j * math.pi / bid.n)
+        return (((z, 0), (0, z.conjugate())),)
+    if bid.family == "binary_dihedral":
+        z = cmath.exp(1j * math.pi / bid.n)
+        s = ((0, -1), (1, 0))
+        return (((z, 0), (0, z.conjugate())), s)
+    quat_i = _quaternion(0, 1, 0, 0)
+    w = _quaternion(0.5, 0.5, 0.5, 0.5)
+    if bid.family == "binary_tetrahedral":
+        return (quat_i, w)
+    if bid.family == "binary_octahedral":
+        r = 1 / math.sqrt(2)
+        return (quat_i, w, _quaternion(r, r, 0, 0))
+    phi = (1 + math.sqrt(5)) / 2
+    return (w, _quaternion(phi / 2, 1 / (2 * phi), 0.5, 0))
+
+
+@lru_cache(maxsize=None)
+def float_enumerate_group(bid: BpgId) -> tuple[Mat2, ...]:
+    """The elements of the group: closure of the generator set in complex
+    floats, checked against the expected order and for drift."""
+    expected = bid.order
+    identity: Mat2 = ((1, 0), (0, 1))
+    elems: list[Mat2] = [identity]
+    frontier = [identity]
+    gens = _generators(bid)
+    while frontier:
+        fresh: list[Mat2] = []
+        for x in frontier:
+            for g in gens:
+                y = _renorm(_mul(x, g))
+                if any(_near(y, e) for e in elems):
+                    continue
+                elems.append(y)
+                fresh.append(y)
+                if len(elems) > expected:
+                    raise GeneratorSetError(
+                        f"{bid.text}: closure exceeded expected order {expected}"
+                    )
+        frontier = fresh
+    if len(elems) != expected:
+        raise GeneratorSetError(
+            f"{bid.text}: closure has {len(elems)} elements, expected {expected}"
+        )
+    for m in elems:
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        if abs(det - 1) >= _STRICT:
+            raise NumericalDriftError(f"{bid.text}: determinant drifted to {det}")
+        dot = m[0][0] * m[1][0].conjugate() + m[0][1] * m[1][1].conjugate()
+        row0 = abs(m[0][0]) ** 2 + abs(m[0][1]) ** 2
+        if abs(dot) >= _STRICT or abs(row0 - 1) >= _STRICT:
+            raise NumericalDriftError(f"{bid.text}: element is not unitary")
+    return tuple(elems)
+
+
+def float_contains_minus_identity(elements: tuple[Mat2, ...]) -> bool:
+    return any(_near(m, ((-1, 0), (0, -1))) for m in elements)
+
+
+def float_molien_sums(elements: tuple[Mat2, ...], nterms: int) -> tuple[list[int], float]:
+    """Molien coefficients 0..nterms and the worst pre-rounding deviation,
+    one recurrence s_n = tr(g) s_(n-1) - s_(n-2) per element g."""
+    sums = [0j] * (nterms + 1)
+    for m in elements:
+        tr = m[0][0] + m[1][1]
+        prev, cur = 0j, 1 + 0j
+        for n in range(nterms + 1):
+            sums[n] += cur
+            prev, cur = cur, tr * cur - prev
+    out: list[int] = []
+    worst = 0.0
+    for n, total in enumerate(sums):
+        value = total / len(elements)
+        nearest = round(value.real)
+        dev = max(abs(value.real - nearest), abs(value.imag))
+        worst = max(worst, dev)
+        if dev >= _TOL:
+            raise NumericalDriftError(
+                f"molien coefficient at degree {n} drifted: {value}"
+            )
+        if nearest < 0:
+            raise IdentityViolationError(
+                f"negative invariant dimension {nearest} at degree {n}"
+            )
+        out.append(nearest)
+    return out, worst

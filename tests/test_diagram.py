@@ -9,6 +9,7 @@ from dynkinlab.diagram import (
     SIMPLY_LACED,
     Diagram,
     DiagramId,
+    _make,
     build,
     catalog_extended,
     fold,
@@ -18,6 +19,7 @@ from dynkinlab.diagram import (
     nil_root,
 )
 from dynkinlab.errors import (
+    CatalogCorruptionError,
     DomainError,
     FoldingError,
     UnsupportedFamilyError,
@@ -243,3 +245,38 @@ def test_catalog_is_large_enough():
     cat = catalog_extended()
     assert len(cat) == 8 + 7 + 3 + 5 + 5 + 4 + 4 + 5
     assert all(isinstance(d, Diagram) and d.extended for d in cat)
+
+
+def test_make_rejects_broken_cartan_matrices():
+    labels = ("a", "b", "c")
+    for rows in (
+        ((2, -1, 0), (-1, 1, -1), (0, -1, 2)),  # diagonal entry 1
+        ((2, 1, 0), (-1, 2, -1), (0, -1, 2)),  # positive off-diagonal entry
+        ((2, -1, -1), (-1, 2, -1), (0, -1, 2)),  # K[0][2] != 0 but K[2][0] == 0
+    ):
+        for extended in (False, True):
+            with pytest.raises(CatalogCorruptionError):
+                _make(None, extended, labels, IntMatrix(rows))
+    with pytest.raises(CatalogCorruptionError):
+        _make(None, False, labels[:2], IntMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2))))
+
+
+def test_folded_build_reads_rows_directly(monkeypatch):
+    """Building extended C128 folds extended A255: every entry check and
+    orbit sum reads the Cartan rows, none goes through IntMatrix indexing."""
+    calls = 0
+    getitem = IntMatrix.__getitem__
+
+    def counted(self, ij):
+        nonlocal calls
+        calls += 1
+        return getitem(self, ij)
+
+    monkeypatch.setattr(IntMatrix, "__getitem__", counted)
+    build.cache_clear()
+    try:
+        folded = build(DiagramId("C", 128), extended=True)
+    finally:
+        build.cache_clear()
+    assert folded.size == 129
+    assert calls == 0

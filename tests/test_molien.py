@@ -12,15 +12,18 @@ import pytest
 
 import dynkinlab.molien as molien
 from dynkinlab.diagram import DiagramId
-from dynkinlab.errors import DomainError, GeneratorSetError, NumericalDriftError, UnsupportedFamilyError
+from dynkinlab.errors import DomainError, GeneratorSetError, UnsupportedFamilyError
 from dynkinlab.molien import (
     BpgId,
+    catalog_groups,
     crosscheck,
     enumerate_group,
     folded_component_report,
     mckay_matrix_numeric,
     molien_coeffs,
 )
+
+from oracles import float_contains_minus_identity, float_enumerate_group, float_molien_sums
 
 
 def grp(text: str):
@@ -62,25 +65,25 @@ def test_pairing():
         BpgId.parse("cyclic:1").paired_diagram()
 
 
-def element_traces(group) -> tuple[float, ...]:
-    """The traces of the group elements, which must be real."""
-    out = []
-    for m in group.elements:
-        tr = m[0][0] + m[1][1]
-        if abs(tr.imag) >= molien._STRICT:
-            raise NumericalDriftError(f"non-real trace {tr}")
-        out.append(tr.real)
-    return tuple(out)
+def class_traces(group) -> list[float]:
+    """Each element's trace 2 cos(2 pi j / L), read off the trace classes."""
+    return sorted(2 * math.cos(2 * math.pi * j / group.level)
+                  for j, count in group.classes for _ in range(count))
 
 
 def test_cyclic_traces():
-    traces = sorted(element_traces(grp("cyclic:5")))
+    traces = class_traces(grp("cyclic:5"))
     wanted = sorted(2 * math.cos(2 * math.pi * k / 5) for k in range(5))
+    assert len(traces) == len(wanted)
     assert all(abs(a - b) < 1e-9 for a, b in zip(traces, wanted))
 
 
 def test_elements_unitary_unimodular():
-    for m in grp("binary_octahedral").elements:
+    group = grp("binary_octahedral")
+    p = group.p
+    for m in group.elements:
+        assert (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p == 1
+    for m in float_enumerate_group(BpgId.parse("binary_octahedral")):
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         assert abs(det - 1) < 1e-9
         for row in (0, 1):
@@ -89,15 +92,74 @@ def test_elements_unitary_unimodular():
         assert abs(dot) < 1e-9
 
 
-def test_closure_guards_order(monkeypatch):
-    bad = (((1, 0), (0, 1)),)  # identity alone can never close to 24 elements
-    monkeypatch.setattr(molien, "_generators", lambda bid: bad)
+def patched_closure(monkeypatch, text, gens):
+    """Close the group named by text from the generators gens(p, level, zeta)."""
+    monkeypatch.setattr(molien, "_generators", lambda bid, p, level, zeta: gens(p, level, zeta))
     enumerate_group.cache_clear()  # make the closure run again
     try:
-        with pytest.raises(GeneratorSetError):
-            enumerate_group(BpgId.parse("binary_tetrahedral"))
+        return enumerate_group(BpgId.parse(text))
     finally:
         enumerate_group.cache_clear()
+
+
+def test_closure_guards_order(monkeypatch):
+    bad = (((1, 0), (0, 1)),)  # identity alone can never close to 24 elements
+    with pytest.raises(GeneratorSetError):
+        patched_closure(monkeypatch, "binary_tetrahedral", lambda p, level, zeta: bad)
+
+
+def test_generator_with_determinant_not_one(monkeypatch):
+    # diag(zeta, 1) has determinant zeta, not 1
+    with pytest.raises(GeneratorSetError, match="determinant"):
+        patched_closure(monkeypatch, "cyclic:120",
+                        lambda p, level, zeta: (((zeta, 0), (0, 1)),))
+
+
+def test_trace_outside_the_table(monkeypatch):
+    """binary_dihedral:4 has order 16 and level 120, so a diagonal generator
+    of order 16 closes to 16 elements whose traces are no zeta^j + zeta^-j."""
+
+    def order_16(p, level, zeta):
+        assert level == 120 and (p - 1) % 16 == 0
+        lam = next(x for x in range(2, p) if pow(x, 8, p) == p - 1)
+        return (((lam, 0), (0, pow(lam, -1, p))),)
+
+    with pytest.raises(GeneratorSetError, match="trace"):
+        patched_closure(monkeypatch, "binary_dihedral:4", order_16)
+
+
+def test_closure_multiplies_each_element_by_each_generator_once(monkeypatch):
+    calls = 0
+    mul = molien._mul
+
+    def counted(x, y, p):
+        nonlocal calls
+        calls += 1
+        return mul(x, y, p)
+
+    monkeypatch.setattr(molien, "_mul", counted)
+    enumerate_group.cache_clear()
+    try:
+        assert enumerate_group(BpgId.parse("binary_dihedral:200")).order == 800
+    finally:
+        enumerate_group.cache_clear()
+    assert calls == 1600
+
+
+@pytest.mark.parametrize(
+    "text",
+    [g.text for g in catalog_groups()]
+    + ["cyclic:1", "cyclic:129"] + [f"binary_dihedral:{n}" for n in range(198, 203)],
+)
+def test_exact_closure_against_float_oracle(text):
+    group = grp(text)
+    floats = float_enumerate_group(BpgId.parse(text))
+    assert group.order == len(floats)
+    traces = sorted((m[0][0] + m[1][1]).real for m in floats)
+    assert all(abs((m[0][0] + m[1][1]).imag) < 1e-9 for m in floats)
+    assert all(abs(a - b) < 1e-9 for a, b in zip(class_traces(group), traces))
+    assert group.contains_minus_identity() == float_contains_minus_identity(floats)
+    assert molien_coeffs(group, 200) == float_molien_sums(floats, 200)[0]
 
 
 def test_enumeration_is_cached_and_immutable():
