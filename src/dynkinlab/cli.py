@@ -18,7 +18,7 @@ import json
 import sys
 
 from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quotient
-from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended, finite_part
+from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended
 from .errors import (
     CatalogCorruptionError,
     DynkinlabError,
@@ -313,7 +313,7 @@ def _cmd_molien(args) -> int:
 
 
 def _even_h_ade() -> list[Diagram]:
-    ade = [finite_part(e) for e in catalog_extended() if e.did.family in SIMPLY_LACED]
+    ade = [build(e.did) for e in catalog_extended() if e.did.family in SIMPLY_LACED]
     return [d for d in ade if coxeter_number(d) % 2 == 0]
 
 

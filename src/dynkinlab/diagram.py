@@ -33,7 +33,7 @@ from .errors import (
     FoldingError,
     UnsupportedFamilyError,
 )
-from .exact import IntMatrix, nullspace_primitive
+from .exact import IntMatrix, _trusted_matrix, nullspace_primitive
 
 FAMILIES = ("A", "D", "E6", "E7", "E8", "B", "C", "F4", "G2", "G2dual", "F4dual", "DD", "CD")
 RANKED = {"A": 1, "D": 4, "B": 2, "C": 2, "DD": 3, "CD": 2}
@@ -200,7 +200,7 @@ def _simply_laced_cartan(n: int, edges: tuple[tuple[int, int], ...]) -> IntMatri
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
         rows[i][j] = rows[j][i] = -1
-    return IntMatrix(rows)
+    return _trusted_matrix(tuple(map(tuple, rows)))
 
 
 def _chain_edges(n: int, offset: int = 0) -> tuple[tuple[int, int], ...]:
@@ -326,8 +326,8 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
             order = [holder] + [a for a in range(m) if a != holder]
             rows = [[rows[a][b] for b in order] for a in order]
             labels = tuple(labels[a] for a in order)
-    primary = _make(None, extended, labels, IntMatrix(rows))
-    dual = _make(None, extended, labels, IntMatrix(rows).transpose())
+    primary = _make(None, extended, labels, _trusted_matrix(tuple(map(tuple, rows))))
+    dual = _make(None, extended, labels, primary.cartan.transpose())
     return primary, dual
 
 

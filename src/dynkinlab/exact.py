@@ -393,12 +393,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows)) if self.rows else IntMatrix(())
-
-    def trace(self) -> int:
-        if self.nrows != self.ncols:
-            raise DimensionError("square matrix required")
-        return sum(self.rows[i][i] for i in range(self.nrows))
+        return _trusted_matrix(tuple(zip(*self.rows)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -412,33 +407,70 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
+def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
+    """Each row as the one integer sum(v << (w j)) over its entries v, in
+    slots of w bits (Kronecker substitution); `_reader` reads them back."""
+    return [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
+
+
+def _packed_left(m: IntMatrix):
+    """x -> m x on packed rows (`_pack`): packing is additive, so row i of
+    m x is sum(a * x[l]) over the nonzero a = m[i, l], a few big-integer
+    additions whatever the slot width."""
+    terms = [[(l, a) for l, a in enumerate(row) if a] for row in m.rows]
+
+    def product(x: list[int]) -> list[int]:
+        out = []
+        for row in terms:
+            acc = 0
+            for l, a in row:
+                acc += x[l] if a == 1 else -x[l] if a == -1 else a * x[l]
+            out.append(acc)
+        return out
+
+    return product
+
+
+def _reader(n: int, w: int):
+    """entry(x, j): slot j of a packed row of n slots, exact while every
+    entry is below 2^(w-1) in absolute value: adding 2^(w-1) to each slot
+    then makes every base-2^w digit of x nonnegative."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = half * (((1 << (w * n)) - 1) // mask)
+    return lambda x, j: (((x + bias) >> (w * j)) & mask) - half
+
+
 def charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recursion; every division is an exact integer division,
-    so the result is certified over Z.  charpoly of the empty matrix is 1.
+    Faddeev-LeVerrier recursion on packed rows (`_packed_left`) of one slot
+    width, fixed in advance: the trace reads the diagonal slots only, + c_k I
+    adds c_k << (w i) to row i, and the closure M_n = 0 tests n integers.
+    Every division is exact, so the result is certified over Z.  charpoly
+    of the empty matrix is 1.
     """
     if m.nrows != m.ncols:
         raise DimensionError("square matrix required")
     n = m.nrows
     if n == 0:
         return IntPoly.one()
-    ident = IntMatrix.identity(n)
-    coeffs = [1]
-    mk = ident
+    # |c_k| <= C(n, k) R^k, R the largest absolute row sum, so the entries of
+    # M_k = sum(c_j m^(k-j), j <= k) and of m M_(k-1) are at most 2^n R^n < 2^(w-1)
+    r = max(sum(map(abs, row)) for row in m.rows) or 1
+    w = (2**n * r**n).bit_length() + 1
+    entry, step = _reader(n, w), _packed_left(m)
+    coeffs, mk = [1], _pack(IntMatrix.identity(n).rows, w)
     for k in range(1, n + 1):
-        am = m @ mk
-        tr = am.trace()
+        am = step(mk)
+        tr = sum(entry(x, i) for i, x in enumerate(am))
         if tr % k:
             raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
         ck = -(tr // k)
         coeffs.append(ck)
-        mk = _trusted_matrix(
-            tuple(row[:i] + (row[i] + ck,) + row[i + 1:] for i, row in enumerate(am.rows))
-        )
-    if mk != IntMatrix.zeros(n, n):
+        mk = [x + (ck << (w * i)) for i, x in enumerate(am)]
+    if any(mk):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
-    return IntPoly(reversed(coeffs))
+    return _trusted(coeffs[::-1])
 
 
 def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:

@@ -1,9 +1,14 @@
 """Oracles for the tests: the general fraction-free Cramer solve, the
-Leibniz permutation sum, sympy's determinant over ZZ[t] and the float
-closure of the binary polyhedral groups.
+Leibniz permutation sum, sympy's determinant over ZZ[t], Faddeev-LeVerrier
+and the Coxeter order loop on IntMatrix products, and the float closure of
+the binary polyhedral groups.
 
 `cramer_solve` is a dense Bareiss elimination that knows nothing of the
 diagram's shape; `kostant.generating_function` is checked against it.
+`list_charpoly` and `list_coxeter_number` multiply whole IntMatrix rows
+as lists, with no slot width to get wrong; `exact.charpoly` and
+`coxeter.coxeter_number`, which run on packed rows, are checked against
+them.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
 per element; the exact closure over F_p in `molien.py` and its per-class
@@ -21,15 +26,17 @@ from typing import Sequence
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from dynkinlab.coxeter import coxeter_transform
 from dynkinlab.diagram import Diagram
 from dynkinlab.errors import (
     DimensionError,
+    DomainError,
     GeneratorSetError,
     IdentityViolationError,
     NumericalDriftError,
     RankError,
 )
-from dynkinlab.exact import IntPoly, _as_poly
+from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
 from dynkinlab.kostant import mckay_operator
 from dynkinlab.molien import BpgId
 
@@ -119,6 +126,50 @@ def sympy_det(rows) -> IntPoly:
     got = dict(DomainMatrix(elems, (len(rows), len(rows)), ring).det())
     top = max((k for (k,) in got), default=-1)
     return IntPoly(int(got.get((k,), 0)) for k in range(top + 1))
+
+
+def list_charpoly(m: IntMatrix) -> IntPoly:
+    """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
+
+    Faddeev-LeVerrier recursion; every division is an exact integer division,
+    so the result is certified over Z.  charpoly of the empty matrix is 1.
+    """
+    if m.nrows != m.ncols:
+        raise DimensionError("square matrix required")
+    n = m.nrows
+    if n == 0:
+        return IntPoly.one()
+    ident = IntMatrix.identity(n)
+    coeffs = [1]
+    mk = ident
+    for k in range(1, n + 1):
+        am = m @ mk
+        tr = sum(am.rows[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
+        ck = -(tr // k)
+        coeffs.append(ck)
+        mk = _trusted_matrix(
+            tuple(row[:i] + (row[i] + ck,) + row[i + 1:] for i, row in enumerate(am.rows))
+        )
+    if mk != IntMatrix.zeros(n, n):
+        raise ArithmeticError("Faddeev-LeVerrier closure failed")
+    return IntPoly(reversed(coeffs))
+
+
+def list_coxeter_number(diagram: Diagram) -> int:
+    """Order of the bicolored Coxeter transformation of a finite diagram."""
+    if diagram.extended:
+        raise DomainError("the affine Coxeter transformation has infinite order")
+    c = coxeter_transform(diagram)
+    ident = IntMatrix.identity(diagram.size)
+    bound = 10 * diagram.size * diagram.size
+    cur = c
+    for m in range(1, bound + 1):
+        if cur == ident:
+            return m
+        cur = c @ cur  # the sparse factor on the left
+    raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
 
 
 def det(rows) -> IntPoly:

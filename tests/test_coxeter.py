@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 import sympy
 
+import dynkinlab
+from dynkinlab import diagram as diagram_module
+from dynkinlab.cli import main
 from dynkinlab.coxeter import (
     affine_A_charpoly,
     bicolored_reflections,
@@ -23,8 +29,9 @@ from dynkinlab.diagram import (
     highest_root,
     nil_root,
 )
-from dynkinlab.errors import ExcludedDiagramError, MissingParameterError
+from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, charpoly
+from oracles import list_charpoly, list_coxeter_number
 
 L = IntPoly.x()
 
@@ -231,3 +238,80 @@ def test_coxeter_number_matches_charpoly_roots():
         c = coxeter_transform(d)
         assert matrix_power(c, h) == IntMatrix.identity(d.size)
         assert all(matrix_power(c, m) != IntMatrix.identity(d.size) for m in range(1, h))
+
+
+def test_packed_kernel_against_list_products_on_catalog():
+    diagrams = [d for ext in catalog_extended() for d in (ext, finite_part(ext))]
+    bipartite = [d for d in diagrams if d.bipartition is not None]
+    assert len(bipartite) == 78
+    for d in bipartite:
+        c = coxeter_transform(d)
+        assert charpoly(c) == list_charpoly(c)
+        if not d.extended:
+            assert coxeter_number(d) == list_coxeter_number(d)
+
+
+def test_packed_kernel_against_list_products_up_to_rank_64():
+    """The order loop re-packs every 32 steps: A31 closes on the last step
+    of a stride, A32 on the first after a re-packing, A63 and A64 likewise
+    one stride later.  The extended A_n with n even are odd cycles."""
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
+        for n in (*range(low, 13), 16, 31, 32, 33, 63, 64):
+            d = build(DiagramId(family, n))
+            c = coxeter_transform(d)
+            assert charpoly(c) == list_charpoly(c)
+            assert coxeter_number(d) == list_coxeter_number(d)
+            ext = build(DiagramId(family, n), extended=True)
+            if ext.bipartition is not None:
+                c = coxeter_transform(ext)
+                assert charpoly(c) == list_charpoly(c)
+
+
+def test_packed_kernel_makes_no_matrix_product(monkeypatch):
+    d = build(DiagramId("D", 37))
+    c = coxeter_transform(d)
+    calls = 0
+    matmul = IntMatrix.__matmul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    assert charpoly(c) == (L**36 + 1) * (L + 1)
+    assert calls == 0
+    coxeter_number.cache_clear()
+    assert coxeter_number(d) == 72
+    assert calls == 1  # C = w2 w1 in coxeter_transform; the order loop makes none
+
+
+def test_hyperbolic_tree_is_not_finite_type():
+    """T(2,3,7) = E10, the chain 0..8 with vertex 9 on vertex 2: its Coxeter
+    transformation has infinite order and powers whose entries grow past
+    2^200 within the bound, so the order loop re-packs at growing widths."""
+    edges = tuple((i, i + 1) for i in range(8)) + ((2, 9),)
+    e10 = diagram_module._make(
+        None, False, tuple(f"v{i}" for i in range(10)),
+        diagram_module._simply_laced_cartan(10, edges),
+    )
+    for order in (coxeter_number, list_coxeter_number):
+        with pytest.raises(DomainError) as err:
+            order(e10)
+        assert str(err.value) == "order exceeds the bound 1000; diagram is not finite type"
+
+
+def _clear_package_caches():
+    for info in pkgutil.iter_modules(dynkinlab.__path__):
+        module = importlib.import_module(f"dynkinlab.{info.name}")
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_coxeter_number_cached_over_verify_all(capsys):
+    _clear_package_caches()
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    info = coxeter_number.cache_info()
+    assert 0 < info.misses <= 18 < info.hits + info.misses

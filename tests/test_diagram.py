@@ -280,3 +280,24 @@ def test_folded_build_reads_rows_directly(monkeypatch):
         build.cache_clear()
     assert folded.size == 129
     assert calls == 0
+
+
+def test_folded_build_makes_no_int_conversion(monkeypatch):
+    """Extended C128 and the extended A255 it folds are built from rows that
+    are int tuples already, without the public constructor's int()."""
+    calls = 0
+    init = IntMatrix.__init__
+
+    def counted(self, rows):
+        nonlocal calls
+        calls += 1
+        init(self, rows)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted)
+    build.cache_clear()
+    try:
+        folded = build(DiagramId("C", 128), extended=True)
+    finally:
+        build.cache_clear()
+    assert folded.size == 129
+    assert calls == 0

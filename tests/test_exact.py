@@ -22,7 +22,7 @@ from dynkinlab.exact import (
     poly_gcd,
     series_expand,
 )
-from oracles import cramer_solve, det, perm_det, sympy_det
+from oracles import cramer_solve, det, list_charpoly, perm_det, sympy_det
 
 T = IntPoly.x()
 
@@ -322,6 +322,19 @@ def test_cayley_hamilton_random():
         assert det(lambda_identity_minus(m)) == p
 
 
+def test_charpoly_against_list_products_and_sympy():
+    """Entries up to 9 in absolute value make wide slots: the coefficients of
+    a 12 x 12 characteristic polynomial run to about 10^20."""
+    rng = random.Random(1978)
+    x = sympy.Symbol("x")
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        p = charpoly(m)
+        assert p == list_charpoly(m)
+        assert p == IntPoly(int(c) for c in reversed(sympy.Matrix(m.rows).charpoly(x).all_coeffs()))
+
+
 def test_det_cofactor_against_permutation_sum():
     rng = random.Random(7)
     for n in (2, 3, 4):
@@ -482,7 +495,8 @@ def test_matrix_basics():
     assert m.mulvec((1, 1)) == (3, 7)
     assert IntMatrix.identity(2) @ m == m
     assert int_det(m) == -2
-    assert m.trace() == 5
+    assert charpoly(m).coeff(1) == -5  # minus the trace
+    assert IntMatrix(()).transpose() == IntMatrix(())
 
 
 def test_format_and_parse():
