@@ -19,13 +19,7 @@ import sys
 
 from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quotient
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended
-from .errors import (
-    CatalogCorruptionError,
-    DynkinlabError,
-    GeneratorSetError,
-    IdentityViolationError,
-    NumericalDriftError,
-)
+from .errors import DynkinlabError
 from .exact import RatFunc, format_poly, format_ratfunc
 from .kostant import (
     generating_function,
@@ -358,7 +352,7 @@ def _verify_reports(check: str, target: str | None, terms: int) -> list[Report]:
         raise _UsageError("check 'all' takes no target")
     reports: list[Report] = []
     for parse, default, fn, _ in rows:
-        targets = [parse(target)] if target else default()
+        targets = [parse(target)] if target is not None else default()
         reports += [fn(x, terms) for x in targets]
     return reports
 
@@ -405,11 +399,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (IdentityViolationError, NumericalDriftError, GeneratorSetError,
-            CatalogCorruptionError, ArithmeticError) as exc:
-        print(f"identity violation: {exc}", file=sys.stderr)
-        return 2
-    except DynkinlabError as exc:
+    except (DynkinlabError, ArithmeticError) as exc:
+        # the taxonomy's RuntimeErrors are broken identities, its ValueErrors bad input
+        if isinstance(exc, (RuntimeError, ArithmeticError)):
+            print(f"identity violation: {exc}", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

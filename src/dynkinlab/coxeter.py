@@ -11,13 +11,8 @@ choice up to similarity.
 No reflection is multiplied out: K[i, j] = 0 for i != j in one class, so
 the product over a class is the class sum I - sum(e_i K_i), whose class
 rows are e_i - K_i and whose other rows are the identity's (Steinberg 1959;
-A'Campo 1976).  C then has about four nonzeros per row (317 on D80).  The
-order loop keeps C^m as packed rows (`exact._packed_left`, as charpoly
-does), so C^(m+1) = C C^m is about four big-integer multiply-adds per row
-and C^m = I compares n integers.  The entries of C^m have no bound before
-finite type is known, so the slot width is taken once per _STRIDE steps,
-from max|C^m| times the stride's power of C's largest absolute row sum,
-and the entries are read back and re-packed between strides.
+A'Campo 1976).  C then has about four nonzeros per row (317 on D80), and
+every product by it visits those only.
 """
 
 from __future__ import annotations
@@ -32,10 +27,9 @@ from .errors import (
     IdentityViolationError,
     MissingParameterError,
 )
-from .exact import IntMatrix, IntPoly, RatFunc, _pack, _packed_left, _reader, _trusted_matrix, charpoly
+from .exact import IntMatrix, IntPoly, RatFunc, _order, _trusted_matrix, charpoly
 
 L = IntPoly.x()
-_STRIDE = 32  # steps of the order loop between two re-packings
 
 
 @dataclass(frozen=True)
@@ -81,23 +75,11 @@ def coxeter_number(diagram: Diagram) -> int:
     """Order of the bicolored Coxeter transformation of a finite diagram."""
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
-    c = coxeter_transform(diagram)
-    n, step = diagram.size, _packed_left(c)
-    bound = 10 * n * n
-    r = max(sum(map(abs, row)) for row in c.rows)  # entries of C^j X are <= r^j max|X|
-    power, m = c.rows, 1  # C^m, read back from its slots once per stride
-    while True:
-        # so the entries of C^(m+j), j <= _STRIDE, are below 2^(w-1)
-        w = (max(max(map(abs, row)) for row in power) * r**_STRIDE).bit_length() + 1
-        cur, ident = _pack(power, w), _pack(IntMatrix.identity(n).rows, w)
-        for _ in range(_STRIDE):
-            if cur == ident:
-                return m
-            if m == bound:
-                raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
-            cur, m = step(cur), m + 1
-        entry = _reader(n, w)
-        power = [[entry(x, j) for j in range(n)] for x in cur]
+    bound = 10 * diagram.size**2
+    h = _order(coxeter_transform(diagram), bound)
+    if h is None:
+        raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
+    return h
 
 
 def affine_A_charpoly(n: int, k: int) -> IntPoly:

@@ -40,7 +40,7 @@ RANKED = {"A": 1, "D": 4, "B": 2, "C": 2, "DD": 3, "CD": 2}
 EXTENDED_ONLY = ("G2dual", "F4dual", "DD", "CD")
 SIMPLY_LACED = ("A", "D", "E6", "E7", "E8")
 
-_ID_RE = re.compile(r"^(DD|CD|[ABCD])(\d+)$")
+_ID_RE = re.compile(r"^(DD|CD|[ABCD])([0-9]+)$")
 
 
 @dataclass(frozen=True)

@@ -366,31 +366,21 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Row i is sum(self[i, l] other[l]) over the nonzero self[i, l]: a
-        sparse left factor costs O(nnz(self) * other.ncols), not a cube."""
+        """The sparse product (`_sparse_left`) of self with each column of
+        other: O(nnz(self) * other.ncols), not a cube."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions differ")
-        zero = (0,) * other.ncols
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, brow in [(a, brow) for a, brow in zip(row, other.rows) if a]:
-                if a == 1:
-                    acc = [x + y for x, y in zip(acc, brow)]
-                elif a == -1:
-                    acc = [x - y for x, y in zip(acc, brow)]
-                else:
-                    acc = [x + a * y for x, y in zip(acc, brow)]
-            out.append(tuple(acc))
-        return _trusted_matrix(tuple(out))
+        step = _sparse_left(self)
+        cols = [step(col) for col in zip(*other.rows)]
+        return _trusted_matrix(tuple(zip(*cols)) if cols else ((),) * self.nrows)
 
     def mulvec(self, v: Sequence[int]) -> tuple[int, ...]:
         """self @ v; the entries of v may also be IntPolys."""
         if len(v) != self.ncols:
             raise DimensionError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple(_sparse_left(self)(v))
 
     def transpose(self) -> "IntMatrix":
         return _trusted_matrix(tuple(zip(*self.rows)))
@@ -407,28 +397,29 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
-def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
-    """Each row as the one integer sum(v << (w j)) over its entries v, in
-    slots of w bits (Kronecker substitution); `_reader` reads them back."""
-    return [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
-
-
-def _packed_left(m: IntMatrix):
-    """x -> m x on packed rows (`_pack`): packing is additive, so row i of
-    m x is sum(a * x[l]) over the nonzero a = m[i, l], a few big-integer
-    additions whatever the slot width."""
+def _sparse_left(m: IntMatrix):
+    """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
+    +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
+    (`_pack` is additive); an all-zero row gives x's own zero."""
     terms = [[(l, a) for l, a in enumerate(row) if a] for row in m.rows]
 
-    def product(x: list[int]) -> list[int]:
+    def product(x: Sequence) -> list:
+        zero = x[0] * 0 if x else 0
         out = []
         for row in terms:
-            acc = 0
+            acc = zero
             for l, a in row:
-                acc += x[l] if a == 1 else -x[l] if a == -1 else a * x[l]
+                acc = acc + x[l] if a == 1 else acc - x[l] if a == -1 else acc + a * x[l]
             out.append(acc)
         return out
 
     return product
+
+
+def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
+    """Each row as the one integer sum(v << (w j)) over its entries v, in
+    slots of w bits (Kronecker substitution); `_reader` reads them back."""
+    return [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
 
 
 def _reader(n: int, w: int):
@@ -440,10 +431,38 @@ def _reader(n: int, w: int):
     return lambda x, j: (((x + bias) >> (w * j)) & mask) - half
 
 
+_STRIDE = 32  # steps of `_order` between two re-packings
+
+
+def _order(m: IntMatrix, limit: int) -> int | None:
+    """The least k <= limit with m^k = I, or None.
+
+    m^k is kept as packed rows, so each step is one sparse product and
+    m^k = I compares n integers.  Its entries have no bound in advance, so
+    the slot width is taken once per _STRIDE steps and the entries are read
+    back and re-packed between strides.
+    """
+    n, step = m.nrows, _sparse_left(m)
+    r = max(sum(map(abs, row)) for row in m.rows)  # entries of m^j X are <= r^j max|X|
+    power, k = m.rows, 1
+    while True:
+        # so the entries of m^(k+j), j <= _STRIDE, are below 2^(w-1)
+        w = (max(max(map(abs, row)) for row in power) * r**_STRIDE).bit_length() + 1
+        cur, ident = _pack(power, w), [1 << (w * i) for i in range(n)]
+        for _ in range(_STRIDE):
+            if cur == ident:
+                return k
+            if k == limit:
+                return None
+            cur, k = step(cur), k + 1
+        entry = _reader(n, w)
+        power = [[entry(x, j) for j in range(n)] for x in cur]
+
+
 def charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recursion on packed rows (`_packed_left`) of one slot
+    Faddeev-LeVerrier recursion on packed rows (`_pack`) of one slot
     width, fixed in advance: the trace reads the diagonal slots only, + c_k I
     adds c_k << (w i) to row i, and the closure M_n = 0 tests n integers.
     Every division is exact, so the result is certified over Z.  charpoly
@@ -458,8 +477,8 @@ def charpoly(m: IntMatrix) -> IntPoly:
     # M_k = sum(c_j m^(k-j), j <= k) and of m M_(k-1) are at most 2^n R^n < 2^(w-1)
     r = max(sum(map(abs, row)) for row in m.rows) or 1
     w = (2**n * r**n).bit_length() + 1
-    entry, step = _reader(n, w), _packed_left(m)
-    coeffs, mk = [1], _pack(IntMatrix.identity(n).rows, w)
+    entry, step = _reader(n, w), _sparse_left(m)
+    coeffs, mk = [1], [1 << (w * i) for i in range(n)]
     for k in range(1, n + 1):
         am = step(mk)
         tr = sum(entry(x, i) for i, x in enumerate(am))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import bicolored_reflections, coxeter_number
+from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, build, highest_root, kostant_numbers
 from .errors import (
     CatalogCorruptionError,
@@ -51,7 +51,7 @@ def tau_orbit(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     beta = highest_root(diagram)
     if pair.w2.mulvec(beta) != beta:
         raise CatalogCorruptionError("w2 does not fix the highest root")
-    c = pair.w2 @ pair.w1
+    c = coxeter_transform(diagram)
     out = [beta]
     even = beta
     while len(out) < h:

@@ -1,14 +1,15 @@
 """Oracles for the tests: the general fraction-free Cramer solve, the
 Leibniz permutation sum, sympy's determinant over ZZ[t], Faddeev-LeVerrier
-and the Coxeter order loop on IntMatrix products, and the float closure of
-the binary polyhedral groups.
+and the Coxeter order loop on list products, and the float closure of the
+binary polyhedral groups.
 
 `cramer_solve` is a dense Bareiss elimination that knows nothing of the
 diagram's shape; `kostant.generating_function` is checked against it.
-`list_charpoly` and `list_coxeter_number` multiply whole IntMatrix rows
-as lists, with no slot width to get wrong; `exact.charpoly` and
-`coxeter.coxeter_number`, which run on packed rows, are checked against
-them.
+`list_matmul` combines whole IntMatrix rows as lists; `list_charpoly` and
+`list_coxeter_number` (C = w2 w1 included) multiply with it, with no slot
+width to get wrong and no product code shared with the package.
+`exact.charpoly`, `coxeter.coxeter_number` and the package's `@` are
+checked against them.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
 per element; the exact closure over F_p in `molien.py` and its per-class
@@ -26,7 +27,7 @@ from typing import Sequence
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from dynkinlab.coxeter import coxeter_transform
+from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import Diagram
 from dynkinlab.errors import (
     DimensionError,
@@ -128,6 +129,25 @@ def sympy_det(rows) -> IntPoly:
     return IntPoly(int(got.get((k,), 0)) for k in range(top + 1))
 
 
+def list_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a @ b with row i the list sum(a[i, l] b[l]) over the nonzero a[i, l]."""
+    if a.ncols != b.nrows:
+        raise DimensionError("inner dimensions differ")
+    zero = (0,) * b.ncols
+    out = []
+    for row in a.rows:
+        acc = zero
+        for x, brow in [(x, brow) for x, brow in zip(row, b.rows) if x]:
+            if x == 1:
+                acc = [u + v for u, v in zip(acc, brow)]
+            elif x == -1:
+                acc = [u - v for u, v in zip(acc, brow)]
+            else:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append(tuple(acc))
+    return _trusted_matrix(tuple(out))
+
+
 def list_charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
@@ -143,7 +163,7 @@ def list_charpoly(m: IntMatrix) -> IntPoly:
     coeffs = [1]
     mk = ident
     for k in range(1, n + 1):
-        am = m @ mk
+        am = list_matmul(m, mk)
         tr = sum(am.rows[i][i] for i in range(n))
         if tr % k:
             raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
@@ -161,14 +181,15 @@ def list_coxeter_number(diagram: Diagram) -> int:
     """Order of the bicolored Coxeter transformation of a finite diagram."""
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
-    c = coxeter_transform(diagram)
+    pair = bicolored_reflections(diagram)
+    c = list_matmul(pair.w2, pair.w1)
     ident = IntMatrix.identity(diagram.size)
     bound = 10 * diagram.size * diagram.size
     cur = c
     for m in range(1, bound + 1):
         if cur == ident:
             return m
-        cur = c @ cur  # the sparse factor on the left
+        cur = list_matmul(c, cur)  # the sparse factor on the left
     raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
 
 

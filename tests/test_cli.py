@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import dynkinlab.cli as cli
+import dynkinlab.errors as errors
 import dynkinlab.exact as exact
 import dynkinlab.kostant as kostant
+import dynkinlab.molien as molien
 import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
 from dynkinlab.coxeter import char_polys
@@ -80,6 +83,67 @@ def test_identity_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "ebeling", "E6")
     assert code == 2
     assert "[FAIL]" in out
+
+
+def test_exit_codes_follow_the_error_taxonomy(capsys, monkeypatch):
+    """The taxonomy's RuntimeErrors and every ArithmeticError are identity
+    violations (exit 2); its other errors are bad requests (exit 1)."""
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.DynkinlabError)]
+    violations = set()
+    for cls in classes + [ArithmeticError, ZeroDivisionError]:
+        def fail(args, cls=cls):
+            raise cls("forced")
+
+        monkeypatch.setitem(cli._HANDLERS, "cartan", fail)
+        code, out, err = run(capsys, "cartan", "E6")
+        assert out == "" and "Traceback" not in err, cls
+        if code == 2:
+            assert err == "identity violation: forced\n", cls
+            violations.add(cls.__name__)
+        else:
+            assert (code, err) == (1, "error: forced\n"), cls
+    assert len(classes) == 13
+    assert violations == {"IdentityViolationError", "NumericalDriftError", "GeneratorSetError",
+                          "CatalogCorruptionError", "ArithmeticError", "ZeroDivisionError"}
+
+
+def _misused_argv(seed: int) -> list[list[str]]:
+    """Seeded misuses of the command line, each one a usage, domain or
+    parse error before any result is printed."""
+    rng = random.Random(seed)
+    diagram_verbs = ("cartan", "coxeter", "charpoly", "quotient", "poincare", "orbit", "zpoly")
+    bad_diagrams = ("Z9", "H4", "E9", "F5", "a5", "", "A0", "B1", "C1", "D3", "DD2", "CD1",
+                    "A129", "D129", "B200", "A\u00b2", "D\u0663", "B\uff13")
+    bad_groups = ("dihedral:3", "binary_cubic", "cyclic", "binary_dihedral", "cyclic:0",
+                  "binary_dihedral:1", "binary_tetrahedral:2", "cyclic:1.5", "cyclic:-2",
+                  "cyclic:\u00b2", "cyclic:\u0663", "binary_dihedral:\uff13", "cyclic:1025")
+    out = [[]]
+    out += [[verb, "E6"] for verb in ("frobnicate", "Cartan", "verify-all", "molien2")]
+    out += [[rng.choice(diagram_verbs), d] for d in bad_diagrams]
+    out += [["verify", rng.choice(("ebeling", "orbit-form", "closed-form")), d] for d in bad_diagrams]
+    out += [["molien", g] for g in bad_groups]
+    out += [["verify", rng.choice(("molien", "mckay-shift")), g] for g in bad_groups]
+    for terms in ("0", "-1", "1e3", "", "100001"):
+        out.append(["poincare", rng.choice(("E6", "D5", "A3")), "--terms", terms])
+        out.append(["molien", "cyclic:3", "--terms", terms])
+        out.append(["verify", "all", "--terms", terms])
+    for target in ("E6", "D5", "B4", "G2", "DD4"):
+        out.append([rng.choice(("charpoly", "quotient")), target, "--k", str(rng.randint(1, 4))])
+    for k in ("0", "-1", "6", "99", "x", ""):
+        out.append([rng.choice(("charpoly", "quotient")), "A5", "--k", k])
+    out += [["verify", "all", "E6"], ["verify", "molien-folded", "A5"], ["verify", "nope"],
+            ["cartan", "E6", "--format", "xml"], ["verify", "all", "--format", "yaml"]]
+    rng.shuffle(out)
+    return out
+
+
+def test_misused_command_lines_fail_cleanly(capsys):
+    for argv in _misused_argv(2006):
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2), argv
+        assert out == "", argv
+        assert err and "Traceback" not in err, argv
 
 
 def test_cartan_json_round_trip(capsys):
@@ -206,6 +270,20 @@ def test_verify_all_reduces_no_fraction(capsys, monkeypatch):
     # printing component 0 reduces it, so the counter does see gcds
     assert run(capsys, "poincare", "E6", "--terms", "3")[0] == 0
     assert calls
+
+
+def test_molien_folded_fails_on_a_swapped_pair(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "molien-folded")
+    assert code == 0
+    reports = out.count("[PASS] folded molien exploration for ")
+    assert reports == 23
+    candidates = molien._folded_candidates
+    monkeypatch.setattr(molien, "_folded_candidates", lambda did: candidates(did)[::-1])
+    code, out, _ = run(capsys, "verify", "molien-folded")
+    assert code == 2
+    assert out.count("[FAIL] folded molien exploration for ") == reports
+    assert out.count("  FAIL  component 0 ") == 2 * reports
+    assert "PASS" not in out
 
 
 def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):

@@ -47,6 +47,9 @@ def test_diagram_id_parse():
         DiagramId("G2", 2)
     with pytest.raises(UnsupportedFamilyError):
         DiagramId.parse("H4")
+    for text in ("A\u00b2", "D\u0663", "B\uff13"):  # ranks take ASCII digits only
+        with pytest.raises(UnsupportedFamilyError):
+            DiagramId.parse(text)
 
 
 def test_frozen_cartan_matrices():

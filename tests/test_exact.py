@@ -22,7 +22,7 @@ from dynkinlab.exact import (
     poly_gcd,
     series_expand,
 )
-from oracles import cramer_solve, det, list_charpoly, perm_det, sympy_det
+from oracles import cramer_solve, det, list_charpoly, list_matmul, perm_det, sympy_det
 
 T = IntPoly.x()
 
@@ -278,7 +278,7 @@ def test_matmul_against_triple_loop():
         b = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)])
         if n > 1:  # a zero row on the left
             a = IntMatrix(a.rows[:-1] + ((0,) * k,))
-        assert a @ b == naive_matmul(a, b)
+        assert a @ b == naive_matmul(a, b) == list_matmul(a, b)
         assert (a @ b).shape == (n, m)
     # entries +-1 take the addition and subtraction shortcuts
     a = IntMatrix(((1, -1, 0), (-1, 0, 2)))
@@ -294,6 +294,28 @@ def test_matmul_against_triple_loop():
         IntMatrix(((1, 2),)) @ IntMatrix(((1, 2),))
     with pytest.raises(DimensionError):
         IntMatrix(()) @ IntMatrix(((1, 2),))
+
+
+def test_mulvec_against_the_dense_sum():
+    """The sparse product against sum(a * b) over every entry of the row,
+    on int and IntPoly vectors; an all-zero row gives the vector's zero."""
+    rng = random.Random(1977)
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        m = IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)]
+                       for _ in range(n - 1)] + [(0,) * k])
+        ints = tuple(rng.randint(-9, 9) for _ in range(k))
+        polys = tuple(IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
+                      for _ in range(k))
+        for v in (ints, polys):
+            assert m.mulvec(v) == tuple(sum(a * b for a, b in zip(row, v)) for row in m.rows)
+        assert type(m.mulvec(ints)[-1]) is int
+        last = m.mulvec(polys)[-1]
+        assert isinstance(last, IntPoly) and last.is_zero()
+        with pytest.raises(DimensionError):
+            m.mulvec(ints + (1,))
+    assert IntMatrix(()).mulvec(()) == ()
+    assert IntMatrix(((),) * 3).mulvec(()) == (0, 0, 0)
 
 
 def test_ratfunc_frozen_values():

@@ -57,6 +57,14 @@ def test_id_validation():
     assert BpgId.parse("binary_icosahedral").text == "binary_icosahedral"
 
 
+def test_group_parameter_takes_ascii_digits_only():
+    # str.isdigit() also holds for superscripts, which int() rejects, and
+    # for other scripts' digits
+    for text in ("cyclic:\u00b2", "cyclic:\u0663", "binary_dihedral:\uff13", "cyclic:", "cyclic:-2"):
+        with pytest.raises(DomainError, match="bad group parameter"):
+            BpgId.parse(text)
+
+
 def test_pairing():
     assert BpgId.parse("cyclic:5").paired_diagram() == DiagramId.parse("A4")
     assert BpgId.parse("binary_dihedral:4").paired_diagram() == DiagramId.parse("D6")
@@ -206,9 +214,8 @@ def test_mckay_shift_reports():
 
 
 def test_folded_exploration():
-    """Observed across the folded catalog: component 0 follows the smaller
-    group of the pair.  Not part of any asserted identity; pinned here so a
-    regression in either route shows up."""
+    """Across the folded catalog component 0 follows the smaller group of
+    the pair, and the report asserts it."""
     for name, small in (("F4", "binary_tetrahedral"), ("G2", "binary_dihedral:2")):
         rep = folded_component_report(DiagramId.parse(name), 24)
         assert rep.passed
