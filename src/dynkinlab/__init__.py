@@ -1,6 +1,6 @@
 """Exact Coxeter-transformation and Poincare-series computations on Dynkin
 diagrams, with a Molien oracle for cross-checking: groups closed exactly
-over F_p, Molien sums in floating point once per trace class."""
+over F_p, Molien sums in integers once per element order."""
 
 from .coxeter import (
     bicolored_reflections,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quotient
@@ -63,11 +64,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _terms(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
+def _integer(text: str) -> int:
+    """An optional minus sign and ASCII digits; int() alone would also read
+    other scripts' digits, '+', '_' and surrounding spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _terms(text: str) -> int:
+    n = _integer(text)
     if not 1 <= n <= MAX_TERMS:
         raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_TERMS}")
     return n
@@ -108,7 +114,7 @@ def _build_parser() -> _Parser:
         if extended:
             q.add_argument("--extended", action="store_true", help="use the extended diagram")
         if k:
-            q.add_argument("--k", type=int, default=None,
+            q.add_argument("--k", type=_integer, default=None,
                            help="conjugacy class index for family A (1 <= k <= rank)")
         if terms:
             q.add_argument("--terms", type=_terms, default=40,

@@ -112,6 +112,11 @@ class Diagram:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.cartan.rows[i]) if j != i and v != 0)
 
+    @property
+    def bonds(self) -> IntMatrix:
+        """2I - K: entry (i, j) is -K_ij off the diagonal, 0 on it."""
+        return IntMatrix.identity(self.size) * 2 - self.cartan
+
 
 def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     rows = k.rows

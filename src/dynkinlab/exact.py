@@ -306,9 +306,10 @@ def _trusted_matrix(rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
 
 
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix stored as a tuple of row tuples; `_product`
+    holds its sparse product once `_sparse_left` has built it."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_product")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rs = tuple(tuple(int(v) for v in row) for row in rows)
@@ -322,10 +323,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return _trusted_matrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n: int, m: int) -> "IntMatrix":
-        return _trusted_matrix(((0,) * m,) * n)
 
     @property
     def nrows(self) -> int:
@@ -400,7 +397,12 @@ class IntMatrix:
 def _sparse_left(m: IntMatrix):
     """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
     +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
-    (`_pack` is additive); an all-zero row gives x's own zero."""
+    (`_pack` is additive); an all-zero row gives x's own zero.  Built once
+    per matrix: m is immutable, so the product is kept in its slot."""
+    try:
+        return m._product
+    except AttributeError:
+        pass
     terms = [[(l, a) for l, a in enumerate(row) if a] for row in m.rows]
 
     def product(x: Sequence) -> list:
@@ -413,6 +415,7 @@ def _sparse_left(m: IntMatrix):
             out.append(acc)
         return out
 
+    object.__setattr__(m, "_product", product)
     return product
 
 

@@ -42,7 +42,7 @@ def mckay_operator(diagram: Diagram) -> IntMatrix:
     """B = 2I - K on an extended diagram."""
     if not diagram.extended:
         raise DomainError("the McKay operator lives on the extended diagram")
-    return IntMatrix.identity(diagram.size) * 2 - diagram.cartan
+    return diagram.bonds
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ def adjacency(diagram: Diagram) -> IntMatrix:
     """2I - K with unit bonds; defined on finite simply-laced diagrams."""
     if diagram.extended or diagram.did is None or diagram.did.family not in SIMPLY_LACED:
         raise UnsupportedFamilyError("adjacency with unit bonds is finite simply-laced only")
-    return IntMatrix.identity(diagram.size) * 2 - diagram.cartan
+    return diagram.bonds
 
 
 def semi_affine(diagram: Diagram) -> IntMatrix:

@@ -10,10 +10,11 @@ such a prime is injective on a finite matrix group (Minkowski's lemma),
 and the closure's size is checked against |G|.
 
 Each element's trace is zeta^j + zeta^-j for one j in 0..L/2, so the group
-is summarised by trace classes (j, count).  Floating point enters only in
-the Molien sums, which run one recurrence per class with trace
-2 cos(2 pi j / L) and are rounded to integers with a drift assertion before
-they cross back into the exact world.
+is summarised by trace classes (j, count).  The Molien sums are integers:
+the classes are grouped by element order m = L / gcd(j, L), each order
+contributes a Ramanujan sum c_m(n) to the power-trace sum
+P(n) = sum_g tr(g^n), and the summed characters of Sym^n follow from
+T(n) = T(n-2) + P(n), each divided exactly by |G|.
 """
 
 from __future__ import annotations
@@ -240,38 +241,90 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
     return BpgGroup(bid, tuple(elems), p, level, tuple(classes))
 
 
-def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], float]:
-    """Molien coefficients 0..nterms and the worst pre-rounding deviation.
+def _totient(m: int) -> int:
+    """Euler's phi(m)."""
+    for r in _prime_factors(m):
+        m = m // r * (r - 1)
+    return m
 
-    1/det(I - tg) = 1/(1 - tr(g) t + t^2) since det g = 1, so the degree-n
-    character of g on binary forms satisfies s_n = tr(g) s_(n-1) - s_(n-2).
-    It depends on g only through its trace, so the recurrence runs once per
-    trace class, with trace 2 cos(2 pi j / L), weighted by the class size.
+
+def _ramanujan(m: int, n: int) -> int:
+    """c_m(n), the sum of w^n over the primitive m-th roots of unity w:
+    mu(m/d) phi(m) / phi(m/d) with d = gcd(n, m) (Ramanujan, 1918)."""
+    q = m // math.gcd(n, m)
+    primes = _prime_factors(q)
+    if any(q % (r * r) == 0 for r in primes):
+        return 0
+    return (-1) ** len(primes) * (_totient(m) // _totient(q))
+
+
+def _order_weights(group: BpgGroup) -> dict[int, int]:
+    """{m: w_m} with sum_g tr(g^n) = sum_m w_m c_m(n) over the element orders m.
+
+    A class (j, count) holds elements with eigenvalues zeta^j and zeta^-j of
+    order m = L / gcd(j, L).  For m >= 3 those are a pair of the phi(m)
+    primitive m-th roots, so the Ramanujan sum stands in for the classes of
+    order m only if all phi(m) / 2 of them occur with one count k_m; then
+    w_m = k_m.  For m <= 2 the root +-1 is its own inverse: w_m = 2 count.
     """
-    sums = [0.0] * (nterms + 1)
+    counts: dict[int, list[int]] = {}
     for j, count in group.classes:
-        tr = 2 * math.cos(2 * math.pi * j / group.level)
-        prev, cur = 0.0, 1.0
-        for n in range(nterms + 1):
-            sums[n] += count * cur
-            prev, cur = cur, tr * cur - prev
+        counts.setdefault(group.level // math.gcd(j, group.level), []).append(count)
+    weights = {}
+    for m, found in counts.items():
+        pairs = _totient(m) // 2
+        if m > 2 and (len(found) != pairs or len(set(found)) != 1):
+            raise GeneratorSetError(
+                f"{group.bid.text}: the trace classes of order {m} are not Galois stable: "
+                f"counts {found} over {pairs} classes"
+            )
+        weights[m] = found[0] if m > 2 else 2 * found[0]
+    return weights
+
+
+def _power_trace_sum(weights: dict[int, int], d: int) -> int:
+    """P(n) = sum_g tr(g^n) for every n with gcd(n, L) = d; c_m(n) = c_m(d)
+    as each order m divides L."""
+    return sum(w * _ramanujan(m, d) for m, w in weights.items())
+
+
+def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
+    """Molien coefficients 0..nterms and their deviation from integers, 0.
+
+    The character of g on Sym^n, the binary forms of degree n, is
+    s_n = lambda^n + lambda^(n-2) + ... + lambda^-n for the eigenvalues
+    lambda^+-1 of g, so s_n = s_(n-2) + tr(g^n).  Summed over the group,
+    T(n) = T(n-2) + P(n) with T(-1) = 0 and T(0) = |G|, and the degree-n
+    coefficient is T(n) / |G|, which must be an integer in [0, n + 1]
+    (the invariants lie inside Sym^n).  P(n) is computed once per distinct
+    gcd(n, L).
+    """
+    weights = _order_weights(group)
+    order = group.order
+    power_sums: dict[int, int] = {}
     out: list[int] = []
-    worst = 0.0
-    for n, total in enumerate(sums):
-        value = total / group.order
-        nearest = round(value)
-        dev = abs(value - nearest)
-        worst = max(worst, dev)
-        if dev >= _TOL:
+    before, total = 0, order  # T(n-1), T(n)
+    for n in range(nterms + 1):
+        if n:
+            d = math.gcd(n, group.level)
+            if d not in power_sums:
+                power_sums[d] = _power_trace_sum(weights, d)
+            before, total = total, before + power_sums[d]
+        value, rest = divmod(total, order)
+        if rest:
             raise NumericalDriftError(
-                f"molien coefficient at degree {n} drifted: {value}"
+                f"molien coefficient at degree {n}: {total} is not a multiple of |G| = {order}"
             )
-        if nearest < 0:
+        if value < 0:
             raise IdentityViolationError(
-                f"negative invariant dimension {nearest} at degree {n}"
+                f"negative invariant dimension {value} at degree {n}"
             )
-        out.append(nearest)
-    return out, worst
+        if value > n + 1:
+            raise IdentityViolationError(
+                f"invariant dimension {value} above dim Sym^{n} = {n + 1} at degree {n}"
+            )
+        out.append(value)
+    return out, 0
 
 
 def molien_coeffs(group: BpgGroup, nterms: int) -> list[int]:

@@ -45,6 +45,11 @@ T = IntPoly.x()
 SYM_T = sympy.Symbol("t")
 
 
+def zeros(n: int, m: int) -> IntMatrix:
+    """The n x m zero matrix."""
+    return IntMatrix(((0,) * m,) * n)
+
+
 def cramer_matrix(diagram: Diagram) -> tuple[tuple[IntPoly, ...], ...]:
     """The rows of M(t) = (1 + t^2) I - t B."""
     q = 1 + T**2
@@ -172,7 +177,7 @@ def list_charpoly(m: IntMatrix) -> IntPoly:
         mk = _trusted_matrix(
             tuple(row[:i] + (row[i] + ck,) + row[i + 1:] for i, row in enumerate(am.rows))
         )
-    if mk != IntMatrix.zeros(n, n):
+    if mk != zeros(n, n):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return IntPoly(reversed(coeffs))
 

@@ -31,7 +31,7 @@ from dynkinlab.kostant import (
 from dynkinlab.mckay import verify_observation
 from dynkinlab.molien import catalog_groups, crosscheck, enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
-from oracles import cramer_solve
+from oracles import cramer_solve, zeros
 
 L = IntPoly.x()
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,7 +40,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def _eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
     """p(m) by Horner's rule."""
     n = m.nrows
-    acc = IntMatrix.zeros(n, n)
+    acc = zeros(n, n)
     for c in reversed(p.coeffs):
         acc = acc @ m + IntMatrix.identity(n) * c
     return acc
@@ -190,7 +190,7 @@ def test_property_suites():
     for _ in range(25):
         n = rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        assert _eval_matrix(charpoly(m), m) == IntMatrix.zeros(n, n)
+        assert _eval_matrix(charpoly(m), m) == zeros(n, n)
 
     # bicolored reflections square to the identity on every finite diagram
     for ext in catalog_extended():

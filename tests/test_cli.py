@@ -124,13 +124,13 @@ def _misused_argv(seed: int) -> list[list[str]]:
     out += [["verify", rng.choice(("ebeling", "orbit-form", "closed-form")), d] for d in bad_diagrams]
     out += [["molien", g] for g in bad_groups]
     out += [["verify", rng.choice(("molien", "mckay-shift")), g] for g in bad_groups]
-    for terms in ("0", "-1", "1e3", "", "100001"):
+    for terms in ("0", "-1", "1e3", "", "100001", "\u0663", "1\u0660", "+3", "1_0", " 3"):
         out.append(["poincare", rng.choice(("E6", "D5", "A3")), "--terms", terms])
         out.append(["molien", "cyclic:3", "--terms", terms])
         out.append(["verify", "all", "--terms", terms])
     for target in ("E6", "D5", "B4", "G2", "DD4"):
         out.append([rng.choice(("charpoly", "quotient")), target, "--k", str(rng.randint(1, 4))])
-    for k in ("0", "-1", "6", "99", "x", ""):
+    for k in ("0", "-1", "6", "99", "x", "", "\u0663", "\uff13", "+3", " 3"):
         out.append([rng.choice(("charpoly", "quotient")), "A5", "--k", k])
     out += [["verify", "all", "E6"], ["verify", "molien-folded", "A5"], ["verify", "nope"],
             ["cartan", "E6", "--format", "xml"], ["verify", "all", "--format", "yaml"]]

@@ -21,8 +21,9 @@ from dynkinlab.exact import (
     parse_poly,
     poly_gcd,
     series_expand,
+    _sparse_left,
 )
-from oracles import cramer_solve, det, list_charpoly, list_matmul, perm_det, sympy_det
+from oracles import cramer_solve, det, list_charpoly, list_matmul, perm_det, sympy_det, zeros
 
 T = IntPoly.x()
 
@@ -36,7 +37,7 @@ def int_det(m: IntMatrix) -> int:
 def eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
     """p(m) by Horner's rule."""
     n = m.nrows
-    acc = IntMatrix.zeros(n, n)
+    acc = zeros(n, n)
     for c in reversed(p.coeffs):
         acc = acc @ m + IntMatrix.identity(n) * c
     return acc
@@ -187,7 +188,7 @@ def test_nullspace_frozen_values():
     with pytest.raises(RankError):
         nullspace_primitive(IntMatrix.identity(2))
     with pytest.raises(RankError):
-        nullspace_primitive(IntMatrix.zeros(2, 2))
+        nullspace_primitive(zeros(2, 2))
 
 
 def sympy_primitive_kernel(m: IntMatrix) -> tuple[int, ...] | None:
@@ -318,6 +319,18 @@ def test_mulvec_against_the_dense_sum():
     assert IntMatrix(((),) * 3).mulvec(()) == (0, 0, 0)
 
 
+def test_sparse_product_is_built_once_per_matrix():
+    m = IntMatrix(((0, 1), (2, -1)))
+    twin = IntMatrix(m.rows)
+    assert m.mulvec((1, 2)) == (2, 0)
+    built = _sparse_left(m)
+    assert m.mulvec((1, 2)) == (2, 0) and _sparse_left(m) is built
+    assert (m @ m).rows == ((2, -1), (-2, 3)) and _sparse_left(m) is built
+    assert m == twin and hash(m) == hash(twin)
+    with pytest.raises(AttributeError):
+        m._product = None
+
+
 def test_ratfunc_frozen_values():
     f = RatFunc(T**3 + 1, T + 1)
     assert f.is_polynomial()
@@ -339,7 +352,7 @@ def test_cayley_hamilton_random():
             tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
         )
         p = charpoly(m)
-        assert eval_matrix(p, m) == IntMatrix.zeros(n, n)
+        assert eval_matrix(p, m) == zeros(n, n)
         # cross-route: Faddeev-LeVerrier against Bareiss/cofactor on x*I - m
         assert det(lambda_identity_minus(m)) == p
 

@@ -7,12 +7,19 @@ oracle: invariants of -I on binary forms give n+1 in even degrees, and
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 import dynkinlab.molien as molien
 from dynkinlab.diagram import DiagramId
-from dynkinlab.errors import DomainError, GeneratorSetError, UnsupportedFamilyError
+from dynkinlab.errors import (
+    DomainError,
+    GeneratorSetError,
+    IdentityViolationError,
+    NumericalDriftError,
+    UnsupportedFamilyError,
+)
 from dynkinlab.molien import (
     BpgId,
     catalog_groups,
@@ -157,9 +164,12 @@ def test_closure_multiplies_each_element_by_each_generator_once(monkeypatch):
 @pytest.mark.parametrize(
     "text",
     [g.text for g in catalog_groups()]
-    + ["cyclic:1", "cyclic:129"] + [f"binary_dihedral:{n}" for n in range(198, 203)],
+    + ["cyclic:1", "cyclic:129", "cyclic:1024", "binary_dihedral:256"]
+    + [f"binary_dihedral:{n}" for n in range(198, 203)],
 )
 def test_exact_closure_against_float_oracle(text):
+    """The closure's traces and the integer Molien sums against the float
+    closure with one recurrence per element, through 3000 terms."""
     group = grp(text)
     floats = float_enumerate_group(BpgId.parse(text))
     assert group.order == len(floats)
@@ -167,7 +177,51 @@ def test_exact_closure_against_float_oracle(text):
     assert all(abs((m[0][0] + m[1][1]).imag) < 1e-9 for m in floats)
     assert all(abs(a - b) < 1e-9 for a, b in zip(class_traces(group), traces))
     assert group.contains_minus_identity() == float_contains_minus_identity(floats)
-    assert molien_coeffs(group, 200) == float_molien_sums(floats, 200)[0]
+    assert molien_coeffs(group, 3000) == float_molien_sums(floats, 3000)[0]
+
+
+def with_classes(group, edit):
+    """group with its trace classes of order 5 passed through edit."""
+    fives = [c for c in group.classes if group.level // math.gcd(c[0], group.level) == 5]
+    others = [c for c in group.classes if c not in fives]
+    return dataclasses.replace(group, classes=tuple(others + edit(fives)))
+
+
+def test_sums_need_galois_stable_classes():
+    """The two classes of order 5 in the icosahedral group, 12 elements
+    each, share one Ramanujan sum only while their counts agree."""
+    group = grp("binary_icosahedral")
+    assert molien_coeffs(with_classes(group, lambda c: c), 60) == molien_coeffs(group, 60)
+    for edit in (lambda c: [(c[0][0], c[0][1] + 1)] + c[1:], lambda c: c[1:]):
+        with pytest.raises(GeneratorSetError, match="order 5 are not Galois stable"):
+            molien_coeffs(with_classes(group, edit), 60)
+
+
+def test_sums_check_each_coefficient():
+    # 11 elements named for binary_dihedral:3 (order 12): T(2) = 11 - 12
+    short = grp("binary_dihedral:3")
+    with pytest.raises(NumericalDriftError, match=re.escape("degree 2: -1 is not a multiple of |G| = 11")):
+        molien_coeffs(dataclasses.replace(short, elements=short.elements[:-1]), 4)
+    # cyclic:2 = {I, -I} with |G| read as 1: T(2) = 1 + 4 > 3 |G|
+    pair = grp("cyclic:2")
+    with pytest.raises(IdentityViolationError, match="invariant dimension 5 above dim Sym"):
+        molien_coeffs(dataclasses.replace(pair, elements=pair.elements[:1]), 4)
+
+
+def test_power_trace_sums_once_per_gcd(monkeypatch):
+    seen = []
+    power_sum = molien._power_trace_sum
+
+    def counted(weights, d):
+        seen.append(d)
+        return power_sum(weights, d)
+
+    monkeypatch.setattr(molien, "_power_trace_sum", counted)
+    for text in ("binary_dihedral:201", "cyclic:1024"):
+        group = grp(text)
+        seen.clear()
+        molien_coeffs(group, 3000)
+        assert sorted(seen) == sorted({math.gcd(n, group.level) for n in range(1, 3001)})
 
 
 def test_enumeration_is_cached_and_immutable():
