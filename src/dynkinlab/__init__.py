@@ -10,7 +10,7 @@ from .coxeter import (
     ebeling_quotient,
 )
 from .diagram import Diagram, DiagramId, build, catalog_extended, finite_part, fold
-from .exact import IntMatrix, IntPoly, RatFunc, format_poly, parse_poly, series_expand
+from .exact import IntMatrix, IntPoly, RatFunc, format_poly, series_expand
 from .kostant import (
     generating_function,
     mckay_operator,
@@ -52,7 +52,6 @@ __all__ = [
     "mckay_operator",
     "molien_coeffs",
     "multiplicities",
-    "parse_poly",
     "semi_affine",
     "series_expand",
     "tau_orbit",

@@ -23,8 +23,8 @@ from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended
 from .errors import DynkinlabError
 from .exact import RatFunc, format_poly, format_ratfunc
 from .kostant import (
+    component_series,
     generating_function,
-    multiplicities,
     verify_closed_form,
     verify_ebeling,
     verify_kostant_relation,
@@ -244,7 +244,7 @@ def _cmd_poincare(args) -> int:
     ext = build(did, extended=True)
     gf = generating_function(ext)
     component0 = RatFunc(gf.numerators[0], gf.det_m)
-    coeffs = [v[0] for v in multiplicities(ext, args.terms).vectors]
+    coeffs = component_series(ext, 0, args.terms)
     if args.format == "json":
         _emit_json({
             "diagram": did.text,

@@ -11,7 +11,6 @@ positive leading denominator coefficient, so the reduced form is canonical.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -578,9 +577,6 @@ def vec_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:([A-Za-z])(?:\^(\d+))?)?$")
-
-
 def format_poly(p: IntPoly, var: str = "t") -> str:
     """Render ascending: '1 + 2*t^3 - t^5'; unit coefficients are elided."""
     if p.is_zero():
@@ -600,36 +596,6 @@ def format_poly(p: IntPoly, var: str = "t") -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def parse_poly(text: str, var: str = "t") -> IntPoly:
-    """Inverse of format_poly (also accepts explicit '^1' and '1*' forms)."""
-    s = text.strip()
-    if s == "0":
-        return IntPoly.zero()
-    s = s.replace("-", "+-").lstrip("+")
-    coeffs: dict[int, int] = {}
-    for chunk in s.split("+"):
-        term = chunk.strip()
-        if not term:
-            raise ValueError(f"malformed polynomial text: {text!r}")
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:].strip()
-        m = _TERM_RE.match(term.replace(" ", ""))
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise ValueError(f"malformed term {chunk.strip()!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            k = 0
-        else:
-            if m.group(2) != var:
-                raise ValueError(f"unexpected variable {m.group(2)!r}, expected {var!r}")
-            k = int(m.group(3)) if m.group(3) else 1
-        coeffs[k] = coeffs.get(k, 0) + sign * coeff
-    top = max(coeffs)
-    return IntPoly(coeffs.get(k, 0) for k in range(top + 1))
 
 
 def format_ratfunc(f: RatFunc, var: str = "t") -> str:

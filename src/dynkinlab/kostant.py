@@ -13,7 +13,10 @@ u in N(0) give every entry in Z[t] with no division.  Ebeling's
 identities compare y_0 and det M with Coxeter characteristic polynomials
 at lambda = t^2, computed from C alone.  Every identity on x(t) is checked
 on the y_i with det M cleared, and since det M(0) = 1 the series of
-y_i / det M expand in integers.  Nothing here reduces a fraction.
+y_i / det M expand in integers, one component per call of
+`component_series`.  Commands that compare component 0 only expand
+component 0 only; `multiplicities` assembles every component.  Nothing
+here reduces a fraction.
 """
 
 from __future__ import annotations
@@ -120,19 +123,23 @@ class SeriesVector:
 
 
 @lru_cache(maxsize=None)
-def multiplicities(diagram: Diagram, nterms: int) -> SeriesVector:
+def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
+    """First nterms coefficients of det M_i / det M, checked nonnegative."""
     gf = generating_function(diagram)
-    columns = []
-    for i, num in enumerate(gf.numerators):
-        coeffs = series_expand(num, nterms, gf.det_m)
-        for k, c in enumerate(coeffs):
-            if c.denominator != 1 or c < 0:
-                raise IdentityViolationError(
-                    f"component {diagram.labels[i]} coefficient at t^{k} is {c}"
-                )
-        columns.append([int(c) for c in coeffs])
-    vectors = tuple(tuple(col[n] for col in columns) for n in range(nterms))
-    return SeriesVector(diagram, nterms, vectors)
+    # det M(0) = y_0(0) = 1 (generating_function checks it), so every term is an int
+    coeffs = tuple(series_expand(gf.numerators[i], nterms, gf.det_m))
+    if coeffs and min(coeffs) < 0:
+        k, c = next((k, c) for k, c in enumerate(coeffs) if c < 0)
+        raise IdentityViolationError(
+            f"component {diagram.labels[i]} coefficient at t^{k} is {c}"
+        )
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def multiplicities(diagram: Diagram, nterms: int) -> SeriesVector:
+    columns = (component_series(diagram, i, nterms) for i in range(diagram.size))
+    return SeriesVector(diagram, nterms, tuple(zip(*columns)))
 
 
 def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:

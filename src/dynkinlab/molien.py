@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .exact import IntMatrix, vec_add
-from .kostant import mckay_operator, multiplicities
+from .kostant import component_series, mckay_operator, multiplicities
 from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -340,8 +340,7 @@ def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
     did = bid.paired_diagram()
     ext = build(did, extended=True)
     coeffs, worst = _molien_sums(group, nterms)
-    series = multiplicities(ext, nterms + 1)
-    component0 = [v[0] for v in series.vectors]
+    component0 = list(component_series(ext, 0, nterms + 1))
     checks = [
         (f"group order is {bid.order}", group.order == bid.order),
         (f"float deviation below {_TOL:g}", worst < _TOL),
@@ -419,7 +418,7 @@ def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:
     natural subgroup pair (H, G): it must match that of H and differ from
     that of G.  Each label says what the comparison found."""
     ext = build(did, extended=True)
-    component0 = [v[0] for v in multiplicities(ext, nterms + 1).vectors]
+    component0 = list(component_series(ext, 0, nterms + 1))
     lines = []
     for bid, expect in zip(_folded_candidates(did), (True, False)):
         coeffs = molien_coeffs(enumerate_group(bid), nterms)

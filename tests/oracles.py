@@ -1,7 +1,8 @@
 """Oracles for the tests: the general fraction-free Cramer solve, the
 Leibniz permutation sum, sympy's determinant over ZZ[t], Faddeev-LeVerrier
 and the Coxeter order loop on list products, and the float closure of the
-binary polyhedral groups.
+binary polyhedral groups, plus `parse_poly`, the inverse of
+`exact.format_poly` that reads the CLI's polynomial text back.
 
 `cramer_solve` is a dense Bareiss elimination that knows nothing of the
 diagram's shape; `kostant.generating_function` is checked against it.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import re
 from functools import lru_cache
 from typing import Sequence
 
@@ -196,6 +198,39 @@ def list_coxeter_number(diagram: Diagram) -> int:
             return m
         cur = list_matmul(c, cur)  # the sparse factor on the left
     raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
+
+
+_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:([A-Za-z])(?:\^(\d+))?)?$")
+
+
+def parse_poly(text: str, var: str = "t") -> IntPoly:
+    """Inverse of exact.format_poly (also accepts explicit '^1' and '1*' forms)."""
+    s = text.strip()
+    if s == "0":
+        return IntPoly.zero()
+    s = s.replace("-", "+-").lstrip("+")
+    coeffs: dict[int, int] = {}
+    for chunk in s.split("+"):
+        term = chunk.strip()
+        if not term:
+            raise ValueError(f"malformed polynomial text: {text!r}")
+        sign = 1
+        if term.startswith("-"):
+            sign = -1
+            term = term[1:].strip()
+        m = _TERM_RE.match(term.replace(" ", ""))
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise ValueError(f"malformed term {chunk.strip()!r}")
+        coeff = int(m.group(1)) if m.group(1) else 1
+        if m.group(2) is None:
+            k = 0
+        else:
+            if m.group(2) != var:
+                raise ValueError(f"unexpected variable {m.group(2)!r}, expected {var!r}")
+            k = int(m.group(3)) if m.group(3) else 1
+        coeffs[k] = coeffs.get(k, 0) + sign * coeff
+    top = max(coeffs)
+    return IntPoly(coeffs.get(k, 0) for k in range(top + 1))
 
 
 def det(rows) -> IntPoly:

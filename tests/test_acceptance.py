@@ -21,7 +21,7 @@ from dynkinlab.diagram import (
     nil_root,
 )
 from dynkinlab.errors import RankError
-from dynkinlab.exact import IntMatrix, IntPoly, charpoly, parse_poly
+from dynkinlab.exact import IntMatrix, IntPoly, charpoly
 from dynkinlab.kostant import (
     multiplicities,
     verify_closed_form,
@@ -31,7 +31,7 @@ from dynkinlab.kostant import (
 from dynkinlab.mckay import verify_observation
 from dynkinlab.molien import catalog_groups, crosscheck, enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
-from oracles import cramer_solve, zeros
+from oracles import cramer_solve, parse_poly, zeros
 
 L = IntPoly.x()
 GOLDEN = Path(__file__).parent / "golden"

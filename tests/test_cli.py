@@ -15,9 +15,10 @@ import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
 from dynkinlab.coxeter import char_polys
 from dynkinlab.diagram import DiagramId, build
-from dynkinlab.exact import IntMatrix, IntPoly, parse_poly
+from dynkinlab.exact import IntMatrix, IntPoly
 from dynkinlab.orbit import z_polynomials
 from dynkinlab.report import Report
+from oracles import parse_poly
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 # the nominal sizes of the high-degree workload; its other references
@@ -308,6 +309,34 @@ def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
         assert failed == [f"  FAIL  [P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^6)(1 - t^8))"]
         code, out, _ = run(capsys, "verify", "closed-form", "E6")
         assert (code, out.startswith("[FAIL]")) == ((2, True) if i == 0 else (0, False)), (i, k)
+
+
+def test_component_0_commands_expand_one_series(capsys, monkeypatch):
+    """poincare, verify molien and the folded report read component 0 only,
+    so each expands one series, not one per vertex."""
+    calls = []
+    expand = kostant.series_expand
+
+    def counting_expand(f, nterms, den):
+        calls.append(nterms)
+        return expand(f, nterms, den)
+
+    monkeypatch.setattr(kostant, "series_expand", counting_expand)
+    runs = (
+        lambda: run(capsys, "poincare", "E8", "--terms", "50")[0] == 0,
+        lambda: run(capsys, "verify", "molien", "binary_icosahedral")[0] == 0,
+        lambda: molien.folded_component_report(DiagramId.parse("F4")).passed,
+    )
+    try:
+        for go in runs:
+            calls.clear()
+            kostant.component_series.cache_clear()  # a cached series would hide its call
+            kostant.multiplicities.cache_clear()
+            assert go()
+            assert len(calls) == 1, calls
+    finally:
+        kostant.component_series.cache_clear()
+        kostant.multiplicities.cache_clear()
 
 
 def test_rank_above_the_limit_is_a_usage_error(capsys):

@@ -18,12 +18,20 @@ from dynkinlab.exact import (
     format_poly,
     format_ratfunc,
     nullspace_primitive,
-    parse_poly,
     poly_gcd,
     series_expand,
     _sparse_left,
 )
-from oracles import cramer_solve, det, list_charpoly, list_matmul, perm_det, sympy_det, zeros
+from oracles import (
+    cramer_solve,
+    det,
+    list_charpoly,
+    list_matmul,
+    parse_poly,
+    perm_det,
+    sympy_det,
+    zeros,
+)
 
 T = IntPoly.x()
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+import dynkinlab.kostant as kostant
 from dynkinlab.diagram import Diagram, DiagramId, build, catalog_extended
-from dynkinlab.errors import DomainError
+from dynkinlab.errors import DomainError, IdentityViolationError
 from dynkinlab.exact import IntMatrix, IntPoly, RatFunc
 from dynkinlab.kostant import (
     closed_form_component0,
+    component_series,
     generating_function,
     mckay_operator,
     multiplicities,
@@ -137,6 +140,57 @@ def test_multiplicities_a1():
     sv = multiplicities(_ext("A1"), 5)
     assert [v[0] for v in sv.vectors] == [1, 0, 3, 0, 5]
     assert [v[1] for v in sv.vectors] == [0, 2, 0, 4, 0]
+
+
+@pytest.fixture
+def cold_series():
+    """Empty series caches before and after: a cached result computed from
+    another generating function would hide or outlive a patch."""
+    caches = (component_series, multiplicities)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def test_component_series_is_a_column_of_multiplicities(cold_series):
+    n = 60
+    for d in (*catalog_extended(), _ext("D128"), _ext("A128")):
+        gf = generating_function(d)
+        columns = [component_series(d, i, n) for i in range(d.size)]
+        component_series.cache_clear()  # multiplicities expands afresh
+        vectors = multiplicities(d, n).vectors
+        for i, col in enumerate(columns):
+            assert col == tuple(v[i] for v in vectors), (d.did, i)
+            # the series times det M is the numerator through degree n - 1
+            prod = IntPoly(col) * gf.det_m
+            assert all(prod.coeff(k) == gf.numerators[i].coeff(k) for k in range(n)), (d.did, i)
+
+
+def test_negative_coefficient_names_its_component_and_degree(cold_series, monkeypatch):
+    d = _ext("E6")
+    gf = generating_function(d)
+    i, k = d.size - 1, 7
+    coeff = component_series(d, i, 12)[k]
+    component_series.cache_clear()
+    nums = list(gf.numerators)
+    # det M(0) = 1, so this lowers the series by coeff + 3 at t^k and keeps lower degrees
+    nums[i] = nums[i] - (coeff + 3) * IntPoly.monomial(k)
+    broken = dataclasses.replace(gf, numerators=tuple(nums))
+    real = kostant.generating_function
+    monkeypatch.setattr(kostant, "generating_function", lambda g: broken if g == d else real(g))
+    message = f"component {d.labels[i]} coefficient at t^{k} is -3"
+    with pytest.raises(IdentityViolationError) as exc:
+        component_series(d, i, 12)
+    assert str(exc.value) == message
+    with pytest.raises(IdentityViolationError) as exc:
+        multiplicities(d, 12)
+    assert str(exc.value) == message
+    assert min(component_series(d, 0, 12)) >= 0  # component 0 is not broken
+    r = verify_kostant_relation(d, 11)
+    assert not r.passed
+    assert r.checks == ((f"series expansion: {message}", False),)
 
 
 def test_kostant_relation_reports():

@@ -4,9 +4,10 @@ import pytest
 
 from dynkinlab.diagram import DiagramId, build, catalog_extended, finite_part
 from dynkinlab.errors import ExcludedDiagramError, UnsupportedFamilyError
-from dynkinlab.exact import IntMatrix, IntPoly, parse_poly
+from dynkinlab.exact import IntMatrix, IntPoly
 from dynkinlab.mckay import adjacency, semi_affine, verify_observation, verify_z_recurrence
 from dynkinlab.orbit import z_polynomials
+from oracles import parse_poly
 
 
 def fin(name: str):
