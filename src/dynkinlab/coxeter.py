@@ -90,10 +90,6 @@ def affine_A_charpoly(n: int, k: int) -> IntPoly:
     return (L ** (n - k + 1) - 1) * (L**k - 1)
 
 
-_AFFINE_PARTNER = {"B": "CD", "C": "C", "D": "D", "E6": "E6", "E7": "E7",
-                   "E8": "E8", "F4": "F4", "G2": "G2"}
-
-
 def char_polys(did: DiagramId, k: int | None = None) -> tuple[IntPoly, IntPoly]:
     """(chi, chi_affine) for a finite catalog diagram.
 
@@ -109,9 +105,7 @@ def char_polys(did: DiagramId, k: int | None = None) -> tuple[IntPoly, IntPoly]:
                 "family A needs the parameter k to pick an affine transformation"
             )
         return chi, affine_A_charpoly(did.rank, k)
-    partner = _AFFINE_PARTNER.get(did.family)
-    if partner is None:
-        raise DomainError(f"no affine partner for family {did.family}")
+    partner = "CD" if did.family == "B" else did.family
     ext = build(DiagramId(partner, did.rank), extended=True)
     chi_affine = charpoly(coxeter_transform(ext))
     if chi_affine(1) != 0:

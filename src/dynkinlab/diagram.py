@@ -1,4 +1,5 @@
-"""Dynkin diagram catalog: Cartan matrices, bipartitions, foldings.
+"""Dynkin diagram catalog: Cartan matrices, bipartitions, foldings, and the
+binary polyhedral groups they pair with.
 
 Vertex conventions, fixed once for the whole package:
 
@@ -14,11 +15,17 @@ Vertex conventions, fixed once for the whole package:
 * E8 is the chain e1..e7 with e8 on e5, affine vertex on e1;
 * B_n / C_n are chains whose last bond is doubled, K[n-1][n-2] = -2 for B
   and K[n-2][n-1] = -2 for C;
-* the multiply-laced extended diagrams are all produced by fold():
-  G2 from extended D4, G2dual from extended E6 (order-3 symmetries),
-  F4 from extended E7, F4dual from extended E6 (order-2 arm swaps),
-  C from the even cycle, B and DD and CD from extended D diagrams
-  (end-pair identifications).
+* the multiply-laced extended diagrams are all produced by fold() from
+  the rows of _FOLDS: G2 from extended D4, G2dual from extended E6
+  (order-3 symmetries), F4 from extended E7, F4dual from extended E6
+  (order-2 arm swaps), C from the even cycle, B and DD and CD from
+  extended D diagrams (end-pair identifications).
+
+The per-family facts are data, stated once: _FOLDS gives each folded
+family its base diagram, orbits and Molien pair (H, G) (Slodowy's
+correspondence), and _MCKAY pairs each group family with its A/D/E
+diagram, read one way by BpgId.paired_diagram and the other by
+mckay_group.  Group closure and Molien sums live in molien.py.
 """
 
 from __future__ import annotations
@@ -94,7 +101,6 @@ class Diagram:
     labels: tuple[str, ...]
     cartan: IntMatrix
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
-    affine_index: int | None
     u0: tuple[int, ...] | None
     display: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
@@ -144,7 +150,7 @@ def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
 
 def _orient(
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None,
-    affine_index: int | None,
+    extended: bool,
     attach: tuple[int, ...] | None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Order a 2-coloring as (part_x, part_y).
@@ -156,8 +162,8 @@ def _orient(
     if parts is None:
         return None
     p0, p1 = parts
-    if affine_index is not None:
-        return (p1, p0) if affine_index in p0 else (p0, p1)
+    if extended:
+        return (p1, p0) if 0 in p0 else (p0, p1)
     if attach:
         if all(v in p0 for v in attach):
             return (p1, p0)
@@ -185,17 +191,15 @@ def _make(
             [v == 0 for v in row] != [w == 0 for w in col]
         ):
             raise CatalogCorruptionError("off-diagonal sign pattern broken")
-    affine_index = 0 if extended else None
     if extended:
         attach = tuple(j for j in range(1, n) if rows[0][j] != 0)
-    parts = _orient(_two_coloring(cartan), affine_index, attach)
+    parts = _orient(_two_coloring(cartan), extended, attach)
     return Diagram(
         did=did,
         extended=extended,
         labels=labels,
         cartan=cartan,
         bipartition=parts,
-        affine_index=affine_index,
         u0=attach,
         display=display,
     )
@@ -326,7 +330,7 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
     labels = tuple("+".join(diagram.labels[v] for v in orb) for orb in resolved)
     extended = diagram.extended
     if extended:
-        holder = next(a for a, orb in enumerate(resolved) if diagram.affine_index in orb)
+        holder = next(a for a, orb in enumerate(resolved) if 0 in orb)
         if holder != 0:
             order = [holder] + [a for a in range(m) if a != holder]
             rows = [[rows[a][b] for b in order] for a in order]
@@ -336,59 +340,131 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
     return primary, dual
 
 
-def _build_extended(did: DiagramId) -> Diagram:
-    fam, n = did.family, did.rank
-    if fam in SIMPLY_LACED:
-        return _extend_simply_laced(did)
-    if fam == "G2":
-        base = build(DiagramId("D", 4), extended=True)
-        folded, _ = fold(base, (("a0",), ("d2",), ("d1", "f1", "f2")))
-        return replace(folded, did=did)
-    if fam == "G2dual":
-        base = build(DiagramId("E6"), extended=True)
-        folded, _ = fold(base, (("a0", "x1", "x2"), ("y1", "y2", "y3"), ("x0",)))
-        return replace(folded, did=did)
-    if fam == "F4":
-        base = build(DiagramId("E7"), extended=True)
-        folded, _ = fold(base, (("a0", "e6"), ("e1", "e5"), ("e2", "e4"), ("e3",), ("e7",)))
-        return replace(folded, did=did)
-    if fam == "F4dual":
-        base = build(DiagramId("E6"), extended=True)
-        folded, _ = fold(base, (("a0",), ("y3",), ("x0",), ("y1", "y2"), ("x1", "x2")))
-        return replace(folded, did=did)
-    if fam == "C":
-        base = build(DiagramId("A", 2 * n - 1), extended=True)
-        orbits = [("a0",)] + [
-            (f"a{i}", f"a{2 * n - i}") for i in range(1, n)
-        ] + [(f"a{n}",)]
-        folded, _ = fold(base, orbits)
-        return replace(folded, did=did)
-    if fam == "B":
-        base = build(DiagramId("D", n + 2), extended=True)
-        orbits = [("a0", "d1")] + [(f"d{i}",) for i in range(2, n + 1)] + [("f1", "f2")]
-        folded, _ = fold(base, orbits)
-        return replace(folded, did=did)
-    if fam == "DD":
-        base = build(DiagramId("D", n + 1), extended=True)
-        orbits = [("a0",)] + [(f"d{i}",) for i in range(1, n)] + [("f1", "f2")]
-        folded, _ = fold(base, orbits)
-        return replace(folded, did=did)
-    if fam == "CD":
-        base = build(DiagramId("D", 2 * n), extended=True)
-        orbits = [("a0", "f2"), ("d1", "f1")] + [
-            (f"d{i}", f"d{2 * n - i}") for i in range(2, n)
-        ] + [(f"d{n}",)]
-        folded, _ = fold(base, orbits)
-        return replace(folded, did=did)
-    raise UnsupportedFamilyError(f"no extended form for family {fam}")
+_EXCEPTIONAL = {"binary_tetrahedral": 24, "binary_octahedral": 48,
+                "binary_icosahedral": 120}
+
+
+@dataclass(frozen=True)
+class BpgId:
+    """Name of a finite subgroup of the unit quaternions."""
+
+    family: str
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.family == "cyclic":
+            if self.n is None or self.n < 1:
+                raise DomainError("cyclic group needs n >= 1")
+        elif self.family == "binary_dihedral":
+            if self.n is None or self.n < 2:
+                raise DomainError("binary dihedral group needs n >= 2")
+        elif self.family in _EXCEPTIONAL:
+            if self.n is not None:
+                raise DomainError(f"{self.family} takes no parameter")
+        else:
+            raise UnsupportedFamilyError(f"unknown group family {self.family!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> "BpgId":
+        s = text.strip()
+        if ":" in s:
+            fam, _, num = s.partition(":")
+            if not (num.isascii() and num.isdigit()):
+                raise DomainError(f"bad group parameter in {text!r}")
+            return cls(fam, int(num))
+        return cls(s)
+
+    @property
+    def text(self) -> str:
+        return self.family if self.n is None else f"{self.family}:{self.n}"
+
+    @property
+    def order(self) -> int:
+        if self.family == "cyclic":
+            return self.n
+        if self.family == "binary_dihedral":
+            return 4 * self.n
+        return _EXCEPTIONAL[self.family]
+
+    def paired_diagram(self) -> DiagramId:
+        """McKay partner: the diagram whose extension is this group's McKay graph."""
+        family, shift = _MCKAY[self.family]
+        if shift is None:
+            return DiagramId(family)
+        if self.n + shift < RANKED[family]:
+            raise DomainError(f"{self.text} has no paired diagram in the catalog")
+        return DiagramId(family, self.n + shift)
+
+
+# group family -> (A/D/E family, rank shift): cyclic:n <-> A_(n-1) and
+# binary_dihedral:n <-> D_(n+2); the exceptional groups pair with E6, E7, E8
+_MCKAY = {
+    "cyclic": ("A", -1),
+    "binary_dihedral": ("D", 2),
+    "binary_tetrahedral": ("E6", None),
+    "binary_octahedral": ("E7", None),
+    "binary_icosahedral": ("E8", None),
+}
+
+
+def mckay_group(did: DiagramId) -> BpgId:
+    """The group paired with an A/D/E diagram, read from _MCKAY backwards."""
+    for group, (family, shift) in _MCKAY.items():
+        if family == did.family:
+            return BpgId(group, None if shift is None else did.rank - shift)
+    raise UnsupportedFamilyError("McKay groups are tabulated for ADE families only")
+
+
+# folded family -> rank n -> (base extended diagram, vertex orbits, Molien
+# pair (H, G)).  The orbits are those of a diagram symmetry of order |G|/|H|;
+# component 0 of the folded diagram is the Molien series of H, not of G.
+_FOLDS = {
+    "G2": lambda n: ("D4", (("a0",), ("d2",), ("d1", "f1", "f2")),
+                     ("binary_dihedral:2", "binary_tetrahedral")),
+    "G2dual": lambda n: ("E6", (("a0", "x1", "x2"), ("y1", "y2", "y3"), ("x0",)),
+                         ("binary_dihedral:2", "binary_tetrahedral")),
+    "F4": lambda n: ("E7", (("a0", "e6"), ("e1", "e5"), ("e2", "e4"), ("e3",), ("e7",)),
+                     ("binary_tetrahedral", "binary_octahedral")),
+    "F4dual": lambda n: ("E6", (("a0",), ("y3",), ("x0",), ("y1", "y2"), ("x1", "x2")),
+                         ("binary_tetrahedral", "binary_octahedral")),
+    "C": lambda n: (f"A{2 * n - 1}",
+                    (("a0",), *((f"a{i}", f"a{2 * n - i}") for i in range(1, n)), (f"a{n}",)),
+                    (f"cyclic:{2 * n}", f"binary_dihedral:{n}")),
+    "B": lambda n: (f"D{n + 2}",
+                    (("a0", "d1"), *((f"d{i}",) for i in range(2, n + 1)), ("f1", "f2")),
+                    (f"cyclic:{2 * n}", f"binary_dihedral:{n}")),
+    "DD": lambda n: (f"D{n + 1}",
+                     (("a0",), *((f"d{i}",) for i in range(1, n)), ("f1", "f2")),
+                     (f"binary_dihedral:{n - 1}", f"binary_dihedral:{2 * n - 2}")),
+    "CD": lambda n: (f"D{2 * n}",
+                     (("a0", "f2"), ("d1", "f1"),
+                      *((f"d{i}", f"d{2 * n - i}") for i in range(2, n)), (f"d{n}",)),
+                     ("cyclic:4" if n == 2 else f"binary_dihedral:{n - 1}",
+                      f"binary_dihedral:{2 * n - 2}")),
+}
+
+
+def folded_pair(did: DiagramId) -> tuple[BpgId, BpgId]:
+    """The Molien pair (H, G) of a folded family, read from _FOLDS."""
+    if did.family not in _FOLDS:
+        raise UnsupportedFamilyError(f"{did.text} is not a folded family")
+    h, g = _FOLDS[did.family](did.rank)[2]
+    return BpgId.parse(h), BpgId.parse(g)
 
 
 @lru_cache(maxsize=None)
 def build(did: DiagramId, extended: bool = False) -> Diagram:
-    """Construct a catalog diagram."""
+    """Construct a catalog diagram; the multiply-laced extended ones fold
+    the base diagram that _FOLDS names."""
     if did.family in EXTENDED_ONLY and not extended:
         raise UnsupportedFamilyError(f"family {did.family} exists only in extended form")
-    return _build_extended(did) if extended else _build_finite(did)
+    if not extended:
+        return _build_finite(did)
+    if did.family in SIMPLY_LACED:
+        return _extend_simply_laced(did)
+    base, orbits, _ = _FOLDS[did.family](did.rank)
+    folded, _ = fold(build(DiagramId.parse(base), extended=True), orbits)
+    return replace(folded, did=did)
 
 
 def finite_part(diagram: Diagram) -> Diagram:
@@ -420,22 +496,9 @@ def highest_root(diagram: Diagram) -> tuple[int, ...]:
     return delta[1:]
 
 
-_GROUP_ORDER = {"E6": 24, "E7": 48, "E8": 120}
-
-
-def group_order(did: DiagramId) -> int:
-    """Order of the binary polyhedral group attached to a finite ADE diagram."""
-    if did.family == "A":
-        return did.rank + 1
-    if did.family == "D":
-        return 4 * (did.rank - 2)
-    if did.family in _GROUP_ORDER:
-        return _GROUP_ORDER[did.family]
-    raise UnsupportedFamilyError("group order is tabulated for ADE families only")
-
-
 def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
-    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified.
+    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified
+    against the order of its McKay group.
 
     a is twice the largest nil root coordinate, h the Coxeter number and
     b = h + 2 - a.
@@ -448,7 +511,7 @@ def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
     a = 2 * max(nil_root(ext))
     h = coxeter_number(build(did))
     b = h + 2 - a
-    order = group_order(did)
+    order = mckay_group(did).order
     if a * b != 2 * order:
         raise CatalogCorruptionError(f"a*b = {a * b} but 2|G| = {2 * order}")
     return a, b, h, order

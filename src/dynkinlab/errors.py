@@ -48,10 +48,6 @@ class GeneratorSetError(DynkinlabError, RuntimeError):
     """Group generated from the listed matrices has the wrong order."""
 
 
-class NumericalDriftError(DynkinlabError, RuntimeError):
-    """Floating point result is too far from the nearest integer."""
-
-
 class IdentityViolationError(DynkinlabError, RuntimeError):
     """An identity that should hold exactly failed to hold."""
 

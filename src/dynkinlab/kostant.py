@@ -115,13 +115,6 @@ def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     return 1 + T**h, (1 - T**a) * (1 - T**b)
 
 
-@dataclass(frozen=True)
-class SeriesVector:
-    diagram: Diagram
-    nterms: int
-    vectors: tuple[tuple[int, ...], ...]  # vectors[n][i] = mult of vertex i at degree n
-
-
 @lru_cache(maxsize=None)
 def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
     """First nterms coefficients of det M_i / det M, checked nonnegative."""
@@ -137,9 +130,10 @@ def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def multiplicities(diagram: Diagram, nterms: int) -> SeriesVector:
+def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:
+    """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
     columns = (component_series(diagram, i, nterms) for i in range(diagram.size))
-    return SeriesVector(diagram, nterms, tuple(zip(*columns)))
+    return tuple(zip(*columns))
 
 
 def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
@@ -148,10 +142,9 @@ def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
     name = f"kostant relation for {_name(diagram)}"
     b = mckay_operator(diagram)
     try:
-        sv = multiplicities(diagram, nterms + 1)
+        v = multiplicities(diagram, nterms + 1)
     except IdentityViolationError as exc:
         return Report(name, ((f"series expansion: {exc}", False),))
-    v = sv.vectors
     rec_ok = all(
         b.mulvec(v[n]) == vec_add(v[n - 1], v[n + 1]) for n in range(1, nterms)
     )

@@ -1,6 +1,8 @@
 """Binary polyhedral groups and the Molien series oracle.
 
-A group is closed exactly over F_p: its elements are 2x2 matrices with
+The group names (BpgId), their McKay diagrams and the folded families'
+Molien pairs are catalog data in diagram.py; this module closes the
+groups and sums their series.  A group is closed exactly over F_p: its elements are 2x2 matrices with
 entries mod p, generated from the quaternion formulas with every constant
 taken from one root of unity zeta in F_p.  p is the least prime
 congruent to 1 mod L, with L = lcm(120, 2N) and N the group's parameter
@@ -24,84 +26,17 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import DiagramId, build
-from .errors import (
-    DomainError,
-    GeneratorSetError,
-    IdentityViolationError,
-    NumericalDriftError,
-    UnsupportedFamilyError,
-)
+from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
+from .errors import DomainError, GeneratorSetError, IdentityViolationError
 from .exact import IntMatrix, vec_add
 from .kostant import component_series, mckay_operator, multiplicities
 from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
-_EXCEPTIONAL = {
-    "binary_tetrahedral": 24,
-    "binary_octahedral": 48,
-    "binary_icosahedral": 120,
-}
 _PARAMETRIC = ("cyclic", "binary_dihedral")
 
 _TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class BpgId:
-    """Name of a finite subgroup of the unit quaternions."""
-
-    family: str
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.family == "cyclic":
-            if self.n is None or self.n < 1:
-                raise DomainError("cyclic group needs n >= 1")
-        elif self.family == "binary_dihedral":
-            if self.n is None or self.n < 2:
-                raise DomainError("binary dihedral group needs n >= 2")
-        elif self.family in _EXCEPTIONAL:
-            if self.n is not None:
-                raise DomainError(f"{self.family} takes no parameter")
-        else:
-            raise UnsupportedFamilyError(f"unknown group family {self.family!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "BpgId":
-        s = text.strip()
-        if ":" in s:
-            fam, _, num = s.partition(":")
-            if not (num.isascii() and num.isdigit()):
-                raise DomainError(f"bad group parameter in {text!r}")
-            return cls(fam, int(num))
-        return cls(s)
-
-    @property
-    def text(self) -> str:
-        return self.family if self.n is None else f"{self.family}:{self.n}"
-
-    @property
-    def order(self) -> int:
-        if self.family == "cyclic":
-            return self.n
-        if self.family == "binary_dihedral":
-            return 4 * self.n
-        return _EXCEPTIONAL[self.family]
-
-    def paired_diagram(self) -> DiagramId:
-        """McKay partner: cyclic(n) <-> A_(n-1), dihedral(n) <-> D_(n+2),
-        tetrahedral <-> E6, octahedral <-> E7, icosahedral <-> E8."""
-        if self.family == "cyclic":
-            if self.n < 2:
-                raise DomainError("cyclic:1 has no paired diagram in the catalog")
-            return DiagramId.parse(f"A{self.n - 1}")
-        if self.family == "binary_dihedral":
-            return DiagramId.parse(f"D{self.n + 2}")
-        name = {"binary_tetrahedral": "E6", "binary_octahedral": "E7",
-                "binary_icosahedral": "E8"}[self.family]
-        return DiagramId.parse(name)
 
 
 def catalog_groups() -> tuple[BpgId, ...]:
@@ -312,7 +247,7 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
             before, total = total, before + power_sums[d]
         value, rest = divmod(total, order)
         if rest:
-            raise NumericalDriftError(
+            raise IdentityViolationError(
                 f"molien coefficient at degree {n}: {total} is not a multiple of |G| = {order}"
             )
         if value < 0:
@@ -368,7 +303,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> tuple[IntMatrix, Repor
     ext = build(did, extended=True)
     b = mckay_operator(ext)
     m0 = molien_coeffs(group, nterms + 1)
-    v = multiplicities(ext, nterms + 2).vectors
+    v = multiplicities(ext, nterms + 2)
     images = [b.mulvec(v[n]) for n in range(nterms + 1)]
 
     boundary = images[0] == v[1]  # v_(-1) is the zero representation
@@ -397,22 +332,6 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> tuple[IntMatrix, Repor
     return b, Report(f"mckay shift for {bid.text} via {did.text}", tuple(checks))
 
 
-def _folded_candidates(did: DiagramId) -> tuple[BpgId, ...]:
-    fam, n = did.family, did.rank
-    if fam in ("B", "C"):
-        return (BpgId("cyclic", 2 * n), BpgId("binary_dihedral", n))
-    if fam == "DD":
-        return (BpgId("binary_dihedral", n - 1), BpgId("binary_dihedral", 2 * n - 2))
-    if fam == "CD":
-        inner = BpgId("cyclic", 4) if n == 2 else BpgId("binary_dihedral", n - 1)
-        return (inner, BpgId("binary_dihedral", 2 * n - 2))
-    if fam in ("F4", "F4dual"):
-        return (BpgId("binary_tetrahedral"), BpgId("binary_octahedral"))
-    if fam in ("G2", "G2dual"):
-        return (BpgId("binary_dihedral", 2), BpgId("binary_tetrahedral"))
-    raise UnsupportedFamilyError(f"{did.text} is not a folded family")
-
-
 def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:
     """Component 0 of a folded diagram against the Molien series of its
     natural subgroup pair (H, G): it must match that of H and differ from
@@ -420,7 +339,7 @@ def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:
     ext = build(did, extended=True)
     component0 = list(component_series(ext, 0, nterms + 1))
     lines = []
-    for bid, expect in zip(_folded_candidates(did), (True, False)):
+    for bid, expect in zip(folded_pair(did), (True, False)):
         coeffs = molien_coeffs(enumerate_group(bid), nterms)
         same = coeffs == component0
         verdict = "matches" if same else "differs from"

@@ -76,7 +76,6 @@ def _star_vertex(diagram: Diagram) -> int:
 class OrbitTable:
     diagram: Diagram
     h: int
-    g: int
     tau_beta: tuple[tuple[int, ...], ...]  # finite coordinates, n = 0..h-1
     z: tuple[tuple[int, ...], ...]         # extended coordinates, n = 0..h
 
@@ -104,7 +103,7 @@ def assembling_vectors(diagram: Diagram) -> OrbitTable:
     total = [sum(zn[i] for zn in z[1:h]) for i in range(1, diagram.size + 1)]
     if tuple(total) != vec_sub(taus[0], taus[h - 1]):
         raise IdentityViolationError("assembling vectors do not telescope to 2 beta")
-    return OrbitTable(diagram, h, g, taus, tuple(z))
+    return OrbitTable(diagram, h, taus, tuple(z))
 
 
 def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:

@@ -36,7 +36,6 @@ from dynkinlab.errors import (
     DomainError,
     GeneratorSetError,
     IdentityViolationError,
-    NumericalDriftError,
     RankError,
 )
 from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
@@ -248,6 +247,10 @@ _TOL = 1e-6
 _STRICT = 1e-9
 
 
+class FloatDriftError(RuntimeError):
+    """A float oracle value is too far from the exact value it stands for."""
+
+
 def _quaternion(a: float, b: float, c: float, d: float) -> Mat2:
     """a + bi + cj + dk as a matrix in the standard SU(2) embedding."""
     return ((complex(a, b), complex(c, d)), (complex(-c, d), complex(a, -b)))
@@ -322,11 +325,11 @@ def float_enumerate_group(bid: BpgId) -> tuple[Mat2, ...]:
     for m in elems:
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if abs(det - 1) >= _STRICT:
-            raise NumericalDriftError(f"{bid.text}: determinant drifted to {det}")
+            raise FloatDriftError(f"{bid.text}: determinant drifted to {det}")
         dot = m[0][0] * m[1][0].conjugate() + m[0][1] * m[1][1].conjugate()
         row0 = abs(m[0][0]) ** 2 + abs(m[0][1]) ** 2
         if abs(dot) >= _STRICT or abs(row0 - 1) >= _STRICT:
-            raise NumericalDriftError(f"{bid.text}: element is not unitary")
+            raise FloatDriftError(f"{bid.text}: element is not unitary")
     return tuple(elems)
 
 
@@ -352,7 +355,7 @@ def float_molien_sums(elements: tuple[Mat2, ...], nterms: int) -> tuple[list[int
         dev = max(abs(value.real - nearest), abs(value.imag))
         worst = max(worst, dev)
         if dev >= _TOL:
-            raise NumericalDriftError(
+            raise FloatDriftError(
                 f"molien coefficient at degree {n} drifted: {value}"
             )
         if nearest < 0:

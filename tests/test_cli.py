@@ -104,8 +104,8 @@ def test_exit_codes_follow_the_error_taxonomy(capsys, monkeypatch):
             violations.add(cls.__name__)
         else:
             assert (code, err) == (1, "error: forced\n"), cls
-    assert len(classes) == 13
-    assert violations == {"IdentityViolationError", "NumericalDriftError", "GeneratorSetError",
+    assert len(classes) == 12
+    assert violations == {"IdentityViolationError", "GeneratorSetError",
                           "CatalogCorruptionError", "ArithmeticError", "ZeroDivisionError"}
 
 
@@ -278,8 +278,8 @@ def test_molien_folded_fails_on_a_swapped_pair(capsys, monkeypatch):
     assert code == 0
     reports = out.count("[PASS] folded molien exploration for ")
     assert reports == 23
-    candidates = molien._folded_candidates
-    monkeypatch.setattr(molien, "_folded_candidates", lambda did: candidates(did)[::-1])
+    pair = molien.folded_pair
+    monkeypatch.setattr(molien, "folded_pair", lambda did: pair(did)[::-1])
     code, out, _ = run(capsys, "verify", "molien-folded")
     assert code == 2
     assert out.count("[FAIL] folded molien exploration for ") == reports

@@ -6,16 +6,20 @@ import pytest
 import sympy
 
 from dynkinlab.diagram import (
+    _FOLDS,
+    RANKED,
     SIMPLY_LACED,
+    BpgId,
     Diagram,
     DiagramId,
     _make,
     build,
     catalog_extended,
     fold,
-    group_order,
+    folded_pair,
     highest_root,
     kostant_numbers,
+    mckay_group,
     nil_root,
 )
 from dynkinlab.errors import (
@@ -169,7 +173,7 @@ def test_fold_g2_from_extended_d4():
     primary, dual = fold(base, (("a0",), ("d2",), ("d1", "f1", "f2")))
     assert primary.cartan == IntMatrix(((2, -1, 0), (-1, 2, -1), (0, -3, 2)))
     assert dual.cartan == primary.cartan.transpose()
-    assert primary.extended and primary.affine_index == 0
+    assert primary.extended and 0 in primary.bipartition[1]
     assert primary.labels == ("a0", "d2", "d1+f1+f2")
 
 
@@ -189,7 +193,7 @@ def test_fold_finite_a3_end_swap():
     primary, dual = fold(build(DiagramId("A", 3)), (("a1", "a3"), ("a2",)))
     assert primary.cartan == IntMatrix(((2, -2), (-1, 2)))
     assert dual.cartan == IntMatrix(((2, -1), (-2, 2)))
-    assert not primary.extended and primary.affine_index is None
+    assert not primary.extended
 
 
 def test_fold_rejects_bad_partitions():
@@ -239,9 +243,28 @@ def test_kostant_numbers():
 
 
 def test_group_orders():
-    assert group_order(DiagramId("A", 1)) == 2
-    assert group_order(DiagramId("D", 4)) == 8
-    assert group_order(DiagramId("E8")) == 120
+    assert mckay_group(DiagramId("A", 1)) == BpgId("cyclic", 2)
+    assert mckay_group(DiagramId("D", 4)).order == 8
+    assert mckay_group(DiagramId("E8")).order == 120
+    with pytest.raises(UnsupportedFamilyError):
+        mckay_group(DiagramId("B", 3))
+
+
+def test_catalog_tables_agree():
+    """Every row of the McKay and fold tables against the other table, on the
+    catalog and at rank 128: a mistyped family, shift, base or group fails."""
+    dids = [d.did for d in catalog_extended()] + [DiagramId(f, 128) for f in RANKED]
+    for did in dids:
+        if did.family in SIMPLY_LACED:
+            assert mckay_group(did).paired_diagram() == did
+            with pytest.raises(UnsupportedFamilyError, match="is not a folded family"):
+                folded_pair(did)
+            continue
+        h, g = folded_pair(did)
+        base, orbits, _ = _FOLDS[did.family](did.rank)
+        assert DiagramId.parse(base) in (h.paired_diagram(), g.paired_diagram()), did
+        ratio = 3 if did.family in ("G2", "G2dual") else 2
+        assert g.order == ratio * h.order == max(map(len, orbits)) * h.order, did
 
 
 def test_catalog_is_large_enough():

@@ -48,7 +48,7 @@ def test_excluded_odd_coxeter_number():
 
 def test_assembling_vectors_e6():
     table = assembling_vectors(build(DiagramId("E6")))
-    assert table.h == 12 and table.g == 6
+    assert table.h == 12
     # z_6 = 2 alpha_x0, z_1 = z_11 = alpha_y3, boundary z_0 = z_12 = alpha_0
     assert table.z[6] == (0, 2, 0, 0, 0, 0, 0)
     assert table.z[1] == (0, 0, 0, 0, 0, 0, 1)
