@@ -9,6 +9,10 @@ variable, series output uses t.
 `verify` looks its checks up in one table, `_checks`.  Inputs beyond the
 MAX_* bounds are usage errors; a group that a check pairs with a diagram
 must also keep that diagram within MAX_RANK.
+
+`main` builds only the parser of the verb it was asked for; with help, no
+verb or an unknown verb it builds the whole tree, so the top-level help and
+the choice errors list every verb.
 """
 
 from __future__ import annotations
@@ -104,11 +108,16 @@ def _paired_group_id(text: str) -> BpgId:
     return bid
 
 
-def _build_parser() -> _Parser:
+def _build_parser(verb: str | None = None) -> _Parser:
+    """The subparser of `verb` alone when it is a key of `_HANDLERS`,
+    otherwise every verb's."""
     p = _Parser(prog="dynkinlab", description="Coxeter transformations, Poincare series and McKay data for Dynkin diagrams")
     sub = p.add_subparsers(dest="verb", required=True, parser_class=_Parser)
+    wanted = (verb,) if verb in _HANDLERS else tuple(_HANDLERS)
 
     def diagram_verb(name: str, help_text: str, *, extended=False, k=False, terms=False):
+        if name not in wanted:
+            return
         q = sub.add_parser(name, help=help_text)
         q.add_argument("diagram", help="diagram name, e.g. E6, A3, DD4")
         if extended:
@@ -120,7 +129,6 @@ def _build_parser() -> _Parser:
             q.add_argument("--terms", type=_terms, default=40,
                            help="number of series coefficients (default 40)")
         q.add_argument("--format", choices=("text", "json"), default="text")
-        return q
 
     diagram_verb("cartan", "print the Cartan matrix", extended=True)
     diagram_verb("coxeter", "print the Coxeter transformation", extended=True)
@@ -130,17 +138,19 @@ def _build_parser() -> _Parser:
     diagram_verb("orbit", "orbit of the highest root under the Coxeter transformation")
     diagram_verb("zpoly", "assembling vectors and their generating polynomials")
 
-    m = sub.add_parser("molien", help="Molien series of a binary polyhedral group")
-    m.add_argument("group", help="cyclic:N, binary_dihedral:N, binary_tetrahedral, binary_octahedral, binary_icosahedral")
-    m.add_argument("--terms", type=_terms, default=40)
-    m.add_argument("--format", choices=("text", "json"), default="text")
+    if "molien" in wanted:
+        m = sub.add_parser("molien", help="Molien series of a binary polyhedral group")
+        m.add_argument("group", help="cyclic:N, binary_dihedral:N, binary_tetrahedral, binary_octahedral, binary_icosahedral")
+        m.add_argument("--terms", type=_terms, default=40)
+        m.add_argument("--format", choices=("text", "json"), default="text")
 
-    v = sub.add_parser("verify", help="run named identity checks")
-    v.add_argument("check", choices=("all", *_checks()))
-    v.add_argument("target", nargs="?", default=None,
-                   help="diagram or group to check (default: whole catalog)")
-    v.add_argument("--terms", type=_terms, default=40)
-    v.add_argument("--format", choices=("text", "json"), default="text")
+    if "verify" in wanted:
+        v = sub.add_parser("verify", help="run named identity checks")
+        v.add_argument("check", choices=("all", *_checks()))
+        v.add_argument("target", nargs="?", default=None,
+                       help="diagram or group to check (default: whole catalog)")
+        v.add_argument("--terms", type=_terms, default=40)
+        v.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
 
@@ -398,7 +408,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.verb](args)

@@ -1,5 +1,6 @@
 """Exit codes, output shapes and JSON round-trips of the command line."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -32,7 +33,11 @@ HIGH_DEGREE_NOMINAL = (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call; help exits by SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -145,6 +150,63 @@ def test_misused_command_lines_fail_cleanly(capsys):
         assert code in (1, 2), argv
         assert out == "", argv
         assert err and "Traceback" not in err, argv
+
+
+# a valid call with every option of each verb
+_EVERY_OPTION = {
+    "cartan": ["cartan", "E6", "--extended", "--format", "json"],
+    "coxeter": ["coxeter", "D4", "--extended", "--format", "json"],
+    "charpoly": ["charpoly", "A3", "--k", "2", "--format", "json"],
+    "quotient": ["quotient", "A3", "--k", "1", "--format", "json"],
+    "poincare": ["poincare", "E6", "--terms", "7", "--format", "json"],
+    "orbit": ["orbit", "E6", "--format", "json"],
+    "zpoly": ["zpoly", "D4", "--format", "json"],
+    "molien": ["molien", "cyclic:3", "--terms", "5", "--format", "json"],
+    "verify": ["verify", "ebeling", "E6", "--terms", "5", "--format", "json"],
+}
+
+
+def test_one_verb_parser_matches_the_full_tree(capsys, monkeypatch):
+    """Each command line gives the same exit code and streams whether
+    `main` builds the requested verb's parser alone or the whole tree."""
+    argvs = [["--help"], [], ["--", "charpoly", "D4"], ["frobnicate", "E6"]]
+    for verb in cli._HANDLERS:
+        argvs += [_EVERY_OPTION[verb], [verb, "--help"]]
+    for seed in (1, 2, 3):
+        argvs += _misused_argv(seed)
+    one_verb = [run(capsys, *argv) for argv in argvs]
+    full_tree = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full_tree())
+    for argv, expected in zip(argvs, one_verb):
+        assert run(capsys, *argv) == expected, argv
+
+
+def test_main_builds_only_the_requested_verbs_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    full_tree = 1 + len(cli._HANDLERS)
+    for argv, parsers in ((["charpoly", "D4"], 2), (["verify", "ebeling", "E6"], 2),
+                          ([], full_tree), (["--help"], full_tree), (["frobnicate", "E6"], full_tree)):
+        built.clear()
+        run(capsys, *argv)
+        assert len(built) == parsers, argv
+
+
+def _verb_choices(parser) -> list[str]:
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(verbs.choices)
+
+
+def test_parser_verbs_are_the_handler_table():
+    assert _verb_choices(cli._build_parser()) == list(cli._HANDLERS)
+    for verb in cli._HANDLERS:
+        assert _verb_choices(cli._build_parser(verb)) == [verb]
 
 
 def test_cartan_json_round_trip(capsys):
