@@ -33,11 +33,7 @@ HIGH_DEGREE_NOMINAL = (
 
 
 def run(capsys, *argv):
-    """(exit code, stdout, stderr) of one call; help exits by SystemExit."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -166,6 +162,17 @@ _EVERY_OPTION = {
 }
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one call; help exits by SystemExit,
+    whose code stands in for the return value here only."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_one_verb_parser_matches_the_full_tree(capsys, monkeypatch):
     """Each command line gives the same exit code and streams whether
     `main` builds the requested verb's parser alone or the whole tree."""
@@ -174,11 +181,11 @@ def test_one_verb_parser_matches_the_full_tree(capsys, monkeypatch):
         argvs += [_EVERY_OPTION[verb], [verb, "--help"]]
     for seed in (1, 2, 3):
         argvs += _misused_argv(seed)
-    one_verb = [run(capsys, *argv) for argv in argvs]
+    one_verb = [_outcome(capsys, argv) for argv in argvs]
     full_tree = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full_tree())
     for argv, expected in zip(argvs, one_verb):
-        assert run(capsys, *argv) == expected, argv
+        assert _outcome(capsys, argv) == expected, argv
 
 
 def test_main_builds_only_the_requested_verbs_parser(capsys, monkeypatch):
@@ -194,7 +201,7 @@ def test_main_builds_only_the_requested_verbs_parser(capsys, monkeypatch):
     for argv, parsers in ((["charpoly", "D4"], 2), (["verify", "ebeling", "E6"], 2),
                           ([], full_tree), (["--help"], full_tree), (["frobnicate", "E6"], full_tree)):
         built.clear()
-        run(capsys, *argv)
+        _outcome(capsys, argv)
         assert len(built) == parsers, argv
 
 
