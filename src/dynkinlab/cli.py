@@ -12,13 +12,12 @@ must also keep that diagram within MAX_RANK.
 
 `main` builds only the parser of the verb it was asked for; with help, no
 verb or an unknown verb it builds the whole tree, so the top-level help and
-the choice errors list every verb.
+the choice errors list every verb.  `json` is imported only to print JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -159,6 +158,8 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
+    import json  # only --format json needs it; every other run starts without it
+
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 

@@ -17,8 +17,8 @@ every product by it visits those only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diagram import Diagram, DiagramId, build
 from .errors import (
@@ -32,8 +32,7 @@ from .exact import IntMatrix, IntPoly, RatFunc, _order, _trusted_matrix, charpol
 L = IntPoly.x()
 
 
-@dataclass(frozen=True)
-class BicoloredPair:
+class BicoloredPair(NamedTuple):
     """The two involutions, each recorded with the vertex class it reflects."""
 
     w1: IntMatrix

@@ -26,13 +26,16 @@ family its base diagram, orbits and Molien pair (H, G) (Slodowy's
 correspondence), and _MCKAY pairs each group family with its A/D/E
 diagram, read one way by BpgId.paired_diagram and the other by
 mckay_group.  Group closure and Molien sums live in molien.py.
+
+The records (DiagramId, Diagram, BpgId) are immutable NamedTuples;
+DiagramId and BpgId validate their fields in __new__.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     CatalogCorruptionError,
@@ -50,25 +53,27 @@ SIMPLY_LACED = ("A", "D", "E6", "E7", "E8")
 _ID_RE = re.compile(r"^(DD|CD|[ABCD])([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class DiagramId:
-    """Family name plus rank for the ranked families (A, D, B, C, DD, CD)."""
-
+class _DiagramIdFields(NamedTuple):
     family: str
     rank: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise UnsupportedFamilyError(f"unknown family {self.family!r}")
-        if self.family in RANKED:
-            if self.rank is None:
-                raise DomainError(f"family {self.family} needs a rank")
-            if self.rank < RANKED[self.family]:
-                raise DomainError(
-                    f"family {self.family} needs rank >= {RANKED[self.family]}"
-                )
-        elif self.rank is not None:
-            raise DomainError(f"family {self.family} does not take a rank")
+
+class DiagramId(_DiagramIdFields):
+    """Family name plus rank for the ranked families (A, D, B, C, DD, CD)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int | None = None) -> "DiagramId":
+        if family not in FAMILIES:
+            raise UnsupportedFamilyError(f"unknown family {family!r}")
+        if family in RANKED:
+            if rank is None:
+                raise DomainError(f"family {family} needs a rank")
+            if rank < RANKED[family]:
+                raise DomainError(f"family {family} needs rank >= {RANKED[family]}")
+        elif rank is not None:
+            raise DomainError(f"family {family} does not take a rank")
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def parse(cls, text: str) -> "DiagramId":
@@ -85,8 +90,7 @@ class DiagramId:
         return self.family if self.rank is None else f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """A diagram instance: vertices, Cartan matrix and derived structure.
 
     bipartition is (part_x, part_y) with both parts mutually non-adjacent,
@@ -344,25 +348,29 @@ _EXCEPTIONAL = {"binary_tetrahedral": 24, "binary_octahedral": 48,
                 "binary_icosahedral": 120}
 
 
-@dataclass(frozen=True)
-class BpgId:
-    """Name of a finite subgroup of the unit quaternions."""
-
+class _BpgIdFields(NamedTuple):
     family: str
     n: int | None = None
 
-    def __post_init__(self):
-        if self.family == "cyclic":
-            if self.n is None or self.n < 1:
+
+class BpgId(_BpgIdFields):
+    """Name of a finite subgroup of the unit quaternions."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int | None = None) -> "BpgId":
+        if family == "cyclic":
+            if n is None or n < 1:
                 raise DomainError("cyclic group needs n >= 1")
-        elif self.family == "binary_dihedral":
-            if self.n is None or self.n < 2:
+        elif family == "binary_dihedral":
+            if n is None or n < 2:
                 raise DomainError("binary dihedral group needs n >= 2")
-        elif self.family in _EXCEPTIONAL:
-            if self.n is not None:
-                raise DomainError(f"{self.family} takes no parameter")
+        elif family in _EXCEPTIONAL:
+            if n is not None:
+                raise DomainError(f"{family} takes no parameter")
         else:
-            raise UnsupportedFamilyError(f"unknown group family {self.family!r}")
+            raise UnsupportedFamilyError(f"unknown group family {family!r}")
+        return super().__new__(cls, family, n)
 
     @classmethod
     def parse(cls, text: str) -> "BpgId":
@@ -464,7 +472,7 @@ def build(did: DiagramId, extended: bool = False) -> Diagram:
         return _extend_simply_laced(did)
     base, orbits, _ = _FOLDS[did.family](did.rank)
     folded, _ = fold(build(DiagramId.parse(base), extended=True), orbits)
-    return replace(folded, did=did)
+    return folded._replace(did=did)
 
 
 def finite_part(diagram: Diagram) -> Diagram:

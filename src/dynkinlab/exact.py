@@ -11,7 +11,6 @@ positive leading denominator coefficient, so the reduced form is canonical.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -155,7 +154,9 @@ class IntPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
+        # a constant equals its int (zero equals 0), so it must hash like it
+        c = self.coeffs
+        return hash(("IntPoly", c)) if len(c) > 1 else hash(c[0] if c else 0)
 
     def __call__(self, value):
         """Evaluate by Horner's rule; value may be int or Fraction."""
@@ -503,7 +504,11 @@ def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
     if d0 == 0:
         raise PoleAtOriginError("denominator vanishes at the origin")
     # dividing by a unit d0 is multiplying by it, which keeps every term an int
-    scale = d0 if d0 in (1, -1) else Fraction(1, d0)
+    if d0 in (1, -1):
+        scale = d0
+    else:
+        from fractions import Fraction  # the package never divides by a non-unit
+        scale = Fraction(1, d0)
     taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
     out = []
     for k in range(nterms):
@@ -549,13 +554,12 @@ def nullspace_primitive(m: IntMatrix) -> tuple[int, ...]:
     if len(free) != 1:
         raise RankError(f"kernel dimension is {len(free)}, expected 1")
     fc = free[0]
-    # with x_fc = 1, row k reads a[k][pc] x_pc + a[k][fc] = 0
-    vec = [Fraction(0)] * cols
-    vec[fc] = Fraction(1)
-    for row_idx, pc in enumerate(pivots):
-        vec[pc] = Fraction(-a[row_idx][fc], a[row_idx][pc])
-    denom = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
+    # with x_fc = D, the lcm of the pivots, row k reads a[k][pc] x_pc + a[k][fc] D = 0
+    d = math.lcm(*(a[k][pc] for k, pc in enumerate(pivots)))
+    ints = [0] * cols
+    ints[fc] = d
+    for k, pc in enumerate(pivots):
+        ints[pc] = -a[k][fc] * d // a[k][pc]
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     if all(v < 0 for v in ints):

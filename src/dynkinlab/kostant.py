@@ -22,8 +22,8 @@ here reduces a fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coxeter import coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, kostant_numbers
@@ -48,8 +48,7 @@ def mckay_operator(diagram: Diagram) -> IntMatrix:
     return diagram.bonds
 
 
-@dataclass(frozen=True)
-class GeneratingFunction:
+class GeneratingFunction(NamedTuple):
     diagram: Diagram
     numerators: tuple[IntPoly, ...]  # det M_i(t), unreduced
     det_m: IntPoly                   # det M(t), the common denominator

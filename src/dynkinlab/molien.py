@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
@@ -46,8 +46,7 @@ def catalog_groups() -> tuple[BpgId, ...]:
             + tuple(map(BpgId, _EXCEPTIONAL)))
 
 
-@dataclass(frozen=True)
-class BpgGroup:
+class BpgGroup(NamedTuple):
     """The elements mod p of a closed group, with the field they live in
     (the prime p and the level L of its root of unity zeta) and the trace
     classes: (j, count) for each trace zeta^j + zeta^-j that occurs."""

@@ -11,8 +11,8 @@ numerators over (1 - t^a)(1 - t^b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, build, highest_root, kostant_numbers
@@ -72,8 +72,7 @@ def _star_vertex(diagram: Diagram) -> int:
     return (diagram.size - 1) // 2  # middle of the odd-rank chain
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(NamedTuple):
     diagram: Diagram
     h: int
     tau_beta: tuple[tuple[int, ...], ...]  # finite coordinates, n = 0..h-1

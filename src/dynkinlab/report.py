@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     name: str
     checks: tuple[tuple[str, bool], ...]
 

@@ -1,10 +1,11 @@
 """Exit codes, output shapes and JSON round-trips of the command line."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import dynkinlab.cli as cli
@@ -22,6 +23,7 @@ from dynkinlab.report import Report
 from oracles import parse_poly
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 # the nominal sizes of the high-degree workload; its other references
 # differ from these by a few terms or a group parameter
 HIGH_DEGREE_NOMINAL = (
@@ -216,6 +218,29 @@ def test_parser_verbs_are_the_handler_table():
         assert _verb_choices(cli._build_parser(verb)) == [verb]
 
 
+# stdlib modules a start-up does not need; each one costs milliseconds to import
+_NOT_AT_START_UP = ("dataclasses", "inspect", "json", "fractions", "decimal")
+_START_UP_CHILD = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "bare = set(sys.modules)\n"
+    "import dynkinlab.cli as cli\n"
+    "cli._build_parser()\n"
+    f"sys.stderr.write(repr(sorted(set({_NOT_AT_START_UP!r}) & set(sys.modules) - bare)))\n"
+    "sys.exit(cli.main(['charpoly', 'E6', '--format', 'json']))\n"
+)
+
+
+def test_start_up_imports_no_unneeded_stdlib_module():
+    """A fresh isolated interpreter imports the CLI and builds its parser
+    without adding any of _NOT_AT_START_UP to the modules its own start-up
+    loaded; --format json then imports json itself."""
+    child = subprocess.run([sys.executable, "-I", "-c", _START_UP_CHILD, str(SRC)],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, "[]")
+    assert json.loads(child.stdout)["diagram"] == "E6"
+
+
 def test_cartan_json_round_trip(capsys):
     _, out, _ = run(capsys, "cartan", "F4dual", "--extended", "--format", "json")
     payload = json.loads(out)
@@ -316,7 +341,7 @@ def test_extended_cycle_at_the_rank_limit(capsys):
 def test_domain_error_in_the_solve_exits_1(capsys, monkeypatch):
     # an "extended E6" whose finite part holds a triangle
     rows = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, -1], [0, -1, -1, 2]]
-    triangle = dataclasses.replace(build(DiagramId("E6"), extended=True),
+    triangle = build(DiagramId("E6"), extended=True)._replace(
                                    labels=("a0", "p", "q", "r"), cartan=IntMatrix(rows), u0=(1,))
     monkeypatch.setattr(cli, "build", lambda did, extended=False: triangle)
     code, out, err = run(capsys, "poincare", "E6", "--terms", "3")
@@ -365,7 +390,7 @@ def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
     for i, k in ((0, 3), (0, 40), (ext.size - 1, 5)):
         nums = list(gf.numerators)
         nums[i] = nums[i] + IntPoly.monomial(k)
-        broken = dataclasses.replace(gf, numerators=tuple(nums))
+        broken = gf._replace(numerators=tuple(nums))
 
         def patched(d, broken=broken):
             return broken if d == ext else real(d)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import sympy
 
+from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import (
     _FOLDS,
     RANKED,
@@ -29,6 +30,10 @@ from dynkinlab.errors import (
     UnsupportedFamilyError,
 )
 from dynkinlab.exact import IntMatrix
+from dynkinlab.kostant import generating_function
+from dynkinlab.molien import enumerate_group
+from dynkinlab.orbit import assembling_vectors
+from dynkinlab.report import Report
 
 
 def _submatrix_drop0(m: IntMatrix) -> IntMatrix:
@@ -54,6 +59,11 @@ def test_diagram_id_parse():
     for text in ("A\u00b2", "D\u0663", "B\uff13"):  # ranks take ASCII digits only
         with pytest.raises(UnsupportedFamilyError):
             DiagramId.parse(text)
+    assert repr(DiagramId("A", 3)) == "DiagramId(family='A', rank=3)"
+    with pytest.raises(DomainError, match="^family A needs a rank$"):
+        DiagramId("A")
+    with pytest.raises(UnsupportedFamilyError, match="^unknown family 'Q'$"):
+        DiagramId("Q", 2)
 
 
 def test_frozen_cartan_matrices():
@@ -187,6 +197,11 @@ def test_fold_f4_pair_from_extended_e6():
     assert dual.cartan == primary.cartan.transpose()
     # finite part of the dual carries the F4 Cartan matrix
     assert _submatrix_drop0(dual.cartan) == build(DiagramId("F4")).cartan
+
+
+def test_folded_build_keeps_the_requested_id():
+    did = build(DiagramId("F4"), extended=True).did
+    assert did == DiagramId("F4") and type(did) is DiagramId
 
 
 def test_fold_finite_a3_end_swap():
@@ -327,3 +342,28 @@ def test_folded_build_makes_no_int_conversion(monkeypatch):
         build.cache_clear()
     assert folded.size == 129
     assert calls == 0
+
+
+_RECORDS = {
+    "DiagramId": lambda: DiagramId("A", 3),
+    "Diagram": lambda: build(DiagramId("E6"), extended=True),
+    "BpgId": lambda: BpgId("cyclic", 3),
+    "BicoloredPair": lambda: bicolored_reflections(build(DiagramId("D", 4))),
+    "GeneratingFunction": lambda: generating_function(build(DiagramId("E6"), extended=True)),
+    "OrbitTable": lambda: assembling_vectors(build(DiagramId("E6"))),
+    "BpgGroup": lambda: enumerate_group(BpgId("binary_tetrahedral")),
+    "Report": lambda: Report("example", (("a check", True),)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_records_are_immutable_values(name):
+    record = _RECORDS[name]()
+    assert type(record).__name__ == name
+    twin = type(record)(*record)
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None

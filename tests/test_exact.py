@@ -102,6 +102,14 @@ def test_poly_arithmetic():
     assert (T**2 + 1).substitute(T**3) == T**6 + 1
 
 
+@pytest.mark.parametrize("c", (-2, 0, 1, 7))
+def test_constant_poly_hashes_like_its_int(c):
+    p = IntPoly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+    assert {c: "x"}[p] == "x"
+
+
 def test_poly_divexact():
     assert (T**3 + 1).divexact(T + 1) == T**2 - T + 1
     assert (T**2 - 1).divexact(T - 1) == T + 1
@@ -172,6 +180,11 @@ def test_series_frozen_values():
     coeffs = series_expand(g.num, 22, g.den)
     assert coeffs[4] == 1
     assert all(coeffs[k] == 0 for k in range(1, 22, 2))
+
+
+def test_series_with_a_non_unit_constant_term():
+    # 1 / (2 - t) = sum t^k / 2^(k+1)
+    assert series_expand(IntPoly.one(), 4, 2 - T) == [Fraction(1, 2 ** (k + 1)) for k in range(4)]
 
 
 def test_series_pole_at_origin():

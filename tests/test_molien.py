@@ -5,7 +5,6 @@ oracle: invariants of -I on binary forms give n+1 in even degrees, and
 (1+t^12)/((1-t^6)(1-t^8)) was multiplied out for the tetrahedral case.
 """
 
-import dataclasses
 import math
 import re
 
@@ -61,6 +60,11 @@ def test_id_validation():
         BpgId("dihedral", 3)
     assert BpgId.parse("binary_dihedral:3").text == "binary_dihedral:3"
     assert BpgId.parse("binary_icosahedral").text == "binary_icosahedral"
+    assert repr(BpgId("cyclic", 3)) == "BpgId(family='cyclic', n=3)"
+    with pytest.raises(DomainError, match="^cyclic group needs n >= 1$"):
+        BpgId("cyclic", 0)
+    with pytest.raises(DomainError, match="^binary_icosahedral takes no parameter$"):
+        BpgId("binary_icosahedral", 2)
 
 
 def test_group_parameter_takes_ascii_digits_only():
@@ -183,7 +187,7 @@ def with_classes(group, edit):
     """group with its trace classes of order 5 passed through edit."""
     fives = [c for c in group.classes if group.level // math.gcd(c[0], group.level) == 5]
     others = [c for c in group.classes if c not in fives]
-    return dataclasses.replace(group, classes=tuple(others + edit(fives)))
+    return group._replace(classes=tuple(others + edit(fives)))
 
 
 def test_sums_need_galois_stable_classes():
@@ -200,11 +204,11 @@ def test_sums_check_each_coefficient():
     # 11 elements named for binary_dihedral:3 (order 12): T(2) = 11 - 12
     short = grp("binary_dihedral:3")
     with pytest.raises(IdentityViolationError, match=re.escape("degree 2: -1 is not a multiple of |G| = 11")):
-        molien_coeffs(dataclasses.replace(short, elements=short.elements[:-1]), 4)
+        molien_coeffs(short._replace(elements=short.elements[:-1]), 4)
     # cyclic:2 = {I, -I} with |G| read as 1: T(2) = 1 + 4 > 3 |G|
     pair = grp("cyclic:2")
     with pytest.raises(IdentityViolationError, match="invariant dimension 5 above dim Sym"):
-        molien_coeffs(dataclasses.replace(pair, elements=pair.elements[:1]), 4)
+        molien_coeffs(pair._replace(elements=pair.elements[:1]), 4)
 
 
 def test_power_trace_sums_once_per_gcd(monkeypatch):
@@ -228,7 +232,7 @@ def test_enumeration_is_cached_and_immutable():
     first = grp("binary_octahedral")
     assert grp("binary_octahedral") is first
     assert enumerate_group.cache_info().misses == 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         first.elements = ()
     assert isinstance(first.elements, tuple)
     assert all(isinstance(row, tuple) for m in first.elements for row in m)
