@@ -16,14 +16,19 @@ is summarised by trace classes (j, count).  The Molien sums are integers:
 the classes are grouped by element order m = L / gcd(j, L), each order
 contributes a Ramanujan sum c_m(n) to the power-trace sum
 P(n) = sum_g tr(g^n), and the summed characters of Sym^n follow from
-T(n) = T(n-2) + P(n), each divided exactly by |G|.
+T(n) = T(n-2) + P(n), each divided exactly by |G|.  L is factored once per
+sum, and P(n) = T(n) - T(n-2) depends only on gcd(n, L): so |G| divides
+every T(n) exactly when it divides P(d) for each gcd d that occurs, which
+is checked once per d before the recurrence runs on the quotients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple
 
 from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
@@ -175,24 +180,19 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
     return BpgGroup(bid, tuple(elems), p, level, tuple(classes))
 
 
-def _totient(m: int) -> int:
-    """Euler's phi(m)."""
-    for r in _prime_factors(m):
-        m = m // r * (r - 1)
-    return m
+def _divisor_tables(level: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Euler's phi(q) and Moebius mu(q) for each divisor q of level, from one factorisation."""
+    phi, mu = {1: 1}, {1: 1}
+    for r in _prime_factors(level):
+        for q in list(phi):
+            power, phi_power, sign = r, r - 1, -1  # r^k, phi(r^k), mu(r^k)
+            while level % (q * power) == 0:
+                phi[q * power], mu[q * power] = phi[q] * phi_power, mu[q] * sign
+                power, phi_power, sign = power * r, phi_power * r, 0
+    return phi, mu
 
 
-def _ramanujan(m: int, n: int) -> int:
-    """c_m(n), the sum of w^n over the primitive m-th roots of unity w:
-    mu(m/d) phi(m) / phi(m/d) with d = gcd(n, m) (Ramanujan, 1918)."""
-    q = m // math.gcd(n, m)
-    primes = _prime_factors(q)
-    if any(q % (r * r) == 0 for r in primes):
-        return 0
-    return (-1) ** len(primes) * (_totient(m) // _totient(q))
-
-
-def _order_weights(group: BpgGroup) -> dict[int, int]:
+def _order_weights(group: BpgGroup, phi: dict[int, int]) -> dict[int, int]:
     """{m: w_m} with sum_g tr(g^n) = sum_m w_m c_m(n) over the element orders m.
 
     A class (j, count) holds elements with eigenvalues zeta^j and zeta^-j of
@@ -206,7 +206,7 @@ def _order_weights(group: BpgGroup) -> dict[int, int]:
         counts.setdefault(group.level // math.gcd(j, group.level), []).append(count)
     weights = {}
     for m, found in counts.items():
-        pairs = _totient(m) // 2
+        pairs = phi[m] // 2
         if m > 2 and (len(found) != pairs or len(set(found)) != 1):
             raise GeneratorSetError(
                 f"{group.bid.text}: the trace classes of order {m} are not Galois stable: "
@@ -216,10 +216,15 @@ def _order_weights(group: BpgGroup) -> dict[int, int]:
     return weights
 
 
-def _power_trace_sum(weights: dict[int, int], d: int) -> int:
-    """P(n) = sum_g tr(g^n) for every n with gcd(n, L) = d; c_m(n) = c_m(d)
-    as each order m divides L."""
-    return sum(w * _ramanujan(m, d) for m, w in weights.items())
+def _power_trace_sum(weights: dict[int, int], d: int, phi: dict[int, int], mu: dict[int, int]) -> int:
+    """P(n) = sum_g tr(g^n) for every n with gcd(n, L) = d: c_m(n) = c_m(d)
+    as each order m divides L, and the Ramanujan sum c_m(d) is
+    mu(q) phi(m) / phi(q) with q = m / gcd(d, m) (Ramanujan, 1918)."""
+    total = 0
+    for m, w in weights.items():
+        q = m // math.gcd(d, m)
+        total += w * mu[q] * (phi[m] // phi[q])
+    return total
 
 
 def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
@@ -229,21 +234,32 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
     s_n = lambda^n + lambda^(n-2) + ... + lambda^-n for the eigenvalues
     lambda^+-1 of g, so s_n = s_(n-2) + tr(g^n).  Summed over the group,
     T(n) = T(n-2) + P(n) with T(-1) = 0 and T(0) = |G|, and the degree-n
-    coefficient is T(n) / |G|, which must be an integer in [0, n + 1]
-    (the invariants lie inside Sym^n).  P(n) is computed once per distinct
-    gcd(n, L).
+    coefficient a_n = T(n) / |G| must be an integer in [0, n + 1] (the
+    invariants lie inside Sym^n).  As P(n) = T(n) - T(n-2), |G| divides
+    every T(n) with n <= nterms exactly when it divides every such P(n),
+    with the same first failing degree; P(n) depends only on
+    d = gcd(n, L), so it is computed and checked once per d.  Then
+    a_n = a_(n-2) + P(n) / |G| from a_0 = 1 and a_(-1) = 0, the steps
+    repeating with period L.  Only a failed check rescans the degrees in
+    order, for the first witness.
     """
-    weights = _order_weights(group)
-    order = group.order
-    power_sums: dict[int, int] = {}
-    out: list[int] = []
+    level, order = group.level, group.order
+    phi, mu = _divisor_tables(level)
+    weights = _order_weights(group, phi)
+    gcds = list(map(math.gcd, range(1, min(nterms, level) + 1), repeat(level)))
+    power_sums = {d: _power_trace_sum(weights, d, phi, mu) for d in set(gcds)}
+    if not any(s % order for s in power_sums.values()):
+        period = [power_sums[d] // order for d in gcds]  # a_n - a_(n-2), n = 1..
+        steps = list(islice(cycle(period), nterms))
+        out = [0] * (nterms + 1)
+        out[0::2] = accumulate(steps[1::2], initial=1)
+        out[1::2] = accumulate(steps[0::2])
+        if min(out) >= 0 and not any(map(operator.gt, out, range(1, nterms + 2))):
+            return out, 0
     before, total = 0, order  # T(n-1), T(n)
     for n in range(nterms + 1):
         if n:
-            d = math.gcd(n, group.level)
-            if d not in power_sums:
-                power_sums[d] = _power_trace_sum(weights, d)
-            before, total = total, before + power_sums[d]
+            before, total = total, before + power_sums[math.gcd(n, level)]
         value, rest = divmod(total, order)
         if rest:
             raise IdentityViolationError(
@@ -257,8 +273,7 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
             raise IdentityViolationError(
                 f"invariant dimension {value} above dim Sym^{n} = {n + 1} at degree {n}"
             )
-        out.append(value)
-    return out, 0
+    raise AssertionError("unreachable: a failed check has a first failing degree")
 
 
 def molien_coeffs(group: BpgGroup, nterms: int) -> list[int]:

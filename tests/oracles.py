@@ -14,7 +14,10 @@ checked against them.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
 per element; the exact closure over F_p in `molien.py` and its per-class
-sums are checked against them.
+sums are checked against them.  `loop_molien_sums` is the integer sum one
+degree at a time, with each Ramanujan sum from trial division and every
+coefficient checked as it is made; the per-gcd-class sums of `molien.py`
+must equal it, failures and their first witness included.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dynkinlab.errors import (
 )
 from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
 from dynkinlab.kostant import mckay_operator
-from dynkinlab.molien import BpgId
+from dynkinlab.molien import BpgGroup, BpgId, _prime_factors
 
 T = IntPoly.x()
 SYM_T = sympy.Symbol("t")
@@ -364,3 +367,89 @@ def float_molien_sums(elements: tuple[Mat2, ...], nterms: int) -> tuple[list[int
             )
         out.append(nearest)
     return out, worst
+
+
+def _totient(m: int) -> int:
+    """Euler's phi(m)."""
+    for r in _prime_factors(m):
+        m = m // r * (r - 1)
+    return m
+
+
+def _ramanujan(m: int, n: int) -> int:
+    """c_m(n), the sum of w^n over the primitive m-th roots of unity w:
+    mu(m/d) phi(m) / phi(m/d) with d = gcd(n, m) (Ramanujan, 1918)."""
+    q = m // math.gcd(n, m)
+    primes = _prime_factors(q)
+    if any(q % (r * r) == 0 for r in primes):
+        return 0
+    return (-1) ** len(primes) * (_totient(m) // _totient(q))
+
+
+def _order_weights(group: BpgGroup) -> dict[int, int]:
+    """{m: w_m} with sum_g tr(g^n) = sum_m w_m c_m(n) over the element orders m.
+
+    A class (j, count) holds elements with eigenvalues zeta^j and zeta^-j of
+    order m = L / gcd(j, L).  For m >= 3 those are a pair of the phi(m)
+    primitive m-th roots, so the Ramanujan sum stands in for the classes of
+    order m only if all phi(m) / 2 of them occur with one count k_m; then
+    w_m = k_m.  For m <= 2 the root +-1 is its own inverse: w_m = 2 count.
+    """
+    counts: dict[int, list[int]] = {}
+    for j, count in group.classes:
+        counts.setdefault(group.level // math.gcd(j, group.level), []).append(count)
+    weights = {}
+    for m, found in counts.items():
+        pairs = _totient(m) // 2
+        if m > 2 and (len(found) != pairs or len(set(found)) != 1):
+            raise GeneratorSetError(
+                f"{group.bid.text}: the trace classes of order {m} are not Galois stable: "
+                f"counts {found} over {pairs} classes"
+            )
+        weights[m] = found[0] if m > 2 else 2 * found[0]
+    return weights
+
+
+def _power_trace_sum(weights: dict[int, int], d: int) -> int:
+    """P(n) = sum_g tr(g^n) for every n with gcd(n, L) = d; c_m(n) = c_m(d)
+    as each order m divides L."""
+    return sum(w * _ramanujan(m, d) for m, w in weights.items())
+
+
+def loop_molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
+    """Molien coefficients 0..nterms and their deviation from integers, 0.
+
+    The character of g on Sym^n, the binary forms of degree n, is
+    s_n = lambda^n + lambda^(n-2) + ... + lambda^-n for the eigenvalues
+    lambda^+-1 of g, so s_n = s_(n-2) + tr(g^n).  Summed over the group,
+    T(n) = T(n-2) + P(n) with T(-1) = 0 and T(0) = |G|, and the degree-n
+    coefficient is T(n) / |G|, which must be an integer in [0, n + 1]
+    (the invariants lie inside Sym^n).  P(n) is computed once per distinct
+    gcd(n, L).
+    """
+    weights = _order_weights(group)
+    order = group.order
+    power_sums: dict[int, int] = {}
+    out: list[int] = []
+    before, total = 0, order  # T(n-1), T(n)
+    for n in range(nterms + 1):
+        if n:
+            d = math.gcd(n, group.level)
+            if d not in power_sums:
+                power_sums[d] = _power_trace_sum(weights, d)
+            before, total = total, before + power_sums[d]
+        value, rest = divmod(total, order)
+        if rest:
+            raise IdentityViolationError(
+                f"molien coefficient at degree {n}: {total} is not a multiple of |G| = {order}"
+            )
+        if value < 0:
+            raise IdentityViolationError(
+                f"negative invariant dimension {value} at degree {n}"
+            )
+        if value > n + 1:
+            raise IdentityViolationError(
+                f"invariant dimension {value} above dim Sym^{n} = {n + 1} at degree {n}"
+            )
+        out.append(value)
+    return out, 0

@@ -28,7 +28,12 @@ from dynkinlab.molien import (
     molien_coeffs,
 )
 
-from oracles import float_contains_minus_identity, float_enumerate_group, float_molien_sums
+from oracles import (
+    float_contains_minus_identity,
+    float_enumerate_group,
+    float_molien_sums,
+    loop_molien_sums,
+)
 
 
 def grp(text: str):
@@ -214,17 +219,66 @@ def test_sums_check_each_coefficient():
 def test_power_trace_sums_once_per_gcd(monkeypatch):
     seen = []
     power_sum = molien._power_trace_sum
+    factored = []
+    prime_factors = molien._prime_factors
 
-    def counted(weights, d):
+    def counted(weights, d, *args):
         seen.append(d)
-        return power_sum(weights, d)
+        return power_sum(weights, d, *args)
+
+    def counted_factors(n):
+        factored.append(n)
+        return prime_factors(n)
 
     monkeypatch.setattr(molien, "_power_trace_sum", counted)
+    monkeypatch.setattr(molien, "_prime_factors", counted_factors)
     for text in ("binary_dihedral:201", "cyclic:1024"):
         group = grp(text)
         seen.clear()
+        factored.clear()
         molien_coeffs(group, 3000)
         assert sorted(seen) == sorted({math.gcd(n, group.level) for n in range(1, 3001)})
+        assert factored == [group.level]  # L is factored once per sum
+
+
+@pytest.mark.parametrize(
+    "text",
+    [g.text for g in catalog_groups()]
+    + ["cyclic:1", "cyclic:1024", "cyclic:1021"]
+    + [f"binary_dihedral:{n}" for n in (198, 199, 200, 201, 202, 255, 256)],
+)
+def test_sums_match_loop_oracle(text):
+    """The per-class sums equal the per-term loop with trial-division
+    Ramanujan sums at 0, 1, 2 and around one and two periods L of gcd(n, L),
+    capped at 100000; cyclic:1021 has the largest L under the order limit."""
+    group = grp(text)
+    level = group.level
+    terms = {min(n, 100000) for n in (0, 1, 2, level - 1, level, level + 1, 2 * level + 3)}
+    if text in ("cyclic:1021", "cyclic:1024"):
+        terms.add(100000)
+    for nterms in sorted(terms):
+        assert molien._molien_sums(group, nterms) == loop_molien_sums(group, nterms), nterms
+
+
+@pytest.mark.parametrize("text, classes, message", [
+    # cyclic:3 with one more element of trace 2 and one of trace -2 taken
+    # away: P(n) gains 4 at odd n only, so T(1) = 4 and every even T(n) stays
+    # a multiple of 3
+    ("cyclic:3", ((0, 2), (40, 2), (60, -1)),
+     "molien coefficient at degree 1: 4 is not a multiple of |G| = 3"),
+    # cyclic:2 = {I, -I}: moving |G| elements from trace 2 to trace -2 takes
+    # 8 from P(n) at odd n only, and the reverse adds 8
+    ("cyclic:2", ((0, -1), (60, 3)), "negative invariant dimension -4 at degree 1"),
+    ("cyclic:2", ((0, 3), (60, -1)), "invariant dimension 4 above dim Sym^1 = 2 at degree 1"),
+], ids=["divisibility", "negative", "above"])
+def test_sums_fail_at_the_first_odd_witness(text, classes, message):
+    """Each tampered group first fails at an odd degree, and only at odd
+    degrees, so a check made at even degrees alone would pass it."""
+    group = grp(text)._replace(classes=classes)
+    for sums in (molien._molien_sums, loop_molien_sums):
+        with pytest.raises(IdentityViolationError) as err:
+            sums(group, 40)
+        assert str(err.value) == message
 
 
 def test_enumeration_is_cached_and_immutable():
