@@ -353,8 +353,7 @@ def _checks() -> dict:
         "z-recurrence": (finite, _even_h_ade, lambda d, terms: verify_z_recurrence(d), 1),
         "mckay-observation": (finite, _even_h_ade, lambda d, terms: verify_observation(d), 1),
         "molien": (_paired_group_id, catalog_groups, crosscheck, 1),
-        "mckay-shift": (_paired_group_id, catalog_groups,
-                        lambda bid, terms: mckay_matrix_numeric(bid, terms)[1], 1),
+        "mckay-shift": (_paired_group_id, catalog_groups, mckay_matrix_numeric, 1),
         "molien-folded": (_diagram_id, lambda: catalog_ids(False), folded_component_report, 1),
     }
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from .coxeter import bicolored_reflections, coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, build
 from .errors import UnsupportedFamilyError
-from .exact import IntMatrix, IntPoly, vec_add
-from .kostant import generating_function, mckay_operator
+from .exact import IntMatrix, IntPoly
+from .kostant import _three_term, generating_function, mckay_operator
 from .orbit import assembling_vectors, z_polynomials
 from .report import Report
 
@@ -50,13 +50,10 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     a_fin = adjacency(diagram)
     a_semi = semi_affine(diagram)
     z = table.z
-    fin = [zn[1:] for zn in z]
 
-    interior = all(
-        a_fin.mulvec(fin[n]) == vec_add(fin[n - 1], fin[n + 1]) for n in range(2, h - 1)
-    )
-    first = a_fin.mulvec(fin[1]) == fin[2]
-    last = a_fin.mulvec(fin[h - 1]) == fin[h - 2]
+    zero = (0,) * diagram.size  # the finite parts of z_0 and z_h
+    holds = _three_term(a_fin, [zero, *(zn[1:] for zn in z[1:h]), zero])
+    first, interior, last = holds[0], all(holds[1:-1]), holds[-1]
     bottom = a_semi.mulvec(z[0]) == z[1]
     top = a_semi.mulvec(z[h]) == z[h - 1]
 

@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
-from .exact import IntMatrix, vec_add
-from .kostant import component_series, mckay_operator, multiplicities
+from .kostant import _three_term, component_series, mckay_operator, multiplicities
 from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -303,9 +302,10 @@ def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
     return Report(f"molien crosscheck {bid.text} vs {did.text}", tuple(checks))
 
 
-def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> tuple[IntMatrix, Report]:
-    """Clebsch-Gordan shift B v_n = v_(n-1) + v_(n+1) on the paired diagram,
-    with component 0 sourced from the Molien sum rather than from Cramer.
+def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
+    """Report on the Clebsch-Gordan shift B v_n = v_(n-1) + v_(n+1) on the
+    paired diagram, with component 0 sourced from the Molien sum rather
+    than from Cramer.
 
     Traces alone cannot rebuild the full multiplicity matrix (that would
     need the irreducible characters), so the report is limited to what the
@@ -316,34 +316,30 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> tuple[IntMatrix, Repor
     did = bid.paired_diagram()
     ext = build(did, extended=True)
     b = mckay_operator(ext)
-    m0 = molien_coeffs(group, nterms + 1)
-    v = multiplicities(ext, nterms + 2)
-    images = [b.mulvec(v[n]) for n in range(nterms + 1)]
-
-    boundary = images[0] == v[1]  # v_(-1) is the zero representation
-    shift = all(
-        images[n] == vec_add(v[n - 1], v[n + 1]) for n in range(1, nterms + 1)
-    )
-    comp0 = images[0][0] == m0[1] and all(
-        images[n][0] == m0[n - 1] + m0[n + 1] for n in range(1, nterms + 1)
+    # indices shifted by one: v[k] = v_(k-1) and m0[k] = m0(k-1), and
+    # v_(-1) = 0 and m0(-1) = 0 are the zero representation
+    m0 = [0, *molien_coeffs(group, nterms + 1)]
+    v = [(0,) * ext.size, *multiplicities(ext, nterms + 2)]
+    holds = _three_term(b, v)
+    row0 = b.rows[0]
+    comp0 = all(
+        sum(map(operator.mul, row0, v[k])) == m0[k - 1] + m0[k + 1]
+        for k in range(1, nterms + 2)
     )
     checks = [
-        ("B v_0 = v_1", boundary),
-        (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", shift),
+        ("B v_0 = v_1", holds[0]),
+        (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:])),
         ("(B v_n)_0 = m0(n-1) + m0(n+1) with molien-sourced m0", comp0),
     ]
     if bid.family == "cyclic" and bid.n >= 2:
-        size = ext.size
-        if size == 2:
-            circulant = b.rows == ((0, 2), (2, 0))
-        else:
-            circulant = all(
-                b[i, j] == (1 if (i - j) % size in (1, size - 1) else 0)
-                for i in range(size)
-                for j in range(size)
-            )
+        s = ext.size  # B = P + P^-1 with P the cyclic shift
+        circulant = all(
+            b[i, j] == ((i - j) % s == 1) + ((j - i) % s == 1)
+            for i in range(s)
+            for j in range(s)
+        )
         checks.append(("B is the 2-regular circulant", circulant))
-    return b, Report(f"mckay shift for {bid.text} via {did.text}", tuple(checks))
+    return Report(f"mckay shift for {bid.text} via {did.text}", tuple(checks))
 
 
 def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:

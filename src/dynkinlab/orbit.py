@@ -1,12 +1,12 @@
 """Orbit of the highest root under the alternating bicolored products.
 
 For a finite simply-laced diagram with even Coxeter number h the sequence
-tau^(n) beta (tau alternates w1 and the full transformation C = w2 w1,
-so tau^(2k) = C^k and tau^(2k+1) = w1 C^k) walks from beta to -beta in
-h - 1 steps.  The assembling vectors z_n = tau^(n-1) beta - tau^(n) beta,
-bordered by z_0 = z_h = alpha_0 on the extended diagram, assemble the
-Kostant generating function components: summing z_n t^n per vertex gives
-numerators over (1 - t^a)(1 - t^b).
+tau^(n) beta walks from beta to -beta in h - 1 steps.  tau applies the two
+bicolored involutions in turn, w1 first and then w2; since C = w2 w1, this
+gives tau^(2k) = C^k and tau^(2k+1) = w1 C^k.  The assembling vectors
+z_n = tau^(n-1) beta - tau^(n) beta, bordered by z_0 = z_h = alpha_0 on the
+extended diagram, assemble the Kostant generating function components:
+summing z_n t^n per vertex gives numerators over (1 - t^a)(1 - t^b).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
+from .coxeter import bicolored_reflections, coxeter_number
 from .diagram import SIMPLY_LACED, Diagram, build, highest_root, kostant_numbers
 from .errors import (
     CatalogCorruptionError,
@@ -43,22 +43,20 @@ def _require_ade_even(diagram: Diagram) -> int:
     return h
 
 
+# no caller repeats a diagram; the cache stays because bench/spans.py counts
+# the walk's steps on cache misses only
 @lru_cache(maxsize=None)
 def tau_orbit(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
-    """tau^(n) beta for n = 0..h-1."""
+    """tau^(n) beta for n = 0..h-1: step n applies w1 when n is odd and w2
+    when it is even, so every even step lands on C^(n/2) beta."""
     h = _require_ade_even(diagram)
     pair = bicolored_reflections(diagram)
     beta = highest_root(diagram)
     if pair.w2.mulvec(beta) != beta:
         raise CatalogCorruptionError("w2 does not fix the highest root")
-    c = coxeter_transform(diagram)
     out = [beta]
-    even = beta
-    while len(out) < h:
-        out.append(pair.w1.mulvec(even))
-        if len(out) < h:
-            even = c.mulvec(even)
-            out.append(even)
+    for n in range(1, h):
+        out.append((pair.w1 if n % 2 else pair.w2).mulvec(out[-1]))
     neg = tuple(-v for v in beta)
     if out[-1] != neg:
         raise IdentityViolationError("tau^(h-1) beta is not -beta")
@@ -149,19 +147,20 @@ def _grid_lines(diagram: Diagram, vec: tuple[int, ...], width: int = 3) -> list[
     return lines
 
 
-def render_orbit_table(table: OrbitTable) -> str:
-    blocks = []
-    for n, vec in enumerate(table.tau_beta):
-        blocks.append("\n".join([f"tau^({n})beta"] + _grid_lines(table.diagram, vec)))
+def _render_blocks(diagram: Diagram, titled) -> str:
+    """One block per (title, vector) pair: the title, then the vector on the grid."""
+    blocks = ("\n".join([title, *_grid_lines(diagram, vec)]) for title, vec in titled)
     return "\n\n".join(blocks) + "\n"
+
+
+def render_orbit_table(table: OrbitTable) -> str:
+    return _render_blocks(
+        table.diagram, ((f"tau^({n})beta", vec) for n, vec in enumerate(table.tau_beta))
+    )
 
 
 def render_z_table(table: OrbitTable) -> str:
-    blocks = []
-    for n in range(1, table.h):
-        finite = table.z[n][1:]
-        blocks.append("\n".join([f"z_{n}"] + _grid_lines(table.diagram, finite)))
-    return "\n\n".join(blocks) + "\n"
+    return _render_blocks(table.diagram, ((f"z_{n}", table.z[n][1:]) for n in range(1, table.h)))
 
 
 def render_z_polynomials(diagram: Diagram) -> str:

@@ -405,6 +405,23 @@ def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
         assert (code, out.startswith("[FAIL]")) == ((2, True) if i == 0 else (0, False)), (i, k)
 
 
+def test_broken_orbit_walk_is_an_identity_violation(capsys, monkeypatch):
+    """With w1 and w2 swapped the walk's own check refuses E6: exit 2, one
+    line on stderr, no traceback."""
+    real = orbit.bicolored_reflections
+    monkeypatch.setattr(orbit, "bicolored_reflections",
+                        lambda d: real(d)._replace(w1=real(d).w2, w2=real(d).w1))
+    caches = (orbit.tau_orbit, orbit.assembling_vectors)
+    for c in caches:
+        c.cache_clear()
+    try:
+        result = run(capsys, "verify", "orbit-form", "E6")
+    finally:
+        for c in caches:
+            c.cache_clear()
+    assert result == (2, "", "identity violation: w2 does not fix the highest root\n")
+
+
 def test_component_0_commands_expand_one_series(capsys, monkeypatch):
     """poincare, verify molien and the folded report read component 0 only,
     so each expands one series, not one per vertex."""
@@ -425,12 +442,10 @@ def test_component_0_commands_expand_one_series(capsys, monkeypatch):
         for go in runs:
             calls.clear()
             kostant.component_series.cache_clear()  # a cached series would hide its call
-            kostant.multiplicities.cache_clear()
             assert go()
             assert len(calls) == 1, calls
     finally:
         kostant.component_series.cache_clear()
-        kostant.multiplicities.cache_clear()
 
 
 def test_rank_above_the_limit_is_a_usage_error(capsys):

@@ -143,14 +143,11 @@ def test_multiplicities_a1():
 
 @pytest.fixture
 def cold_series():
-    """Empty series caches before and after: a cached result computed from
+    """Empty the series cache before and after: a cached result computed from
     another generating function would hide or outlive a patch."""
-    caches = (component_series, multiplicities)
-    for c in caches:
-        c.cache_clear()
+    component_series.cache_clear()
     yield
-    for c in caches:
-        c.cache_clear()
+    component_series.cache_clear()
 
 
 def test_component_series_is_a_column_of_multiplicities(cold_series):
@@ -200,6 +197,25 @@ def test_kostant_relation_reports():
     v = multiplicities(_ext("A1"), 3)
     assert 2 * v[1][1] == v[0][0] + v[2][0]
     assert verify_kostant_relation(_ext("F4"), 40).passed
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_kostant_relation_shift_line_fails_alone(monkeypatch, n):
+    """Extended E6 at 20 terms with one entry of v_n off by one, v_20 being
+    the last vector read: the recurrence line fails and the other two, which
+    never read v, still pass."""
+    real = kostant.multiplicities
+
+    def patched(d, nterms):
+        v = [list(vn) for vn in real(d, nterms)]
+        v[n][2] += 1
+        return tuple(map(tuple, v))
+
+    monkeypatch.setattr(kostant, "multiplicities", patched)
+    r = verify_kostant_relation(_ext("E6"), 20)
+    assert [label for label, ok in r.checks if not ok] == [
+        "B v_n = v_(n-1) + v_(n+1) for 1 <= n <= 19"
+    ]
 
 
 def test_ebeling_reports_spot():

@@ -2,11 +2,12 @@
 
 import pytest
 
+import dynkinlab.mckay as mckay
 from dynkinlab.diagram import DiagramId, build, catalog_extended, finite_part
 from dynkinlab.errors import ExcludedDiagramError, UnsupportedFamilyError
 from dynkinlab.exact import IntMatrix, IntPoly
 from dynkinlab.mckay import adjacency, semi_affine, verify_observation, verify_z_recurrence
-from dynkinlab.orbit import z_polynomials
+from dynkinlab.orbit import assembling_vectors, z_polynomials
 from oracles import parse_poly
 
 
@@ -85,6 +86,27 @@ def test_z_recurrence_reports_pass():
     for name in ("A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"):
         rep = verify_z_recurrence(fin(name))
         assert rep.passed, rep.render()
+
+
+_INTERIOR = "A z_n = z_(n-1) + z_(n+1) for 1 < n < 11"
+
+
+@pytest.mark.parametrize("n, failed", [
+    (1, {"A z_1 = z_2", _INTERIOR, "A^semi z_0 = z_1"}),
+    (3, {_INTERIOR}),
+    (11, {_INTERIOR, "A z_11 = z_10", "A^semi z_12 = z_11"}),
+    (12, {"A^semi z_12 = z_11"}),  # the finite rows of z_h, which A^semi alone reads
+])
+def test_z_recurrence_lines_fail_alone(monkeypatch, n, failed):
+    """E6 with the x0 entry of z_n off by one: exactly the lines that read z_n fail."""
+    d = fin("E6")
+    table = assembling_vectors(d)
+    z = [list(zn) for zn in table.z]
+    z[n][1] += 1
+    broken = table._replace(z=tuple(map(tuple, z)))
+    monkeypatch.setattr(mckay, "assembling_vectors", lambda g: broken)
+    rep = verify_z_recurrence(d)
+    assert {label for label, ok in rep.checks if not ok} == failed
 
 
 def test_z_recurrence_rejects_odd_coxeter_number():

@@ -18,6 +18,7 @@ from dynkinlab.errors import (
     IdentityViolationError,
     UnsupportedFamilyError,
 )
+from dynkinlab.exact import IntMatrix
 from dynkinlab.molien import (
     BpgId,
     catalog_groups,
@@ -318,10 +319,58 @@ def test_crosscheck_reports():
 
 def test_mckay_shift_reports():
     for text in ("cyclic:2", "cyclic:4", "binary_tetrahedral"):
-        b, rep = mckay_matrix_numeric(BpgId.parse(text), 24)
+        rep = mckay_matrix_numeric(BpgId.parse(text), 24)
         assert rep.passed, rep.render()
-    b, _ = mckay_matrix_numeric(BpgId.parse("cyclic:2"), 4)
-    assert b.rows == ((0, 2), (2, 0))
+
+
+_BOUNDARY = "B v_0 = v_1"
+_SHIFT = "B v_n = v_(n-1) + v_(n+1) for n = 1..24"
+_COMPONENT0 = "(B v_n)_0 = m0(n-1) + m0(n+1) with molien-sourced m0"
+_CIRCULANT = "B is the 2-regular circulant"
+
+
+@pytest.mark.parametrize("text", ["cyclic:4", "binary_tetrahedral"])
+def test_mckay_shift_lines_fail_alone(monkeypatch, text):
+    """A Molien coefficient off by one fails the component-0 line only; v_0
+    off by one at the affine vertex fails the two lines that read v_0."""
+    bid = BpgId.parse(text)
+    real_m0, real_v = molien.molien_coeffs, molien.multiplicities
+
+    def m0_off(group, nterms):
+        m0 = list(real_m0(group, nterms))
+        m0[5] += 1
+        return m0
+
+    def v0_off(d, nterms):
+        v = list(real_v(d, nterms))
+        v[0] = (v[0][0] + 1, *v[0][1:])
+        return tuple(v)
+
+    for name, patched, failed in (
+        ("molien_coeffs", m0_off, {_COMPONENT0}),
+        ("multiplicities", v0_off, {_BOUNDARY, _SHIFT}),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(molien, name, patched)
+            rep = mckay_matrix_numeric(bid, 24)
+        assert {label for label, ok in rep.checks if not ok} == failed, name
+
+
+def test_mckay_shift_extra_bond_breaks_the_circulant(monkeypatch):
+    """An extra bond 0 - 2 on the 4-cycle of cyclic:4: B is no longer the
+    circulant, and every line that multiplies by B fails with it."""
+    real = molien.mckay_operator
+
+    def extra_bond(d):
+        rows = [list(row) for row in real(d).rows]
+        rows[0][2] += 1
+        rows[2][0] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(molien, "mckay_operator", extra_bond)
+    rep = mckay_matrix_numeric(BpgId.parse("cyclic:4"), 24)
+    failed = {label for label, ok in rep.checks if not ok}
+    assert failed == {_BOUNDARY, _SHIFT, _COMPONENT0, _CIRCULANT}
 
 
 def test_folded_exploration():

@@ -6,8 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import dynkinlab.orbit as orbit
 from dynkinlab.diagram import DiagramId, build
-from dynkinlab.errors import ExcludedDiagramError, UnsupportedFamilyError
+from dynkinlab.errors import (
+    CatalogCorruptionError,
+    ExcludedDiagramError,
+    IdentityViolationError,
+    UnsupportedFamilyError,
+)
 from dynkinlab.exact import IntPoly, RatFunc
 from dynkinlab.kostant import generating_function
 from dynkinlab.orbit import (
@@ -44,6 +50,52 @@ def test_excluded_odd_coxeter_number():
         tau_orbit(build(DiagramId("A", 4)))
     with pytest.raises(UnsupportedFamilyError):
         tau_orbit(build(DiagramId("B", 3)))
+
+
+@pytest.fixture
+def cold_orbit():
+    """Empty the orbit caches before and after: a walk cached from the real
+    matrices would hide a patch, and one made under a patch would outlive it."""
+    caches = (tau_orbit, assembling_vectors)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def test_swapped_involutions_do_not_fix_the_highest_root(cold_orbit, monkeypatch):
+    real = orbit.bicolored_reflections
+    monkeypatch.setattr(orbit, "bicolored_reflections",
+                        lambda d: real(d)._replace(w1=real(d).w2, w2=real(d).w1))
+    for name in ("E6", "D5", "A3", "E8"):
+        with pytest.raises(CatalogCorruptionError) as exc:
+            tau_orbit(build(DiagramId.parse(name)))
+        assert str(exc.value) == "w2 does not fix the highest root", name
+
+
+def test_a_longer_walk_does_not_end_at_minus_beta(cold_orbit, monkeypatch):
+    real = orbit.coxeter_number
+    monkeypatch.setattr(orbit, "coxeter_number", lambda d: real(d) + 2)
+    with pytest.raises(IdentityViolationError) as exc:
+        tau_orbit(build(DiagramId("E6")))
+    assert str(exc.value) == "tau^(h-1) beta is not -beta"
+
+
+@pytest.mark.parametrize("n, vertex, message", [
+    (1, 0, "assembling vector z_1 has a negative entry"),    # z_1 = beta - tau beta
+    (6, 0, "z_g is not twice the branch vertex"),            # moves one x0 from z_6 to z_7
+    (7, 3, "z_7 breaks the palindrome symmetry"),            # moves one y1 from z_7 to z_8
+])
+def test_perturbed_walk_is_refused(cold_orbit, monkeypatch, n, vertex, message):
+    """E6 with tau^(n) beta one higher at one vertex; every other step is kept."""
+    d = build(DiagramId("E6"))
+    walk = [list(v) for v in tau_orbit(d)]
+    walk[n][vertex] += 1
+    monkeypatch.setattr(orbit, "tau_orbit", lambda g: tuple(map(tuple, walk)))
+    with pytest.raises(IdentityViolationError) as exc:
+        assembling_vectors(d)
+    assert str(exc.value) == message
 
 
 def test_assembling_vectors_e6():
