@@ -419,10 +419,31 @@ def _sparse_left(m: IntMatrix):
     return product
 
 
+def _width(bound: int) -> int:
+    """The least multiple of 8 bits w with |entries| <= bound < 2^(w-1)."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _bias(n: int, w: int) -> int:
+    """2^(w-1) in each of n slots of w bits, w a multiple of 8."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
+
+
 def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
-    """Each row as the one integer sum(v << (w j)) over its entries v, in
-    slots of w bits (Kronecker substitution); `_reader` reads them back."""
-    return [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
+    """Each row as the one integer sum(v << (w j)) over its entries v, in slots
+    of w bits (Kronecker substitution), w a multiple of 8 and |v| < 2^(w-1):
+    v + 2^(w-1) is slot j's bytes, so a row packs in linear time.  `_unpack`
+    reads it back."""
+    nb, half = w // 8, 1 << (w - 1)
+    return [int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in row]), "little")
+            - _bias(len(row), w) for row in rows]
+
+
+def _unpack(x: int, n: int, w: int) -> list[int]:
+    """The n slots of a row packed by `_pack` at width w, in linear time."""
+    nb, half = w // 8, 1 << (w - 1)
+    digits = (x + _bias(n, w)).to_bytes(n * nb, "little")
+    return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 
 def _reader(n: int, w: int):
@@ -450,7 +471,7 @@ def _order(m: IntMatrix, limit: int) -> int | None:
     power, k = m.rows, 1
     while True:
         # so the entries of m^(k+j), j <= _STRIDE, are below 2^(w-1)
-        w = (max(max(map(abs, row)) for row in power) * r**_STRIDE).bit_length() + 1
+        w = _width(max(max(map(abs, row)) for row in power) * r**_STRIDE)
         cur, ident = _pack(power, w), [1 << (w * i) for i in range(n)]
         for _ in range(_STRIDE):
             if cur == ident:
@@ -458,8 +479,7 @@ def _order(m: IntMatrix, limit: int) -> int | None:
             if k == limit:
                 return None
             cur, k = step(cur), k + 1
-        entry = _reader(n, w)
-        power = [[entry(x, j) for j in range(n)] for x in cur]
+        power = [_unpack(x, n, w) for x in cur]
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
@@ -567,12 +587,6 @@ def nullspace_primitive(m: IntMatrix) -> tuple[int, ...]:
     if any(v <= 0 for v in ints):
         raise RankError("kernel vector is not strictly positive")
     return tuple(ints)
-
-
-def vec_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise DimensionError("vector length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

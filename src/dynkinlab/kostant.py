@@ -13,24 +13,24 @@ u in N(0) give every entry in Z[t] with no division.  Ebeling's
 identities compare y_0 and det M with Coxeter characteristic polynomials
 at lambda = t^2, computed from C alone.  Every identity on x(t) is checked
 on the y_i with det M cleared, and since det M(0) = 1 the series of
-y_i / det M expand in integers, one component per call of
-`component_series`.  Commands that compare component 0 only expand
-component 0 only; `multiplicities` assembles every component.  Nothing
-here reduces a fraction.  McKay's relation B v_n = v_(n-1) + v_(n+1) is
-checked term by term in one place, `_three_term`, which `mckay` and
-`molien` call on their own vectors.
+y_i / det M expand in integers: `component_series` expands one, for the
+commands that compare component 0 only; `packed_series` all, from one
+expansion of s = 1/det M and one product per component at t = 2^w
+(Kronecker substitution).  Nothing here reduces a fraction.  McKay's
+relation B v_n = v_(n-1) + v_(n+1) is checked on packed columns in one
+place, `_three_term`, which `mckay` and `molien` call on their own vectors.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .coxeter import coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, kostant_numbers
 from .errors import DomainError, IdentityViolationError
-from .exact import IntMatrix, IntPoly, charpoly, series_expand, vec_add
+from .exact import IntMatrix, IntPoly, _bias, _pack, _unpack, _width, charpoly, series_expand
 from .report import Report
 
 T = IntPoly.x()
@@ -43,6 +43,7 @@ def _name(diagram: Diagram) -> str:
     return f"extended {base}" if diagram.extended else base
 
 
+@lru_cache(maxsize=None)
 def mckay_operator(diagram: Diagram) -> IntMatrix:
     """B = 2I - K on an extended diagram."""
     if not diagram.extended:
@@ -130,15 +131,44 @@ def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
     return coeffs
 
 
+def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
+    """(columns, w): column i = y_i(2^w) s(2^w) mod 2^(w nterms), s = 1/det M
+    expanded once, packs v_n[i], n < nterms, in slots of w bits.  Slot n is
+    at most c max|s_j|, c the largest 1-norm of the y_i and det M, and w
+    keeps r + 2 times that below 2^(w-1), r the largest row sum of B: a
+    negative slot sets its top bit, B v and v_(n-1) + v_(n+1) fit the slots,
+    and evaluation at 2^w is injective on t B y - (1 + t^2) y + det M e0."""
+    gf = generating_function(diagram)
+    s = series_expand(IntPoly.one(), nterms, gf.det_m)
+    r = max(map(sum, mckay_operator(diagram).rows))
+    c = max(sum(map(abs, p.coeffs)) for p in (*gf.numerators, gf.det_m))
+    w = _width((r + 2) * c * max(map(abs, s), default=1))
+    (ps,) = _pack((s,), w)
+    low, sign = (1 << (w * nterms)) - 1, _bias(nterms, w)
+    columns = [(y * ps) & low for y in _pack((p.coeffs for p in gf.numerators), w)]
+    for i, col in enumerate(columns):
+        if col & sign:  # a negative slot: the scalar scan names it and raises
+            component_series(diagram, i, nterms)
+    return columns, w
+
+
 def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:
     """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
-    columns = (component_series(diagram, i, nterms) for i in range(diagram.size))
-    return tuple(zip(*columns))
+    columns, w = packed_series(diagram, nterms)
+    return tuple(zip(*(_unpack(col, nterms, w) for col in columns)))
 
 
-def _three_term(a: IntMatrix, v) -> list[bool]:
-    """Whether a v_n = v_(n-1) + v_(n+1), for each n = 1..len(v) - 2."""
-    return [a.mulvec(v[n]) == vec_add(v[n - 1], v[n + 1]) for n in range(1, len(v) - 1)]
+def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
+    """Whether (B v_k)_i = v_(k-1)[i] + v_(k+1)[i] for all i, for each k < n,
+    v_(-1) = v_n = 0: v[i] packs column i of v_0..v_(n-1) in slots of w
+    bits, bv = B v, every slot below 2^(w-1) in absolute value.  Slot k + 1
+    of bv[i] << w against (v[i] << 2w) + v[i] (>> w would floor a negative
+    slot 0), each with 2^(w-1) added per slot: equal slots, equal bytes."""
+    bias, nb, diff = _bias(n + 2, w), w // 8, 0
+    for lhs, col in zip(bv, v):
+        diff |= ((lhs << w) + bias) ^ ((col << 2 * w) + col + bias)
+    digits, zero = diff.to_bytes((n + 2) * nb, "little"), bytes(nb)
+    return [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
 
 
 def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
@@ -147,18 +177,15 @@ def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
     name = f"kostant relation for {_name(diagram)}"
     b = mckay_operator(diagram)
     try:
-        v = multiplicities(diagram, nterms + 1)
+        v, w = packed_series(diagram, nterms + 1)
     except IdentityViolationError as exc:
         return Report(name, ((f"series expansion: {exc}", False),))
-    rec_ok = all(_three_term(b, v))
-    # x = y / det M: clear the common denominator and compare in Z[t]
+    rec_ok = all(_three_term(b.mulvec(v), v, w, nterms + 1)[1:-1])
+    # x = y / det M: clear det M, compare in Z[t] at t = 2^w (injective there)
     gf = generating_function(diagram)
-    y = gf.numerators
-    by = b.mulvec(y)
-    func_ok = all(
-        T * by[i] == (1 + T**2) * y[i] - (gf.det_m if i == 0 else 0)
-        for i in range(diagram.size)
-    )
+    *y, det_m = _pack((p.coeffs for p in (*gf.numerators, gf.det_m)), w)
+    func_ok = all(by << w == (yi << 2 * w) + yi - (i == 0) * det_m
+                  for i, (by, yi) in enumerate(zip(b.mulvec(y), y)))
     return Report(
         name,
         (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .coxeter import bicolored_reflections, coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, build
 from .errors import UnsupportedFamilyError
-from .exact import IntMatrix, IntPoly
+from .exact import IntMatrix, IntPoly, _pack, _width
 from .kostant import _three_term, generating_function, mckay_operator
 from .orbit import assembling_vectors, z_polynomials
 from .report import Report
@@ -51,8 +51,10 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     a_semi = semi_affine(diagram)
     z = table.z
 
-    zero = (0,) * diagram.size  # the finite parts of z_0 and z_h
-    holds = _three_term(a_fin, [zero, *(zn[1:] for zn in z[1:h]), zero])
+    rows = [zn[1:] for zn in z[1:h]]  # the finite parts of z_0 and z_h are 0
+    w = _width(max(*map(sum, a_fin.rows), 2) * max(map(max, rows)))
+    columns = _pack(zip(*rows), w)
+    holds = _three_term(a_fin.mulvec(columns), columns, w, h - 1)
     first, interior, last = holds[0], all(holds[1:-1]), holds[-1]
     bottom = a_semi.mulvec(z[0]) == z[1]
     top = a_semi.mulvec(z[h]) == z[h - 1]

@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
-from .kostant import _three_term, component_series, mckay_operator, multiplicities
+from .exact import _unpack
+from .kostant import _three_term, component_series, mckay_operator, packed_series
 from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -316,16 +317,12 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
     did = bid.paired_diagram()
     ext = build(did, extended=True)
     b = mckay_operator(ext)
-    # indices shifted by one: v[k] = v_(k-1) and m0[k] = m0(k-1), and
-    # v_(-1) = 0 and m0(-1) = 0 are the zero representation
+    # m0[k] = m0(k-1): m0(-1) = 0 is the zero representation, as v_(-1) in _three_term
     m0 = [0, *molien_coeffs(group, nterms + 1)]
-    v = [(0,) * ext.size, *multiplicities(ext, nterms + 2)]
-    holds = _three_term(b, v)
-    row0 = b.rows[0]
-    comp0 = all(
-        sum(map(operator.mul, row0, v[k])) == m0[k - 1] + m0[k + 1]
-        for k in range(1, nterms + 2)
-    )
+    v, w = packed_series(ext, nterms + 2)
+    bv = b.mulvec(v)
+    holds = _three_term(bv, v, w, nterms + 2)[:-1]
+    comp0 = _unpack(bv[0], nterms + 2, w)[:-1] == [m0[n] + m0[n + 2] for n in range(nterms + 1)]
     checks = [
         ("B v_0 = v_1", holds[0]),
         (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:])),

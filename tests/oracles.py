@@ -10,7 +10,9 @@ diagram's shape; `kostant.generating_function` is checked against it.
 `list_coxeter_number` (C = w2 w1 included) multiply with it, with no slot
 width to get wrong and no product code shared with the package.
 `exact.charpoly`, `coxeter.coxeter_number` and the package's `@` are
-checked against them.
+checked against them.  `list_three_term` checks McKay's three-term relation
+one vector at a time; `kostant._three_term`, which reads it off packed
+columns, is checked against it.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
 per element; the exact closure over F_p in `molien.py` and its per-class
@@ -184,6 +186,12 @@ def list_charpoly(m: IntMatrix) -> IntPoly:
     if mk != zeros(n, n):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return IntPoly(reversed(coeffs))
+
+
+def list_three_term(a: IntMatrix, v) -> list[bool]:
+    """Whether a v_n = v_(n-1) + v_(n+1), for each n = 1..len(v) - 2."""
+    return [a.mulvec(v[n]) == tuple(map(sum, zip(v[n - 1], v[n + 1])))
+            for n in range(1, len(v) - 1)]
 
 
 def list_coxeter_number(diagram: Diagram) -> int:

@@ -20,7 +20,10 @@ from dynkinlab.exact import (
     nullspace_primitive,
     poly_gcd,
     series_expand,
+    _pack,
     _sparse_left,
+    _unpack,
+    _width,
 )
 from oracles import (
     cramer_solve,
@@ -350,6 +353,29 @@ def test_sparse_product_is_built_once_per_matrix():
     assert m == twin and hash(m) == hash(twin)
     with pytest.raises(AttributeError):
         m._product = None
+
+
+@pytest.mark.parametrize("bound", [0, 1, 127, 128, 2**63 - 1, 2**63, 2**100])
+def test_width_is_the_least_byte_multiple_above_the_bound(bound):
+    w = _width(bound)
+    assert w % 8 == 0 and bound < 2 ** (w - 1)
+    assert w == 8 or bound >= 2 ** (w - 9)
+
+
+def test_pack_and_unpack_against_the_shift_sum():
+    """_pack is sum(v << (w j)) by bytes, _unpack its inverse, for signed
+    entries up to the slot limit, slots wider than 64 bits and short rows."""
+    rng = random.Random(17)
+    for w in (8, 16, 24, 64, 72, 136):
+        half = 1 << (w - 1)
+        for n in (0, 1, 2, 3, 40):
+            rows = [[rng.choice((-half, half - 1, 0, rng.randrange(-half, half))) for _ in range(n)]
+                    for _ in range(4)]
+            packed = _pack(rows, w)
+            assert packed == [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
+            assert [_unpack(x, n, w) for x in packed] == rows
+    with pytest.raises(OverflowError):
+        _pack([[128]], 8)
 
 
 def test_ratfunc_frozen_values():

@@ -9,18 +9,20 @@ import pytest
 import dynkinlab.kostant as kostant
 from dynkinlab.diagram import Diagram, DiagramId, build, catalog_extended
 from dynkinlab.errors import DomainError, IdentityViolationError
-from dynkinlab.exact import IntMatrix, IntPoly, RatFunc
+from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, _pack, _width
 from dynkinlab.kostant import (
+    _three_term,
     closed_form_component0,
     component_series,
     generating_function,
     mckay_operator,
     multiplicities,
+    packed_series,
     verify_closed_form,
     verify_ebeling,
     verify_kostant_relation,
 )
-from oracles import cramer_matrix, cramer_solve, sympy_det
+from oracles import cramer_matrix, cramer_solve, list_three_term, sympy_det
 
 T = IntPoly.x()
 
@@ -164,6 +166,62 @@ def test_component_series_is_a_column_of_multiplicities(cold_series):
             assert all(prod.coeff(k) == gf.numerators[i].coeff(k) for k in range(n)), (d.did, i)
 
 
+def test_packed_series_where_the_slots_fill(cold_series):
+    """Long enough that the entries would not fit slots one byte narrower:
+    every column still equals the per-component recurrence."""
+    for text, n in (("A1", 3000), ("E8", 3000), ("G2", 1000), ("C2", 300)):
+        d = _ext(text)
+        columns, w = packed_series(d, n)
+        rows = [component_series(d, i, n) for i in range(d.size)]
+        assert max(map(max, rows)) >= 2 ** (w - 9), text
+        assert columns == _pack(rows, w), text
+
+
+def _relation_vectors(rng, b: IntMatrix, n: int, scale: int) -> list[tuple[int, ...]]:
+    """v_0 random, v_(k+1) = B v_k - v_(k-1) from v_(-1) = 0, then about one
+    vector in three with one entry moved: some relations hold, some fail."""
+    v = [tuple(rng.randrange(-scale, scale + 1) for _ in range(b.ncols))]
+    prev = (0,) * b.ncols
+    while len(v) < n:
+        prev, nxt = v[-1], tuple(x - y for x, y in zip(b.mulvec(v[-1]), prev))
+        v.append(nxt)
+    for k in range(n):
+        if rng.random() < 0.35:
+            vk = list(v[k])
+            vk[rng.randrange(b.ncols)] += rng.choice((-1, 1)) * rng.randrange(1, scale + 2)
+            v[k] = tuple(vk)
+    return v
+
+
+def test_packed_three_term_against_the_list_oracle():
+    """Random signed B and vectors, N in {1, 2, 3} and longer, slots of 8 to
+    well over 64 bits."""
+    rng = random.Random(11)
+    for trial in range(300):
+        size = rng.randrange(1, 6)
+        b = IntMatrix([[rng.randrange(-2, 3) for _ in range(size)] for _ in range(size)])
+        n = rng.choice((1, 2, 3, rng.randrange(4, 12)))
+        v = _relation_vectors(rng, b, n, rng.choice((1, 100, 2**70)))
+        r = max(sum(map(abs, row)) for row in b.rows)
+        w = _width(max(r, 2) * max(abs(x) for vk in v for x in vk))
+        columns = _pack(zip(*v), w)
+        zero = (0,) * size
+        expected = list_three_term(b, [zero, *v, zero])
+        assert _three_term(b.mulvec(columns), columns, w, n) == expected, (trial, b, v)
+
+
+def test_packed_three_term_with_a_negative_slot_0():
+    """v_0 = -1 and N = 1: the packed column shifted right is -1, not the
+    empty column 0, so a check by >> would read v_1 = -1 and fail B v_0 = 0
+    = v_(-1) + v_1."""
+    b = IntMatrix(((0,),))
+    (col,) = _pack([[-1]], 8)
+    assert col >> 8 == -1
+    assert _three_term(b.mulvec([col]), [col], 8, 1) == [True]
+    (col,) = _pack([[-1, 0]], 8)
+    assert _three_term(b.mulvec([col]), [col], 8, 2) == [True, False]
+
+
 def test_negative_coefficient_names_its_component_and_degree(cold_series, monkeypatch):
     d = _ext("E6")
     gf = generating_function(d)
@@ -204,14 +262,14 @@ def test_kostant_relation_shift_line_fails_alone(monkeypatch, n):
     """Extended E6 at 20 terms with one entry of v_n off by one, v_20 being
     the last vector read: the recurrence line fails and the other two, which
     never read v, still pass."""
-    real = kostant.multiplicities
+    real = kostant.packed_series
 
     def patched(d, nterms):
-        v = [list(vn) for vn in real(d, nterms)]
-        v[n][2] += 1
-        return tuple(map(tuple, v))
+        v, w = real(d, nterms)
+        v[2] += 1 << (w * n)  # slot n of column 2
+        return v, w
 
-    monkeypatch.setattr(kostant, "multiplicities", patched)
+    monkeypatch.setattr(kostant, "packed_series", patched)
     r = verify_kostant_relation(_ext("E6"), 20)
     assert [label for label, ok in r.checks if not ok] == [
         "B v_n = v_(n-1) + v_(n+1) for 1 <= n <= 19"

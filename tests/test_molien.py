@@ -334,7 +334,7 @@ def test_mckay_shift_lines_fail_alone(monkeypatch, text):
     """A Molien coefficient off by one fails the component-0 line only; v_0
     off by one at the affine vertex fails the two lines that read v_0."""
     bid = BpgId.parse(text)
-    real_m0, real_v = molien.molien_coeffs, molien.multiplicities
+    real_m0, real_v = molien.molien_coeffs, molien.packed_series
 
     def m0_off(group, nterms):
         m0 = list(real_m0(group, nterms))
@@ -342,13 +342,12 @@ def test_mckay_shift_lines_fail_alone(monkeypatch, text):
         return m0
 
     def v0_off(d, nterms):
-        v = list(real_v(d, nterms))
-        v[0] = (v[0][0] + 1, *v[0][1:])
-        return tuple(v)
+        v, w = real_v(d, nterms)
+        return [v[0] + 1, *v[1:]], w  # slot 0 of column 0
 
     for name, patched, failed in (
         ("molien_coeffs", m0_off, {_COMPONENT0}),
-        ("multiplicities", v0_off, {_BOUNDARY, _SHIFT}),
+        ("packed_series", v0_off, {_BOUNDARY, _SHIFT}),
     ):
         with monkeypatch.context() as m:
             m.setattr(molien, name, patched)
