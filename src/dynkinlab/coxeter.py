@@ -42,12 +42,12 @@ class BicoloredPair(NamedTuple):
 
 def _class_sum(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
     """prod(S_i, i in part) as the class sum I - sum(e_i (row_i K), i in part)."""
-    k, n = diagram.cartan.rows, diagram.size
-    members = set(part)
-    return _trusted_matrix(tuple(
-        tuple((1 if r == c else 0) - (k[r][c] if r in members else 0) for c in range(n))
-        for r in range(n)
-    ))
+    k, rows = diagram.cartan.rows, list(IntMatrix.identity(diagram.size).rows)
+    for r in set(part):
+        row = [-v for v in k[r]]
+        row[r] += 1
+        rows[r] = tuple(row)
+    return _trusted_matrix(tuple(rows))
 
 
 @lru_cache(maxsize=None)

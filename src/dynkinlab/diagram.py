@@ -125,7 +125,10 @@ class Diagram(NamedTuple):
     @property
     def bonds(self) -> IntMatrix:
         """2I - K: entry (i, j) is -K_ij off the diagonal, 0 on it."""
-        return IntMatrix.identity(self.size) * 2 - self.cartan
+        return _trusted_matrix(tuple(
+            tuple(0 if i == j else -v for j, v in enumerate(row))
+            for i, row in enumerate(self.cartan.rows)
+        ))
 
 
 def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

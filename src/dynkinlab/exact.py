@@ -166,11 +166,16 @@ class IntPoly:
         return acc
 
     def substitute(self, p: "IntPoly") -> "IntPoly":
-        """Composition self(p(t))."""
-        acc = IntPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+        """Composition self(p(t)) with a monomial p = c t^m, m >= 1: the
+        coefficient a_k becomes a_k c^k at t^(mk).  Any other p raises
+        ValueError."""
+        pc = p.coeffs
+        m = len(pc) - 1
+        if m < 1 or any(pc[:-1]):
+            raise ValueError("substitute takes a monomial c*t^m with m >= 1")
+        out = [0] * (m * len(self.coeffs) - m + 1)
+        out[::m] = [a * pc[-1] ** k for k, a in enumerate(self.coeffs)]
+        return _trusted(out)
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -322,7 +327,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return _trusted_matrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _trusted_matrix(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @property
     def nrows(self) -> int:
@@ -541,45 +546,55 @@ def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
     return out
 
 
+def _echelon(m: IntMatrix) -> list[tuple[int, dict[int, int]]]:
+    """The pivot rows (c, {col: value}) of m's fraction-free forward
+    elimination, in column order; each has no entry left of its pivot c."""
+    rows = [{c: v for c, v in enumerate(row) if v} for row in m.rows]
+    pivots = []
+    for c in range(m.ncols):
+        k = next((i for i, row in enumerate(rows) if c in row), None)
+        if k is None:
+            continue
+        row_c = rows.pop(k)
+        pv = row_c[c]
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f:
+                new = {j: pv * v for j, v in row.items()}
+                for j, w in row_c.items():
+                    new[j] = new.get(j, 0) - f * w
+                g = math.gcd(*new.values()) or 1
+                rows[i] = {j: v // g for j, v in new.items() if v}
+        pivots.append((c, row_c))
+    return pivots
+
+
 def nullspace_primitive(m: IntMatrix) -> tuple[int, ...]:
     """Primitive positive integer kernel vector of a corank-one matrix.
 
-    Fraction-free Gauss-Jordan: pivot pv of row r clears column c by
-    row_i <- pv row_i - f row_r, then row_i is divided by its gcd.
+    Fraction-free forward elimination on sparse rows {col: value}: the pivot
+    pv of column c clears it below by row_i <- pv row_i - f row_c, and each
+    changed row is divided by its gcd, so it stays primitive and no larger
+    than its Bareiss row.  A Cartan matrix (a tree, or the affine A_n cycle)
+    makes almost no fill (Parter 1961).  Back-substitution starts at x = 1
+    in the free column and scales the partial x by |pv| / gcd(s, pv) where
+    a pivot does not divide its row sum s.
     Raises RankError unless the kernel has dimension exactly 1 and the
     generator can be scaled to have all entries positive.
     """
-    n, cols = m.nrows, m.ncols
-    a = [list(row) for row in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        row_r = a[r]
-        pv = row_r[c]
-        for i in range(n):
-            f = a[i][c]
-            if i != r and f:
-                row = [pv * v - f * w for v, w in zip(a[i], row_r)]
-                g = math.gcd(*row)
-                a[i] = [v // g for v in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    cols = m.ncols
+    pivots = _echelon(m)
+    free = set(range(cols)).difference(c for c, _ in pivots)
     if len(free) != 1:
         raise RankError(f"kernel dimension is {len(free)}, expected 1")
-    fc = free[0]
-    # with x_fc = D, the lcm of the pivots, row k reads a[k][pc] x_pc + a[k][fc] D = 0
-    d = math.lcm(*(a[k][pc] for k, pc in enumerate(pivots)))
     ints = [0] * cols
-    ints[fc] = d
-    for k, pc in enumerate(pivots):
-        ints[pc] = -a[k][fc] * d // a[k][pc]
+    ints[free.pop()] = 1
+    for c, row in reversed(pivots):
+        s, pv = sum(v * ints[j] for j, v in row.items()), row[c]
+        if s % pv:
+            scale = abs(pv) // math.gcd(s, pv)
+            ints, s = [v * scale for v in ints], s * scale
+        ints[c] = -s // pv
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     if all(v < 0 for v in ints):

@@ -10,8 +10,12 @@ diagram's shape; `kostant.generating_function` is checked against it.
 `list_coxeter_number` (C = w2 w1 included) multiply with it, with no slot
 width to get wrong and no product code shared with the package.
 `exact.charpoly`, `coxeter.coxeter_number` and the package's `@` are
-checked against them.  `list_three_term` checks McKay's three-term relation
-one vector at a time; `kostant._three_term`, which reads it off packed
+checked against them.  `gauss_jordan_nullspace` is the dense
+fraction-free Gauss-Jordan kernel vector and `horner_substitute` the
+composition by Horner's rule for any inner polynomial; the sparse
+elimination of `exact.nullspace_primitive` and the monomial-only
+`IntPoly.substitute` are checked against them.  `list_three_term` checks
+McKay's three-term relation one vector at a time; `kostant._three_term`, which reads it off packed
 columns, is checked against it.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
@@ -186,6 +190,59 @@ def list_charpoly(m: IntMatrix) -> IntPoly:
     if mk != zeros(n, n):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return IntPoly(reversed(coeffs))
+
+
+def gauss_jordan_nullspace(m: IntMatrix) -> tuple[int, ...]:
+    """Primitive positive integer kernel vector of a corank-one matrix, by
+    dense fraction-free Gauss-Jordan: the pivot pv of row r clears column c
+    from every other row by row_i <- pv row_i - f row_r, then row_i is
+    divided by its gcd.  Raises RankError with the package's texts."""
+    n, cols = m.nrows, m.ncols
+    a = [list(row) for row in m.rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, n) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        row_r = a[r]
+        pv = row_r[c]
+        for i in range(n):
+            f = a[i][c]
+            if i != r and f:
+                row = [pv * v - f * w for v, w in zip(a[i], row_r)]
+                g = math.gcd(*row)
+                a[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    if len(free) != 1:
+        raise RankError(f"kernel dimension is {len(free)}, expected 1")
+    fc = free[0]
+    # with x_fc = D, the lcm of the pivots, row k reads a[k][pc] x_pc + a[k][fc] D = 0
+    d = math.lcm(*(a[k][pc] for k, pc in enumerate(pivots)))
+    ints = [0] * cols
+    ints[fc] = d
+    for k, pc in enumerate(pivots):
+        ints[pc] = -a[k][fc] * d // a[k][pc]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    if all(v < 0 for v in ints):
+        ints = [-v for v in ints]
+    if any(v <= 0 for v in ints):
+        raise RankError("kernel vector is not strictly positive")
+    return tuple(ints)
+
+
+def horner_substitute(f: IntPoly, p: IntPoly) -> IntPoly:
+    """The composition f(p(t)) by Horner's rule, for any p."""
+    acc = IntPoly.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * p + c
+    return acc
 
 
 def list_three_term(a: IntMatrix, v) -> list[bool]:

@@ -12,6 +12,7 @@ import dynkinlab
 from dynkinlab import diagram as diagram_module
 from dynkinlab.cli import main
 from dynkinlab.coxeter import (
+    _class_sum,
     affine_A_charpoly,
     bicolored_reflections,
     char_polys,
@@ -88,6 +89,19 @@ def test_pair_matches_reflection_products_on_catalog():
         assert pair.w1 == reflection_product(d, part_y)
         assert pair.w2 == reflection_product(d, part_x)
         assert pair.w2 == reflection_product(d, tuple(reversed(part_x)))
+
+
+def test_bonds_and_class_sums_match_their_entrywise_forms():
+    exts = list(catalog_extended())
+    exts += [build(DiagramId.parse(t), extended=True) for t in ("D128", "A127")]
+    for d in [d for ext in exts for d in (ext, finite_part(ext))]:
+        k, n = d.cartan.rows, d.size
+        assert d.bonds == IntMatrix.identity(n) * 2 - d.cartan
+        for part in (d.bipartition or ()) + (tuple(range(0, n, 3)), ()):
+            assert _class_sum(d, part) == IntMatrix(
+                tuple((1 if r == c else 0) - (k[r][c] if r in part else 0) for c in range(n))
+                for r in range(n)
+            ), (d.labels, part)
 
 
 def test_coxeter_number_closed_forms():

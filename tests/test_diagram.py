@@ -34,6 +34,7 @@ from dynkinlab.kostant import generating_function
 from dynkinlab.molien import enumerate_group
 from dynkinlab.orbit import assembling_vectors
 from dynkinlab.report import Report
+from oracles import gauss_jordan_nullspace
 
 
 def _submatrix_drop0(m: IntMatrix) -> IntMatrix:
@@ -126,6 +127,15 @@ def test_nil_roots():
     assert nil_root(build(DiagramId("CD", 4), extended=True)) == (1, 1, 2, 2, 1)
     with pytest.raises(DomainError):
         nil_root(build(DiagramId("A", 2)))
+
+
+@pytest.mark.parametrize("text", ["D128", "A127", "B128", "C128", "DD128", "CD64"])
+def test_nil_root_at_the_rank_limit(text):
+    ext = build(DiagramId.parse(text), extended=True)
+    delta = nil_root(ext)
+    assert ext.cartan.mulvec(delta) == (0,) * ext.size
+    assert delta[0] == 1
+    assert delta == gauss_jordan_nullspace(ext.cartan)
 
 
 def test_nil_root_affine_coordinate_is_one():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dynkinlab.exact import (
     nullspace_primitive,
     poly_gcd,
     series_expand,
+    _echelon,
     _pack,
     _sparse_left,
     _unpack,
@@ -28,6 +30,8 @@ from dynkinlab.exact import (
 from oracles import (
     cramer_solve,
     det,
+    gauss_jordan_nullspace,
+    horner_substitute,
     list_charpoly,
     list_matmul,
     parse_poly,
@@ -103,6 +107,24 @@ def test_poly_arithmetic():
     assert p(1) == 2
     assert p(Fraction(1, 2)) == Fraction(1, 1) + Fraction(2, 8) - Fraction(1, 32)
     assert (T**2 + 1).substitute(T**3) == T**6 + 1
+
+
+@pytest.mark.parametrize("p", [1 + T, IntPoly.const(2), IntPoly.zero()])
+def test_substitute_takes_a_monomial_of_positive_degree_only(p):
+    with pytest.raises(ValueError, match="monomial"):
+        (1 + T**2).substitute(p)
+
+
+def test_substitute_against_horner():
+    rng = random.Random(1202)
+    polys = [IntPoly.zero(), IntPoly.one(), IntPoly.const(-3), T, 2 - T**4]
+    polys += [IntPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+    for c in (1, -1, 2):
+        for m in (1, 2, 3):
+            p = IntPoly.monomial(m, c)
+            for f in polys:
+                assert f.substitute(p) == horner_substitute(f, p), (f, p)
+    assert IntPoly.zero().substitute(T**2).coeffs == ()
 
 
 @pytest.mark.parametrize("c", (-2, 0, 1, 7))
@@ -283,6 +305,89 @@ def test_nullspace_rank_errors():
         nullspace_primitive(IntMatrix(((1, 1), (2, 2))))
     with pytest.raises(RankError, match="not strictly positive"):
         nullspace_primitive(IntMatrix(((1, 0, 0), (0, 1, -1))))
+
+
+def random_shaped_corank_one(rng, n: int, cycle: bool) -> list[list[int]]:
+    """The rows of an n x n matrix supported on the diagonal and the edges of
+    a random labelled tree, or of a cycle through all n vertices, with a
+    random kernel vector v (some entries negative): edge entries a_ij are
+    random, row i is v_i a_i off the diagonal and -sum_j a_ij v_j on it."""
+    signs = (1, 1, 1, 1, -1) if rng.random() < 0.3 else (1,)
+    v = [rng.choice(signs) * rng.randint(1, 5) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    if cycle:
+        edges = list(zip(order, order[1:] + order[:1]))
+    else:
+        edges = [(order[k], order[rng.randrange(k)]) for k in range(1, n)]
+    a = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        a[i][j], a[j][i] = rng.choice((-3, -2, -1, -1, 1)), rng.choice((-2, -1, -1, 2))
+    rows = [[v[i] * x for x in row] for i, row in enumerate(a)]
+    for i in range(n):
+        rows[i][i] = -sum(x * y for x, y in zip(a[i], v))
+    return rows
+
+
+def random_elimination_inputs(rng):
+    """Random corank-one matrices, tree- and cycle-shaped up to n = 40 and
+    dense up to 16 columns, shuffled so that pivots need row swaps; some are
+    made non-square by two dropped rows or one added row, some regular by
+    one changed entry."""
+    for case in range(240):
+        n = rng.randint(2, 40)
+        if case % 3 == 2:
+            cols = rng.randint(2, 16)
+            signs = (1, 1, -1) if rng.random() < 0.3 else (1,)
+            kernel = [rng.choice(signs) * rng.randint(1, 4) for _ in range(cols - 1)] + [1]
+            rows = [list(row) for row in random_corank_one(rng, cols - 1, kernel).rows]
+        else:
+            rows = random_shaped_corank_one(rng, n, cycle=case % 3 == 1)
+        change = rng.randrange(6)
+        if change == 0 and len(rows) > 2:
+            del rows[:2]
+        elif change == 1:
+            rows.append([2 * x - y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+        elif change == 2:
+            i = rng.randrange(len(rows))
+            rows[i][rng.randrange(len(rows[i]))] += 1
+        rng.shuffle(rows)
+        yield IntMatrix(rows)
+
+
+def kernel_or_error(solve, m: IntMatrix):
+    try:
+        return solve(m)
+    except RankError as exc:
+        return str(exc)
+
+
+def test_nullspace_against_gauss_jordan_oracle():
+    seen: dict[str, int] = {}
+    for m in random_elimination_inputs(random.Random(1961)):
+        got = kernel_or_error(nullspace_primitive, m)
+        assert got == kernel_or_error(gauss_jordan_nullspace, m), m
+        key = got if isinstance(got, str) else "vector"
+        seen[key] = seen.get(key, 0) + 1
+    for key in ("vector", "kernel dimension is 0, expected 1",
+                "kernel dimension is 2, expected 1", "kernel vector is not strictly positive"):
+        assert seen.get(key, 0) >= 15, seen
+
+
+def test_echelon_rows_are_primitive_and_triangular():
+    """Each changed row is divided by its gcd, so from primitive input rows
+    every pivot row is primitive; it starts at its pivot, stores no zero,
+    and there is one pivot row per unit of rank."""
+    for m in random_elimination_inputs(random.Random(1968)):
+        m = IntMatrix([x // math.gcd(*row) for x in row] if any(row) else row for row in m.rows)
+        pivots = _echelon(m)
+        got = kernel_or_error(gauss_jordan_nullspace, m)
+        dim = isinstance(got, str) and got.startswith("kernel dimension")
+        corank = int(got.split()[3][:-1]) if dim else 1
+        assert len(pivots) == m.ncols - corank
+        assert [c for c, _ in pivots] == sorted({c for c, _ in pivots})
+        for c, row in pivots:
+            assert min(row) == c and 0 not in row.values()
+            assert math.gcd(*row.values()) == 1, (m, c, row)
 
 
 def naive_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
