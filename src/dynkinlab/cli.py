@@ -6,9 +6,12 @@ division that does not divide.  Output is deterministic
 for a fixed command line; char-polynomial output uses L for the eigenvalue
 variable, series output uses t.
 
-`verify` looks its checks up in one table, `_checks`.  Inputs beyond the
-MAX_* bounds are usage errors; a group that a check pairs with a diagram
-must also keep that diagram within MAX_RANK.
+Each verb computes its result once and returns its text with a JSON
+document built lazily, only under --format json; `main` alone prints,
+inside the one `try` that maps errors to exit codes.  `verify` looks its
+checks up in one table, `_checks`.  Inputs beyond the MAX_* bounds are
+usage errors; a group that a check pairs with a diagram must also keep
+that diagram within MAX_RANK.
 
 `main` builds only the parser of the verb it was asked for; with help, no
 verb or an unknown verb it builds the whole tree, so the top-level help and
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quotient
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended
@@ -153,60 +157,46 @@ def _build_parser(verb: str | None = None) -> _Parser:
     return p
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+class _Result(NamedTuple):
+    """One verb's answer: its text, a callable that builds its JSON
+    document (called under --format json only) and its exit code."""
+
+    text: str
+    document: Callable[[], dict]
+    code: int = 0
 
 
-def _emit_json(obj) -> None:
-    import json  # only --format json needs it; every other run starts without it
-
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _matrix_lines(labels, m) -> list[str]:
+def _matrix_result(d: Diagram, m, header: list[str], **extra) -> _Result:
+    """The header, then one row of `m` per vertex of `d` after its label."""
     cells = [[str(v) for v in row] for row in m.rows]
     width = max(len(s) for row in cells for s in row)
-    label_width = max(len(s) for s in labels)
-    return [
-        f"{labels[i].ljust(label_width)} | " + " ".join(s.rjust(width) for s in cells[i])
-        for i in range(len(cells))
-    ]
+    label_width = max(len(s) for s in d.labels)
+    rows = [f"{label.ljust(label_width)} | " + " ".join(s.rjust(width) for s in row)
+            for label, row in zip(d.labels, cells)]
+    return _Result("\n".join(header + rows), lambda: {
+        "diagram": d.did.text,
+        "extended": d.extended,
+        "labels": list(d.labels),
+        "matrix": [list(row) for row in m.rows],
+        **extra,
+    })
 
 
-def _cmd_cartan(args) -> int:
+def _cmd_cartan(args) -> _Result:
     d = build(_diagram_id(args.diagram), extended=args.extended)
-    if args.format == "json":
-        _emit_json({
-            "diagram": d.did.text,
-            "extended": d.extended,
-            "labels": list(d.labels),
-            "matrix": [list(row) for row in d.cartan.rows],
-        })
-        return 0
     kind = "extended" if d.extended else "finite"
-    _emit("\n".join([f"cartan matrix of {d.did.text} ({kind})"] + _matrix_lines(d.labels, d.cartan)))
-    return 0
+    return _matrix_result(d, d.cartan, [f"cartan matrix of {d.did.text} ({kind})"])
 
 
-def _cmd_coxeter(args) -> int:
+def _cmd_coxeter(args) -> _Result:
     d = build(_diagram_id(args.diagram), extended=args.extended)
     c = coxeter_transform(d)
     h = None if d.extended else coxeter_number(d)
-    if args.format == "json":
-        _emit_json({
-            "diagram": d.did.text,
-            "extended": d.extended,
-            "labels": list(d.labels),
-            "matrix": [list(row) for row in c.rows],
-            "coxeter_number": h,
-        })
-        return 0
     kind = "affine Coxeter transformation" if d.extended else "Coxeter transformation"
-    lines = [f"{kind} of {d.did.text} (bicolored product)"]
+    header = [f"{kind} of {d.did.text} (bicolored product)"]
     if h is not None:
-        lines.append(f"coxeter number: {h}")
-    _emit("\n".join(lines + _matrix_lines(d.labels, c)))
-    return 0
+        header.append(f"coxeter number: {h}")
+    return _matrix_result(d, c, header, coxeter_number=h)
 
 
 def _parse_k_target(args) -> DiagramId:
@@ -216,111 +206,80 @@ def _parse_k_target(args) -> DiagramId:
     return did
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args) -> _Result:
     did = _parse_k_target(args)
-    chi, chi_affine = char_polys(did, args.k)
-    if args.format == "json":
-        _emit_json({
-            "diagram": did.text,
-            "k": args.k,
-            "chi": format_poly(chi, "L"),
-            "chi_affine": format_poly(chi_affine, "L"),
-        })
-        return 0
-    _emit("\n".join([
+    chi, chi_affine = (format_poly(p, "L") for p in char_polys(did, args.k))
+    return _Result("\n".join([
         f"characteristic polynomials for {did.text}" + (f" (k = {args.k})" if args.k is not None else ""),
-        f"chi        = {format_poly(chi, 'L')}",
-        f"chi_affine = {format_poly(chi_affine, 'L')}",
-    ]))
-    return 0
+        f"chi        = {chi}",
+        f"chi_affine = {chi_affine}",
+    ]), lambda: {"diagram": did.text, "k": args.k, "chi": chi, "chi_affine": chi_affine})
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> _Result:
     did = _parse_k_target(args)
     q = ebeling_quotient(did, args.k)
-    if args.format == "json":
-        _emit_json({
-            "diagram": did.text,
-            "k": args.k,
-            "num": format_poly(q.num, "L"),
-            "den": format_poly(q.den, "L"),
-        })
-        return 0
-    _emit(f"chi / chi_affine for {did.text} = {format_ratfunc(q, 'L')}")
-    return 0
+    return _Result(f"chi / chi_affine for {did.text} = {format_ratfunc(q, 'L')}", lambda: {
+        "diagram": did.text,
+        "k": args.k,
+        "num": format_poly(q.num, "L"),
+        "den": format_poly(q.den, "L"),
+    })
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> _Result:
     did = _diagram_id(args.diagram)
     ext = build(did, extended=True)
     gf = generating_function(ext)
     component0 = RatFunc(gf.numerators[0], gf.det_m)
     coeffs = component_series(ext, 0, args.terms)
-    if args.format == "json":
-        _emit_json({
-            "diagram": did.text,
-            "terms": args.terms,
-            "rational": {"num": format_poly(component0.num),
-                         "den": format_poly(component0.den)},
-            "component0": coeffs,
-        })
-        return 0
-    _emit("\n".join([
+    return _Result("\n".join([
         f"component 0 for {did.text}: {format_ratfunc(component0)}",
         f"coefficients (t^0..t^{args.terms - 1}): " + ", ".join(str(c) for c in coeffs),
-    ]))
-    return 0
+    ]), lambda: {
+        "diagram": did.text,
+        "terms": args.terms,
+        "rational": {"num": format_poly(component0.num),
+                     "den": format_poly(component0.den)},
+        "component0": coeffs,
+    })
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> _Result:
     d = build(_diagram_id(args.diagram))
     table = assembling_vectors(d)
-    if args.format == "json":
-        _emit_json({
-            "diagram": d.did.text,
-            "coxeter_number": table.h,
-            "labels": list(d.labels),
-            "orbit": [list(v) for v in table.tau_beta],
-        })
-        return 0
-    _emit(render_orbit_table(table))
-    return 0
+    return _Result(render_orbit_table(table), lambda: {
+        "diagram": d.did.text,
+        "coxeter_number": table.h,
+        "labels": list(d.labels),
+        "orbit": [list(v) for v in table.tau_beta],
+    })
 
 
-def _cmd_zpoly(args) -> int:
+def _cmd_zpoly(args) -> _Result:
     d = build(_diagram_id(args.diagram))
     table = assembling_vectors(d)
-    ext = build(d.did, extended=True)
-    if args.format == "json":
-        polys = z_polynomials(d)
-        _emit_json({
+
+    def document():
+        ext, polys = build(d.did, extended=True), z_polynomials(d)
+        return {
             "diagram": d.did.text,
             "labels": list(ext.labels),
             "z_vectors": [list(v) for v in table.z],
             "z_polynomials": {ext.labels[i]: format_poly(polys[i]) for i in range(ext.size)},
-        })
-        return 0
-    _emit(render_z_table(table).rstrip("\n") + "\n\n" + render_z_polynomials(d))
-    return 0
+        }
+
+    return _Result(render_z_table(table).rstrip("\n") + "\n\n" + render_z_polynomials(d), document)
 
 
-def _cmd_molien(args) -> int:
+def _cmd_molien(args) -> _Result:
     bid = _group_id(args.group)
     group = enumerate_group(bid)
     coeffs = molien_coeffs(group, args.terms - 1)
-    if args.format == "json":
-        _emit_json({
-            "group": bid.text,
-            "order": group.order,
-            "terms": args.terms,
-            "coefficients": coeffs,
-        })
-        return 0
-    _emit("\n".join([
+    return _Result("\n".join([
         f"group {bid.text}, order {group.order}",
         f"molien coefficients (t^0..t^{args.terms - 1}): " + ", ".join(str(c) for c in coeffs),
-    ]))
-    return 0
+    ]), lambda: {"group": bid.text, "order": group.order, "terms": args.terms, "coefficients": coeffs})
 
 
 def _even_h_ade() -> list[Diagram]:
@@ -358,40 +317,31 @@ def _checks() -> dict:
     }
 
 
-def _verify_reports(check: str, target: str | None, terms: int) -> list[Report]:
+def _cmd_verify(args) -> _Result:
     table = _checks()
-    rows = list(table.values()) if check == "all" else [table[check]]
+    rows = list(table.values()) if args.check == "all" else [table[args.check]]
     least = max(row[3] for row in rows)
-    if terms < least:
-        raise _UsageError(f"check {check!r} needs --terms >= {least}")
-    if check == "all" and target is not None:
+    if args.terms < least:
+        raise _UsageError(f"check {args.check!r} needs --terms >= {least}")
+    if args.check == "all" and args.target is not None:
         raise _UsageError("check 'all' takes no target")
     reports: list[Report] = []
     for parse, default, fn, _ in rows:
-        targets = [parse(target)] if target is not None else default()
-        reports += [fn(x, terms) for x in targets]
-    return reports
-
-
-def _cmd_verify(args) -> int:
-    reports = _verify_reports(args.check, args.target, args.terms)
+        targets = [parse(args.target)] if args.target is not None else default()
+        reports += [fn(x, args.terms) for x in targets]
     ok = all(r.passed for r in reports)
-    if args.format == "json":
-        _emit_json({
-            "check": args.check,
-            "passed": ok,
-            "reports": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "checks": [{"label": label, "ok": good} for label, good in r.checks],
-                }
-                for r in reports
-            ],
-        })
-    else:
-        _emit("\n\n".join(r.render() for r in reports))
-    return 0 if ok else 2
+    return _Result("\n\n".join(r.render() for r in reports), lambda: {
+        "check": args.check,
+        "passed": ok,
+        "reports": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "checks": [{"label": label, "ok": good} for label, good in r.checks],
+            }
+            for r in reports
+        ],
+    }, 0 if ok else 2)
 
 
 _HANDLERS = {
@@ -412,7 +362,15 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.verb](args)
+        result = _HANDLERS[args.verb](args)
+        if args.format == "json":
+            import json  # only --format json needs it; every other run starts without it
+
+            out = json.dumps(result.document(), indent=2)
+        else:
+            out = result.text
+        sys.stdout.write(out if out.endswith("\n") else out + "\n")
+        return result.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

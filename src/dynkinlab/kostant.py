@@ -117,7 +117,6 @@ def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     return 1 + T**h, (1 - T**a) * (1 - T**b)
 
 
-@lru_cache(maxsize=None)
 def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
     """First nterms coefficients of det M_i / det M, checked nonnegative."""
     gf = generating_function(diagram)

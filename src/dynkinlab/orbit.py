@@ -23,7 +23,7 @@ from .errors import (
     IdentityViolationError,
     UnsupportedFamilyError,
 )
-from .exact import IntPoly, vec_sub
+from .exact import IntPoly, format_poly, vec_sub
 from .kostant import generating_function
 from .report import Report
 
@@ -164,8 +164,6 @@ def render_z_table(table: OrbitTable) -> str:
 
 
 def render_z_polynomials(diagram: Diagram) -> str:
-    from .exact import format_poly
-
     zt = z_polynomials(diagram)
     lines = [
         f"z(t)_{diagram.labels[i]} = {format_poly(zt[i + 1])}"

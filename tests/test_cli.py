@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dynkinlab.cli as cli
 import dynkinlab.errors as errors
 import dynkinlab.exact as exact
@@ -95,6 +97,7 @@ def test_exit_codes_follow_the_error_taxonomy(capsys, monkeypatch):
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.DynkinlabError)]
     violations = set()
+    real = cli._HANDLERS["cartan"]
     for cls in classes + [ArithmeticError, ZeroDivisionError]:
         def fail(args, cls=cls):
             raise cls("forced")
@@ -110,6 +113,19 @@ def test_exit_codes_follow_the_error_taxonomy(capsys, monkeypatch):
     assert len(classes) == 12
     assert violations == {"IdentityViolationError", "GeneratorSetError",
                           "CatalogCorruptionError", "ArithmeticError", "ZeroDivisionError"}
+    # a JSON document is built inside the same try: its errors map the same way
+    for cls, expected in ((errors.IdentityViolationError, (2, "identity violation: forced\n")),
+                          (errors.DomainError, (1, "error: forced\n"))):
+        def lazy_fail(args, cls=cls):
+            def refuse():
+                raise cls("forced")
+
+            return real(args)._replace(document=refuse)
+
+        monkeypatch.setitem(cli._HANDLERS, "cartan", lazy_fail)
+        code, out, err = run(capsys, "cartan", "E6", "--format", "json")
+        assert (code, err) == expected, cls
+        assert out == "" and "Traceback" not in err, cls
 
 
 def _misused_argv(seed: int) -> list[list[str]]:
@@ -173,6 +189,24 @@ def _outcome(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_text_mode_never_builds_the_document(capsys, monkeypatch):
+    """With every verb's document made to raise, each text run prints
+    exactly what it prints unwrapped, and the JSON run does raise."""
+    def refuse():
+        raise AssertionError("the JSON document was built")
+
+    for verb, argv in _EVERY_OPTION.items():
+        assert argv[-2:] == ["--format", "json"], verb
+        expected = run(capsys, *argv[:-2])
+        assert expected[0] == 0 and expected[1], verb
+        real = cli._HANDLERS[verb]
+        monkeypatch.setitem(cli._HANDLERS, verb, lambda args, real=real: real(args)._replace(document=refuse))
+        assert run(capsys, *argv[:-2]) == expected, verb
+        with pytest.raises(AssertionError, match="document was built"):
+            main(argv)
+        capsys.readouterr()
 
 
 def test_one_verb_parser_matches_the_full_tree(capsys, monkeypatch):
@@ -241,12 +275,50 @@ def test_start_up_imports_no_unneeded_stdlib_module():
     assert json.loads(child.stdout)["diagram"] == "E6"
 
 
+def _text_and_json(capsys, *argv):
+    """The text of one command line and its JSON document, parsed; both
+    runs exit with the same code."""
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == json_code, argv
+    return text, json.loads(out)
+
+
+def _matrix_rows(text: str) -> list[tuple[str, list[int]]]:
+    """(label, entries) of each '<label> | <entries>' line of a matrix printout."""
+    rows = [line.split(" | ") for line in text.splitlines() if " | " in line]
+    return [(label.strip(), [int(v) for v in cells.split()]) for label, cells in rows]
+
+
+def _grid_vectors(text: str, diagram) -> dict[str, list[int]]:
+    """Title -> vector of each block of an orbit or z-vector table, read back
+    cell by cell (three characters each) through the diagram's display grid."""
+    out = {}
+    for block in text.strip("\n").split("\n\n"):
+        title, *lines = block.split("\n")
+        vec = [None] * diagram.size
+        for row, line in zip(diagram.display, lines):
+            for col, vtx in row:
+                vec[vtx] = int(line[3 * col:3 * col + 3])
+        out[title] = vec
+    return out
+
+
 def test_cartan_json_round_trip(capsys):
     _, out, _ = run(capsys, "cartan", "F4dual", "--extended", "--format", "json")
     payload = json.loads(out)
     d = build(DiagramId.parse("F4dual"), extended=True)
     assert payload["labels"] == list(d.labels)
     assert tuple(tuple(row) for row in payload["matrix"]) == d.cartan.rows
+    # both matrix verbs print the document's labels and rows as text
+    for argv in (("cartan", "F4dual", "--extended"), ("cartan", "E6"), ("coxeter", "D5"),
+                 ("coxeter", "E7", "--extended"), ("coxeter", "G2dual", "--extended")):
+        text, payload = _text_and_json(capsys, *argv)
+        assert _matrix_rows(text) == list(zip(payload["labels"], payload["matrix"])), argv
+        assert payload["extended"] == ("--extended" in argv), argv
+        if argv[0] == "coxeter":
+            h = [int(line[16:]) for line in text.splitlines() if line.startswith("coxeter number: ")]
+            assert h == ([] if payload["extended"] else [payload["coxeter_number"]]), argv
 
 
 def test_cartan_text(capsys):
@@ -266,6 +338,73 @@ def test_zpoly_json_round_trip(capsys):
     ext = build(DiagramId.parse("A3"), extended=True)
     for i, label in enumerate(ext.labels):
         assert parse_poly(payload["z_polynomials"][label]) == polys[i]
+    # the text's z vectors and z(t) lines are the document's
+    for name in ("A3", "D5", "E6", "E8"):
+        d = build(DiagramId.parse(name))
+        text, payload = _text_and_json(capsys, "zpoly", name)
+        table, _, poly_lines = text.rpartition("\n\n")
+        z = payload["z_vectors"]
+        assert _grid_vectors(table, d) == {f"z_{n}": z[n][1:] for n in range(1, len(z) - 1)}, name
+        finite = {label: payload["z_polynomials"][label] for label in payload["labels"][1:]}
+        assert dict(line[len("z(t)_"):].split(" = ") for line in poly_lines.splitlines()) == finite, name
+
+
+def _report_lines(text: str) -> list[dict]:
+    """verify's text read back into the document's report records."""
+    reports = []
+    for line in text.splitlines():
+        if line.startswith("["):
+            reports.append({"name": line[7:], "passed": line[1:5] == "PASS", "checks": []})
+        elif line:
+            reports[-1]["checks"].append({"label": line[8:], "ok": line[2:6] == "PASS"})
+    return reports
+
+
+def _rational(payload) -> str:
+    num, den = payload["num"], payload["den"]
+    return num if den == "1" else f"({num}) / ({den})"
+
+
+def _series(line: str) -> list[int]:
+    return [int(c) for c in line.split(": ", 1)[1].split(", ")]
+
+
+def test_json_and_text_agree(capsys, monkeypatch):
+    """Each verb's document holds what its text prints: polynomials,
+    coefficients, orbit vectors and every verify label with its verdict."""
+    for argv in (("charpoly", "E6"), ("charpoly", "A5", "--k", "3"), ("charpoly", "B4")):
+        text, payload = _text_and_json(capsys, *argv)
+        lines = dict(line.split(" = ") for line in text.splitlines()[1:])
+        assert lines == {"chi       ": payload["chi"], "chi_affine": payload["chi_affine"]}, argv
+    for argv in (("quotient", "G2"), ("quotient", "A5", "--k", "3"), ("quotient", "E8")):
+        text, payload = _text_and_json(capsys, *argv)
+        assert text == f"chi / chi_affine for {payload['diagram']} = {_rational(payload)}\n", argv
+    for argv in (("poincare", "E6", "--terms", "12"), ("poincare", "B3"), ("poincare", "A1", "--terms", "1")):
+        text, payload = _text_and_json(capsys, *argv)
+        head, coeffs = text.splitlines()
+        assert head == f"component 0 for {payload['diagram']}: {_rational(payload['rational'])}", argv
+        assert _series(coeffs) == payload["component0"] and len(payload["component0"]) == payload["terms"]
+    for argv in (("molien", "binary_icosahedral"), ("molien", "cyclic:5", "--terms", "12")):
+        text, payload = _text_and_json(capsys, *argv)
+        head, coeffs = text.splitlines()
+        assert head == f"group {payload['group']}, order {payload['order']}", argv
+        assert _series(coeffs) == payload["coefficients"] and len(payload["coefficients"]) == payload["terms"]
+    for name in ("A5", "D6", "E7"):
+        text, payload = _text_and_json(capsys, "orbit", name)
+        orbit = _grid_vectors(text, build(DiagramId.parse(name)))
+        assert orbit == {f"tau^({n})beta": v for n, v in enumerate(payload["orbit"])}, name
+        assert len(orbit) == payload["coxeter_number"], name
+    for argv in (("verify", "all", "--terms", "12"), ("verify", "molien", "binary_octahedral")):
+        text, payload = _text_and_json(capsys, *argv)
+        assert _report_lines(text) == payload["reports"], argv
+        assert payload["passed"] is True
+    mixed = Report("forced mixture", (("holds", True), ("never true", False)))
+    monkeypatch.setattr(cli, "verify_ebeling", lambda d: mixed)
+    text, payload = _text_and_json(capsys, "verify", "ebeling", "E6")
+    assert _report_lines(text) == payload["reports"] == [
+        {"name": "forced mixture", "passed": False,
+         "checks": [{"label": "holds", "ok": True}, {"label": "never true", "ok": False}]}]
+    assert payload["passed"] is False
 
 
 def test_molien_json(capsys):
@@ -438,14 +577,10 @@ def test_component_0_commands_expand_one_series(capsys, monkeypatch):
         lambda: run(capsys, "verify", "molien", "binary_icosahedral")[0] == 0,
         lambda: molien.folded_component_report(DiagramId.parse("F4")).passed,
     )
-    try:
-        for go in runs:
-            calls.clear()
-            kostant.component_series.cache_clear()  # a cached series would hide its call
-            assert go()
-            assert len(calls) == 1, calls
-    finally:
-        kostant.component_series.cache_clear()
+    for go in runs:
+        calls.clear()
+        assert go()
+        assert len(calls) == 1, calls
 
 
 def test_rank_above_the_limit_is_a_usage_error(capsys):

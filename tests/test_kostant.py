@@ -143,21 +143,11 @@ def test_multiplicities_a1():
     assert [v[1] for v in vectors] == [0, 2, 0, 4, 0]
 
 
-@pytest.fixture
-def cold_series():
-    """Empty the series cache before and after: a cached result computed from
-    another generating function would hide or outlive a patch."""
-    component_series.cache_clear()
-    yield
-    component_series.cache_clear()
-
-
-def test_component_series_is_a_column_of_multiplicities(cold_series):
+def test_component_series_is_a_column_of_multiplicities():
     n = 60
     for d in (*catalog_extended(), _ext("D128"), _ext("A128")):
         gf = generating_function(d)
         columns = [component_series(d, i, n) for i in range(d.size)]
-        component_series.cache_clear()  # multiplicities expands afresh
         vectors = multiplicities(d, n)
         for i, col in enumerate(columns):
             assert col == tuple(v[i] for v in vectors), (d.did, i)
@@ -166,7 +156,7 @@ def test_component_series_is_a_column_of_multiplicities(cold_series):
             assert all(prod.coeff(k) == gf.numerators[i].coeff(k) for k in range(n)), (d.did, i)
 
 
-def test_packed_series_where_the_slots_fill(cold_series):
+def test_packed_series_where_the_slots_fill():
     """Long enough that the entries would not fit slots one byte narrower:
     every column still equals the per-component recurrence."""
     for text, n in (("A1", 3000), ("E8", 3000), ("G2", 1000), ("C2", 300)):
@@ -222,12 +212,11 @@ def test_packed_three_term_with_a_negative_slot_0():
     assert _three_term(b.mulvec([col]), [col], 8, 2) == [True, False]
 
 
-def test_negative_coefficient_names_its_component_and_degree(cold_series, monkeypatch):
+def test_negative_coefficient_names_its_component_and_degree(monkeypatch):
     d = _ext("E6")
     gf = generating_function(d)
     i, k = d.size - 1, 7
     coeff = component_series(d, i, 12)[k]
-    component_series.cache_clear()
     nums = list(gf.numerators)
     # det M(0) = 1, so this lowers the series by coeff + 3 at t^k and keeps lower degrees
     nums[i] = nums[i] - (coeff + 3) * IntPoly.monomial(k)
