@@ -13,13 +13,12 @@ from .diagram import Diagram, DiagramId, build, catalog_extended, finite_part, f
 from .exact import IntMatrix, IntPoly, RatFunc, format_poly, series_expand
 from .kostant import (
     generating_function,
-    mckay_operator,
     multiplicities,
     verify_closed_form,
     verify_ebeling,
     verify_kostant_relation,
 )
-from .mckay import adjacency, semi_affine, verify_observation, verify_z_recurrence
+from .mckay import semi_affine, verify_observation, verify_z_recurrence
 from .molien import BpgId, crosscheck, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, tau_orbit, verify_kostant_form, z_polynomials
 from .report import Report
@@ -34,7 +33,6 @@ __all__ = [
     "IntPoly",
     "RatFunc",
     "Report",
-    "adjacency",
     "assembling_vectors",
     "bicolored_reflections",
     "build",
@@ -49,7 +47,6 @@ __all__ = [
     "fold",
     "format_poly",
     "generating_function",
-    "mckay_operator",
     "molien_coeffs",
     "multiplicities",
     "semi_affine",

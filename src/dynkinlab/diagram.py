@@ -124,7 +124,9 @@ class Diagram(NamedTuple):
 
     @property
     def bonds(self) -> IntMatrix:
-        """2I - K: entry (i, j) is -K_ij off the diagonal, 0 on it."""
+        """2I - K: entry (i, j) is -K_ij off the diagonal, 0 on it.  On an
+        extended diagram this is the McKay operator B, on a finite one the
+        adjacency matrix."""
         return _trusted_matrix(tuple(
             tuple(0 if i == j else -v for j, v in enumerate(row))
             for i, row in enumerate(self.cartan.rows)
@@ -300,14 +302,14 @@ def _extend_simply_laced(did: DiagramId) -> Diagram:
                  display=ext_display)
 
 
-def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
+def fold(diagram: Diagram, orbits) -> Diagram:
     """Fold a diagram along an orbit partition of its vertices.
 
     Each orbit becomes one vertex; the new entry for the pair (A, B) is
     sum(K[i][j] for i in A) at any fixed j in B.  The partition is
     admissible only if no orbit contains a bond and the sum does not depend
-    on the chosen representative j.  Returns the folded diagram together
-    with its dual (transposed Cartan matrix).
+    on the chosen representative j.  Returns the folded diagram; its dual
+    has the transposed Cartan matrix.
     """
     k = diagram.cartan.rows
     n = diagram.size
@@ -342,9 +344,7 @@ def fold(diagram: Diagram, orbits) -> tuple[Diagram, Diagram]:
             order = [holder] + [a for a in range(m) if a != holder]
             rows = [[rows[a][b] for b in order] for a in order]
             labels = tuple(labels[a] for a in order)
-    primary = _make(None, extended, labels, _trusted_matrix(tuple(map(tuple, rows))))
-    dual = _make(None, extended, labels, primary.cartan.transpose())
-    return primary, dual
+    return _make(None, extended, labels, _trusted_matrix(tuple(map(tuple, rows))))
 
 
 _EXCEPTIONAL = {"binary_tetrahedral": 24, "binary_octahedral": 48,
@@ -474,8 +474,7 @@ def build(did: DiagramId, extended: bool = False) -> Diagram:
     if did.family in SIMPLY_LACED:
         return _extend_simply_laced(did)
     base, orbits, _ = _FOLDS[did.family](did.rank)
-    folded, _ = fold(build(DiagramId.parse(base), extended=True), orbits)
-    return folded._replace(did=did)
+    return fold(build(DiagramId.parse(base), extended=True), orbits)._replace(did=did)
 
 
 def finite_part(diagram: Diagram) -> Diagram:

@@ -311,10 +311,9 @@ def _trusted_matrix(rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
 
 
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples; `_product`
-    holds its sparse product once `_sparse_left` has built it."""
+    """Immutable integer matrix stored as a tuple of row tuples."""
 
-    __slots__ = ("rows", "_product")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rs = tuple(tuple(int(v) for v in row) for row in rows)
@@ -402,12 +401,8 @@ class IntMatrix:
 def _sparse_left(m: IntMatrix):
     """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
     +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
-    (`_pack` is additive); an all-zero row gives x's own zero.  Built once
-    per matrix: m is immutable, so the product is kept in its slot."""
-    try:
-        return m._product
-    except AttributeError:
-        pass
+    (`_pack` is additive); an all-zero row gives x's own zero.  A caller
+    that applies m in a loop builds the product once, before the loop."""
     terms = [[(l, a) for l, a in enumerate(row) if a] for row in m.rows]
 
     def product(x: Sequence) -> list:
@@ -420,7 +415,6 @@ def _sparse_left(m: IntMatrix):
             out.append(acc)
         return out
 
-    object.__setattr__(m, "_product", product)
     return product
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 from .coxeter import coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, kostant_numbers
 from .errors import DomainError, IdentityViolationError
-from .exact import IntMatrix, IntPoly, _bias, _pack, _unpack, _width, charpoly, series_expand
+from .exact import IntPoly, _bias, _pack, _unpack, _width, charpoly, series_expand
 from .report import Report
 
 T = IntPoly.x()
@@ -41,14 +41,6 @@ Q = 1 + T2
 def _name(diagram: Diagram) -> str:
     base = diagram.did.text if diagram.did else "folded diagram"
     return f"extended {base}" if diagram.extended else base
-
-
-@lru_cache(maxsize=None)
-def mckay_operator(diagram: Diagram) -> IntMatrix:
-    """B = 2I - K on an extended diagram."""
-    if not diagram.extended:
-        raise DomainError("the McKay operator lives on the extended diagram")
-    return diagram.bonds
 
 
 class GeneratingFunction(NamedTuple):
@@ -134,12 +126,13 @@ def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
     """(columns, w): column i = y_i(2^w) s(2^w) mod 2^(w nterms), s = 1/det M
     expanded once, packs v_n[i], n < nterms, in slots of w bits.  Slot n is
     at most c max|s_j|, c the largest 1-norm of the y_i and det M, and w
-    keeps r + 2 times that below 2^(w-1), r the largest row sum of B: a
-    negative slot sets its top bit, B v and v_(n-1) + v_(n+1) fit the slots,
-    and evaluation at 2^w is injective on t B y - (1 + t^2) y + det M e0."""
+    keeps r + 2 times that below 2^(w-1), r the largest row sum of B, which
+    is 2 - sum_j K_ij: a negative slot sets its top bit, B v and
+    v_(n-1) + v_(n+1) fit the slots, and evaluation at 2^w is injective on
+    t B y - (1 + t^2) y + det M e0."""
     gf = generating_function(diagram)
     s = series_expand(IntPoly.one(), nterms, gf.det_m)
-    r = max(map(sum, mckay_operator(diagram).rows))
+    r = max(2 - sum(row) for row in diagram.cartan.rows)
     c = max(sum(map(abs, p.coeffs)) for p in (*gf.numerators, gf.det_m))
     w = _width((r + 2) * c * max(map(abs, s), default=1))
     (ps,) = _pack((s,), w)
@@ -174,7 +167,7 @@ def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
     """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
     rational-function identity t B x = (1 + t^2) x - e0."""
     name = f"kostant relation for {_name(diagram)}"
-    b = mckay_operator(diagram)
+    b = diagram.bonds
     try:
         v, w = packed_series(diagram, nterms + 1)
     except IdentityViolationError as exc:

@@ -12,21 +12,14 @@ vertex, where the neighbor sum picks up z(t)_0 = 1 + t^h.
 from __future__ import annotations
 
 from .coxeter import bicolored_reflections, coxeter_transform
-from .diagram import SIMPLY_LACED, Diagram, build
+from .diagram import Diagram, build
 from .errors import UnsupportedFamilyError
-from .exact import IntMatrix, IntPoly, _pack, _width
-from .kostant import _three_term, generating_function, mckay_operator
+from .exact import IntMatrix, IntPoly, _pack, _trusted_matrix, _width
+from .kostant import _three_term, generating_function
 from .orbit import assembling_vectors, z_polynomials
 from .report import Report
 
 T = IntPoly.x()
-
-
-def adjacency(diagram: Diagram) -> IntMatrix:
-    """2I - K with unit bonds; defined on finite simply-laced diagrams."""
-    if diagram.extended or diagram.did is None or diagram.did.family not in SIMPLY_LACED:
-        raise UnsupportedFamilyError("adjacency with unit bonds is finite simply-laced only")
-    return diagram.bonds
 
 
 def semi_affine(diagram: Diagram) -> IntMatrix:
@@ -37,9 +30,8 @@ def semi_affine(diagram: Diagram) -> IntMatrix:
     """
     if diagram.extended or diagram.did is None:
         raise UnsupportedFamilyError("semi-affine operator extends a finite diagram")
-    b = mckay_operator(build(diagram.did, extended=True))
-    rows = ((0,) * b.ncols,) + b.rows[1:]
-    return IntMatrix(rows)
+    rows = build(diagram.did, extended=True).bonds.rows
+    return _trusted_matrix(((0,) * len(rows),) + rows[1:])
 
 
 def verify_z_recurrence(diagram: Diagram) -> Report:
@@ -47,7 +39,7 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     matrix identities that splice the orbit walk into the adjacency action."""
     table = assembling_vectors(diagram)
     h = table.h
-    a_fin = adjacency(diagram)
+    a_fin = diagram.bonds
     a_semi = semi_affine(diagram)
     z = table.z
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
 from .exact import _unpack
-from .kostant import _three_term, component_series, mckay_operator, packed_series
+from .kostant import _three_term, component_series, packed_series
 from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -316,7 +316,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
     group = enumerate_group(bid)
     did = bid.paired_diagram()
     ext = build(did, extended=True)
-    b = mckay_operator(ext)
+    b = ext.bonds
     # m0[k] = m0(k-1): m0(-1) = 0 is the zero representation, as v_(-1) in _three_term
     m0 = [0, *molien_coeffs(group, nterms + 1)]
     v, w = packed_series(ext, nterms + 2)

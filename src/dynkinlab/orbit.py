@@ -23,7 +23,7 @@ from .errors import (
     IdentityViolationError,
     UnsupportedFamilyError,
 )
-from .exact import IntPoly, format_poly, vec_sub
+from .exact import IntPoly, _sparse_left, format_poly, vec_sub
 from .kostant import generating_function
 from .report import Report
 
@@ -48,15 +48,17 @@ def _require_ade_even(diagram: Diagram) -> int:
 @lru_cache(maxsize=None)
 def tau_orbit(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     """tau^(n) beta for n = 0..h-1: step n applies w1 when n is odd and w2
-    when it is even, so every even step lands on C^(n/2) beta."""
+    when it is even, so every even step lands on C^(n/2) beta.  The sparse
+    products of w1 and w2 are built once, before the h - 1 steps."""
     h = _require_ade_even(diagram)
     pair = bicolored_reflections(diagram)
+    w1, w2 = _sparse_left(pair.w1), _sparse_left(pair.w2)
     beta = highest_root(diagram)
-    if pair.w2.mulvec(beta) != beta:
+    if tuple(w2(beta)) != beta:
         raise CatalogCorruptionError("w2 does not fix the highest root")
     out = [beta]
     for n in range(1, h):
-        out.append((pair.w1 if n % 2 else pair.w2).mulvec(out[-1]))
+        out.append(tuple((w1 if n % 2 else w2)(out[-1])))
     neg = tuple(-v for v in beta)
     if out[-1] != neg:
         raise IdentityViolationError("tau^(h-1) beta is not -beta")

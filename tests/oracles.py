@@ -48,7 +48,6 @@ from dynkinlab.errors import (
     RankError,
 )
 from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
-from dynkinlab.kostant import mckay_operator
 from dynkinlab.molien import BpgGroup, BpgId, _prime_factors
 
 T = IntPoly.x()
@@ -65,7 +64,7 @@ def cramer_matrix(diagram: Diagram) -> tuple[tuple[IntPoly, ...], ...]:
     q = 1 + T**2
     return tuple(
         tuple((q if i == j else 0) - T * v for j, v in enumerate(row))
-        for i, row in enumerate(mckay_operator(diagram).rows)
+        for i, row in enumerate(diagram.bonds.rows)
     )
 
 

@@ -22,8 +22,8 @@ from dynkinlab.exact import (
     poly_gcd,
     series_expand,
     _echelon,
+    _order,
     _pack,
-    _sparse_left,
     _unpack,
     _width,
 )
@@ -448,16 +448,18 @@ def test_mulvec_against_the_dense_sum():
     assert IntMatrix(((),) * 3).mulvec(()) == (0, 0, 0)
 
 
-def test_sparse_product_is_built_once_per_matrix():
-    m = IntMatrix(((0, 1), (2, -1)))
-    twin = IntMatrix(m.rows)
-    assert m.mulvec((1, 2)) == (2, 0)
-    built = _sparse_left(m)
-    assert m.mulvec((1, 2)) == (2, 0) and _sparse_left(m) is built
-    assert (m @ m).rows == ((2, -1), (-2, 3)) and _sparse_left(m) is built
-    assert m == twin and hash(m) == hash(twin)
+def test_int_matrix_is_a_plain_value():
+    """No slot but the rows, so no product, order or polynomial is kept on it."""
+    assert IntMatrix.__slots__ == ("rows",)
+    m = IntMatrix(((0, 1), (-1, -1)))  # order 3
+    rows, twin = m.rows, IntMatrix(m.rows)
+    assert m.mulvec((1, 2)) == (2, -3)
+    assert (m @ m).rows == ((-1, -1), (1, 0))
+    assert charpoly(m) == IntPoly((1, 1, 1))
+    assert _order(m, 10) == 3
+    assert m.rows is rows and m == twin and hash(m) == hash(twin)
     with pytest.raises(AttributeError):
-        m._product = None
+        m.rows = ()
 
 
 @pytest.mark.parametrize("bound", [0, 1, 127, 128, 2**63 - 1, 2**63, 2**100])

@@ -15,7 +15,6 @@ from dynkinlab.kostant import (
     closed_form_component0,
     component_series,
     generating_function,
-    mckay_operator,
     multiplicities,
     packed_series,
     verify_closed_form,
@@ -48,9 +47,7 @@ def _assert_solve_matches_oracle(d: Diagram) -> tuple[IntPoly, tuple[IntPoly, ..
 
 
 def test_mckay_operator_a1():
-    assert mckay_operator(_ext("A1")) == IntMatrix(((0, 2), (2, 0)))
-    with pytest.raises(DomainError):
-        mckay_operator(build(DiagramId("A", 1)))
+    assert _ext("A1").bonds == IntMatrix(((0, 2), (2, 0)))
 
 
 def test_cramer_matrix_determinants():

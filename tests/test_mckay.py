@@ -4,9 +4,9 @@ import pytest
 
 import dynkinlab.mckay as mckay
 from dynkinlab.diagram import DiagramId, build, catalog_extended, finite_part
-from dynkinlab.errors import ExcludedDiagramError, UnsupportedFamilyError
+from dynkinlab.errors import DomainError, ExcludedDiagramError, UnsupportedFamilyError
 from dynkinlab.exact import IntMatrix, IntPoly
-from dynkinlab.mckay import adjacency, semi_affine, verify_observation, verify_z_recurrence
+from dynkinlab.mckay import semi_affine, verify_observation, verify_z_recurrence
 from dynkinlab.orbit import assembling_vectors, z_polynomials
 from oracles import parse_poly
 
@@ -16,16 +16,16 @@ def fin(name: str):
 
 
 def test_adjacency_frozen():
-    assert adjacency(fin("A2")).rows == ((0, 1), (1, 0))
+    assert fin("A2").bonds.rows == ((0, 1), (1, 0))
     # d1 - d2 < (f1, f2)
-    assert adjacency(fin("D4")).rows == (
+    assert fin("D4").bonds.rows == (
         (0, 1, 0, 0),
         (1, 0, 1, 1),
         (0, 1, 0, 0),
         (0, 1, 0, 0),
     )
     # x0, x1, x2, y1, y2, y3 with bonds x0-y1, x0-y2, x0-y3, x1-y1, x2-y2
-    assert adjacency(fin("E6")).rows == (
+    assert fin("E6").bonds.rows == (
         (0, 0, 0, 1, 1, 1),
         (0, 0, 0, 1, 0, 0),
         (0, 0, 0, 0, 1, 0),
@@ -40,19 +40,26 @@ def test_adjacency_matches_neighbor_lists():
         if ext.did.family not in ("A", "D", "E6", "E7", "E8"):
             continue
         d = finite_part(ext)
-        a = adjacency(d)
+        a = d.bonds
         for i in range(d.size):
             for j in range(d.size):
                 assert a[i, j] == (1 if j in d.neighbors(i) else 0)
 
 
-def test_adjacency_domain():
-    with pytest.raises(UnsupportedFamilyError):
-        adjacency(fin("B3"))
-    with pytest.raises(UnsupportedFamilyError):
-        adjacency(fin("G2"))
-    with pytest.raises(UnsupportedFamilyError):
-        adjacency(build(DiagramId.parse("A3"), extended=True))
+def test_recurrence_checks_refuse_outside_finite_ade():
+    """Each check raises the error of the first guard it meets: the walk's,
+    or on an extended diagram the semi-affine operator's."""
+    for check, name, extended, error in (
+        (verify_z_recurrence, "B3", False, UnsupportedFamilyError),
+        (verify_z_recurrence, "G2", False, UnsupportedFamilyError),
+        (verify_z_recurrence, "A3", True, DomainError),
+        (verify_observation, "B3", False, UnsupportedFamilyError),
+        (verify_observation, "G2", False, UnsupportedFamilyError),
+        (verify_observation, "A3", True, UnsupportedFamilyError),
+    ):
+        with pytest.raises(error) as refused:
+            check(build(DiagramId.parse(name), extended=extended))
+        assert type(refused.value) is error, (check.__name__, name)
 
 
 def test_semi_affine_frozen():
@@ -75,7 +82,7 @@ def test_semi_affine_blocks():
     for name in ("A5", "D6", "E7"):
         d = fin(name)
         m = semi_affine(d)
-        a = adjacency(d)
+        a = d.bonds
         assert m.shape == (d.size + 1, d.size + 1)
         assert all(m[i + 1, j + 1] == a[i, j] for i in range(d.size) for j in range(d.size))
         marked = tuple(i for i in range(1, d.size + 1) if m[i, 0])
@@ -146,4 +153,4 @@ def test_observation_worked_values():
 def test_semi_affine_equals_two_i_minus_cartan_inside():
     d = fin("D5")
     inner = IntMatrix.identity(d.size) * 2 - d.cartan
-    assert adjacency(d) == inner
+    assert d.bonds == inner

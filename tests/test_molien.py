@@ -11,7 +11,7 @@ import re
 import pytest
 
 import dynkinlab.molien as molien
-from dynkinlab.diagram import DiagramId
+from dynkinlab.diagram import Diagram, DiagramId, build
 from dynkinlab.errors import (
     DomainError,
     GeneratorSetError,
@@ -358,15 +358,17 @@ def test_mckay_shift_lines_fail_alone(monkeypatch, text):
 def test_mckay_shift_extra_bond_breaks_the_circulant(monkeypatch):
     """An extra bond 0 - 2 on the 4-cycle of cyclic:4: B is no longer the
     circulant, and every line that multiplies by B fails with it."""
-    real = molien.mckay_operator
+    real = Diagram.bonds.fget
+    cycle = build(DiagramId("A", 3), extended=True)
 
     def extra_bond(d):
         rows = [list(row) for row in real(d).rows]
-        rows[0][2] += 1
-        rows[2][0] += 1
+        if d == cycle:
+            rows[0][2] += 1
+            rows[2][0] += 1
         return IntMatrix(rows)
 
-    monkeypatch.setattr(molien, "mckay_operator", extra_bond)
+    monkeypatch.setattr(Diagram, "bonds", property(extra_bond))
     rep = mckay_matrix_numeric(BpgId.parse("cyclic:4"), 24)
     failed = {label for label, ok in rep.checks if not ok}
     assert failed == {_BOUNDARY, _SHIFT, _COMPONENT0, _CIRCULANT}

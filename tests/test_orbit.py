@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import dynkinlab.exact as exact
 import dynkinlab.orbit as orbit
+from dynkinlab.coxeter import coxeter_number
 from dynkinlab.diagram import DiagramId, build
 from dynkinlab.errors import (
     CatalogCorruptionError,
@@ -80,6 +82,24 @@ def test_a_longer_walk_does_not_end_at_minus_beta(cold_orbit, monkeypatch):
     with pytest.raises(IdentityViolationError) as exc:
         tau_orbit(build(DiagramId("E6")))
     assert str(exc.value) == "tau^(h-1) beta is not -beta"
+
+
+def test_walk_builds_the_sparse_products_once(cold_orbit, monkeypatch):
+    """D128 has h = 254: each involution's product is built before the walk,
+    not at each of its 253 steps.  The Coxeter number, whose matrix order
+    builds one more, is cached first."""
+    d = build(DiagramId("D", 128))
+    assert coxeter_number(d) == 254
+    real, built = exact._sparse_left, []
+
+    def counting(m):
+        built.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(exact, "_sparse_left", counting)
+    monkeypatch.setattr(orbit, "_sparse_left", counting, raising=False)
+    taus = tau_orbit(d)
+    assert len(taus) == 254 and len(built) <= 3
 
 
 @pytest.mark.parametrize("n, vertex, message", [
