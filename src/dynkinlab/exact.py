@@ -445,6 +445,12 @@ def _unpack(x: int, n: int, w: int) -> list[int]:
     return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 
+def _decode(x: int, w: int) -> IntPoly:
+    """p with p(2^w) = x, every |coefficient| < 2^(w-1): then x has
+    bit_length() // w + 1 slots up to its top nonzero one."""
+    return _trusted(_unpack(x, x.bit_length() // w + 1, w))
+
+
 def _reader(n: int, w: int):
     """entry(x, j): slot j of a packed row of n slots, exact while every
     entry is below 2^(w-1) in absolute value: adding 2^(w-1) to each slot

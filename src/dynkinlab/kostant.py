@@ -9,7 +9,11 @@ b_w0 and the Cramer numerators y_0 = det M_F, y_v = t sum adj(M_F)_vu b_u0
 t^d prod b_(child, parent) along the path from u down to v times the
 determinant of the forest the path leaves (Godsil, Algebraic
 Combinatorics, 1993), so one leaf-to-root and one root-to-leaf pass per
-u in N(0) give every entry in Z[t] with no division.  Ebeling's
+u in N(0) give every entry with no division, on ints at t = 2^w: q x is
+x + (x << 2w) and a path product a (factor, depth) pair, stepped by a shift.
+Each y_i and det M, a minor of M, has coefficient 1-norm at most the product
+of M's row 1-norms sum_j |K_ij| < 2^(w-1); as evaluation at 2^w is a ring
+homomorphism, only these outputs need the bound, each decoded once.  Ebeling's
 identities compare y_0 and det M with Coxeter characteristic polynomials
 at lambda = t^2, computed from C alone.  Every identity on x(t) is checked
 on the y_i with det M cleared, and since det M(0) = 1 the series of
@@ -30,12 +34,11 @@ from typing import NamedTuple, Sequence
 from .coxeter import coxeter_transform
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, kostant_numbers
 from .errors import DomainError, IdentityViolationError
-from .exact import IntPoly, _bias, _pack, _unpack, _width, charpoly, series_expand
+from .exact import IntPoly, _bias, _decode, _pack, _unpack, _width, charpoly, series_expand
 from .report import Report
 
 T = IntPoly.x()
 T2 = IntPoly.monomial(2)
-Q = 1 + T2
 
 
 def _name(diagram: Diagram) -> str:
@@ -49,8 +52,8 @@ class GeneratingFunction(NamedTuple):
     det_m: IntPoly                   # det M(t), the common denominator
 
 
-def _adjugate_column(diagram: Diagram, root: int) -> tuple[IntPoly, dict[int, IntPoly]]:
-    """(det M_F, {v: adj(M_F)_(v, root)}) with the finite part F rooted at root."""
+def _adjugate_column(diagram: Diagram, root: int, w: int) -> tuple[int, dict[int, int]]:
+    """(det M_F, {v: adj(M_F)_(v, root)}) at t = 2^w, the finite part F rooted at root."""
     k = diagram.cartan
     parent, children, order = {root: 0}, {root: []}, [root]
     for v in order:  # breadth first; order grows while it is walked
@@ -64,20 +67,21 @@ def _adjugate_column(diagram: Diagram, root: int) -> tuple[IntPoly, dict[int, In
     if len(order) != diagram.size - 1:
         raise DomainError(f"the finite part of {_name(diagram)} is disconnected")
     # leaf to root: d[v] = D_v and e[v] = E_v for the subtree of v, rest[c] the
-    # product of D over the siblings of c
+    # product of D over the siblings of c; D_v = (1 + t^2) E_v - t^2 sum(...)
     d, e, rest = {}, {}, {}
     for v in reversed(order):
         cs = children[v]
         for i, c in enumerate(cs):
             rest[c] = math.prod(d[x] for x in cs[:i] + cs[i + 1:])
-        e[v] = math.prod(d[c] for c in cs)
-        d[v] = Q * e[v] - T2 * sum(k[v, c] * k[c, v] * e[c] * rest[c] for c in cs)
-    # root to leaf: path[v] = t^d prod b_(child, parent) from root down to v,
-    # times the determinants of the subtrees hanging off the path above v
-    path = {root: IntPoly.one()}
+        ev = e[v] = math.prod(d[c] for c in cs)
+        d[v] = ev + ((ev - sum(k[v, c] * k[c, v] * e[c] * rest[c] for c in cs)) << 2 * w)
+    # root to leaf: path[v] = (f, depth), t^depth f the product of b_(child, parent)
+    # down to v times the determinants of the subtrees off the path above v
+    path = {root: (1, 0)}
     for v in order[1:]:
-        path[v] = -k[v, parent[v]] * T * path[parent[v]] * rest[v]
-    return d[root], {v: path[v] * e[v] for v in order}
+        f, depth = path[parent[v]]
+        path[v] = (-k[v, parent[v]] * f * rest[v], depth + 1)
+    return d[root], {v: (f * e[v]) << (w * depth) for v, (f, depth) in path.items()}
 
 
 @lru_cache(maxsize=None)
@@ -87,13 +91,13 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
     if not diagram.u0:
         raise DomainError(f"the affine vertex of {_name(diagram)} has no neighbours")
     k, u0 = diagram.cartan, diagram.u0
-    dets, columns = zip(*(_adjugate_column(diagram, u) for u in u0))
-    numerators = (dets[0],) + tuple(
-        T * sum(-k[u, 0] * adj[v] for u, adj in zip(u0, columns)) for v in range(1, diagram.size)
-    )
-    det_m = Q * dets[0] - T2 * sum(
-        k[0, w] * k[u, 0] * adj[w] for u, adj in zip(u0, columns) for w in u0
-    )
+    w = _width(math.prod(sum(map(abs, row)) for row in k.rows))
+    dets, columns = zip(*(_adjugate_column(diagram, u, w) for u in u0))
+    ys = [dets[0]] + [sum(-k[u, 0] * adj[v] for u, adj in zip(u0, columns)) << w
+                      for v in range(1, diagram.size)]
+    cross = sum(k[0, x] * k[u, 0] * adj[x] for u, adj in zip(u0, columns) for x in u0)
+    det_m = _decode(dets[0] + ((dets[0] - cross) << 2 * w), w)
+    numerators = tuple(_decode(y, w) for y in ys)
     for i, num in enumerate(numerators):
         if num.coeff(0) != (1 if i == 0 else 0):
             raise IdentityViolationError(

@@ -1,11 +1,14 @@
-"""Oracles for the tests: the general fraction-free Cramer solve, the
-Leibniz permutation sum, sympy's determinant over ZZ[t], Faddeev-LeVerrier
-and the Coxeter order loop on list products, and the float closure of the
-binary polyhedral groups, plus `parse_poly`, the inverse of
-`exact.format_poly` that reads the CLI's polynomial text back.
+"""Oracles for the tests: the general fraction-free Cramer solve and the
+tree-shaped one in Z[t], the Leibniz permutation sum, sympy's determinant
+over ZZ[t], Faddeev-LeVerrier and the Coxeter order loop on list products,
+and the float closure of the binary polyhedral groups, plus `parse_poly`,
+the inverse of `exact.format_poly` that reads the CLI's polynomial text
+back.
 
 `cramer_solve` is a dense Bareiss elimination that knows nothing of the
-diagram's shape; `kostant.generating_function` is checked against it.
+diagram's shape; `tree_solve` is the tree-shaped Cramer solve in IntPoly
+arithmetic, fast enough for the rank limit.  `kostant.generating_function`,
+the same tree solve on integers at t = 2^w, is checked against both.
 `list_matmul` combines whole IntMatrix rows as lists; `list_charpoly` and
 `list_coxeter_number` (C = w2 w1 included) multiply with it, with no slot
 width to get wrong and no product code shared with the package.
@@ -107,6 +110,44 @@ def cramer_solve(
         acc = d * a[i][n] - sum((a[i][j] * ys[j] for j in range(i + 1, n)), IntPoly.zero())
         ys[i] = acc.divexact(a[i][i])
     return sign * d, tuple(sign * y for y in ys)
+
+
+def tree_solve(diagram: Diagram) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """(det M, (det M_0, ..., det M_(n-1))) for M(t) x = e0 on an extended
+    diagram whose finite part F is a tree, in IntPoly arithmetic: the Schur
+    complement at vertex 0 over adj(M_F) columns, one per neighbour u of
+    vertex 0, from a leaf-to-root pass of subtree determinants and a
+    root-to-leaf pass of path products with F rooted at u."""
+    k, q, u0 = diagram.cartan, 1 + T**2, diagram.u0
+    columns = []
+    for root in u0:
+        parent, children, order = {root: 0}, {root: []}, [root]
+        for v in order:
+            for c in diagram.neighbors(v):
+                if c not in (0, parent[v]):
+                    parent[c], children[c] = v, []
+                    children[v].append(c)
+                    order.append(c)
+        d, e, rest = {}, {}, {}
+        for v in reversed(order):
+            cs = children[v]
+            for i, c in enumerate(cs):
+                rest[c] = math.prod(d[x] for x in cs[:i] + cs[i + 1:])
+            e[v] = math.prod(d[c] for c in cs)
+            d[v] = q * e[v] - T**2 * sum(k[v, c] * k[c, v] * e[c] * rest[c] for c in cs)
+        path = {root: IntPoly.one()}
+        for v in order[1:]:
+            path[v] = -k[v, parent[v]] * T * path[parent[v]] * rest[v]
+        columns.append((d[root], {v: path[v] * e[v] for v in order}))
+    det_f = columns[0][0]
+    numerators = (det_f,) + tuple(
+        T * sum(-k[u, 0] * adj[v] for u, (_, adj) in zip(u0, columns))
+        for v in range(1, diagram.size)
+    )
+    det_m = q * det_f - T**2 * sum(
+        k[0, w] * k[u, 0] * adj[w] for u, (_, adj) in zip(u0, columns) for w in u0
+    )
+    return det_m, numerators
 
 
 def perm_det(rows):

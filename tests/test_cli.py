@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -419,6 +420,29 @@ def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "all", "--terms", "12")
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_no_verify_all_label_states_an_empty_range(capsys):
+    """A check stated over an empty range of n tests nothing.  The one known
+    case is A1 (h = 2), whose z-recurrence line reads "for 1 < n < 1";
+    ROADMAP item 10 mends it, which changes the `verify all` digests that
+    bench/refs.json pins.  Drop it from `known` then."""
+    known = {"A z_n = z_(n-1) + z_(n+1) for 1 < n < 1"}
+    pattern = re.compile(r"(-?\d+) (<=?) n (<=?) (-?\d+)|n = (-?\d+)\.\.(-?\d+)")
+    for terms in ("2", "40"):
+        out = run(capsys, "verify", "all", "--terms", terms)[1]
+        ranges, empty = 0, set()
+        for line in out.splitlines():
+            for m in pattern.finditer(line):
+                ranges += 1
+                if m[1] is None:
+                    lo, hi = int(m[5]), int(m[6])
+                else:
+                    lo, hi = int(m[1]) + (m[2] == "<"), int(m[4]) - (m[3] == "<")
+                if lo > hi:
+                    empty.add(line.split(maxsplit=1)[1])
+        assert ranges > 50, terms
+        assert empty == known, terms
 
 
 def test_verify_json_shape(capsys):

@@ -21,6 +21,7 @@ from dynkinlab.exact import (
     nullspace_primitive,
     poly_gcd,
     series_expand,
+    _decode,
     _echelon,
     _order,
     _pack,
@@ -471,7 +472,8 @@ def test_width_is_the_least_byte_multiple_above_the_bound(bound):
 
 def test_pack_and_unpack_against_the_shift_sum():
     """_pack is sum(v << (w j)) by bytes, _unpack its inverse, for signed
-    entries up to the slot limit, slots wider than 64 bits and short rows."""
+    entries up to the slot limit, slots wider than 64 bits and short rows;
+    _decode reads a polynomial back with its slot count from the top bit."""
     rng = random.Random(17)
     for w in (8, 16, 24, 64, 72, 136):
         half = 1 << (w - 1)
@@ -483,6 +485,21 @@ def test_pack_and_unpack_against_the_shift_sum():
             assert [_unpack(x, n, w) for x in packed] == rows
     with pytest.raises(OverflowError):
         _pack([[128]], 8)
+    # _decode reads bit_length() // w + 1 slots: the zero value, one slot, and
+    # a top slot of either sign over lower slots of either extreme; a top slot
+    # of 1 over slots of -(2^(w-1) - 1) leaves x just above 2^(w(n-1) - 1),
+    # where a count one short would overflow
+    for w in (8, 16, 24, 64, 72, 136):
+        lim = (1 << (w - 1)) - 1
+        assert _decode(0, w) == IntPoly.zero()
+        for top in (lim, -lim, 1, -1):
+            assert _decode(top, w) == IntPoly.const(top)
+            for n in (2, 3, 40):
+                for low in (lim, -lim, 0, None):
+                    row = [rng.randint(-lim, lim) if low is None else low for _ in range(n - 1)]
+                    (x,) = _pack([row + [top]], w)
+                    assert x.bit_length() // w + 1 == n
+                    assert _decode(x, w) == IntPoly(row + [top]), (w, n, top, low)
 
 
 def test_ratfunc_frozen_values():

@@ -21,7 +21,7 @@ from dynkinlab.kostant import (
     verify_ebeling,
     verify_kostant_relation,
 )
-from oracles import cramer_matrix, cramer_solve, list_three_term, sympy_det
+from oracles import cramer_matrix, cramer_solve, list_three_term, sympy_det, tree_solve
 
 T = IntPoly.x()
 
@@ -86,6 +86,40 @@ def test_tree_solve_on_random_trees():
         seen_sizes.add(n)
         seen_cycles += len(ends) == 2
     assert seen_sizes == set(range(2, 10)) and seen_cycles >= 10
+
+
+def _assert_solve_matches_tree_oracle(d: Diagram) -> None:
+    gf = generating_function(d)
+    assert (gf.det_m, gf.numerators) == tree_solve(d), d.labels
+
+
+def test_packed_solve_matches_the_z_t_tree_oracle():
+    for d in catalog_extended():
+        _assert_solve_matches_tree_oracle(d)
+    for text in ("D128", "A127", "A128", "B128", "C128", "DD128", "CD64"):
+        _assert_solve_matches_tree_oracle(_ext(text))
+
+
+def test_packed_solve_on_large_random_trees():
+    # wide stars with bonds of product 3 or 4 push the coefficients past 32
+    # bits, where a slot too narrow for the bound would corrupt the decode
+    rng = random.Random(20261019)
+    pairs = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2))
+    widest = 0
+    for trial in range(156):
+        n = 2 + trial % 39
+        star = trial % 3 == 0
+        bonds = {(rng.randrange(1, min(c, 3)) if star else rng.randrange(1, c), c): rng.choice(pairs)
+                 for c in range(2, n)}
+        ends = rng.sample(range(1, n), 2) if n > 2 and rng.random() < 0.3 else [rng.randrange(1, n)]
+        for u in ends:
+            bonds[0, u] = rng.choice(pairs)
+        d = _hand_made(bonds, n)
+        _assert_solve_matches_tree_oracle(d)
+        gf = generating_function(d)
+        widest = max(widest, *(abs(c).bit_length() for p in (gf.det_m, *gf.numerators)
+                               for c in p.coeffs))
+    assert widest > 32
 
 
 def test_tree_solve_domain_errors():
