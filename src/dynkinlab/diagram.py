@@ -21,6 +21,13 @@ Vertex conventions, fixed once for the whole package:
   (order-2 arm swaps), C from the even cycle, B and DD and CD from
   extended D diagrams (end-pair identifications).
 
+One bond table and one builder make every finite diagram: _finite_spec
+gives each family its labels, its bonds (i, j, -K_ij, -K_ji), the vertices
+the extension attaches a0 to and the display grid orbit tables render on,
+and _cartan subtracts the bonds from 2I.  The A/D/E extension adds a0's
+bonds to the same table (two to a1 for A1, hence the double bond).
+Extended diagrams carry no display grid; only finite ones are rendered.
+
 The per-family facts are data, stated once: _FOLDS gives each folded
 family its base diagram, orbits and Molien pair (H, G) (Slodowy's
 correspondence), and _MCKAY pairs each group family with its A/D/E
@@ -78,7 +85,7 @@ class DiagramId(_DiagramIdFields):
     @classmethod
     def parse(cls, text: str) -> "DiagramId":
         s = text.strip()
-        if s in ("E6", "E7", "E8", "F4", "G2", "F4dual", "G2dual"):
+        if s in FAMILIES and s not in RANKED:
             return cls(s)
         m = _ID_RE.match(s)
         if not m:
@@ -214,92 +221,56 @@ def _make(
     )
 
 
-def _simply_laced_cartan(n: int, edges: tuple[tuple[int, int], ...]) -> IntMatrix:
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        rows[i][j] = rows[j][i] = -1
+def _finite_spec(did: DiagramId):
+    """labels, bonds, attach vertices and display grid of a finite diagram.
+
+    A bond (i, j, p, q) puts -p at K_ij and -q at K_ji.  Every family but E6
+    is the chain 0..n-1 with one bond moved or made multiple.  attach lists
+    the vertices that the extension bonds a0 to, one bond each; B, C, F4 and
+    G2 have none, as their extensions are folded."""
+    fam = did.family
+    n = did.rank or int(fam[1])  # E6, E7, E8, F4 and G2 name their rank
+    labels = tuple(f"{fam[0].lower()}{i + 1}" for i in range(n))
+    bonds = [(i, i + 1, 1, 1) for i in range(n - 1)]
+    line = tuple((c, c) for c in range(n))
+    if fam == "A":
+        return labels, bonds, (0, n - 1), (line,)
+    if fam == "E6":
+        return (("x0", "x1", "x2", "y1", "y2", "y3"),
+                [(0, 3, 1, 1), (0, 4, 1, 1), (0, 5, 1, 1), (1, 3, 1, 1), (2, 4, 1, 1)],
+                (5,), (((0, 1), (1, 3), (2, 0), (3, 4), (4, 2)), ((2, 5),)))
+    if fam in ("D", "E7", "E8"):  # the last vertex branches off vertex b
+        b = {"D": n - 3, "E7": 2, "E8": 4}[fam]
+        bonds[-1] = (b, n - 1, 1, 1)
+        if fam == "D":
+            return labels[:-2] + ("f1", "f2"), bonds, (1,), (line[:-1], ((b, n - 1),))
+        return labels, bonds, (0,), (line[:-1], ((b, n - 1),))
+    k, p, q = {"B": (n - 2, 1, 2), "C": (n - 2, 2, 1), "F4": (1, 2, 1), "G2": (0, 1, 3)}[fam]
+    bonds[k] = (k, k + 1, p, q)
+    return labels, bonds, None, None
+
+
+def _cartan(n: int, bonds) -> IntMatrix:
+    """2I minus each bond (i, j, p, q): p at (i, j) and q at (j, i), so a
+    bond listed twice is a double bond."""
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, p, q in bonds:
+        rows[i][j] -= p
+        rows[j][i] -= q
     return _trusted_matrix(tuple(map(tuple, rows)))
 
 
-def _chain_edges(n: int, offset: int = 0) -> tuple[tuple[int, int], ...]:
-    return tuple((offset + i, offset + i + 1) for i in range(n - 1))
-
-
-def _finite_ade(did: DiagramId):
-    """labels, edges, attach indices and display grid for a finite A/D/E diagram."""
-    fam, n = did.family, did.rank
-    if fam == "A":
-        labels = tuple(f"a{i + 1}" for i in range(n))
-        edges = _chain_edges(n)
-        attach = (0,) if n == 1 else (0, n - 1)
-        display = (tuple((c, c) for c in range(n)),)
-        return labels, edges, attach, display
-    if fam == "D":
-        m = n
-        labels = tuple(f"d{i + 1}" for i in range(m - 2)) + ("f1", "f2")
-        edges = _chain_edges(m - 2) + ((m - 3, m - 2), (m - 3, m - 1))
-        attach = (1,)
-        display = (
-            tuple((c, c) for c in range(m - 1)),
-            ((m - 3, m - 1),),
-        )
-        return labels, edges, attach, display
-    if fam == "E6":
-        labels = ("x0", "x1", "x2", "y1", "y2", "y3")
-        edges = ((0, 3), (0, 4), (0, 5), (1, 3), (2, 4))
-        attach = (5,)
-        display = (((0, 1), (1, 3), (2, 0), (3, 4), (4, 2)), ((2, 5),))
-        return labels, edges, attach, display
-    if fam == "E7":
-        labels = tuple(f"e{i + 1}" for i in range(7))
-        edges = _chain_edges(6) + ((2, 6),)
-        attach = (0,)
-        display = (tuple((c, c) for c in range(6)), ((2, 6),))
-        return labels, edges, attach, display
-    if fam == "E8":
-        labels = tuple(f"e{i + 1}" for i in range(8))
-        edges = _chain_edges(7) + ((4, 7),)
-        attach = (0,)
-        display = (tuple((c, c) for c in range(7)), ((4, 7),))
-        return labels, edges, attach, display
-    raise UnsupportedFamilyError(f"{fam} is not simply laced")
-
-
 def _build_finite(did: DiagramId) -> Diagram:
-    fam, n = did.family, did.rank
-    if fam in SIMPLY_LACED:
-        labels, edges, attach, display = _finite_ade(did)
-        return _make(did, False, labels, _simply_laced_cartan(len(labels), edges),
-                     attach=attach, display=display)
-    if fam in ("B", "C"):
-        rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n - 1):
-            rows[i][i + 1] = rows[i + 1][i] = -1
-        if fam == "B":
-            rows[n - 1][n - 2] = -2
-        else:
-            rows[n - 2][n - 1] = -2
-        labels = tuple(f"{fam.lower()}{i + 1}" for i in range(n))
-        return _make(did, False, labels, IntMatrix(rows))
-    if fam == "F4":
-        k = IntMatrix(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
-        return _make(did, False, ("f1", "f2", "f3", "f4"), k)
-    if fam == "G2":
-        return _make(did, False, ("g1", "g2"), IntMatrix(((2, -1), (-3, 2))))
-    raise UnsupportedFamilyError(f"family {fam} has no finite form")
+    labels, bonds, attach, display = _finite_spec(did)
+    # A1's two chain ends are one vertex
+    attach = attach and tuple(dict.fromkeys(attach))
+    return _make(did, False, labels, _cartan(len(labels), bonds), attach=attach, display=display)
 
 
 def _extend_simply_laced(did: DiagramId) -> Diagram:
-    fam, n = did.family, did.rank
-    if fam == "A" and n == 1:
-        # double bond between the affine vertex and a1
-        return _make(did, True, ("a0", "a1"), IntMatrix(((2, -2), (-2, 2))))
-    labels, edges, attach, display = _finite_ade(did)
-    ext_labels = ("a0",) + labels
-    ext_edges = tuple((i + 1, j + 1) for i, j in edges) + tuple((0, v + 1) for v in attach)
-    ext_display = tuple(tuple((c, v + 1) for c, v in row) for row in display)
-    return _make(did, True, ext_labels, _simply_laced_cartan(len(ext_labels), ext_edges),
-                 display=ext_display)
+    labels, bonds, attach, _ = _finite_spec(did)
+    bonds = [(i + 1, j + 1, p, q) for i, j, p, q in bonds] + [(0, v + 1, 1, 1) for v in attach]
+    return _make(did, True, ("a0",) + labels, _cartan(len(labels) + 1, bonds))
 
 
 def fold(diagram: Diagram, orbits) -> Diagram:

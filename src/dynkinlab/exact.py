@@ -604,12 +604,6 @@ def nullspace_primitive(m: IntMatrix) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def vec_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise DimensionError("vector length mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def format_poly(p: IntPoly, var: str = "t") -> str:
     """Render ascending: '1 + 2*t^3 - t^5'; unit coefficients are elided."""
     if p.is_zero():

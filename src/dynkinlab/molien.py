@@ -240,40 +240,38 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
     with the same first failing degree; P(n) depends only on
     d = gcd(n, L), so it is computed and checked once per d.  Then
     a_n = a_(n-2) + P(n) / |G| from a_0 = 1 and a_(-1) = 0, the steps
-    repeating with period L.  Only a failed check rescans the degrees in
-    order, for the first witness.
+    repeating with period L.  This one pass runs up to the first degree n1
+    whose P(n1) is not a multiple of |G|, if there is one (it lies in the
+    first period), so every a_n it builds is exact.  The first witness is
+    the first of them outside [0, n + 1], or else
+    T(n1) = |G| a_(n1-2) + P(n1).
     """
     level, order = group.level, group.order
     phi, mu = _divisor_tables(level)
     weights = _order_weights(group, phi)
     gcds = list(map(math.gcd, range(1, min(nterms, level) + 1), repeat(level)))
     power_sums = {d: _power_trace_sum(weights, d, phi, mu) for d in set(gcds)}
-    if not any(s % order for s in power_sums.values()):
-        period = [power_sums[d] // order for d in gcds]  # a_n - a_(n-2), n = 1..
-        steps = list(islice(cycle(period), nterms))
-        out = [0] * (nterms + 1)
-        out[0::2] = accumulate(steps[1::2], initial=1)
-        out[1::2] = accumulate(steps[0::2])
-        if min(out) >= 0 and not any(map(operator.gt, out, range(1, nterms + 2))):
-            return out, 0
-    before, total = 0, order  # T(n-1), T(n)
-    for n in range(nterms + 1):
-        if n:
-            before, total = total, before + power_sums[math.gcd(n, level)]
-        value, rest = divmod(total, order)
-        if rest:
-            raise IdentityViolationError(
-                f"molien coefficient at degree {n}: {total} is not a multiple of |G| = {order}"
-            )
+    size = nterms + 1  # a_0..a_(size-1) are exact: |G| divides P(n) for 1 <= n < size
+    if any(s % order for s in power_sums.values()):
+        size = next(n for n, d in enumerate(gcds, 1) if power_sums[d] % order)
+    period = [power_sums[d] // order for d in gcds]  # a_n - a_(n-2), n = 1..
+    steps = list(islice(cycle(period), size - 1))
+    out = [0] * size
+    out[0::2] = accumulate(steps[1::2], initial=1)
+    out[1::2] = accumulate(steps[0::2])
+    if min(out) < 0 or any(map(operator.gt, out, range(1, size + 1))):
+        n, value = next((n, v) for n, v in enumerate(out) if v < 0 or v > n + 1)
         if value < 0:
-            raise IdentityViolationError(
-                f"negative invariant dimension {value} at degree {n}"
-            )
-        if value > n + 1:
-            raise IdentityViolationError(
-                f"invariant dimension {value} above dim Sym^{n} = {n + 1} at degree {n}"
-            )
-    raise AssertionError("unreachable: a failed check has a first failing degree")
+            raise IdentityViolationError(f"negative invariant dimension {value} at degree {n}")
+        raise IdentityViolationError(
+            f"invariant dimension {value} above dim Sym^{n} = {n + 1} at degree {n}"
+        )
+    if size <= nterms:
+        total = (order * out[size - 2] if size > 1 else 0) + power_sums[gcds[size - 1]]
+        raise IdentityViolationError(
+            f"molien coefficient at degree {size}: {total} is not a multiple of |G| = {order}"
+        )
+    return out, 0
 
 
 def molien_coeffs(group: BpgGroup, nterms: int) -> list[int]:

@@ -304,10 +304,10 @@ def test_hyperbolic_tree_is_not_finite_type():
     """T(2,3,7) = E10, the chain 0..8 with vertex 9 on vertex 2: its Coxeter
     transformation has infinite order and powers whose entries grow past
     2^200 within the bound, so the order loop re-packs at growing widths."""
-    edges = tuple((i, i + 1) for i in range(8)) + ((2, 9),)
+    bonds = tuple((i, i + 1, 1, 1) for i in range(8)) + ((2, 9, 1, 1),)
     e10 = diagram_module._make(
         None, False, tuple(f"v{i}" for i in range(10)),
-        diagram_module._simply_laced_cartan(10, edges),
+        diagram_module._cartan(10, bonds),
     )
     for order in (coxeter_number, list_coxeter_number):
         with pytest.raises(DomainError) as err:

@@ -8,6 +8,7 @@ import sympy
 from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import (
     _FOLDS,
+    EXTENDED_ONLY,
     RANKED,
     SIMPLY_LACED,
     BpgId,
@@ -82,6 +83,31 @@ def test_frozen_cartan_matrices():
     assert build(DiagramId("F4")).cartan == IntMatrix(
         ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
     )
+
+
+def test_a1_attaches_once_and_extends_by_a_double_bond():
+    """Both ends of the A1 chain are a1: the extension bonds a0 to it twice,
+    while the finite diagram lists it once."""
+    assert build(DiagramId("A", 1)).u0 == (0,)
+    ext = build(DiagramId("A", 1), extended=True)
+    assert ext.u0 == (1,) and ext.labels == ("a0", "a1")
+
+
+def test_only_finite_simply_laced_diagrams_have_a_display_grid():
+    """Orbit tables render on the finite A/D/E grids, which place each vertex
+    once; no extended or multiply-laced diagram carries one."""
+    assert build(DiagramId("A", 3)).display == (((0, 0), (1, 1), (2, 2)),)
+    assert build(DiagramId("D", 5)).display == (((0, 0), (1, 1), (2, 2), (3, 3)), ((2, 4),))
+    assert build(DiagramId("E7")).display == (tuple((c, c) for c in range(6)), ((2, 6),))
+    assert build(DiagramId("E8")).display == (tuple((c, c) for c in range(7)), ((4, 7),))
+    dids = [d.did for d in catalog_extended()] + [DiagramId(f, 128) for f in RANKED]
+    for did in dids:
+        assert build(did, extended=True).display is None, did
+        if did.family in SIMPLY_LACED:
+            finite = build(did)
+            assert sorted(v for row in finite.display for _, v in row) == list(range(finite.size)), did
+        elif did.family not in EXTENDED_ONLY:
+            assert build(did).display is None, did
 
 
 def test_e6_layout():

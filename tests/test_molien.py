@@ -6,6 +6,7 @@ oracle: invariants of -I on binary forms give n+1 in even degrees, and
 """
 
 import math
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ import dynkinlab.molien as molien
 from dynkinlab.diagram import Diagram, DiagramId, build
 from dynkinlab.errors import (
     DomainError,
+    DynkinlabError,
     GeneratorSetError,
     IdentityViolationError,
     UnsupportedFamilyError,
@@ -280,6 +282,54 @@ def test_sums_fail_at_the_first_odd_witness(text, classes, message):
         with pytest.raises(IdentityViolationError) as err:
             sums(group, 40)
         assert str(err.value) == message
+
+
+def test_range_witness_comes_before_a_later_divisibility_failure():
+    """cyclic:3 with T(1) = -6: a_1 = -2 is the first witness, although P(2)
+    is not a multiple of |G| = 3 either."""
+    group = grp("cyclic:3")._replace(classes=((0, -3), (40, 2), (60, -1)))
+    for sums in (molien._molien_sums, loop_molien_sums):
+        with pytest.raises(IdentityViolationError) as err:
+            sums(group, 40)
+        assert str(err.value) == "negative invariant dimension -2 at degree 1"
+
+
+def _tampered(group, rng: random.Random):
+    """group with the counts of the classes of one or two element orders
+    shifted, by one amount per order, so the classes stay Galois stable."""
+    level = group.level
+    orders = sorted({level // math.gcd(j, level) for j, _ in group.classes})
+    shift = {m: rng.randint(-3, 3) for m in rng.sample(orders, min(2, len(orders)))}
+    return group._replace(classes=tuple(
+        (j, count + shift.get(level // math.gcd(j, level), 0)) for j, count in group.classes
+    ))
+
+
+def _outcome(sums, group, nterms: int):
+    try:
+        return sums(group, nterms)
+    except DynkinlabError as err:
+        return type(err), str(err)
+
+
+def test_one_pass_matches_loop_oracle_on_tampered_classes():
+    """The one-pass sums against the per-degree loop on seeded tamperings of
+    the catalog groups' class counts: equal coefficients, or the same
+    exception with the same first witness."""
+    rng = random.Random(22)
+    seen = set()
+    for bid in catalog_groups():
+        group = enumerate_group(bid)
+        level = group.level
+        for _ in range(6):
+            tampered = _tampered(group, rng)
+            for nterms in (0, 1, 2, 3, 13, 40, level - 1, level, level + 3):
+                expected = _outcome(loop_molien_sums, tampered, nterms)
+                assert _outcome(molien._molien_sums, tampered, nterms) == expected, (
+                    bid.text, tampered.classes, nterms)
+                # the first word of the message names the failed check
+                seen.add(expected[1].split()[0] if isinstance(expected[1], str) else "coefficients")
+    assert seen == {"coefficients", "molien", "negative", "invariant"}
 
 
 def test_enumeration_is_cached_and_immutable():
