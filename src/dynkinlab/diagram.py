@@ -40,7 +40,6 @@ DiagramId and BpgId validate their fields in __new__.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -56,8 +55,6 @@ FAMILIES = ("A", "D", "E6", "E7", "E8", "B", "C", "F4", "G2", "G2dual", "F4dual"
 RANKED = {"A": 1, "D": 4, "B": 2, "C": 2, "DD": 3, "CD": 2}
 EXTENDED_ONLY = ("G2dual", "F4dual", "DD", "CD")
 SIMPLY_LACED = ("A", "D", "E6", "E7", "E8")
-
-_ID_RE = re.compile(r"^(DD|CD|[ABCD])([0-9]+)$")
 
 
 class _DiagramIdFields(NamedTuple):
@@ -87,10 +84,10 @@ class DiagramId(_DiagramIdFields):
         s = text.strip()
         if s in FAMILIES and s not in RANKED:
             return cls(s)
-        m = _ID_RE.match(s)
-        if not m:
+        family = s.rstrip("0123456789")  # a ranked family, then ASCII digits
+        if family not in RANKED or family == s:
             raise UnsupportedFamilyError(f"cannot parse diagram id {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        return cls(family, int(s[len(family):]))
 
     @property
     def text(self) -> str:

@@ -451,48 +451,60 @@ def _decode(x: int, w: int) -> IntPoly:
     return _trusted(_unpack(x, x.bit_length() // w + 1, w))
 
 
-def _reader(n: int, w: int):
-    """entry(x, j): slot j of a packed row of n slots, exact while every
-    entry is below 2^(w-1) in absolute value: adding 2^(w-1) to each slot
-    then makes every base-2^w digit of x nonnegative."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    bias = half * (((1 << (w * n)) - 1) // mask)
-    return lambda x, j: (((x + bias) >> (w * j)) & mask) - half
+def _trace(n: int, w: int):
+    """rows -> the sum of slot i of row i over n packed rows, exact while
+    every slot is below 2^(w-1) in absolute value: adding 2^(w-1) to each
+    slot then makes every base-2^w digit nonnegative."""
+    half, mask, bias = 1 << (w - 1), (1 << w) - 1, _bias(n, w)
+    return lambda rows: sum(((x + bias) >> s) & mask for x, s in zip(rows, range(0, w * n, w))) - n * half
 
 
-_STRIDE = 32  # steps of `_order` between two re-packings
+def _fits(rows: Sequence[int], w: int, g: int) -> bool:
+    """Whether every slot v of the packed rows has -b <= v < b, b = 2^(w-1-g),
+    given |v| < 2^(w-1) and 2 <= g < w: one mask test of the top g bits of
+    every slot of x + sum(b << (w j)), over the slots `_decode` would read.
+    Exact: digits d_j that pass spell the same integer as the v_j + b only if
+    all d_j = v_j + b, since |d_j - v_j - b| < 2^(w-g) + 2^(w-1) + b < 2^w."""
+    half = _bias(max(x.bit_length() for x in rows) // w + 1, w)
+    bias, mask = half >> g, (half << 1) - (half >> (g - 1))
+    return not any((x + bias) & mask for x in rows)
+
+
+# Both packed loops keep g bits of headroom, r^_STRIDE < 2^g: entries at most
+# 2^(w-1-g) stay below 2^(w-1) for _STRIDE products by m.
+_STRIDE = 4
 
 
 def _order(m: IntMatrix, limit: int) -> int | None:
     """The least k <= limit with m^k = I, or None.
 
-    m^k is kept as packed rows, so each step is one sparse product and
-    m^k = I compares n integers.  Its entries have no bound in advance, so
-    the slot width is taken once per _STRIDE steps and the entries are read
-    back and re-packed between strides.
+    m^k is kept as packed rows: each step is one sparse product, m^k = I
+    compares n integers, and m^k is read back and re-packed wider only
+    where `_fits` fails at the end of a stride.
     """
     n, step = m.nrows, _sparse_left(m)
-    r = max(sum(map(abs, row)) for row in m.rows)  # entries of m^j X are <= r^j max|X|
-    power, k = m.rows, 1
-    while True:
-        # so the entries of m^(k+j), j <= _STRIDE, are below 2^(w-1)
-        w = _width(max(max(map(abs, row)) for row in power) * r**_STRIDE)
-        cur, ident = _pack(power, w), [1 << (w * i) for i in range(n)]
-        for _ in range(_STRIDE):
-            if cur == ident:
-                return k
-            if k == limit:
-                return None
-            cur, k = step(cur), k + 1
-        power = [_unpack(x, n, w) for x in cur]
+    r = max(sum(map(abs, row)) for row in m.rows)
+    g, power = max(2, (r**_STRIDE).bit_length()), m.rows
+    for k in range(1, limit + 1):
+        if power is not None:  # with room for r at least
+            w = _width(max(r, *(max(map(abs, row)) for row in power)) << g)
+            cur, ident, power = _pack(power, w), [1 << (w * i) for i in range(n)], None
+        if cur == ident:
+            return k
+        cur = step(cur)
+        if k % _STRIDE == 0 and not _fits(cur, w, g):
+            power = [_unpack(x, n, w) for x in cur]
+    return None
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recursion on packed rows (`_pack`) of one slot
-    width, fixed in advance: the trace reads the diagonal slots only, + c_k I
-    adds c_k << (w i) to row i, and the closure M_n = 0 tests n integers.
+    Faddeev-LeVerrier recursion on packed rows (`_pack`): the trace reads
+    the diagonal slots only, + c_k I adds c_k << (w i) to row i, and the
+    closure M_n = 0 tests n integers.  b <- r b + |c_k| bounds the entries
+    of M_k; where r b could reach 2^(w-1), `_fits` proves b = 2^(w-1-g),
+    or m M_(k-1) is read back and re-packed wider before c_k I is added.
     Every division is exact, so the result is certified over Z.  charpoly
     of the empty matrix is 1.
     """
@@ -501,20 +513,26 @@ def charpoly(m: IntMatrix) -> IntPoly:
     n = m.nrows
     if n == 0:
         return IntPoly.one()
-    # |c_k| <= C(n, k) R^k, R the largest absolute row sum, so the entries of
-    # M_k = sum(c_j m^(k-j), j <= k) and of m M_(k-1) are at most 2^n R^n < 2^(w-1)
     r = max(sum(map(abs, row)) for row in m.rows) or 1
-    w = (2**n * r**n).bit_length() + 1
-    entry, step = _reader(n, w), _sparse_left(m)
-    coeffs, mk = [1], [1 << (w * i) for i in range(n)]
+    g, step = max(2, (r**_STRIDE).bit_length()), _sparse_left(m)
+    b, w = 1, _width(r << g)  # M_0 = I, with room for r
+    trace, mk, coeffs = _trace(n, w), [1 << (w * i) for i in range(n)], [1]
     for k in range(1, n + 1):
         am = step(mk)
-        tr = sum(entry(x, i) for i, x in enumerate(am))
+        tr = trace(am)
         if tr % k:
             raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
         ck = -(tr // k)
         coeffs.append(ck)
-        mk = [x + (ck << (w * i)) for i, x in enumerate(am)]
+        mk, b = ([x + (ck << (w * i)) for i, x in enumerate(am)] if ck else am), r * b + abs(ck)
+        if r * b >> (w - 1):
+            if not b >> (w - 1) and _fits(mk, w, g):
+                b = 1 << (w - 1 - g)
+            else:
+                rows = [_unpack(x, n, w) for x in am]
+                b = max(max(map(abs, row)) for row in rows) + abs(ck)
+                w = _width(b << g)
+                trace, mk = _trace(n, w), [x + (ck << (w * i)) for i, x in enumerate(_pack(rows, w))]
     if any(mk):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return _trusted(coeffs[::-1])

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 import sympy
 
 import dynkinlab
 from dynkinlab import diagram as diagram_module
+from dynkinlab import exact
 from dynkinlab.cli import main
 from dynkinlab.coxeter import (
     _class_sum,
@@ -31,8 +33,8 @@ from dynkinlab.diagram import (
     nil_root,
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
-from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, charpoly
-from oracles import list_charpoly, list_coxeter_number
+from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
+from oracles import list_charpoly, list_coxeter_number, list_matmul
 
 L = IntPoly.x()
 
@@ -266,11 +268,13 @@ def test_packed_kernel_against_list_products_on_catalog():
 
 
 def test_packed_kernel_against_list_products_up_to_rank_64():
-    """The order loop re-packs every 32 steps: A31 closes on the last step
-    of a stride, A32 on the first after a re-packing, A63 and A64 likewise
-    one stride later.  The extended A_n with n even are odd cycles."""
+    """The order loop tests `_fits` after every 4 steps: A_n closes on the
+    last step of a stride where 4 divides h = n + 1 (A3, A7, A11, A15, A31,
+    A63) and on the first step after one where h = 1 mod 4 (A4, A8, A12,
+    A16, A32, A64).  The extended A_n with n even are odd cycles."""
+    assert _STRIDE == 4
     for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
-        for n in (*range(low, 13), 16, 31, 32, 33, 63, 64):
+        for n in (*range(low, 13), 15, 16, 31, 32, 33, 63, 64):
             d = build(DiagramId(family, n))
             c = coxeter_transform(d)
             assert charpoly(c) == list_charpoly(c)
@@ -300,19 +304,83 @@ def test_packed_kernel_makes_no_matrix_product(monkeypatch):
     assert calls == 1  # C = w2 w1 in coxeter_transform; the order loop makes none
 
 
-def test_hyperbolic_tree_is_not_finite_type():
+def _count_packing(monkeypatch) -> Counter:
+    """Counts `_pack` and `_unpack` calls and `_fits` outcomes in exact.py."""
+    calls: Counter = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            out = f(*args)
+            calls[f"_fits {out}" if name == "_fits" else name] += 1
+            return out
+        return wrapper
+
+    for name in ("_pack", "_unpack", "_fits"):
+        monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
+    return calls
+
+
+def test_packed_loops_keep_their_first_width(monkeypatch):
+    """The entries of these Coxeter transformations, their powers and their
+    M_k stay within the room the first width leaves, so `_fits` passes at
+    every test and nothing is read back: the order loop packs m once and
+    tests once per stride, and charpoly builds M_0 = I by shifts, no pack."""
+    calls = _count_packing(monkeypatch)
+    for text, h, chi in (("D37", 72, (L**36 + 1) * (L + 1)), ("A31", 32, IntPoly((1,) * 32)),
+                         ("E8", 30, None), ("D128", 254, (L**127 + 1) * (L + 1))):
+        c = coxeter_transform(build(DiagramId.parse(text)))
+        chi = chi or list_charpoly(c)
+        calls.clear()
+        assert charpoly(c) == chi
+        assert calls["_pack"] == calls["_unpack"] == calls["_fits False"] == 0, text
+        calls.clear()
+        assert _order(c, 10 * c.nrows**2) == h
+        assert calls == Counter({"_pack": 1, "_fits True": (h - 1) // _STRIDE}), text
+
+
+def test_packed_loops_read_back_and_widen(monkeypatch):
+    """A scalar d I makes c_1 = -n d too wide for the slots of M_1 before any
+    `_fits` test, so am is read back and re-packed wider, and for |d| > 1 the
+    M_k also outgrow their slots between c_k's.  A conjugate U P U^-1 of the
+    6-cycle P has a fourth power past 2^(w-1-g): the order loop re-packs it
+    once and still closes at 6, as the list products do."""
+    calls = _count_packing(monkeypatch)
+    for n, d in ((40, 1), (64, 2), (64, -9)):
+        calls.clear()
+        m = IntMatrix([[d if i == j else 0 for j in range(n)] for i in range(n)])
+        assert charpoly(m) == IntPoly((-d, 1)) ** n
+        assert calls["_unpack"] == n * calls["_pack"] > 0
+        if d == 1:  # every widening comes from c_k, none from a failed _fits
+            assert set(calls) == {"_pack", "_unpack"}
+        else:
+            assert calls["_fits False"] > 0
+    m = IntMatrix(((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 2, 0, 1, 0, 0),
+                   (0, 0, -2, 0, 1, 0), (3, -3, 0, 0, 0, 1), (1, -3, 3, 0, 0, 0)))
+    powers = [m]
+    for _ in range(5):
+        powers.append(list_matmul(m, powers[-1]))
+    assert [p == IntMatrix.identity(6) for p in powers] == [False] * 5 + [True]
+    calls.clear()
+    assert _order(m, 100) == 6
+    assert calls == Counter({"_pack": 2, "_unpack": 6, "_fits False": 1})
+
+
+def test_hyperbolic_tree_is_not_finite_type(monkeypatch):
     """T(2,3,7) = E10, the chain 0..8 with vertex 9 on vertex 2: its Coxeter
     transformation has infinite order and powers whose entries grow past
-    2^200 within the bound, so the order loop re-packs at growing widths."""
+    2^200 within the bound, so `_fits` fails again and again and the order
+    loop re-packs at growing widths."""
     bonds = tuple((i, i + 1, 1, 1) for i in range(8)) + ((2, 9, 1, 1),)
     e10 = diagram_module._make(
         None, False, tuple(f"v{i}" for i in range(10)),
         diagram_module._cartan(10, bonds),
     )
+    calls = _count_packing(monkeypatch)
     for order in (coxeter_number, list_coxeter_number):
         with pytest.raises(DomainError) as err:
             order(e10)
         assert str(err.value) == "order exceeds the bound 1000; diagram is not finite type"
+    assert calls["_unpack"] == 10 * calls["_fits False"] == 10 * (calls["_pack"] - 1) > 0
 
 
 def _clear_package_caches():

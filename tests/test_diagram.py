@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 import sympy
 
@@ -66,6 +68,22 @@ def test_diagram_id_parse():
         DiagramId("A")
     with pytest.raises(UnsupportedFamilyError, match="^unknown family 'Q'$"):
         DiagramId("Q", 2)
+
+
+def test_ranked_ids_parse_from_the_ranked_table():
+    """A diagram id is a family of RANKED followed by ASCII digits, so each
+    ranked family parses at its least rank (and any larger one), a rank below
+    it is a DomainError, and anything else cannot be parsed."""
+    for family, low in RANKED.items():
+        assert DiagramId.parse(f"{family}{low}") == DiagramId(family, low)
+        assert DiagramId.parse(f" {family}0{low + 125} ") == DiagramId(family, low + 125)
+        with pytest.raises(DomainError, match=f"^family {family} needs rank >= {low}$"):
+            DiagramId.parse(f"{family}{low - 1}")
+    for text in ("Q5", "E65", "a3", "A+1", "A", "DD", "3", "", "A 3", "A3 B", "F4dual4", "DDD4"):
+        with pytest.raises(UnsupportedFamilyError, match=f"^{re.escape(f'cannot parse diagram id {text!r}')}$"):
+            DiagramId.parse(text)
+    with pytest.raises(DomainError, match="^family A needs rank >= 1$"):
+        DiagramId.parse("A0")
 
 
 def test_frozen_cartan_matrices():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from dynkinlab import exact as exact_module
 from dynkinlab.diagram import catalog_extended
 from dynkinlab.errors import DimensionError, PoleAtOriginError, RankError
 from dynkinlab.exact import (
@@ -23,6 +24,7 @@ from dynkinlab.exact import (
     series_expand,
     _decode,
     _echelon,
+    _fits,
     _order,
     _pack,
     _unpack,
@@ -502,6 +504,40 @@ def test_pack_and_unpack_against_the_shift_sum():
                     assert _decode(x, w) == IntPoly(row + [top]), (w, n, top, low)
 
 
+def test_fits_against_the_largest_unpacked_slot():
+    """_fits(rows, w, g) holds iff every slot v has -b <= v < b, b =
+    2^(w-1-g): slots at -b and b - 1 pass and one step outside them fails, in
+    the bottom slot and in a negative top slot, for g = 2 (the least the proof
+    allows) up to g = w - 1, one to 40 slots and widths 8 to 136; random rows
+    of every spread agree with the extremes of _unpack."""
+    rng = random.Random(23)
+    outcomes = set()
+    for w in (8, 16, 24, 64, 72, 136):
+        half = 1 << (w - 1)
+        for g in sorted({2, 3, w // 2, w - 1}):
+            b = 1 << (w - 1 - g)
+            for n in (1, 2, 3, 40):
+                for edge, inside in ((-b, True), (b - 1, True), (-b - 1, False), (b, False)):
+                    for j in {0, n - 1}:
+                        row = [rng.randrange(-b, b) for _ in range(n)]
+                        row[j] = edge
+                        assert _fits(_pack([row], w), w, g) is inside, (w, g, n, edge, j)
+                # every slot at -b: the packed row is as negative as a passing row gets
+                assert _fits(_pack([[-b] * n], w), w, g)
+                for spread in (b // 2, b, b + 1, 2 * b, half):
+                    rows = [[rng.randrange(-spread + 1, spread) if spread > 1 else 0 for _ in range(n)]
+                            for _ in range(4)]
+                    packed = _pack(rows, w)
+                    slots = [v for x in packed for v in _unpack(x, n, w)]
+                    want = -b <= min(slots) and max(slots) < b
+                    assert _fits(packed, w, g) is want, (w, g, n, spread)
+                    outcomes.add(want)
+    assert outcomes == {True, False}
+    # rows of different slot counts in one call: each is read to its top slot
+    assert _fits(_pack([[1], [0] * 39 + [4]], 8), 8, 4)
+    assert not _fits(_pack([[1], [0] * 39 + [8]], 8), 8, 4)
+
+
 def test_ratfunc_frozen_values():
     f = RatFunc(T**3 + 1, T + 1)
     assert f.is_polynomial()
@@ -528,9 +564,13 @@ def test_cayley_hamilton_random():
         assert det(lambda_identity_minus(m)) == p
 
 
-def test_charpoly_against_list_products_and_sympy():
+def test_charpoly_against_list_products_and_sympy(monkeypatch):
     """Entries up to 9 in absolute value make wide slots: the coefficients of
-    a 12 x 12 characteristic polynomial run to about 10^20."""
+    a 12 x 12 characteristic polynomial run to about 10^20, so the M_k
+    outgrow the first slot width and are read back and re-packed wider."""
+    unpacked = []
+    unpack = exact_module._unpack
+    monkeypatch.setattr(exact_module, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
     rng = random.Random(1978)
     x = sympy.Symbol("x")
     for _ in range(40):
@@ -539,6 +579,7 @@ def test_charpoly_against_list_products_and_sympy():
         p = charpoly(m)
         assert p == list_charpoly(m)
         assert p == IntPoly(int(c) for c in reversed(sympy.Matrix(m.rows).charpoly(x).all_coeffs()))
+    assert unpacked
 
 
 def test_det_cofactor_against_permutation_sum():
