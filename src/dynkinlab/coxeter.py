@@ -29,8 +29,6 @@ from .errors import (
 )
 from .exact import IntMatrix, IntPoly, RatFunc, _order, _trusted_matrix, charpoly
 
-L = IntPoly.x()
-
 
 class BicoloredPair(NamedTuple):
     """The two involutions, each recorded with the vertex class it reflects."""
@@ -86,7 +84,7 @@ def affine_A_charpoly(n: int, k: int) -> IntPoly:
     Coxeter transformation on the (n+1)-cycle with class sizes k, n+1-k."""
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}")
-    return (L ** (n - k + 1) - 1) * (L**k - 1)
+    return (IntPoly.monomial(n - k + 1) - 1) * (IntPoly.monomial(k) - 1)
 
 
 def char_polys(did: DiagramId, k: int | None = None) -> tuple[IntPoly, IntPoly]:

@@ -30,9 +30,10 @@ Extended diagrams carry no display grid; only finite ones are rendered.
 
 The per-family facts are data, stated once: _FOLDS gives each folded
 family its base diagram, orbits and Molien pair (H, G) (Slodowy's
-correspondence), and _MCKAY pairs each group family with its A/D/E
-diagram, read one way by BpgId.paired_diagram and the other by
-mckay_group.  Group closure and Molien sums live in molien.py.
+correspondence), and _GROUPS gives each group family its least parameter,
+its order and its A/D/E partner (McKay's correspondence), read by BpgId
+and, backwards, by mckay_group.  Group closure and Molien sums live in
+molien.py, Kostant's numbers a, b, h in kostant.py.
 
 The records (DiagramId, Diagram, BpgId) are immutable NamedTuples;
 DiagramId and BpgId validate their fields in __new__.
@@ -41,7 +42,7 @@ DiagramId and BpgId validate their fields in __new__.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     CatalogCorruptionError,
@@ -115,10 +116,6 @@ class Diagram(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def rank(self) -> int:
-        return self.size - 1 if self.extended else self.size
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
@@ -270,23 +267,26 @@ def _extend_simply_laced(did: DiagramId) -> Diagram:
     return _make(did, True, ("a0",) + labels, _cartan(len(labels) + 1, bonds))
 
 
-def fold(diagram: Diagram, orbits) -> Diagram:
+def fold(diagram: Diagram, orbits: Sequence[Sequence[str]]) -> Diagram:
     """Fold a diagram along an orbit partition of its vertices.
 
-    Each orbit becomes one vertex; the new entry for the pair (A, B) is
-    sum(K[i][j] for i in A) at any fixed j in B.  The partition is
-    admissible only if no orbit contains a bond and the sum does not depend
-    on the chosen representative j.  Returns the folded diagram; its dual
-    has the transposed Cartan matrix.
+    Orbits list vertex labels; on an extended diagram the first orbit holds
+    the affine vertex.  Each orbit becomes one vertex; the new entry for the
+    pair (A, B) is sum(K[i][j] for i in A) at any fixed j in B.  The
+    partition is admissible only if no orbit contains a bond and the sum
+    does not depend on the chosen representative j.  Returns the folded
+    diagram; its dual has the transposed Cartan matrix.
     """
     k = diagram.cartan.rows
     n = diagram.size
-    resolved: list[tuple[int, ...]] = []
-    for orb in orbits:
-        resolved.append(tuple(diagram.index_of(v) if isinstance(v, str) else int(v) for v in orb))
+    if unknown := [v for orb in orbits for v in orb if v not in diagram.labels]:
+        raise FoldingError(f"no vertex labelled {unknown[0]!r}")
+    resolved = [tuple(map(diagram.index_of, orb)) for orb in orbits]
     seen = sorted(v for orb in resolved for v in orb)
     if seen != list(range(n)):
         raise FoldingError("orbits do not partition the vertex set")
+    if diagram.extended and 0 not in resolved[0]:
+        raise FoldingError("the first orbit does not hold the affine vertex")
     for orb in resolved:
         for i in orb:
             for j in orb:
@@ -305,18 +305,20 @@ def fold(diagram: Diagram, orbits) -> Diagram:
                 raise FoldingError("entry sum depends on the representative")
             rows[a][b] = sums.pop()
     labels = tuple("+".join(diagram.labels[v] for v in orb) for orb in resolved)
-    extended = diagram.extended
-    if extended:
-        holder = next(a for a, orb in enumerate(resolved) if 0 in orb)
-        if holder != 0:
-            order = [holder] + [a for a in range(m) if a != holder]
-            rows = [[rows[a][b] for b in order] for a in order]
-            labels = tuple(labels[a] for a in order)
-    return _make(None, extended, labels, _trusted_matrix(tuple(map(tuple, rows))))
+    return _make(None, diagram.extended, labels, _trusted_matrix(tuple(map(tuple, rows))))
 
 
-_EXCEPTIONAL = {"binary_tetrahedral": 24, "binary_octahedral": 48,
-                "binary_icosahedral": 120}
+# group family -> (least n, or None for a group without parameter; |G|, per
+# unit of n where there is one; McKay partner family; rank shift from n to
+# the partner's rank): cyclic:n <-> A_(n-1), binary_dihedral:n <-> D_(n+2),
+# and the exceptional groups <-> E6, E7, E8
+_GROUPS = {
+    "cyclic": (1, 1, "A", -1),
+    "binary_dihedral": (2, 4, "D", 2),
+    "binary_tetrahedral": (None, 24, "E6", None),
+    "binary_octahedral": (None, 48, "E7", None),
+    "binary_icosahedral": (None, 120, "E8", None),
+}
 
 
 class _BpgIdFields(NamedTuple):
@@ -330,17 +332,13 @@ class BpgId(_BpgIdFields):
     __slots__ = ()
 
     def __new__(cls, family: str, n: int | None = None) -> "BpgId":
-        if family == "cyclic":
-            if n is None or n < 1:
-                raise DomainError("cyclic group needs n >= 1")
-        elif family == "binary_dihedral":
-            if n is None or n < 2:
-                raise DomainError("binary dihedral group needs n >= 2")
-        elif family in _EXCEPTIONAL:
-            if n is not None:
-                raise DomainError(f"{family} takes no parameter")
-        else:
+        if family not in _GROUPS:
             raise UnsupportedFamilyError(f"unknown group family {family!r}")
+        least = _GROUPS[family][0]
+        if least is None and n is not None:
+            raise DomainError(f"{family} takes no parameter")
+        if least is not None and (n is None or n < least):
+            raise DomainError(f"{family.replace('_', ' ')} group needs n >= {least}")
         return super().__new__(cls, family, n)
 
     @classmethod
@@ -359,36 +357,22 @@ class BpgId(_BpgIdFields):
 
     @property
     def order(self) -> int:
-        if self.family == "cyclic":
-            return self.n
-        if self.family == "binary_dihedral":
-            return 4 * self.n
-        return _EXCEPTIONAL[self.family]
+        return _GROUPS[self.family][1] * (self.n or 1)
 
     def paired_diagram(self) -> DiagramId:
         """McKay partner: the diagram whose extension is this group's McKay graph."""
-        family, shift = _MCKAY[self.family]
-        if shift is None:
+        _, _, family, shift = _GROUPS[self.family]
+        if self.n is None:
             return DiagramId(family)
         if self.n + shift < RANKED[family]:
             raise DomainError(f"{self.text} has no paired diagram in the catalog")
         return DiagramId(family, self.n + shift)
 
 
-# group family -> (A/D/E family, rank shift): cyclic:n <-> A_(n-1) and
-# binary_dihedral:n <-> D_(n+2); the exceptional groups pair with E6, E7, E8
-_MCKAY = {
-    "cyclic": ("A", -1),
-    "binary_dihedral": ("D", 2),
-    "binary_tetrahedral": ("E6", None),
-    "binary_octahedral": ("E7", None),
-    "binary_icosahedral": ("E8", None),
-}
-
-
 def mckay_group(did: DiagramId) -> BpgId:
-    """The group paired with an A/D/E diagram, read from _MCKAY backwards."""
-    for group, (family, shift) in _MCKAY.items():
+    """The group paired with an A/D/E diagram: the _GROUPS row naming its
+    family, the rank shift undone."""
+    for group, (_, _, family, shift) in _GROUPS.items():
         if family == did.family:
             return BpgId(group, None if shift is None else did.rank - shift)
     raise UnsupportedFamilyError("McKay groups are tabulated for ADE families only")
@@ -472,27 +456,6 @@ def highest_root(diagram: Diagram) -> tuple[int, ...]:
     if delta[0] != 1:
         raise CatalogCorruptionError("nil root affine coordinate is not 1")
     return delta[1:]
-
-
-def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
-    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified
-    against the order of its McKay group.
-
-    a is twice the largest nil root coordinate, h the Coxeter number and
-    b = h + 2 - a.
-    """
-    if did.family not in SIMPLY_LACED:
-        raise UnsupportedFamilyError("Kostant numbers are defined for ADE families")
-    from .coxeter import coxeter_number  # deferred: coxeter depends on diagram
-
-    ext = build(did, extended=True)
-    a = 2 * max(nil_root(ext))
-    h = coxeter_number(build(did))
-    b = h + 2 - a
-    order = mckay_group(did).order
-    if a * b != 2 * order:
-        raise CatalogCorruptionError(f"a*b = {a * b} but 2|G| = {2 * order}")
-    return a, b, h, order
 
 
 def catalog_extended() -> tuple[Diagram, ...]:

@@ -31,13 +31,17 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .coxeter import coxeter_transform
-from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, kostant_numbers
-from .errors import DomainError, IdentityViolationError
+from .coxeter import coxeter_number, coxeter_transform
+from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, mckay_group, nil_root
+from .errors import (
+    CatalogCorruptionError,
+    DomainError,
+    IdentityViolationError,
+    UnsupportedFamilyError,
+)
 from .exact import IntPoly, _bias, _decode, _pack, _unpack, _width, charpoly, series_expand
 from .report import Report
 
-T = IntPoly.x()
 T2 = IntPoly.monomial(2)
 
 
@@ -106,11 +110,29 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
     return GeneratingFunction(diagram, numerators, det_m)
 
 
+def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
+    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified
+    against the order of its McKay group.
+
+    a is twice the largest nil root coordinate, h the Coxeter number and
+    b = h + 2 - a.
+    """
+    if did.family not in SIMPLY_LACED:
+        raise UnsupportedFamilyError("Kostant numbers are defined for ADE families")
+    a = 2 * max(nil_root(build(did, extended=True)))
+    h = coxeter_number(build(did))
+    b = h + 2 - a
+    order = mckay_group(did).order
+    if a * b != 2 * order:
+        raise CatalogCorruptionError(f"a*b = {a * b} but 2|G| = {2 * order}")
+    return a, b, h, order
+
+
 def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     """(1 + t^h, (1 - t^a)(1 - t^b)): numerator and denominator of component
     0 for a finite ADE diagram, unreduced."""
     a, b, h, _ = kostant_numbers(did)
-    return 1 + T**h, (1 - T**a) * (1 - T**b)
+    return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
 
 
 def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
@@ -209,7 +231,7 @@ def verify_ebeling(diagram: Diagram) -> Report:
     else:
         m = diagram.size
         checks.append((f"det M(t) = (t^{m} - 1)^2 on the {m}-cycle",
-                       gf.det_m == (T**m - 1) ** 2))
+                       gf.det_m == (IntPoly.monomial(m) - 1) ** 2))
     return Report(f"ebeling identities for {_name(diagram)}", tuple(checks))
 
 

@@ -82,7 +82,7 @@ def verify_observation(diagram: Diagram) -> Report:
     zt = z_polynomials(diagram)
     ext = build(diagram.did, extended=True)
     y = generating_function(ext).numerators
-    q = 1 + T**2
+    q = 1 + IntPoly.monomial(2)
     neighbor_z = a_semi.mulvec(zt)
     neighbor_y = a_semi.mulvec(y)
     checks = [

@@ -31,15 +31,13 @@ from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple
 
-from .diagram import _EXCEPTIONAL, BpgId, DiagramId, build, folded_pair
+from .diagram import _GROUPS, BpgId, DiagramId, build, folded_pair
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
 from .exact import _unpack
 from .kostant import _three_term, component_series, packed_series
 from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-_PARAMETRIC = ("cyclic", "binary_dihedral")
 
 _TOL = 1e-6
 
@@ -48,7 +46,7 @@ def catalog_groups() -> tuple[BpgId, ...]:
     """Every group exercised by the verification suites."""
     return (tuple(BpgId("cyclic", n) for n in range(2, 9))
             + tuple(BpgId("binary_dihedral", n) for n in range(2, 7))
-            + tuple(map(BpgId, _EXCEPTIONAL)))
+            + tuple(BpgId(family) for family, (least, *_) in _GROUPS.items() if least is None))
 
 
 class BpgGroup(NamedTuple):
@@ -110,7 +108,7 @@ def _generators(bid: BpgId, p: int, level: int, zeta: int) -> tuple[Mat2, ...]:
         i = root(4)
         return (((a + b * i) % p, (c + d * i) % p), ((-c + d * i) % p, (a - b * i) % p))
 
-    if bid.family in _PARAMETRIC:
+    if bid.n is not None:
         z = root(bid.n if bid.family == "cyclic" else 2 * bid.n)
         rotation = ((z, 0), (0, pow(z, -1, p)))
         return (rotation,) if bid.family == "cyclic" else (rotation, ((0, p - 1), (1, 0)))
@@ -136,7 +134,7 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
     expected = bid.order
     # 120 holds the element orders 3, 5, 8 and 10 of the exceptional groups,
     # 2N the rotation orders of the parametric ones
-    level = math.lcm(120, 2 * (bid.n if bid.family in _PARAMETRIC else 1))
+    level = math.lcm(120, 2 * (bid.n or 1))
     p, zeta = _field(level)
     gens = _generators(bid, p, level, zeta)
     for g in gens:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number
-from .diagram import SIMPLY_LACED, Diagram, build, highest_root, kostant_numbers
+from .diagram import SIMPLY_LACED, Diagram, build, highest_root
 from .errors import (
     CatalogCorruptionError,
     DomainError,
@@ -24,10 +24,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .exact import IntPoly, _sparse_left, format_poly
-from .kostant import generating_function
+from .kostant import generating_function, kostant_numbers
 from .report import Report
-
-T = IntPoly.x()
 
 
 def _require_ade_even(diagram: Diagram) -> int:
@@ -116,7 +114,7 @@ def verify_kostant_form(diagram: Diagram) -> Report:
     det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
     a, b, _, _ = kostant_numbers(diagram.did)
     zt = z_polynomials(diagram)
-    den = (1 - T**a) * (1 - T**b)
+    den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
     ext = build(diagram.did, extended=True)
     gf = generating_function(ext)
     checks = tuple(

@@ -17,12 +17,12 @@ from dynkinlab.diagram import (
     build,
     catalog_extended,
     finite_part,
-    kostant_numbers,
     nil_root,
 )
 from dynkinlab.errors import RankError
 from dynkinlab.exact import IntMatrix, IntPoly, charpoly
 from dynkinlab.kostant import (
+    kostant_numbers,
     multiplicities,
     verify_closed_form,
     verify_ebeling,

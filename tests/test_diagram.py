@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
 import sympy
 
+import dynkinlab.diagram
 from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import (
     _FOLDS,
@@ -22,7 +25,6 @@ from dynkinlab.diagram import (
     fold,
     folded_pair,
     highest_root,
-    kostant_numbers,
     mckay_group,
     nil_root,
 )
@@ -33,7 +35,7 @@ from dynkinlab.errors import (
     UnsupportedFamilyError,
 )
 from dynkinlab.exact import IntMatrix
-from dynkinlab.kostant import generating_function
+from dynkinlab.kostant import generating_function, kostant_numbers
 from dynkinlab.molien import enumerate_group
 from dynkinlab.orbit import assembling_vectors
 from dynkinlab.report import Report
@@ -272,6 +274,13 @@ def test_fold_rejects_bad_partitions():
         fold(a4, (("a1", "a4"), ("a2",), ("a3",)))  # representative-dependent sums
     with pytest.raises(FoldingError):
         fold(a4, (("a1",), ("a2",)))  # not a partition
+    with pytest.raises(FoldingError, match="^no vertex labelled 'a9'$"):
+        fold(a4, (("a1", "a4"), ("a2",), ("a9",)))  # unknown label
+    with pytest.raises(FoldingError, match="^no vertex labelled 0$"):
+        fold(a2, ((0,), (1,)))  # vertices are given by label only
+    d4 = build(DiagramId("D", 4), extended=True)
+    with pytest.raises(FoldingError, match="^the first orbit does not hold the affine vertex$"):
+        fold(d4, (("d2",), ("a0",), ("d1", "f1", "f2")))  # a0's orbit second
 
 
 def test_folded_catalog_finite_parts():
@@ -315,6 +324,50 @@ def test_group_orders():
     assert mckay_group(DiagramId("E8")).order == 120
     with pytest.raises(UnsupportedFamilyError):
         mckay_group(DiagramId("B", 3))
+
+
+# family, least parameter, |G| at it, refusal of one parameter below it (or,
+# for a group without one, of the parameter 1)
+_GROUP_ROWS = (
+    ("cyclic", 1, 1, "cyclic group needs n >= 1"),
+    ("binary_dihedral", 2, 8, "binary dihedral group needs n >= 2"),
+    ("binary_tetrahedral", None, 24, "binary_tetrahedral takes no parameter"),
+    ("binary_octahedral", None, 48, "binary_octahedral takes no parameter"),
+    ("binary_icosahedral", None, 120, "binary_icosahedral takes no parameter"),
+)
+
+
+@pytest.mark.parametrize("family, least, order, refusal", _GROUP_ROWS)
+def test_group_table_edges(family, least, order, refusal):
+    """Each group family at its least parameter and one below, with its
+    order against the closure, and McKay's pairing read both ways on every
+    group whose partner is at most rank 128."""
+    bid = BpgId(family, least)
+    assert bid.order == order == enumerate_group(bid).order
+    with pytest.raises(DomainError, match=f"^{re.escape(refusal)}$"):
+        BpgId(family, least - 1 if least else 1)
+    if least is None:
+        assert mckay_group(bid.paired_diagram()) == bid
+        return
+    with pytest.raises(DomainError, match=f"^{re.escape(refusal)}$"):
+        BpgId(family)
+    assert BpgId(family, 5).order == 5 * order // least == enumerate_group(BpgId(family, 5)).order
+    top = {"cyclic": 129, "binary_dihedral": 126}[family]
+    for n in range(2, top + 1):
+        assert mckay_group(BpgId(family, n).paired_diagram()) == BpgId(family, n)
+    assert BpgId(family, top).paired_diagram().rank == 128
+
+
+def test_catalog_module_imports_only_the_kernel():
+    """diagram.py imports no layer above the exact kernel, in any function
+    body either: only .errors and .exact from the package."""
+    names = []
+    for node in ast.walk(ast.parse(Path(dynkinlab.diagram.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert {n for n in names if n.startswith((".", "dynkinlab"))} == {".errors", ".exact"}
 
 
 def test_catalog_tables_agree():
