@@ -11,13 +11,15 @@ choice up to similarity.
 No reflection is multiplied out: K[i, j] = 0 for i != j in one class, so
 the product over a class is the class sum I - sum(e_i K_i), whose class
 rows are e_i - K_i and whose other rows are the identity's (Steinberg 1959;
-A'Campo 1976).  C then has about four nonzeros per row (317 on D80), and
-every product by it visits those only.
+A'Campo 1976).  C then has about four nonzeros per row (317 on D80).
+Forming C = w2 w1 visits the nonzeros of both factors only, and so does
+every product by C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import neg
 from typing import NamedTuple
 
 from .diagram import Diagram, DiagramId, build
@@ -42,7 +44,7 @@ def _class_sum(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
     """prod(S_i, i in part) as the class sum I - sum(e_i (row_i K), i in part)."""
     k, rows = diagram.cartan.rows, list(IntMatrix.identity(diagram.size).rows)
     for r in set(part):
-        row = [-v for v in k[r]]
+        row = list(map(neg, k[r]))
         row[r] += 1
         rows[r] = tuple(row)
     return _trusted_matrix(tuple(rows))

@@ -42,6 +42,7 @@ DiagramId and BpgId validate their fields in __new__.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -121,7 +122,7 @@ class Diagram(NamedTuple):
         return self.labels.index(label)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.cartan.rows[i]) if j != i and v != 0)
+        return tuple(j for j in compress(range(self.size), self.cartan.rows[i]) if j != i)
 
     @property
     def bonds(self) -> IntMatrix:
@@ -145,8 +146,8 @@ def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
         queue = [start]
         while queue:
             i = queue.pop()
-            for j, v in enumerate(rows[i]):
-                if j == i or v == 0:
+            for j in compress(range(n), rows[i]):
+                if j == i:
                     continue
                 if color[j] == -1:
                     color[j] = 1 - color[i]
@@ -194,15 +195,15 @@ def _make(
     n = len(rows)
     if cartan.ncols != n or len(labels) != n:
         raise CatalogCorruptionError("label/matrix size mismatch")
+    cols = range(n)
     for i, (row, col) in enumerate(zip(rows, zip(*rows))):
         if row[i] != 2:
             raise CatalogCorruptionError("diagonal entry is not 2")
-        if max(row[:i] + row[i + 1:], default=0) > 0 or (
-            [v == 0 for v in row] != [w == 0 for w in col]
-        ):
+        bonded = list(compress(cols, row))
+        if bonded != list(compress(cols, col)) or any(row[j] > 0 for j in bonded if j != i):
             raise CatalogCorruptionError("off-diagonal sign pattern broken")
     if extended:
-        attach = tuple(j for j in range(1, n) if rows[0][j] != 0)
+        attach = tuple(compress(cols[1:], rows[0][1:]))
     parts = _orient(_two_coloring(cartan), extended, attach)
     return Diagram(
         did=did,
@@ -247,7 +248,7 @@ def _finite_spec(did: DiagramId):
 def _cartan(n: int, bonds) -> IntMatrix:
     """2I minus each bond (i, j, p, q): p at (i, j) and q at (j, i), so a
     bond listed twice is a double bond."""
-    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
     for i, j, p, q in bonds:
         rows[i][j] -= p
         rows[j][i] -= q
@@ -433,7 +434,7 @@ def finite_part(diagram: Diagram) -> Diagram:
     """The diagram left after deleting the affine vertex."""
     if not diagram.extended:
         raise DomainError("finite part is defined for extended diagrams")
-    sub = IntMatrix(tuple(row[1:] for row in diagram.cartan.rows[1:]))
+    sub = _trusted_matrix(tuple(row[1:] for row in diagram.cartan.rows[1:]))
     attach = tuple(j - 1 for j in (diagram.u0 or ()))
     did = diagram.did if diagram.did and diagram.did.family not in EXTENDED_ONLY else None
     return _make(did, False, diagram.labels[1:], sub, attach=attach)

@@ -11,7 +11,7 @@ positive leading denominator coefficient, so the reduced form is canonical.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, PoleAtOriginError, RankError
@@ -367,15 +367,23 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The sparse product (`_sparse_left`) of self with each column of
-        other: O(nnz(self) * other.ncols), not a cube."""
+        """Row i of self @ other adds a times the nonzeros of row l of other
+        into a zero row, for each nonzero a = self[i, l]: one multiply-add
+        per pair of nonzeros, no column products and no transposes."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions differ")
-        step = _sparse_left(self)
-        cols = [step(col) for col in zip(*other.rows)]
-        return _trusted_matrix(tuple(zip(*cols)) if cols else ((),) * self.nrows)
+        m, inner, out = other.ncols, range(other.nrows), []
+        right = [[(j, row[j]) for j in compress(range(m), row)] for row in other.rows]
+        for row in self.rows:
+            acc = [0] * m
+            for l in compress(inner, row):
+                a = row[l]
+                for j, b in right[l]:
+                    acc[j] += a * b
+            out.append(tuple(acc))
+        return _trusted_matrix(tuple(out))
 
     def mulvec(self, v: Sequence[int]) -> tuple[int, ...]:
         """self @ v; the entries of v may also be IntPolys."""
@@ -401,9 +409,10 @@ class IntMatrix:
 def _sparse_left(m: IntMatrix):
     """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
     +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
-    (`_pack` is additive); an all-zero row gives x's own zero.  A caller
-    that applies m in a loop builds the product once, before the loop."""
-    terms = [[(l, a) for l, a in enumerate(row) if a] for row in m.rows]
+    (`_pack` is additive); an all-zero row gives x's own zero.  The terms
+    (l, a) are picked out once, by `compress`, so a caller that applies m
+    in a loop builds the product once, before the loop."""
+    terms = [[(l, row[l]) for l in compress(range(m.ncols), row)] for row in m.rows]
 
     def product(x: Sequence) -> list:
         zero = x[0] * 0 if x else 0
@@ -567,7 +576,7 @@ def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
 def _echelon(m: IntMatrix) -> list[tuple[int, dict[int, int]]]:
     """The pivot rows (c, {col: value}) of m's fraction-free forward
     elimination, in column order; each has no entry left of its pivot c."""
-    rows = [{c: v for c, v in enumerate(row) if v} for row in m.rows]
+    rows = [{c: row[c] for c in compress(range(m.ncols), row)} for row in m.rows]
     pivots = []
     for c in range(m.ncols):
         k = next((i for i, row in enumerate(rows) if c in row), None)

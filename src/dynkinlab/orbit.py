@@ -12,6 +12,7 @@ summing z_n t^n per vertex gives numerators over (1 - t^a)(1 - t^b).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import sub
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number
@@ -23,7 +24,7 @@ from .errors import (
     IdentityViolationError,
     UnsupportedFamilyError,
 )
-from .exact import IntPoly, _sparse_left, format_poly
+from .exact import IntPoly, _sparse_left, _trusted, format_poly
 from .kostant import generating_function, kostant_numbers
 from .report import Report
 
@@ -64,7 +65,8 @@ def tau_orbit(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
 
 
 def _star_vertex(diagram: Diagram) -> int:
-    degree3 = [i for i in range(diagram.size) if len(diagram.neighbors(i)) == 3]
+    # degree 3: the row's 2 and three bonds are its nonzeros
+    degree3 = [i for i, row in enumerate(diagram.cartan.rows) if diagram.size - row.count(0) == 4]
     if degree3:
         return degree3[0]
     return (diagram.size - 1) // 2  # middle of the odd-rank chain
@@ -85,8 +87,8 @@ def assembling_vectors(diagram: Diagram) -> OrbitTable:
     affine_unit = (1,) + (0,) * diagram.size
     z = [affine_unit]
     for n in range(1, h):
-        step = tuple(x - y for x, y in zip(taus[n - 1], taus[n]))
-        if any(v < 0 for v in step):
+        step = tuple(map(sub, taus[n - 1], taus[n]))
+        if min(step) < 0:
             raise IdentityViolationError(f"assembling vector z_{n} has a negative entry")
         z.append((0,) + step)
     z.append(affine_unit)
@@ -102,11 +104,7 @@ def assembling_vectors(diagram: Diagram) -> OrbitTable:
 
 def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:
     """z(t)_i = sum_n z_n[i] t^n on extended coordinates; z(t)_0 = 1 + t^h."""
-    table = assembling_vectors(diagram)
-    return tuple(
-        IntPoly(table.z[n][i] for n in range(table.h + 1))
-        for i in range(diagram.size + 1)
-    )
+    return tuple(map(_trusted, zip(*assembling_vectors(diagram).z)))
 
 
 def verify_kostant_form(diagram: Diagram) -> Report:
@@ -127,26 +125,21 @@ def verify_kostant_form(diagram: Diagram) -> Report:
     return Report(f"kostant form via orbit for {diagram.did.text}", checks)
 
 
-def _grid_lines(diagram: Diagram, vec: tuple[int, ...], width: int = 3) -> list[str]:
-    if diagram.display is None:
-        return [" ".join(str(v) for v in vec)]
-    lines = []
-    for row in diagram.display:
-        cells: dict[int, str] = {}
-        for col, vtx in row:
-            text = str(vec[vtx])
-            if len(text) > width:
-                raise ValueError("cell overflow")
-            cells[col] = text
-        last = max(cells)
-        line = "".join(cells.get(c, "").rjust(width) for c in range(last + 1))
-        lines.append(line.rstrip())
-    return lines
-
-
-def _render_blocks(diagram: Diagram, titled) -> str:
-    """One block per (title, vector) pair: the title, then the vector on the grid."""
-    blocks = ("\n".join([title, *_grid_lines(diagram, vec)]) for title, vec in titled)
+def _render_blocks(diagram: Diagram, titled, width: int = 3) -> str:
+    """One block per (title, vector) pair: the title, then the vector on the
+    grid through one format string per display row, in which vertex v in
+    cell c is field v right-aligned and the line ends at its last cell.  A
+    cell holds -10^(width-1) < v < 10^width.  Without a grid, one line."""
+    grid = diagram.display
+    formats = [" ".join(["{}"] * diagram.size)] if grid is None else [
+        "".join(f"{{{row[c]}:>{width}}}" if c in row else " " * width for c in range(max(row) + 1))
+        for row in map(dict, grid)
+    ]
+    blocks = []
+    for title, vec in titled:
+        if grid is not None and not -10 ** (width - 1) < min(vec) <= max(vec) < 10**width:
+            raise DomainError("cell overflow")
+        blocks.append("\n".join([title, *(f.format(*vec) for f in formats)]))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -17,7 +17,9 @@ checked against them.  `gauss_jordan_nullspace` is the dense
 fraction-free Gauss-Jordan kernel vector and `horner_substitute` the
 composition by Horner's rule for any inner polynomial; the sparse
 elimination of `exact.nullspace_primitive` and the monomial-only
-`IntPoly.substitute` are checked against them.  `list_three_term` checks
+`IntPoly.substitute` are checked against them.  `dense_two_coloring` and `dense_neighbors` read a graph off every entry of
+its rows; the bipartition and neighbour lists of `diagram.py`, which visit
+the nonzero entries only, are checked against them.  `list_three_term` checks
 McKay's three-term relation one vector at a time; `kostant._three_term`, which reads it off packed
 columns, is checked against it.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
@@ -230,6 +232,35 @@ def list_charpoly(m: IntMatrix) -> IntPoly:
     if mk != zeros(n, n):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return IntPoly(reversed(coeffs))
+
+
+def dense_neighbors(rows, i: int) -> tuple[int, ...]:
+    """The j != i with rows[i][j] != 0, read entry by entry."""
+    return tuple(j for j in range(len(rows)) if j != i and rows[i][j] != 0)
+
+
+def dense_two_coloring(rows) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(part0, part1) of the graph with an edge i - j wherever rows[i][j] != 0,
+    i != j, or None if it has an odd cycle.  Breadth first from the least
+    uncoloured vertex, which gets colour 0, scanning whole rows; then every
+    entry is checked against the colours."""
+    n = len(rows)
+    color = [None] * n
+    for start in range(n):
+        if color[start] is not None:
+            continue
+        color[start], frontier = 0, [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in dense_neighbors(rows, i):
+                    if color[j] is None:
+                        color[j] = 1 - color[i]
+                        nxt.append(j)
+            frontier = nxt
+    if any(color[i] == color[j] for i in range(n) for j in dense_neighbors(rows, i)):
+        return None
+    return tuple(i for i in range(n) if color[i] == 0), tuple(i for i in range(n) if color[i] == 1)
 
 
 def gauss_jordan_nullspace(m: IntMatrix) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import random
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from dynkinlab.diagram import (
     Diagram,
     DiagramId,
     _make,
+    _two_coloring,
     build,
     catalog_extended,
     fold,
@@ -39,7 +41,7 @@ from dynkinlab.kostant import generating_function, kostant_numbers
 from dynkinlab.molien import enumerate_group
 from dynkinlab.orbit import assembling_vectors
 from dynkinlab.report import Report
-from oracles import gauss_jordan_nullspace
+from oracles import dense_neighbors, dense_two_coloring, gauss_jordan_nullspace
 
 
 def _submatrix_drop0(m: IntMatrix) -> IntMatrix:
@@ -394,17 +396,71 @@ def test_catalog_is_large_enough():
 
 
 def test_make_rejects_broken_cartan_matrices():
+    """Rows are checked in order, the diagonal before the bonds, so the first
+    faulty row names the error: a fault that only a later row's column test
+    would see does not hide an earlier row's."""
     labels = ("a", "b", "c")
-    for rows in (
-        ((2, -1, 0), (-1, 1, -1), (0, -1, 2)),  # diagonal entry 1
-        ((2, 1, 0), (-1, 2, -1), (0, -1, 2)),  # positive off-diagonal entry
-        ((2, -1, -1), (-1, 2, -1), (0, -1, 2)),  # K[0][2] != 0 but K[2][0] == 0
+    diagonal, sign = "diagonal entry is not 2", "off-diagonal sign pattern broken"
+    for rows, message in (
+        (((2, -1, 0), (-1, 1, -1), (0, -1, 2)), diagonal),  # diagonal entry 1
+        (((2, 1, 0), (-1, 2, -1), (0, -1, 2)), sign),  # positive off-diagonal entry
+        (((2, -1, 0), (1, 2, -1), (0, -1, 2)), sign),  # the same below the diagonal
+        (((2, -1, -1), (-1, 2, -1), (0, -1, 2)), sign),  # K[0][2] != 0 but K[2][0] == 0
+        (((2, -1, 0), (-1, 2, -1), (-1, -1, 2)), sign),  # K[2][0] != 0 but K[0][2] == 0
+        # two faults: row 0's positive entry is found before row 1's diagonal
+        (((2, 1, 0), (-1, 1, -1), (0, -1, 2)), sign),
+        (((1, 1, 0), (-1, 2, -1), (0, -1, 2)), diagonal),
+        # row 0's column test sees K[2][0] before row 1's diagonal is read
+        (((2, -1, 0), (-1, 1, -1), (-1, -1, 2)), sign),
     ):
         for extended in (False, True):
-            with pytest.raises(CatalogCorruptionError):
+            with pytest.raises(CatalogCorruptionError) as err:
                 _make(None, extended, labels, IntMatrix(rows))
-    with pytest.raises(CatalogCorruptionError):
+            assert str(err.value) == message, rows
+    with pytest.raises(CatalogCorruptionError) as err:
         _make(None, False, labels[:2], IntMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2))))
+    assert str(err.value) == "label/matrix size mismatch"
+
+
+def _random_graph(rng: random.Random, n: int, shape: str) -> list[tuple[int, int]]:
+    """Edges of a random tree or cycle on n vertices, or of up to four such
+    components (single vertices among them) side by side."""
+    if shape == "tree":
+        return [(rng.randrange(v), v) for v in range(1, n)]
+    if shape == "cycle":
+        return [(v, (v + 1) % n) for v in range(n)]
+    edges, base = [], 0
+    while base < n:
+        size = min(n - base, rng.randint(1, 12))
+        part = "cycle" if size >= 3 and rng.random() < 0.5 else "tree"
+        edges += [(base + i, base + j) for i, j in _random_graph(rng, size, part)]
+        base += size
+    return edges
+
+
+def test_two_coloring_and_neighbors_against_dense_scan():
+    """Random trees, even and odd cycles and disconnected graphs of up to 40
+    vertices, relabelled at random, with single, double and triple bonds:
+    the same parts in the same order, None on an odd cycle, and the same
+    neighbours as a scan of every entry."""
+    rng = random.Random(1959)
+    for trial in range(300):
+        shape = ("tree", "cycle", "forest")[trial % 3]
+        n = rng.randint(3 if shape == "cycle" else 1, 40)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for i, j in _random_graph(rng, n, shape):
+            p, q = rng.choice(((1, 1), (1, 1), (1, 2), (2, 1), (1, 3)))
+            rows[perm[i]][perm[j]], rows[perm[j]][perm[i]] = -p, -q
+        cartan = IntMatrix(rows)
+        parts = _two_coloring(cartan)
+        assert parts == dense_two_coloring(rows)
+        if shape == "cycle":
+            assert (parts is None) == (n % 2 == 1)
+        d = _make(None, False, tuple(f"v{i}" for i in range(n)), cartan)
+        for i in range(n):
+            assert d.neighbors(i) == dense_neighbors(rows, i)
 
 
 def test_folded_build_reads_rows_directly(monkeypatch):

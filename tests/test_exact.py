@@ -10,7 +10,8 @@ import pytest
 import sympy
 
 from dynkinlab import exact as exact_module
-from dynkinlab.diagram import catalog_extended
+from dynkinlab.coxeter import bicolored_reflections, coxeter_transform
+from dynkinlab.diagram import DiagramId, build, catalog_extended, finite_part
 from dynkinlab.errors import DimensionError, PoleAtOriginError, RankError
 from dynkinlab.exact import (
     IntMatrix,
@@ -401,16 +402,26 @@ def naive_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _random_factor(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    """A random matrix, dense to very sparse, with entries +-1, small and
+    large; an all-zero row and an all-zero column, each half the time."""
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    out = [[rng.choice((1, -1, rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+            if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        out[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in out:
+            row[j] = 0
+    return IntMatrix(out)
+
+
 def test_matmul_against_triple_loop():
     rng = random.Random(1976)
-    for _ in range(60):
-        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
-        density = rng.choice((0.2, 0.5, 1.0))
-        a = IntMatrix([[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(k)]
-                       for _ in range(n)])
-        b = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)])
-        if n > 1:  # a zero row on the left
-            a = IntMatrix(a.rows[:-1] + ((0,) * k,))
+    for _ in range(300):
+        n, k, m = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12)
+        a, b = _random_factor(rng, n, k), _random_factor(rng, k, m)
         assert a @ b == naive_matmul(a, b) == list_matmul(a, b)
         assert (a @ b).shape == (n, m)
     # entries +-1 take the addition and subtraction shortcuts
@@ -427,6 +438,18 @@ def test_matmul_against_triple_loop():
         IntMatrix(((1, 2),)) @ IntMatrix(((1, 2),))
     with pytest.raises(DimensionError):
         IntMatrix(()) @ IntMatrix(((1, 2),))
+
+
+def test_coxeter_transform_against_triple_loop():
+    """C = w2 w1 on every bipartite catalog diagram, finite and extended, and
+    at the rank limit, where w1 and w2 have a few nonzeros per row."""
+    diagrams = [d for ext in catalog_extended() for d in (ext, finite_part(ext))]
+    diagrams += [build(DiagramId.parse(name)) for name in ("D128", "A127", "B128")]
+    diagrams = [d for d in diagrams if d.bipartition is not None]
+    assert len(diagrams) > 80
+    for d in diagrams:
+        pair = bicolored_reflections(d)
+        assert coxeter_transform(d) == naive_matmul(pair.w2, pair.w1), d.labels
 
 
 def test_mulvec_against_the_dense_sum():

@@ -12,6 +12,7 @@ from dynkinlab.coxeter import coxeter_number
 from dynkinlab.diagram import DiagramId, build
 from dynkinlab.errors import (
     CatalogCorruptionError,
+    DomainError,
     ExcludedDiagramError,
     IdentityViolationError,
     UnsupportedFamilyError,
@@ -176,3 +177,18 @@ def test_golden_e6_z_vectors():
 def test_golden_e6_z_polynomials():
     out = render_z_polynomials(build(DiagramId("E6")))
     assert out == (GOLDEN / "e6_z_polynomials.txt").read_text()
+
+
+def test_grid_cells_hold_three_characters():
+    """A cell is three characters wide: 999 and -99 render, 1000 and -100
+    raise DomainError (an input error, exit 1), on a chain and on the E6
+    grid with its blank cells."""
+    a2, e6 = build(DiagramId("A", 2)), build(DiagramId("E6"))
+    assert orbit._render_blocks(a2, [("v", (999, -99))]) == "v\n999-99\n"
+    assert orbit._render_blocks(e6, [("v", (999, -99, 0, 1, 2, -99))]) == (
+        "v\n-99  1999  2  0\n      -99\n"
+    )
+    for d, vec in ((a2, (1000, 0)), (a2, (0, -100)), (e6, (0, 0, 0, 0, 0, 1000)), (e6, (-100,) * 6)):
+        with pytest.raises(DomainError) as err:
+            orbit._render_blocks(d, [("v", vec)])
+        assert str(err.value) == "cell overflow"
