@@ -11,16 +11,19 @@ from .coxeter import (
 )
 from .diagram import Diagram, DiagramId, build, catalog_extended, finite_part, fold
 from .exact import IntMatrix, IntPoly, RatFunc, format_poly, series_expand
-from .kostant import (
-    generating_function,
-    multiplicities,
+from .kostant import generating_function, multiplicities
+from .mckay import (
+    crosscheck,
+    semi_affine,
     verify_closed_form,
     verify_ebeling,
+    verify_kostant_form,
     verify_kostant_relation,
+    verify_observation,
+    verify_z_recurrence,
 )
-from .mckay import semi_affine, verify_observation, verify_z_recurrence
-from .molien import BpgId, crosscheck, enumerate_group, molien_coeffs
-from .orbit import assembling_vectors, tau_orbit, verify_kostant_form, z_polynomials
+from .molien import BpgId, enumerate_group, molien_coeffs
+from .orbit import assembling_vectors, tau_orbit, z_polynomials
 from .report import Report
 
 __version__ = "0.1.0"

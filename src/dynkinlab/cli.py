@@ -29,31 +29,20 @@ from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quot
 from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended
 from .errors import DynkinlabError
 from .exact import RatFunc, format_poly, format_ratfunc
-from .kostant import (
-    component_series,
-    generating_function,
-    verify_closed_form,
-    verify_ebeling,
-    verify_kostant_relation,
-)
-from .mckay import verify_observation, verify_z_recurrence
-from .molien import (
-    BpgId,
-    catalog_groups,
+from .kostant import component_series, generating_function
+from .mckay import (
     crosscheck,
-    enumerate_group,
     folded_component_report,
     mckay_matrix_numeric,
-    molien_coeffs,
-)
-from .orbit import (
-    assembling_vectors,
-    render_orbit_table,
-    render_z_polynomials,
-    render_z_table,
+    verify_closed_form,
+    verify_ebeling,
     verify_kostant_form,
-    z_polynomials,
+    verify_kostant_relation,
+    verify_observation,
+    verify_z_recurrence,
 )
+from .molien import BpgId, catalog_groups, enumerate_group, molien_coeffs
+from .orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
 from .report import Report
 
 # input bounds: the largest rank, group order and number of series terms

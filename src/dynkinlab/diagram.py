@@ -33,7 +33,7 @@ family its base diagram, orbits and Molien pair (H, G) (Slodowy's
 correspondence), and _GROUPS gives each group family its least parameter,
 its order and its A/D/E partner (McKay's correspondence), read by BpgId
 and, backwards, by mckay_group.  Group closure and Molien sums live in
-molien.py, Kostant's numbers a, b, h in kostant.py.
+molien.py, Kostant's numbers a, b, h in mckay.py.
 
 The records (DiagramId, Diagram, BpgId) are immutable NamedTuples;
 DiagramId and BpgId validate their fields in __new__.

@@ -14,7 +14,7 @@ import math
 from itertools import compress, zip_longest
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, PoleAtOriginError, RankError
+from .errors import DimensionError, DomainError, PoleAtOriginError, RankError
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -159,7 +159,7 @@ class IntPoly:
         return hash(("IntPoly", c)) if len(c) > 1 else hash(c[0] if c else 0)
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; value may be int or Fraction."""
+        """Evaluate by Horner's rule at a value of any numeric type."""
         acc = value * 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
@@ -548,19 +548,16 @@ def charpoly(m: IntMatrix) -> IntPoly:
 
 
 def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
-    """First nterms Taylor coefficients at t = 0 of f / den, reduced or not.
-    ints when den(0) = +-1, else Fractions."""
+    """First nterms Taylor coefficients at t = 0 of f / den, reduced or not,
+    for den(0) = +-1: dividing by a unit is multiplying by it, so every term
+    is an int."""
     if nterms < 0:
         raise ValueError("negative number of terms")
-    d0 = den.coeff(0)
-    if d0 == 0:
+    scale = den.coeff(0)
+    if scale == 0:
         raise PoleAtOriginError("denominator vanishes at the origin")
-    # dividing by a unit d0 is multiplying by it, which keeps every term an int
-    if d0 in (1, -1):
-        scale = d0
-    else:
-        from fractions import Fraction  # the package never divides by a non-unit
-        scale = Fraction(1, d0)
+    if scale not in (1, -1):
+        raise DomainError(f"denominator constant term {scale} is not a unit")
     taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
     out = []
     for k in range(nterms):

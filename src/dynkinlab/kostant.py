@@ -13,16 +13,14 @@ u in N(0) give every entry with no division, on ints at t = 2^w: q x is
 x + (x << 2w) and a path product a (factor, depth) pair, stepped by a shift.
 Each y_i and det M, a minor of M, has coefficient 1-norm at most the product
 of M's row 1-norms sum_j |K_ij| < 2^(w-1); as evaluation at 2^w is a ring
-homomorphism, only these outputs need the bound, each decoded once.  Ebeling's
-identities compare y_0 and det M with Coxeter characteristic polynomials
-at lambda = t^2, computed from C alone.  Every identity on x(t) is checked
-on the y_i with det M cleared, and since det M(0) = 1 the series of
-y_i / det M expand in integers: `component_series` expands one, for the
-commands that compare component 0 only; `packed_series` all, from one
-expansion of s = 1/det M and one product per component at t = 2^w
-(Kronecker substitution).  Nothing here reduces a fraction.  McKay's
-relation B v_n = v_(n-1) + v_(n+1) is checked on packed columns in one
-place, `_three_term`, which `mckay` and `molien` call on their own vectors.
+homomorphism, only these outputs need the bound, each decoded once.  Since
+det M(0) = 1 the series of y_i / det M expand in integers:
+`component_series` expands one, for the commands that compare component 0
+only; `packed_series` all, from one expansion of s = 1/det M and one
+product per component at t = 2^w (Kronecker substitution).  Nothing here
+reduces a fraction, and nothing here reads another side: the identities
+that compare this Cramer side with the Coxeter, orbit and Molien sides are
+checked in `mckay`.
 """
 
 from __future__ import annotations
@@ -31,18 +29,9 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .coxeter import coxeter_number, coxeter_transform
-from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, finite_part, mckay_group, nil_root
-from .errors import (
-    CatalogCorruptionError,
-    DomainError,
-    IdentityViolationError,
-    UnsupportedFamilyError,
-)
-from .exact import IntPoly, _bias, _decode, _pack, _unpack, _width, charpoly, series_expand
-from .report import Report
-
-T2 = IntPoly.monomial(2)
+from .diagram import Diagram
+from .errors import DomainError, IdentityViolationError
+from .exact import IntPoly, _bias, _decode, _pack, _unpack, _width, series_expand
 
 
 def _name(diagram: Diagram) -> str:
@@ -110,42 +99,20 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
     return GeneratingFunction(diagram, numerators, det_m)
 
 
-def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
-    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified
-    against the order of its McKay group.
-
-    a is twice the largest nil root coordinate, h the Coxeter number and
-    b = h + 2 - a.
-    """
-    if did.family not in SIMPLY_LACED:
-        raise UnsupportedFamilyError("Kostant numbers are defined for ADE families")
-    a = 2 * max(nil_root(build(did, extended=True)))
-    h = coxeter_number(build(did))
-    b = h + 2 - a
-    order = mckay_group(did).order
-    if a * b != 2 * order:
-        raise CatalogCorruptionError(f"a*b = {a * b} but 2|G| = {2 * order}")
-    return a, b, h, order
-
-
-def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
-    """(1 + t^h, (1 - t^a)(1 - t^b)): numerator and denominator of component
-    0 for a finite ADE diagram, unreduced."""
-    a, b, h, _ = kostant_numbers(did)
-    return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
-
-
 def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
     """First nterms coefficients of det M_i / det M, checked nonnegative."""
     gf = generating_function(diagram)
     # det M(0) = y_0(0) = 1 (generating_function checks it), so every term is an int
     coeffs = tuple(series_expand(gf.numerators[i], nterms, gf.det_m))
     if coeffs and min(coeffs) < 0:
-        k, c = next((k, c) for k, c in enumerate(coeffs) if c < 0)
-        raise IdentityViolationError(
-            f"component {diagram.labels[i]} coefficient at t^{k} is {c}"
-        )
+        raise _negative(diagram, i, coeffs)
     return coeffs
+
+
+def _negative(diagram: Diagram, i: int, coeffs: Sequence[int]) -> IdentityViolationError:
+    """The error that names the first negative coefficient of component i."""
+    k, c = next((k, c) for k, c in enumerate(coeffs) if c < 0)
+    return IdentityViolationError(f"component {diagram.labels[i]} coefficient at t^{k} is {c}")
 
 
 def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
@@ -165,8 +132,8 @@ def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
     low, sign = (1 << (w * nterms)) - 1, _bias(nterms, w)
     columns = [(y * ps) & low for y in _pack((p.coeffs for p in gf.numerators), w)]
     for i, col in enumerate(columns):
-        if col & sign:  # a negative slot: the scalar scan names it and raises
-            component_series(diagram, i, nterms)
+        if col & sign:  # a negative slot: read the column back, signed, to name it
+            raise _negative(diagram, i, _unpack(((col + sign) & low) - sign, nterms, w))
     return columns, w
 
 
@@ -174,76 +141,3 @@ def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]
     """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
     columns, w = packed_series(diagram, nterms)
     return tuple(zip(*(_unpack(col, nterms, w) for col in columns)))
-
-
-def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
-    """Whether (B v_k)_i = v_(k-1)[i] + v_(k+1)[i] for all i, for each k < n,
-    v_(-1) = v_n = 0: v[i] packs column i of v_0..v_(n-1) in slots of w
-    bits, bv = B v, every slot below 2^(w-1) in absolute value.  Slot k + 1
-    of bv[i] << w against (v[i] << 2w) + v[i] (>> w would floor a negative
-    slot 0), each with 2^(w-1) added per slot: equal slots, equal bytes."""
-    bias, nb, diff = _bias(n + 2, w), w // 8, 0
-    for lhs, col in zip(bv, v):
-        diff |= ((lhs << w) + bias) ^ ((col << 2 * w) + col + bias)
-    digits, zero = diff.to_bytes((n + 2) * nb, "little"), bytes(nb)
-    return [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
-
-
-def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
-    """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
-    rational-function identity t B x = (1 + t^2) x - e0."""
-    name = f"kostant relation for {_name(diagram)}"
-    b = diagram.bonds
-    try:
-        v, w = packed_series(diagram, nterms + 1)
-    except IdentityViolationError as exc:
-        return Report(name, ((f"series expansion: {exc}", False),))
-    rec_ok = all(_three_term(b.mulvec(v), v, w, nterms + 1)[1:-1])
-    # x = y / det M: clear det M, compare in Z[t] at t = 2^w (injective there)
-    gf = generating_function(diagram)
-    *y, det_m = _pack((p.coeffs for p in (*gf.numerators, gf.det_m)), w)
-    func_ok = all(by << w == (yi << 2 * w) + yi - (i == 0) * det_m
-                  for i, (by, yi) in enumerate(zip(b.mulvec(y), y)))
-    return Report(
-        name,
-        (
-            ("series coefficients are nonnegative integers", True),
-            (f"B v_n = v_(n-1) + v_(n+1) for 1 <= n <= {nterms - 1}", rec_ok),
-            ("t B x = (1 + t^2) x - e0", func_ok),
-        ),
-    )
-
-
-def verify_ebeling(diagram: Diagram) -> Report:
-    """det M_0(t) = chi(t^2) and det M(t) = chi_affine(t^2).
-
-    On the odd cycles, which have no bicolored affine transformation, the
-    second identity is replaced by the closed cycle form (t^m - 1)^2.
-    """
-    if not diagram.extended:
-        raise DomainError("Ebeling identities compare an extended diagram")
-    gf = generating_function(diagram)
-    chi = charpoly(coxeter_transform(finite_part(diagram)))
-    checks = [("det M_0(t) = chi(t^2)", gf.numerators[0] == chi.substitute(T2))]
-    if diagram.bipartition is not None:
-        chi_a = charpoly(coxeter_transform(diagram))
-        checks.append(("det M(t) = chi_affine(t^2)", gf.det_m == chi_a.substitute(T2)))
-    else:
-        m = diagram.size
-        checks.append((f"det M(t) = (t^{m} - 1)^2 on the {m}-cycle",
-                       gf.det_m == (IntPoly.monomial(m) - 1) ** 2))
-    return Report(f"ebeling identities for {_name(diagram)}", tuple(checks))
-
-
-def verify_closed_form(did: DiagramId) -> Report:
-    """Cramer component 0 against (1 + t^h)/((1 - t^a)(1 - t^b)), as
-    det M_0 (1 - t^a)(1 - t^b) = (1 + t^h) det M."""
-    if did.family not in SIMPLY_LACED:
-        raise DomainError("the closed form applies to ADE diagrams")
-    gf = generating_function(build(did, extended=True))
-    num, den = closed_form_component0(did)
-    ok = gf.numerators[0] * den == num * gf.det_m
-    return Report(
-        f"kostant closed form for {did.text}",
-        ((f"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for {did.text}", ok),),
-    )

@@ -1,4 +1,20 @@
-"""McKay recurrences for the assembling vectors.
+"""Where the sides of each identity meet.
+
+Each identity of the paper is computed two ways, by modules that never
+read one another's answers: `kostant` solves M(t) x = e0 by Cramer's rule
+on the tree (the Cramer side), `coxeter` forms the bicolored Coxeter
+transformation C and its characteristic polynomials, `orbit` walks the
+highest root by C's factors w1 and w2 up to C's order h, and `molien`
+closes the binary polyhedral group and sums its Molien series.  Every
+function that compares two sides is here, so no side can compute its
+answer from another's; a test pins the package's import graph.
+Ebeling's identities set y_0 and det M against chi and chi_affine at
+lambda = t^2, the closed and orbit forms set the Cramer components against
+(1 + t^h) and z(t) over (1 - t^a)(1 - t^b), and the Molien series meets
+component 0 (McKay's correspondence).  Each identity on x(t) is checked on
+the numerators y_i with det M cleared, in Z[t].  McKay's relation
+B v_n = v_(n-1) + v_(n+1) is checked on packed columns in one place,
+`_three_term`, for the Cramer series and the assembling vectors alike.
 
 The semi-affine operator acts on extended coordinates: its finite block is
 the adjacency matrix, its affine row is zero, and its affine column keeps
@@ -11,15 +27,147 @@ vertex, where the neighbor sum picks up z(t)_0 = 1 + t^h.
 
 from __future__ import annotations
 
-from .coxeter import bicolored_reflections, coxeter_transform
-from .diagram import Diagram, build
-from .errors import UnsupportedFamilyError
-from .exact import IntMatrix, IntPoly, _pack, _trusted_matrix, _width
-from .kostant import _three_term, generating_function
+from typing import Sequence
+
+from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
+from .diagram import (
+    SIMPLY_LACED,
+    BpgId,
+    Diagram,
+    DiagramId,
+    build,
+    finite_part,
+    folded_pair,
+    mckay_group,
+    nil_root,
+)
+from .errors import CatalogCorruptionError, DomainError, IdentityViolationError, UnsupportedFamilyError
+from .exact import IntMatrix, IntPoly, _bias, _pack, _trusted_matrix, _unpack, _width, charpoly
+from .kostant import _name, component_series, generating_function, packed_series
+from .molien import _molien_sums, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, z_polynomials
 from .report import Report
 
 T = IntPoly.x()
+T2 = IntPoly.monomial(2)
+
+_TOL = 1e-6
+
+
+def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
+    """Whether (B v_k)_i = v_(k-1)[i] + v_(k+1)[i] for all i, for each k < n,
+    v_(-1) = v_n = 0: v[i] packs column i of v_0..v_(n-1) in slots of w
+    bits, bv = B v, every slot below 2^(w-1) in absolute value.  Slot k + 1
+    of bv[i] << w against (v[i] << 2w) + v[i] (>> w would floor a negative
+    slot 0), each with 2^(w-1) added per slot: equal slots, equal bytes."""
+    bias, nb, diff = _bias(n + 2, w), w // 8, 0
+    for lhs, col in zip(bv, v):
+        diff |= ((lhs << w) + bias) ^ ((col << 2 * w) + col + bias)
+    digits, zero = diff.to_bytes((n + 2) * nb, "little"), bytes(nb)
+    return [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
+
+
+def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
+    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified
+    against the order of its McKay group.
+
+    a is twice the largest nil root coordinate, h the Coxeter number and
+    b = h + 2 - a.
+    """
+    if did.family not in SIMPLY_LACED:
+        raise UnsupportedFamilyError("Kostant numbers are defined for ADE families")
+    a = 2 * max(nil_root(build(did, extended=True)))
+    h = coxeter_number(build(did))
+    b = h + 2 - a
+    order = mckay_group(did).order
+    if a * b != 2 * order:
+        raise CatalogCorruptionError(f"a*b = {a * b} but 2|G| = {2 * order}")
+    return a, b, h, order
+
+
+def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
+    """(1 + t^h, (1 - t^a)(1 - t^b)): numerator and denominator of component
+    0 for a finite ADE diagram, unreduced."""
+    a, b, h, _ = kostant_numbers(did)
+    return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
+
+
+def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
+    """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
+    rational-function identity t B x = (1 + t^2) x - e0."""
+    name = f"kostant relation for {_name(diagram)}"
+    b = diagram.bonds
+    try:
+        v, w = packed_series(diagram, nterms + 1)
+    except IdentityViolationError as exc:
+        return Report(name, ((f"series expansion: {exc}", False),))
+    rec_ok = all(_three_term(b.mulvec(v), v, w, nterms + 1)[1:-1])
+    # x = y / det M: clear det M, compare in Z[t] at t = 2^w (injective there)
+    gf = generating_function(diagram)
+    *y, det_m = _pack((p.coeffs for p in (*gf.numerators, gf.det_m)), w)
+    func_ok = all(by << w == (yi << 2 * w) + yi - (i == 0) * det_m
+                  for i, (by, yi) in enumerate(zip(b.mulvec(y), y)))
+    return Report(
+        name,
+        (
+            ("series coefficients are nonnegative integers", True),
+            (f"B v_n = v_(n-1) + v_(n+1) for 1 <= n <= {nterms - 1}", rec_ok),
+            ("t B x = (1 + t^2) x - e0", func_ok),
+        ),
+    )
+
+
+def verify_ebeling(diagram: Diagram) -> Report:
+    """det M_0(t) = chi(t^2) and det M(t) = chi_affine(t^2).
+
+    On the odd cycles, which have no bicolored affine transformation, the
+    second identity is replaced by the closed cycle form (t^m - 1)^2.
+    """
+    if not diagram.extended:
+        raise DomainError("Ebeling identities compare an extended diagram")
+    gf = generating_function(diagram)
+    chi = charpoly(coxeter_transform(finite_part(diagram)))
+    checks = [("det M_0(t) = chi(t^2)", gf.numerators[0] == chi.substitute(T2))]
+    if diagram.bipartition is not None:
+        chi_a = charpoly(coxeter_transform(diagram))
+        checks.append(("det M(t) = chi_affine(t^2)", gf.det_m == chi_a.substitute(T2)))
+    else:
+        m = diagram.size
+        checks.append((f"det M(t) = (t^{m} - 1)^2 on the {m}-cycle",
+                       gf.det_m == (IntPoly.monomial(m) - 1) ** 2))
+    return Report(f"ebeling identities for {_name(diagram)}", tuple(checks))
+
+
+def verify_closed_form(did: DiagramId) -> Report:
+    """Cramer component 0 against (1 + t^h)/((1 - t^a)(1 - t^b)), as
+    det M_0 (1 - t^a)(1 - t^b) = (1 + t^h) det M."""
+    if did.family not in SIMPLY_LACED:
+        raise DomainError("the closed form applies to ADE diagrams")
+    gf = generating_function(build(did, extended=True))
+    num, den = closed_form_component0(did)
+    ok = gf.numerators[0] * den == num * gf.det_m
+    return Report(
+        f"kostant closed form for {did.text}",
+        ((f"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for {did.text}", ok),),
+    )
+
+
+def verify_kostant_form(diagram: Diagram) -> Report:
+    """Orbit route against the Cramer route, component by component, as
+    det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
+    a, b, _, _ = kostant_numbers(diagram.did)
+    zt = z_polynomials(diagram)
+    den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
+    ext = build(diagram.did, extended=True)
+    gf = generating_function(ext)
+    checks = tuple(
+        (
+            f"[P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^{a})(1 - t^{b}))",
+            gf.numerators[i] * den == zt[i] * gf.det_m,
+        )
+        for i in range(ext.size)
+    )
+    return Report(f"kostant form via orbit for {diagram.did.text}", checks)
 
 
 def semi_affine(diagram: Diagram) -> IntMatrix:
@@ -92,3 +240,77 @@ def verify_observation(diagram: Diagram) -> Report:
     ]
     checks.append(("affine row annihilates z(t)", neighbor_z[0].is_zero()))
     return Report(f"mckay observation for {diagram.did.text}", tuple(checks))
+
+
+def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
+    """Molien series against component 0 of the paired diagram, two routes."""
+    group = enumerate_group(bid)
+    did = bid.paired_diagram()
+    ext = build(did, extended=True)
+    coeffs, worst = _molien_sums(group, nterms)
+    component0 = list(component_series(ext, 0, nterms + 1))
+    checks = [
+        (f"group order is {bid.order}", group.order == bid.order),
+        (f"float deviation below {_TOL:g}", worst < _TOL),
+        (f"molien series matches component 0 of {did.text} through degree {nterms}",
+         coeffs == component0),
+    ]
+    if group.contains_minus_identity():
+        checks.append(
+            ("-I in group forces m0(odd) = 0", all(c == 0 for c in coeffs[1::2]))
+        )
+    return Report(f"molien crosscheck {bid.text} vs {did.text}", tuple(checks))
+
+
+def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
+    """Report on the Clebsch-Gordan shift B v_n = v_(n-1) + v_(n+1) on the
+    paired diagram, with component 0 sourced from the Molien sum rather
+    than from Cramer.
+
+    Traces alone cannot rebuild the full multiplicity matrix (that would
+    need the irreducible characters), so the report is limited to what the
+    invariant series affords: the full shift on Cramer-sourced vectors plus
+    the component-0 three-term identity against the Molien series.
+    """
+    group = enumerate_group(bid)
+    did = bid.paired_diagram()
+    ext = build(did, extended=True)
+    b = ext.bonds
+    # m0[k] = m0(k-1): m0(-1) = 0 is the zero representation, as v_(-1) in _three_term
+    m0 = [0, *molien_coeffs(group, nterms + 1)]
+    v, w = packed_series(ext, nterms + 2)
+    bv = b.mulvec(v)
+    holds = _three_term(bv, v, w, nterms + 2)[:-1]
+    comp0 = _unpack(bv[0], nterms + 2, w)[:-1] == [m0[n] + m0[n + 2] for n in range(nterms + 1)]
+    checks = [
+        ("B v_0 = v_1", holds[0]),
+        (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:])),
+        ("(B v_n)_0 = m0(n-1) + m0(n+1) with molien-sourced m0", comp0),
+    ]
+    if bid.family == "cyclic" and bid.n >= 2:
+        s = ext.size  # B = P + P^-1 with P the cyclic shift
+        circulant = all(
+            b[i, j] == ((i - j) % s == 1) + ((j - i) % s == 1)
+            for i in range(s)
+            for j in range(s)
+        )
+        checks.append(("B is the 2-regular circulant", circulant))
+    return Report(f"mckay shift for {bid.text} via {did.text}", tuple(checks))
+
+
+def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:
+    """Component 0 of a folded diagram against the Molien series of its
+    natural subgroup pair (H, G): it must match that of H and differ from
+    that of G.  Each label says what the comparison found."""
+    ext = build(did, extended=True)
+    component0 = list(component_series(ext, 0, nterms + 1))
+    lines = []
+    for bid, expect in zip(folded_pair(did), (True, False)):
+        coeffs = molien_coeffs(enumerate_group(bid), nterms)
+        same = coeffs == component0
+        verdict = "matches" if same else "differs from"
+        lines.append(
+            (f"component 0 {verdict} molien series of {bid.text} (degree <= {nterms})",
+             same == expect),
+        )
+    return Report(f"folded molien exploration for {did.text}", tuple(lines))

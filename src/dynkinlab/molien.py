@@ -2,7 +2,8 @@
 
 The group names (BpgId), their McKay diagrams and the folded families'
 Molien pairs are catalog data in diagram.py; this module closes the
-groups and sums their series.  A group is closed exactly over F_p: its elements are 2x2 matrices with
+groups and sums their series, and `mckay` sets the sums against the
+Cramer series of the paired diagram.  A group is closed exactly over F_p: its elements are 2x2 matrices with
 entries mod p, generated from the quaternion formulas with every constant
 taken from one root of unity zeta in F_p.  p is the least prime
 congruent to 1 mod L, with L = lcm(120, 2N) and N the group's parameter
@@ -31,15 +32,10 @@ from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple
 
-from .diagram import _GROUPS, BpgId, DiagramId, build, folded_pair
+from .diagram import _GROUPS, BpgId
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
-from .exact import _unpack
-from .kostant import _three_term, component_series, packed_series
-from .report import Report
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-_TOL = 1e-6
 
 
 def catalog_groups() -> tuple[BpgId, ...]:
@@ -277,77 +273,3 @@ def molien_coeffs(group: BpgGroup, nterms: int) -> list[int]:
     if nterms < 0:
         raise DomainError("nterms must be >= 0")
     return _molien_sums(group, nterms)[0]
-
-
-def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
-    """Molien series against component 0 of the paired diagram, two routes."""
-    group = enumerate_group(bid)
-    did = bid.paired_diagram()
-    ext = build(did, extended=True)
-    coeffs, worst = _molien_sums(group, nterms)
-    component0 = list(component_series(ext, 0, nterms + 1))
-    checks = [
-        (f"group order is {bid.order}", group.order == bid.order),
-        (f"float deviation below {_TOL:g}", worst < _TOL),
-        (f"molien series matches component 0 of {did.text} through degree {nterms}",
-         coeffs == component0),
-    ]
-    if group.contains_minus_identity():
-        checks.append(
-            ("-I in group forces m0(odd) = 0", all(c == 0 for c in coeffs[1::2]))
-        )
-    return Report(f"molien crosscheck {bid.text} vs {did.text}", tuple(checks))
-
-
-def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
-    """Report on the Clebsch-Gordan shift B v_n = v_(n-1) + v_(n+1) on the
-    paired diagram, with component 0 sourced from the Molien sum rather
-    than from Cramer.
-
-    Traces alone cannot rebuild the full multiplicity matrix (that would
-    need the irreducible characters), so the report is limited to what the
-    invariant series affords: the full shift on Cramer-sourced vectors plus
-    the component-0 three-term identity against the Molien series.
-    """
-    group = enumerate_group(bid)
-    did = bid.paired_diagram()
-    ext = build(did, extended=True)
-    b = ext.bonds
-    # m0[k] = m0(k-1): m0(-1) = 0 is the zero representation, as v_(-1) in _three_term
-    m0 = [0, *molien_coeffs(group, nterms + 1)]
-    v, w = packed_series(ext, nterms + 2)
-    bv = b.mulvec(v)
-    holds = _three_term(bv, v, w, nterms + 2)[:-1]
-    comp0 = _unpack(bv[0], nterms + 2, w)[:-1] == [m0[n] + m0[n + 2] for n in range(nterms + 1)]
-    checks = [
-        ("B v_0 = v_1", holds[0]),
-        (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:])),
-        ("(B v_n)_0 = m0(n-1) + m0(n+1) with molien-sourced m0", comp0),
-    ]
-    if bid.family == "cyclic" and bid.n >= 2:
-        s = ext.size  # B = P + P^-1 with P the cyclic shift
-        circulant = all(
-            b[i, j] == ((i - j) % s == 1) + ((j - i) % s == 1)
-            for i in range(s)
-            for j in range(s)
-        )
-        checks.append(("B is the 2-regular circulant", circulant))
-    return Report(f"mckay shift for {bid.text} via {did.text}", tuple(checks))
-
-
-def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:
-    """Component 0 of a folded diagram against the Molien series of its
-    natural subgroup pair (H, G): it must match that of H and differ from
-    that of G.  Each label says what the comparison found."""
-    ext = build(did, extended=True)
-    component0 = list(component_series(ext, 0, nterms + 1))
-    lines = []
-    for bid, expect in zip(folded_pair(did), (True, False)):
-        coeffs = molien_coeffs(enumerate_group(bid), nterms)
-        same = coeffs == component0
-        verdict = "matches" if same else "differs from"
-        lines.append(
-            (f"component 0 {verdict} molien series of {bid.text} (degree <= {nterms})",
-             same == expect),
-        )
-    return Report(f"folded molien exploration for {did.text}", tuple(lines))

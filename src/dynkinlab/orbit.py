@@ -16,7 +16,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number
-from .diagram import SIMPLY_LACED, Diagram, build, highest_root
+from .diagram import SIMPLY_LACED, Diagram, highest_root
 from .errors import (
     CatalogCorruptionError,
     DomainError,
@@ -25,8 +25,6 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .exact import IntPoly, _sparse_left, _trusted, format_poly
-from .kostant import generating_function, kostant_numbers
-from .report import Report
 
 
 def _require_ade_even(diagram: Diagram) -> int:
@@ -105,24 +103,6 @@ def assembling_vectors(diagram: Diagram) -> OrbitTable:
 def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:
     """z(t)_i = sum_n z_n[i] t^n on extended coordinates; z(t)_0 = 1 + t^h."""
     return tuple(map(_trusted, zip(*assembling_vectors(diagram).z)))
-
-
-def verify_kostant_form(diagram: Diagram) -> Report:
-    """Orbit route against the Cramer route, component by component, as
-    det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
-    a, b, _, _ = kostant_numbers(diagram.did)
-    zt = z_polynomials(diagram)
-    den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
-    ext = build(diagram.did, extended=True)
-    gf = generating_function(ext)
-    checks = tuple(
-        (
-            f"[P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^{a})(1 - t^{b}))",
-            gf.numerators[i] * den == zt[i] * gf.det_m,
-        )
-        for i in range(ext.size)
-    )
-    return Report(f"kostant form via orbit for {diagram.did.text}", checks)
 
 
 def _render_blocks(diagram: Diagram, titled, width: int = 3) -> str:

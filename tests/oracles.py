@@ -20,7 +20,7 @@ elimination of `exact.nullspace_primitive` and the monomial-only
 `IntPoly.substitute` are checked against them.  `dense_two_coloring` and `dense_neighbors` read a graph off every entry of
 its rows; the bipartition and neighbour lists of `diagram.py`, which visit
 the nonzero entries only, are checked against them.  `list_three_term` checks
-McKay's three-term relation one vector at a time; `kostant._three_term`, which reads it off packed
+McKay's three-term relation one vector at a time; `mckay._three_term`, which reads it off packed
 columns, is checked against it.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence

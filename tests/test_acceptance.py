@@ -21,15 +21,16 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import RankError
 from dynkinlab.exact import IntMatrix, IntPoly, charpoly
-from dynkinlab.kostant import (
+from dynkinlab.kostant import multiplicities
+from dynkinlab.mckay import (
+    crosscheck,
     kostant_numbers,
-    multiplicities,
     verify_closed_form,
     verify_ebeling,
     verify_kostant_relation,
+    verify_observation,
 )
-from dynkinlab.mckay import verify_observation
-from dynkinlab.molien import catalog_groups, crosscheck, enumerate_group, molien_coeffs
+from dynkinlab.molien import catalog_groups, enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
 from oracles import cramer_solve, parse_poly, zeros
 

@@ -15,7 +15,7 @@ import dynkinlab.cli as cli
 import dynkinlab.errors as errors
 import dynkinlab.exact as exact
 import dynkinlab.kostant as kostant
-import dynkinlab.molien as molien
+import dynkinlab.mckay as mckay
 import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
 from dynkinlab.coxeter import char_polys
@@ -535,8 +535,8 @@ def test_molien_folded_fails_on_a_swapped_pair(capsys, monkeypatch):
     assert code == 0
     reports = out.count("[PASS] folded molien exploration for ")
     assert reports == 23
-    pair = molien.folded_pair
-    monkeypatch.setattr(molien, "folded_pair", lambda did: pair(did)[::-1])
+    pair = mckay.folded_pair
+    monkeypatch.setattr(mckay, "folded_pair", lambda did: pair(did)[::-1])
     code, out, _ = run(capsys, "verify", "molien-folded")
     assert code == 2
     assert out.count("[FAIL] folded molien exploration for ") == reports
@@ -548,7 +548,7 @@ def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
     """det M_i (1 - t^a)(1 - t^b) = z(t)_i det M and its closed-form twin
     must fail once one Cramer numerator of extended E6 is off by t^k."""
     ext = build(DiagramId("E6"), extended=True)
-    real = kostant.generating_function
+    real = mckay.generating_function
     gf = real(ext)
     for i, k in ((0, 3), (0, 40), (ext.size - 1, 5)):
         nums = list(gf.numerators)
@@ -558,8 +558,7 @@ def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
         def patched(d, broken=broken):
             return broken if d == ext else real(d)
 
-        monkeypatch.setattr(kostant, "generating_function", patched)
-        monkeypatch.setattr(orbit, "generating_function", patched)
+        monkeypatch.setattr(mckay, "generating_function", patched)
         code, out, _ = run(capsys, "verify", "orbit-form", "E6")
         assert code == 2, (i, k)
         failed = [line for line in out.splitlines() if line.startswith("  FAIL")]
@@ -599,7 +598,7 @@ def test_component_0_commands_expand_one_series(capsys, monkeypatch):
     runs = (
         lambda: run(capsys, "poincare", "E8", "--terms", "50")[0] == 0,
         lambda: run(capsys, "verify", "molien", "binary_icosahedral")[0] == 0,
-        lambda: molien.folded_component_report(DiagramId.parse("F4")).passed,
+        lambda: mckay.folded_component_report(DiagramId.parse("F4")).passed,
     )
     for go in runs:
         calls.clear()

@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+import dynkinlab.mckay as mckay
 import dynkinlab.molien as molien
 from dynkinlab.diagram import Diagram, DiagramId, build
 from dynkinlab.errors import (
@@ -21,15 +22,8 @@ from dynkinlab.errors import (
     UnsupportedFamilyError,
 )
 from dynkinlab.exact import IntMatrix
-from dynkinlab.molien import (
-    BpgId,
-    catalog_groups,
-    crosscheck,
-    enumerate_group,
-    folded_component_report,
-    mckay_matrix_numeric,
-    molien_coeffs,
-)
+from dynkinlab.mckay import crosscheck, folded_component_report, mckay_matrix_numeric
+from dynkinlab.molien import BpgId, catalog_groups, enumerate_group, molien_coeffs
 
 from oracles import (
     float_contains_minus_identity,
@@ -384,7 +378,7 @@ def test_mckay_shift_lines_fail_alone(monkeypatch, text):
     """A Molien coefficient off by one fails the component-0 line only; v_0
     off by one at the affine vertex fails the two lines that read v_0."""
     bid = BpgId.parse(text)
-    real_m0, real_v = molien.molien_coeffs, molien.packed_series
+    real_m0, real_v = mckay.molien_coeffs, mckay.packed_series
 
     def m0_off(group, nterms):
         m0 = list(real_m0(group, nterms))
@@ -400,7 +394,7 @@ def test_mckay_shift_lines_fail_alone(monkeypatch, text):
         ("packed_series", v0_off, {_BOUNDARY, _SHIFT}),
     ):
         with monkeypatch.context() as m:
-            m.setattr(molien, name, patched)
+            m.setattr(mckay, name, patched)
             rep = mckay_matrix_numeric(bid, 24)
         assert {label for label, ok in rep.checks if not ok} == failed, name
 

@@ -19,13 +19,13 @@ from dynkinlab.errors import (
 )
 from dynkinlab.exact import IntPoly, RatFunc
 from dynkinlab.kostant import generating_function
+from dynkinlab.mckay import verify_kostant_form
 from dynkinlab.orbit import (
     assembling_vectors,
     render_orbit_table,
     render_z_polynomials,
     render_z_table,
     tau_orbit,
-    verify_kostant_form,
     z_polynomials,
 )
 
