@@ -9,10 +9,11 @@ from .coxeter import (
     coxeter_transform,
     ebeling_quotient,
 )
-from .diagram import Diagram, DiagramId, build, catalog_extended, finite_part, fold
+from .diagram import BpgId, Diagram, DiagramId, build, catalog_extended, finite_part, fold
 from .exact import IntMatrix, IntPoly, RatFunc, format_poly, series_expand
 from .kostant import generating_function, multiplicities
 from .mckay import (
+    Report,
     crosscheck,
     semi_affine,
     verify_closed_form,
@@ -22,9 +23,8 @@ from .mckay import (
     verify_observation,
     verify_z_recurrence,
 )
-from .molien import BpgId, enumerate_group, molien_coeffs
+from .molien import enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, tau_orbit, z_polynomials
-from .report import Report
 
 __version__ = "0.1.0"
 

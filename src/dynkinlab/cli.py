@@ -26,11 +26,12 @@ import sys
 from typing import Callable, NamedTuple
 
 from .coxeter import char_polys, coxeter_number, coxeter_transform, ebeling_quotient
-from .diagram import SIMPLY_LACED, Diagram, DiagramId, build, catalog_extended
+from .diagram import SIMPLY_LACED, BpgId, Diagram, DiagramId, build, catalog_extended, catalog_groups
 from .errors import DynkinlabError
 from .exact import RatFunc, format_poly, format_ratfunc
 from .kostant import component_series, generating_function
 from .mckay import (
+    Report,
     crosscheck,
     folded_component_report,
     mckay_matrix_numeric,
@@ -41,9 +42,8 @@ from .mckay import (
     verify_observation,
     verify_z_recurrence,
 )
-from .molien import BpgId, catalog_groups, enumerate_group, molien_coeffs
+from .molien import enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
-from .report import Report
 
 # input bounds: the largest rank, group order and number of series terms
 MAX_RANK = 128

@@ -33,11 +33,10 @@ from .exact import IntMatrix, IntPoly, RatFunc, _order, _trusted_matrix, charpol
 
 
 class BicoloredPair(NamedTuple):
-    """The two involutions, each recorded with the vertex class it reflects."""
+    """The two involutions: w1 reflects part_y, w2 part_x."""
 
     w1: IntMatrix
     w2: IntMatrix
-    reflects: tuple[tuple[int, ...], tuple[int, ...]]  # (class of w1, class of w2)
 
 
 def _class_sum(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
@@ -57,11 +56,7 @@ def bicolored_reflections(diagram: Diagram) -> BicoloredPair:
             "diagram has an odd cycle, hence no bicolored decomposition"
         )
     part_x, part_y = diagram.bipartition
-    return BicoloredPair(
-        w1=_class_sum(diagram, part_y),
-        w2=_class_sum(diagram, part_x),
-        reflects=(part_y, part_x),
-    )
+    return BicoloredPair(w1=_class_sum(diagram, part_y), w2=_class_sum(diagram, part_x))
 
 
 def coxeter_transform(diagram: Diagram) -> IntMatrix:

@@ -32,11 +32,13 @@ The per-family facts are data, stated once: _FOLDS gives each folded
 family its base diagram, orbits and Molien pair (H, G) (Slodowy's
 correspondence), and _GROUPS gives each group family its least parameter,
 its order and its A/D/E partner (McKay's correspondence), read by BpgId
-and, backwards, by mckay_group.  Group closure and Molien sums live in
-molien.py, Kostant's numbers a, b, h in mckay.py.
+and, backwards, by mckay_group.  Both catalogs of check targets are here,
+catalog_extended and catalog_groups.  Group closure and Molien sums live
+in molien.py, Kostant's numbers a, b, h in mckay.py.
 
 The records (DiagramId, Diagram, BpgId) are immutable NamedTuples;
-DiagramId and BpgId validate their fields in __new__.
+DiagramId and BpgId validate their fields in __new__; Diagram.name is
+what reports and errors call a diagram.
 """
 
 from __future__ import annotations
@@ -117,6 +119,12 @@ class Diagram(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @property
+    def name(self) -> str:
+        """"E6", "extended E6", or "folded diagram" for a fold with no id."""
+        base = self.did.text if self.did else "folded diagram"
+        return f"extended {base}" if self.extended else base
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
@@ -471,3 +479,10 @@ def catalog_extended() -> tuple[Diagram, ...]:
     ids += [DiagramId("DD", n) for n in range(3, 7)]
     ids += [DiagramId("CD", n) for n in range(2, 7)]
     return tuple(build(did, extended=True) for did in ids)
+
+
+def catalog_groups() -> tuple[BpgId, ...]:
+    """Every group exercised by the verification suites."""
+    return (tuple(BpgId("cyclic", n) for n in range(2, 9))
+            + tuple(BpgId("binary_dihedral", n) for n in range(2, 7))
+            + tuple(BpgId(family) for family, (least, *_) in _GROUPS.items() if least is None))

@@ -1,11 +1,15 @@
 """Exact arithmetic kernel: integer polynomials, rational functions, matrices.
 
 Everything downstream (Cartan matrices, Coxeter transformations, generating
-functions) is computed over Z or Q with no floating point.  Polynomials are
+functions) is computed over Z with no floating point.  Polynomials are
 dense coefficient tuples in ascending order; the zero polynomial is the
 empty tuple.  Identities between fractions are checked by cross-multiplying
 in Z[t]; a rational function is reduced only to be printed, then with a
 positive leading denominator coefficient, so the reduced form is canonical.
+
+The packed-slot format is known here only: a row packs into one int in
+slots of w bits, read back with 2^(w-1) added per slot (`_bias`), and
+McKay's three-term relation is checked on packed columns (`_three_term`).
 """
 
 from __future__ import annotations
@@ -50,20 +54,8 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
-
-    @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "IntPoly":
@@ -391,9 +383,6 @@ class IntMatrix:
             raise DimensionError("vector length mismatch")
         return tuple(_sparse_left(self)(v))
 
-    def transpose(self) -> "IntMatrix":
-        return _trusted_matrix(tuple(zip(*self.rows)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -452,6 +441,29 @@ def _unpack(x: int, n: int, w: int) -> list[int]:
     nb, half = w // 8, 1 << (w - 1)
     digits = (x + _bias(n, w)).to_bytes(n * nb, "little")
     return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
+
+
+def _low_slots(x: int, n: int, w: int) -> tuple[int, list[int] | None]:
+    """(x mod 2^(wn), its n slots of w bits read back signed, or None when no
+    slot is negative), every slot below 2^(w-1) in absolute value: the
+    lowest negative slot sets its top bit in x mod 2^(wn), and with no
+    negative slot nothing borrows, so no top bit is set."""
+    low, sign = (1 << (w * n)) - 1, _bias(n, w)
+    x &= low
+    return x, _unpack(((x + sign) & low) - sign, n, w) if x & sign else None
+
+
+def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
+    """Whether (B v_k)_i = v_(k-1)[i] + v_(k+1)[i] for all i, for each k < n,
+    v_(-1) = v_n = 0: v[i] packs column i of v_0..v_(n-1) in slots of w
+    bits, bv = B v, every slot below 2^(w-1) in absolute value.  Slot k + 1
+    of bv[i] << w against (v[i] << 2w) + v[i] (>> w would floor a negative
+    slot 0), each with 2^(w-1) added per slot: equal slots, equal bytes."""
+    bias, nb, diff = _bias(n + 2, w), w // 8, 0
+    for lhs, col in zip(bv, v):
+        diff |= ((lhs << w) + bias) ^ ((col << 2 * w) + col + bias)
+    digits, zero = diff.to_bytes((n + 2) * nb, "little"), bytes(nb)
+    return [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
 
 
 def _decode(x: int, w: int) -> IntPoly:

@@ -31,12 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Diagram
 from .errors import DomainError, IdentityViolationError
-from .exact import IntPoly, _bias, _decode, _pack, _unpack, _width, series_expand
-
-
-def _name(diagram: Diagram) -> str:
-    base = diagram.did.text if diagram.did else "folded diagram"
-    return f"extended {base}" if diagram.extended else base
+from .exact import IntPoly, _decode, _low_slots, _pack, _unpack, _width, series_expand
 
 
 class GeneratingFunction(NamedTuple):
@@ -53,12 +48,12 @@ def _adjugate_column(diagram: Diagram, root: int, w: int) -> tuple[int, dict[int
         for c in diagram.neighbors(v):
             if c not in (0, parent[v]):
                 if c in parent:
-                    raise DomainError(f"the finite part of {_name(diagram)} has a cycle")
+                    raise DomainError(f"the finite part of {diagram.name} has a cycle")
                 parent[c], children[c] = v, []
                 children[v].append(c)
                 order.append(c)
     if len(order) != diagram.size - 1:
-        raise DomainError(f"the finite part of {_name(diagram)} is disconnected")
+        raise DomainError(f"the finite part of {diagram.name} is disconnected")
     # leaf to root: d[v] = D_v and e[v] = E_v for the subtree of v, rest[c] the
     # product of D over the siblings of c; D_v = (1 + t^2) E_v - t^2 sum(...)
     d, e, rest = {}, {}, {}
@@ -82,7 +77,7 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
     if not diagram.extended:
         raise DomainError("the generating functions live on the extended diagram")
     if not diagram.u0:
-        raise DomainError(f"the affine vertex of {_name(diagram)} has no neighbours")
+        raise DomainError(f"the affine vertex of {diagram.name} has no neighbours")
     k, u0 = diagram.cartan, diagram.u0
     w = _width(math.prod(sum(map(abs, row)) for row in k.rows))
     dets, columns = zip(*(_adjugate_column(diagram, u, w) for u in u0))
@@ -129,12 +124,11 @@ def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
     c = max(sum(map(abs, p.coeffs)) for p in (*gf.numerators, gf.det_m))
     w = _width((r + 2) * c * max(map(abs, s), default=1))
     (ps,) = _pack((s,), w)
-    low, sign = (1 << (w * nterms)) - 1, _bias(nterms, w)
-    columns = [(y * ps) & low for y in _pack((p.coeffs for p in gf.numerators), w)]
-    for i, col in enumerate(columns):
-        if col & sign:  # a negative slot: read the column back, signed, to name it
-            raise _negative(diagram, i, _unpack(((col + sign) & low) - sign, nterms, w))
-    return columns, w
+    slots = [_low_slots(y * ps, nterms, w) for y in _pack((p.coeffs for p in gf.numerators), w)]
+    for i, (_, signed) in enumerate(slots):
+        if signed is not None:  # a negative slot: the column read back names it
+            raise _negative(diagram, i, signed)
+    return [col for col, _ in slots], w
 
 
 def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:

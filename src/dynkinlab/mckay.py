@@ -14,7 +14,8 @@ lambda = t^2, the closed and orbit forms set the Cramer components against
 component 0 (McKay's correspondence).  Each identity on x(t) is checked on
 the numerators y_i with det M cleared, in Z[t].  McKay's relation
 B v_n = v_(n-1) + v_(n+1) is checked on packed columns in one place,
-`_three_term`, for the Cramer series and the assembling vectors alike.
+`exact._three_term`, for the Cramer series and the assembling vectors
+alike.  `Report` is the type of every check's answer.
 
 The semi-affine operator acts on extended coordinates: its finite block is
 the adjacency matrix, its affine row is zero, and its affine column keeps
@@ -27,7 +28,7 @@ vertex, where the neighbor sum picks up z(t)_0 = 1 + t^h.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
 from .diagram import (
@@ -42,29 +43,34 @@ from .diagram import (
     nil_root,
 )
 from .errors import CatalogCorruptionError, DomainError, IdentityViolationError, UnsupportedFamilyError
-from .exact import IntMatrix, IntPoly, _bias, _pack, _trusted_matrix, _unpack, _width, charpoly
-from .kostant import _name, component_series, generating_function, packed_series
+from .exact import IntMatrix, IntPoly, _pack, _three_term, _trusted_matrix, _unpack, _width, charpoly
+from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, z_polynomials
-from .report import Report
 
-T = IntPoly.x()
+T = IntPoly.monomial(1)
 T2 = IntPoly.monomial(2)
 
 _TOL = 1e-6
 
 
-def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
-    """Whether (B v_k)_i = v_(k-1)[i] + v_(k+1)[i] for all i, for each k < n,
-    v_(-1) = v_n = 0: v[i] packs column i of v_0..v_(n-1) in slots of w
-    bits, bv = B v, every slot below 2^(w-1) in absolute value.  Slot k + 1
-    of bv[i] << w against (v[i] << 2w) + v[i] (>> w would floor a negative
-    slot 0), each with 2^(w-1) added per slot: equal slots, equal bytes."""
-    bias, nb, diff = _bias(n + 2, w), w // 8, 0
-    for lhs, col in zip(bv, v):
-        diff |= ((lhs << w) + bias) ^ ((col << 2 * w) + col + bias)
-    digits, zero = diff.to_bytes((n + 2) * nb, "little"), bytes(nb)
-    return [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
+class Report(NamedTuple):
+    """A verification report: a name and its labelled pass/fail checks."""
+
+    name: str
+    checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.checks)
+
+    def lines(self) -> list[str]:
+        out = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
+        out += [f"  {'PASS' if ok else 'FAIL'}  {label}" for label, ok in self.checks]
+        return out
+
+    def render(self) -> str:
+        return "\n".join(self.lines())
 
 
 def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
@@ -95,7 +101,7 @@ def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
 def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
     """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
     rational-function identity t B x = (1 + t^2) x - e0."""
-    name = f"kostant relation for {_name(diagram)}"
+    name = f"kostant relation for {diagram.name}"
     b = diagram.bonds
     try:
         v, w = packed_series(diagram, nterms + 1)
@@ -135,7 +141,7 @@ def verify_ebeling(diagram: Diagram) -> Report:
         m = diagram.size
         checks.append((f"det M(t) = (t^{m} - 1)^2 on the {m}-cycle",
                        gf.det_m == (IntPoly.monomial(m) - 1) ** 2))
-    return Report(f"ebeling identities for {_name(diagram)}", tuple(checks))
+    return Report(f"ebeling identities for {diagram.name}", tuple(checks))
 
 
 def verify_closed_form(did: DiagramId) -> Report:
@@ -230,7 +236,7 @@ def verify_observation(diagram: Diagram) -> Report:
     zt = z_polynomials(diagram)
     ext = build(diagram.did, extended=True)
     y = generating_function(ext).numerators
-    q = 1 + IntPoly.monomial(2)
+    q = 1 + T2
     neighbor_z = a_semi.mulvec(zt)
     neighbor_y = a_semi.mulvec(y)
     checks = [

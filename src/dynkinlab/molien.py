@@ -1,16 +1,16 @@
 """Binary polyhedral groups and the Molien series oracle.
 
-The group names (BpgId), their McKay diagrams and the folded families'
-Molien pairs are catalog data in diagram.py; this module closes the
-groups and sums their series, and `mckay` sets the sums against the
-Cramer series of the paired diagram.  A group is closed exactly over F_p: its elements are 2x2 matrices with
-entries mod p, generated from the quaternion formulas with every constant
-taken from one root of unity zeta in F_p.  p is the least prime
-congruent to 1 mod L, with L = lcm(120, 2N) and N the group's parameter
-(1 for the exceptional groups), so F_p holds zeta of exact order L and
-with it i, 1/2, sqrt 2 and the golden ratio.  Reduction mod
-such a prime is injective on a finite matrix group (Minkowski's lemma),
-and the closure's size is checked against |G|.
+The group names (BpgId), the group catalog, their McKay diagrams and the
+folded families' Molien pairs are catalog data in diagram.py; this module
+closes the groups and sums their series, and `mckay` sets the sums against
+the Cramer series of the paired diagram.  A group is closed exactly over
+F_p: its elements are 2x2 matrices with entries mod p, generated from the
+quaternion formulas with every constant taken from one root of unity zeta
+in F_p.  p is the least prime congruent to 1 mod L, with L = lcm(120, 2N)
+and N the group's parameter (1 for the exceptional groups), so F_p holds
+zeta of exact order L and with it i, 1/2, sqrt 2 and the golden ratio.
+Reduction mod such a prime is injective on a finite matrix group
+(Minkowski's lemma), and the closure's size is checked against |G|.
 
 Each element's trace is zeta^j + zeta^-j for one j in 0..L/2, so the group
 is summarised by trace classes (j, count).  The Molien sums are integers:
@@ -32,17 +32,10 @@ from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple
 
-from .diagram import _GROUPS, BpgId
+from .diagram import BpgId
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def catalog_groups() -> tuple[BpgId, ...]:
-    """Every group exercised by the verification suites."""
-    return (tuple(BpgId("cyclic", n) for n in range(2, 9))
-            + tuple(BpgId("binary_dihedral", n) for n in range(2, 7))
-            + tuple(BpgId(family) for family, (least, *_) in _GROUPS.items() if least is None))
 
 
 class BpgGroup(NamedTuple):

@@ -20,7 +20,7 @@ elimination of `exact.nullspace_primitive` and the monomial-only
 `IntPoly.substitute` are checked against them.  `dense_two_coloring` and `dense_neighbors` read a graph off every entry of
 its rows; the bipartition and neighbour lists of `diagram.py`, which visit
 the nonzero entries only, are checked against them.  `list_three_term` checks
-McKay's three-term relation one vector at a time; `mckay._three_term`, which reads it off packed
+McKay's three-term relation one vector at a time; `exact._three_term`, which reads it off packed
 columns, is checked against it.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
@@ -55,7 +55,7 @@ from dynkinlab.errors import (
 from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
 from dynkinlab.molien import BpgGroup, BpgId, _prime_factors
 
-T = IntPoly.x()
+T = IntPoly.monomial(1)
 SYM_T = sympy.Symbol("t")
 
 
@@ -107,9 +107,9 @@ def cramer_solve(
             for j in range(k + 1, n + 1):
                 row_i[j] = (pk * row_i[j] - aik * row_k[j]).divexact(d)
         d = pk
-    ys = [IntPoly.zero()] * n
+    ys = [IntPoly()] * n
     for i in reversed(range(n)):
-        acc = d * a[i][n] - sum((a[i][j] * ys[j] for j in range(i + 1, n)), IntPoly.zero())
+        acc = d * a[i][n] - sum((a[i][j] * ys[j] for j in range(i + 1, n)), IntPoly())
         ys[i] = acc.divexact(a[i][i])
     return sign * d, tuple(sign * y for y in ys)
 
@@ -155,7 +155,7 @@ def tree_solve(diagram: Diagram) -> tuple[IntPoly, tuple[IntPoly, ...]]:
 def perm_det(rows):
     """Leibniz permutation sum: the determinant straight from its definition."""
     n = len(rows)
-    acc = IntPoly.zero()
+    acc = IntPoly()
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -310,7 +310,7 @@ def gauss_jordan_nullspace(m: IntMatrix) -> tuple[int, ...]:
 
 def horner_substitute(f: IntPoly, p: IntPoly) -> IntPoly:
     """The composition f(p(t)) by Horner's rule, for any p."""
-    acc = IntPoly.zero()
+    acc = IntPoly()
     for c in reversed(f.coeffs):
         acc = acc * p + c
     return acc
@@ -345,7 +345,7 @@ def parse_poly(text: str, var: str = "t") -> IntPoly:
     """Inverse of exact.format_poly (also accepts explicit '^1' and '1*' forms)."""
     s = text.strip()
     if s == "0":
-        return IntPoly.zero()
+        return IntPoly()
     s = s.replace("-", "+-").lstrip("+")
     coeffs: dict[int, int] = {}
     for chunk in s.split("+"):
@@ -377,7 +377,7 @@ def det(rows) -> IntPoly:
     try:
         return cramer_solve(rows, [0] * len(rows))[0]
     except RankError:
-        return IntPoly.zero()
+        return IntPoly()
 
 
 Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]

@@ -16,6 +16,7 @@ from dynkinlab.diagram import (
     DiagramId,
     build,
     catalog_extended,
+    catalog_groups,
     finite_part,
     nil_root,
 )
@@ -30,11 +31,11 @@ from dynkinlab.mckay import (
     verify_kostant_relation,
     verify_observation,
 )
-from dynkinlab.molien import catalog_groups, enumerate_group, molien_coeffs
+from dynkinlab.molien import enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
 from oracles import cramer_solve, parse_poly, zeros
 
-L = IntPoly.x()
+L = IntPoly.monomial(1)
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -144,7 +145,7 @@ def test_mckay_observation_with_worked_identities():
         assert rep.passed, rep.render()
 
     zt = z_polynomials(build(DiagramId("E6")))
-    t = IntPoly.x()
+    t = IntPoly.monomial(1)
     q = 1 + t**2
     a0, x0, x1, y1, y2, y3 = zt[0], zt[1], zt[2], zt[4], zt[5], zt[6]
     around_x0 = parse_poly("t + 2*t^3 + 3*t^5 + 3*t^7 + 2*t^9 + t^11")
@@ -213,14 +214,14 @@ def test_property_suites():
         assert all(c >= 0 for v in vectors for c in v)
 
     # determinant by permutation expansion agrees with the pivoting routine
-    x = IntPoly.x()
+    x = IntPoly.monomial(1)
     for _ in range(20):
         n = rng.randint(1, 4)
         rows = [
             [IntPoly([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(n)]
             for _ in range(n)
         ]
-        brute = IntPoly.zero()
+        brute = IntPoly()
         for perm in itertools.permutations(range(n)):
             sign = 1
             for i in range(n):
@@ -234,5 +235,5 @@ def test_property_suites():
         try:
             det = cramer_solve(rows, [0] * n)[0]
         except RankError:  # the solve reports a singular matrix
-            det = IntPoly.zero()
+            det = IntPoly()
         assert det == brute

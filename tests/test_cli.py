@@ -21,8 +21,8 @@ from dynkinlab.cli import main
 from dynkinlab.coxeter import char_polys
 from dynkinlab.diagram import DiagramId, build
 from dynkinlab.exact import IntMatrix, IntPoly
+from dynkinlab.mckay import Report
 from dynkinlab.orbit import z_polynomials
-from dynkinlab.report import Report
 from oracles import parse_poly
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
@@ -49,7 +49,7 @@ def test_charpoly_json(capsys):
     payload = json.loads(out)
     chi = parse_poly(payload["chi"], "L")
     chi_affine = parse_poly(payload["chi_affine"], "L")
-    lam = IntPoly.x()
+    lam = IntPoly.monomial(1)
     # table row: chi * (L^2+1)(L-1) = (L^6+1)(L^3-1)
     assert chi * (lam**2 + 1) * (lam - 1) == (lam**6 + 1) * (lam**3 - 1)
     expected_chi, expected_affine = char_polys(DiagramId.parse("E6"))

@@ -36,7 +36,7 @@ from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameter
 from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
 from oracles import list_charpoly, list_coxeter_number, list_matmul
 
-L = IntPoly.x()
+L = IntPoly.monomial(1)
 
 W1_E6 = IntMatrix(
     (
@@ -127,7 +127,7 @@ def test_e6_pair_matches_block_matrices():
     pair = bicolored_reflections(d)
     assert pair.w1 == W1_E6
     assert pair.w2 == W2_E6
-    assert pair.reflects == ((3, 4, 5), (0, 1, 2))
+    assert d.bipartition == ((0, 1, 2), (3, 4, 5))  # w1 reflects part_y, w2 part_x
 
 
 def test_e6_coxeter_block_form():

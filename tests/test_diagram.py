@@ -35,10 +35,9 @@ from dynkinlab.errors import (
 )
 from dynkinlab.exact import IntMatrix
 from dynkinlab.kostant import generating_function
-from dynkinlab.mckay import kostant_numbers
+from dynkinlab.mckay import Report, kostant_numbers
 from dynkinlab.molien import enumerate_group
 from dynkinlab.orbit import assembling_vectors
-from dynkinlab.report import Report
 from oracles import dense_neighbors, dense_two_coloring, gauss_jordan_nullspace
 
 
@@ -210,7 +209,7 @@ def test_highest_root():
 
 def test_symmetric_exactly_for_simply_laced():
     for d in catalog_extended():
-        symmetric = d.cartan == d.cartan.transpose()
+        symmetric = d.cartan == IntMatrix(zip(*d.cartan.rows))
         assert symmetric == (d.did.family in SIMPLY_LACED)
 
 
@@ -242,6 +241,14 @@ def test_fold_g2_from_extended_d4():
     assert primary.labels == ("a0", "d2", "d1+f1+f2")
 
 
+def test_diagram_names():
+    assert build(DiagramId("E6")).name == "E6"
+    assert build(DiagramId("E6"), extended=True).name == "extended E6"
+    g2 = fold(build(DiagramId("D", 4), extended=True), (("a0",), ("d2",), ("d1", "f1", "f2")))
+    assert g2.name == "extended folded diagram"
+    assert build(DiagramId("G2"), extended=True).name == "extended G2"
+
+
 def test_fold_f4_pair_from_extended_e6():
     base = build(DiagramId("E6"), extended=True)
     primary = fold(base, (("a0",), ("y3",), ("x0",), ("y1", "y2"), ("x1", "x2")))
@@ -250,7 +257,7 @@ def test_fold_f4_pair_from_extended_e6():
          (0, 0, -2, 2, -1), (0, 0, 0, -1, 2))
     )
     # finite part of the dual (the transposed Cartan matrix) is F4's
-    assert _submatrix_drop0(primary.cartan.transpose()) == build(DiagramId("F4")).cartan
+    assert _submatrix_drop0(IntMatrix(zip(*primary.cartan.rows))) == build(DiagramId("F4")).cartan
 
 
 def test_folded_build_keeps_the_requested_id():
@@ -261,7 +268,7 @@ def test_folded_build_keeps_the_requested_id():
 def test_fold_finite_a3_end_swap():
     primary = fold(build(DiagramId("A", 3)), (("a1", "a3"), ("a2",)))
     assert primary.cartan == IntMatrix(((2, -2), (-1, 2)))
-    assert primary.cartan.transpose() == IntMatrix(((2, -1), (-2, 2)))
+    assert IntMatrix(zip(*primary.cartan.rows)) == IntMatrix(((2, -1), (-2, 2)))
     assert not primary.extended
 
 
@@ -305,7 +312,7 @@ def test_transpose_relations_between_folded_families():
         c = build(DiagramId("C", n), extended=True).cartan
         rev = list(range(n, -1, -1))
         flipped = IntMatrix(tuple(tuple(c[rev[i], rev[j]] for j in range(n + 1)) for i in range(n + 1)))
-        assert b == flipped.transpose() or b == c.transpose()
+        assert b == IntMatrix(zip(*flipped.rows)) or b == IntMatrix(zip(*c.rows))
 
 
 def test_kostant_numbers():

@@ -8,12 +8,11 @@ import pytest
 
 import dynkinlab.kostant as kostant
 import dynkinlab.mckay as mckay
-from dynkinlab.diagram import Diagram, DiagramId, build, catalog_extended
+from dynkinlab.diagram import Diagram, DiagramId, _make, build, catalog_extended
 from dynkinlab.errors import DomainError, IdentityViolationError
-from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, _pack, _width
+from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, _pack, _three_term, _width
 from dynkinlab.kostant import component_series, generating_function, multiplicities, packed_series
 from dynkinlab.mckay import (
-    _three_term,
     closed_form_component0,
     verify_closed_form,
     verify_ebeling,
@@ -21,7 +20,7 @@ from dynkinlab.mckay import (
 )
 from oracles import cramer_matrix, cramer_solve, list_three_term, sympy_det, tree_solve
 
-T = IntPoly.x()
+T = IntPoly.monomial(1)
 
 
 def _ext(text: str) -> Diagram:
@@ -78,7 +77,7 @@ def test_tree_solve_on_random_trees():
         rows = cramer_matrix(d)
         assert det_m == sympy_det(rows)
         for i in range(n):
-            replaced = [row[:i] + (IntPoly.one() if k == 0 else IntPoly.zero(),) + row[i + 1:]
+            replaced = [row[:i] + (IntPoly.one() if k == 0 else IntPoly(),) + row[i + 1:]
                         for k, row in enumerate(rows)]
             assert numerators[i] == sympy_det(replaced), (bonds, i)
         seen_sizes.add(n)
@@ -132,6 +131,15 @@ def test_tree_solve_domain_errors():
         generating_function(_hand_made({(0, 1): one, (2, 3): one}, 4))
     with pytest.raises(DomainError, match="no neighbours"):
         generating_function(_hand_made({(1, 2): one}, 3))
+    # the messages name the diagram; _make checks the matrix as build does
+    lonely = _make(None, True, ("a0", "v1"), IntMatrix(((2, 0), (0, 2))))
+    with pytest.raises(DomainError) as exc:
+        generating_function(lonely)
+    assert str(exc.value) == "the affine vertex of extended folded diagram has no neighbours"
+    split = _make(None, True, ("a0", "v1", "v2"), IntMatrix(((2, -1, 0), (-1, 2, 0), (0, 0, 2))))
+    with pytest.raises(DomainError) as exc:
+        generating_function(split)
+    assert str(exc.value) == "the finite part of extended folded diagram is disconnected"
 
 
 def test_generating_function_a1():

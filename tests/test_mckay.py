@@ -130,7 +130,7 @@ def test_observation_reports_pass():
 def test_observation_worked_values():
     """Neighbor sums at x0, x1 and y3 of E6, written out term by term."""
     zt = z_polynomials(fin("E6"))
-    t = IntPoly.x()
+    t = IntPoly.monomial(1)
     q = 1 + t**2
     # indices in extended order: a0 x0 x1 x2 y1 y2 y3
     a0, x0, x1, y1, y2, y3 = zt[0], zt[1], zt[2], zt[4], zt[5], zt[6]

@@ -13,7 +13,7 @@ import pytest
 
 import dynkinlab.mckay as mckay
 import dynkinlab.molien as molien
-from dynkinlab.diagram import Diagram, DiagramId, build
+from dynkinlab.diagram import Diagram, DiagramId, build, catalog_groups
 from dynkinlab.errors import (
     DomainError,
     DynkinlabError,
@@ -23,7 +23,7 @@ from dynkinlab.errors import (
 )
 from dynkinlab.exact import IntMatrix
 from dynkinlab.mckay import crosscheck, folded_component_report, mckay_matrix_numeric
-from dynkinlab.molien import BpgId, catalog_groups, enumerate_group, molien_coeffs
+from dynkinlab.molien import BpgId, enumerate_group, molien_coeffs
 
 from oracles import (
     float_contains_minus_identity,

@@ -30,7 +30,7 @@ from dynkinlab.orbit import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-T = IntPoly.x()
+T = IntPoly.monomial(1)
 
 
 def test_tau_orbit_e6():
