@@ -562,7 +562,8 @@ def charpoly(m: IntMatrix) -> IntPoly:
 def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
     """First nterms Taylor coefficients at t = 0 of f / den, reduced or not,
     for den(0) = +-1: dividing by a unit is multiplying by it, so every term
-    is an int."""
+    is an int.  Each term, once final, is added forward into the later terms
+    through the nonzero taps of den, and only if it is itself nonzero."""
     if nterms < 0:
         raise ValueError("negative number of terms")
     scale = den.coeff(0)
@@ -570,15 +571,14 @@ def series_expand(f: IntPoly, nterms: int, den: IntPoly) -> list:
         raise PoleAtOriginError("denominator vanishes at the origin")
     if scale not in (1, -1):
         raise DomainError(f"denominator constant term {scale} is not a unit")
-    taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
-    out = []
+    taps = [(j, -c * scale) for j, c in enumerate(den.coeffs) if j and c]
+    out = [c * scale for c in f.coeffs[:nterms]]
+    out += [0] * (nterms - len(out) + len(den.coeffs))  # room for the last taps
     for k in range(nterms):
-        acc = f.coeff(k)
-        for j, c in taps:
-            if j > k:
-                break
-            acc -= c * out[k - j]
-        out.append(acc * scale)
+        if a := out[k]:
+            for j, c in taps:
+                out[k + j] += c * a
+    del out[nterms:]
     return out
 
 

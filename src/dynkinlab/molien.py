@@ -12,15 +12,17 @@ zeta of exact order L and with it i, 1/2, sqrt 2 and the golden ratio.
 Reduction mod such a prime is injective on a finite matrix group
 (Minkowski's lemma), and the closure's size is checked against |G|.
 
-Each element's trace is zeta^j + zeta^-j for one j in 0..L/2, so the group
-is summarised by trace classes (j, count).  The Molien sums are integers:
-the classes are grouped by element order m = L / gcd(j, L), each order
-contributes a Ramanujan sum c_m(n) to the power-trace sum
-P(n) = sum_g tr(g^n), and the summed characters of Sym^n follow from
-T(n) = T(n-2) + P(n), each divided exactly by |G|.  L is factored once per
-sum, and P(n) = T(n) - T(n-2) depends only on gcd(n, L): so |G| divides
-every T(n) exactly when it divides P(d) for each gcd d that occurs, which
-is checked once per d before the recurrence runs on the quotients.
+Each element's trace is zeta^j + zeta^-j for one j in 0..L/2, and as
+g^|G| = I (Lagrange), j is a multiple of L / gcd(L, |G|): only those j are
+scanned, and the group is summarised by trace classes (j, count).  The
+Molien sums are integers: the classes are grouped by element order
+m = L / gcd(j, L), each order contributes a Ramanujan sum c_m(n) to the
+power-trace sum P(n) = sum_g tr(g^n), and the summed characters of Sym^n
+follow from T(n) = T(n-2) + P(n), each divided exactly by |G|.  L is
+factored once per sum, and P(n) = T(n) - T(n-2) depends only on
+gcd(n, L): so |G| divides every T(n) exactly when it divides P(d) for each
+gcd d that occurs, which is checked once per d before the recurrence runs
+on the quotients.
 """
 
 from __future__ import annotations
@@ -80,10 +82,9 @@ def _field(level: int) -> tuple[int, int]:
 
 
 def _mul(x: Mat2, y: Mat2, p: int) -> Mat2:
-    return (
-        ((x[0][0] * y[0][0] + x[0][1] * y[1][0]) % p, (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % p),
-        ((x[1][0] * y[0][0] + x[1][1] * y[1][0]) % p, (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % p),
-    )
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p))
 
 
 def _generators(bid: BpgId, p: int, level: int, zeta: int) -> tuple[Mat2, ...]:
@@ -152,14 +153,16 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
         raise GeneratorSetError(
             f"{bid.text}: closure has {len(elems)} elements, expected {expected}"
         )
-    # zeta^j + zeta^-j differs for each j in 0..L/2, so each trace takes one j
+    # zeta^j + zeta^-j differs for each j in 0..L/2; g^|G| = I (Lagrange), so
+    # the eigenvalues zeta^+-j of g are |G|-th roots of unity and step divides j
     traces = Counter((m[0][0] + m[1][1]) % p for m in elems)
     classes: list[tuple[int, int]] = []
-    up, down, inverse = 1, 1, pow(zeta, -1, p)  # zeta^j, zeta^-j, zeta^-1
-    for j in range(level // 2 + 1):
+    step = level // math.gcd(level, expected)
+    up, down, rise, fall = 1, 1, pow(zeta, step, p), pow(zeta, -step, p)  # zeta^+-j, zeta^+-step
+    for j in range(0, level // 2 + 1, step):
         if count := traces.pop((up + down) % p, 0):
             classes.append((j, count))
-        up, down = up * zeta % p, down * inverse % p
+        up, down = up * rise % p, down * fall % p
     if traces:
         raise GeneratorSetError(
             f"{bid.text}: trace {min(traces)} mod {p} is not zeta^j + zeta^-j for any j"

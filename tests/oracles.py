@@ -22,6 +22,11 @@ its rows; the bipartition and neighbour lists of `diagram.py`, which visit
 the nonzero entries only, are checked against them.  `list_three_term` checks
 McKay's three-term relation one vector at a time; `exact._three_term`, which reads it off packed
 columns, is checked against it.
+`gather_series` is the series recurrence that gathers each term from
+every earlier one, zero or not; `exact.series_expand`, which adds each
+nonzero term forward, is checked against it.  `full_scan_classes` names the
+trace classes by scanning every j in 0..L/2; the scan of `molien.py` over
+the multiples of L / gcd(L, |G|) must find the same classes.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
 per element; the exact closure over F_p in `molien.py` and its per-class
@@ -37,6 +42,7 @@ import cmath
 import itertools
 import math
 import re
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -53,7 +59,7 @@ from dynkinlab.errors import (
     RankError,
 )
 from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
-from dynkinlab.molien import BpgGroup, BpgId, _prime_factors
+from dynkinlab.molien import BpgGroup, BpgId, _field, _prime_factors
 
 T = IntPoly.monomial(1)
 SYM_T = sympy.Symbol("t")
@@ -589,3 +595,38 @@ def loop_molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
             )
         out.append(value)
     return out, 0
+
+
+def gather_series(f: IntPoly, nterms: int, den: IntPoly) -> list[int]:
+    """First nterms Taylor coefficients of f / den for den(0) = +-1, each
+    term gathered from all earlier ones through the taps of den."""
+    scale = den.coeff(0)
+    taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
+    out = []
+    for k in range(nterms):
+        acc = f.coeff(k)
+        for j, c in taps:
+            if j > k:
+                break
+            acc -= c * out[k - j]
+        out.append(acc * scale)
+    return out
+
+
+def full_scan_classes(group: BpgGroup) -> tuple[tuple[int, int], ...]:
+    """The trace classes (j, count), scanning every j in 0..L/2 for the
+    traces zeta^j + zeta^-j of the closure's elements."""
+    p, level, bid = group.p, group.level, group.bid
+    zeta = _field(level)[1]
+    traces = Counter((m[0][0] + m[1][1]) % p for m in group.elements)
+    classes: list[tuple[int, int]] = []
+    up, down, inverse = 1, 1, pow(zeta, -1, p)  # zeta^j, zeta^-j, zeta^-1
+    for j in range(level // 2 + 1):
+        if count := traces.pop((up + down) % p, 0):
+            classes.append((j, count))
+        up, down = up * zeta % p, down * inverse % p
+    if traces:
+        raise GeneratorSetError(
+            f"{bid.text}: trace {min(traces)} mod {p} is not zeta^j + zeta^-j for any j"
+        )
+    return tuple(classes)

@@ -32,9 +32,11 @@ from dynkinlab.exact import (
     _unpack,
     _width,
 )
+from dynkinlab.kostant import generating_function
 from oracles import (
     cramer_solve,
     det,
+    gather_series,
     gauss_jordan_nullspace,
     horner_substitute,
     list_charpoly,
@@ -766,6 +768,30 @@ def test_series_integer_against_fraction_reference():
         assert all(type(c) is int for c in got)
     with pytest.raises(PoleAtOriginError):
         series_expand(IntPoly.one(), 3, T + T**2)
+
+
+SERIES_EDGES = {
+    "numerator above nterms": (1 - 2 * T + 3 * T**4 - T**9, 1 - T - T**2),
+    "den(0) = -1 with zero gaps": (2 + T**2 - 5 * T**6, -1 + 3 * T**3 - T**4 + 2 * T**8),
+    "den longer than nterms": (T + T**3, 1 + T**5 - 2 * T**12 + T**13),
+    "zero numerator": (IntPoly(), -1 + T**2 - T**7),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_EDGES)
+def test_series_edges_against_fraction_reference(name):
+    num, den = SERIES_EDGES[name]
+    for nterms in (0, 1, 2, 3, 5, 8, 13, 40):
+        got = series_expand(num, nterms, den)
+        assert got == fraction_series(num, den, nterms)
+        assert all(type(c) is int for c in got)
+
+
+def test_series_long_e8_component_against_gather_recurrence():
+    gf = generating_function(build(DiagramId.parse("E8"), extended=True))
+    got = series_expand(gf.numerators[0], 3000, gf.det_m)
+    assert got == gather_series(gf.numerators[0], 3000, gf.det_m)
+    assert got.count(0) == 1515  # terms the forward sum skips
 
 
 def test_ratfunc_equivalence_random():

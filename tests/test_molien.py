@@ -29,6 +29,7 @@ from oracles import (
     float_contains_minus_identity,
     float_enumerate_group,
     float_molien_sums,
+    full_scan_classes,
     loop_molien_sums,
 )
 
@@ -164,6 +165,21 @@ def test_closure_multiplies_each_element_by_each_generator_once(monkeypatch):
     finally:
         enumerate_group.cache_clear()
     assert calls == 1600
+
+
+@pytest.mark.parametrize(
+    "text",
+    [g.text for g in catalog_groups()]
+    + [f"binary_dihedral:{n}" for n in (198, 199, 200, 201, 202, 251, 256)]
+    + [f"cyclic:{n}" for n in (1, 2, 129, 1021, 1024)],
+)
+def test_class_scan_against_full_scan(text):
+    """The scan over the multiples of L / gcd(L, |G|) finds the classes of
+    the scan over every j in 0..L/2."""
+    group = grp(text)
+    assert group.classes == full_scan_classes(group)
+    step = group.level // math.gcd(group.level, group.order)
+    assert all(j % step == 0 for j, _ in group.classes)
 
 
 @pytest.mark.parametrize(
