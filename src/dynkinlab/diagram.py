@@ -448,8 +448,10 @@ def finite_part(diagram: Diagram) -> Diagram:
     return _make(did, False, diagram.labels[1:], sub, attach=attach)
 
 
+@lru_cache(maxsize=None)
 def nil_root(diagram: Diagram) -> tuple[int, ...]:
-    """Primitive positive kernel vector of the extended Cartan matrix."""
+    """Primitive positive kernel vector of the extended Cartan matrix;
+    cached per process."""
     if not diagram.extended:
         raise DomainError("nil root requires an extended diagram")
     return nullspace_primitive(diagram.cartan)

@@ -15,6 +15,7 @@ McKay's three-term relation is checked on packed columns (`_three_term`).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress, zip_longest
 from typing import Iterable, Sequence
 
@@ -421,8 +422,10 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+@lru_cache(maxsize=None)
 def _bias(n: int, w: int) -> int:
-    """2^(w-1) in each of n slots of w bits, w a multiple of 8."""
+    """2^(w-1) in each of n slots of w bits, w a multiple of 8; cached per
+    process."""
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
 
 

@@ -253,8 +253,8 @@ def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
     group = enumerate_group(bid)
     did = bid.paired_diagram()
     ext = build(did, extended=True)
-    coeffs, worst = _molien_sums(group, nterms)
-    component0 = list(component_series(ext, 0, nterms + 1))
+    coeffs, worst = _molien_sums(group, nterms)  # a tuple, as is component0
+    component0 = component_series(ext, 0, nterms + 1)
     checks = [
         (f"group order is {bid.order}", group.order == bid.order),
         (f"float deviation below {_TOL:g}", worst < _TOL),

@@ -55,6 +55,11 @@ class BpgGroup(NamedTuple):
     def order(self) -> int:
         return len(self.elements)
 
+    def __hash__(self) -> int:
+        """Hash all but the elements, which cost O(|G|) to hash; equality
+        still compares every element."""
+        return hash((self.bid, self.p, self.level, self.classes))
+
     def contains_minus_identity(self) -> bool:
         return ((self.p - 1, 0), (0, self.p - 1)) in self.elements
 
@@ -70,9 +75,10 @@ def _prime_factors(n: int) -> set[int]:
     return out | {n} - {1}
 
 
+@lru_cache(maxsize=None)
 def _field(level: int) -> tuple[int, int]:
     """(p, zeta): the least prime p = 1 mod level, by trial division, and an
-    element zeta of exact order level in F_p."""
+    element zeta of exact order level in F_p; cached per process."""
     p = level + 1
     while _prime_factors(p) != {p}:
         p += level
@@ -117,7 +123,8 @@ def _generators(bid: BpgId, p: int, level: int, zeta: int) -> tuple[Mat2, ...]:
 @lru_cache(maxsize=None)
 def enumerate_group(bid: BpgId) -> BpgGroup:
     """Closure of the generator set over F_p, checked against the expected
-    order; cached, which is safe as BpgGroup is frozen and holds only tuples.
+    order; cached per process.  Like every cached function in the package it
+    hands out nothing mutable: BpgGroup is frozen and holds only tuples.
 
     Each element is multiplied by each generator exactly once.  Every
     generator must have determinant 1, hence so has every element."""
@@ -217,8 +224,11 @@ def _power_trace_sum(weights: dict[int, int], d: int, phi: dict[int, int], mu: d
     return total
 
 
-def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
-    """Molien coefficients 0..nterms and their deviation from integers, 0.
+@lru_cache(maxsize=None)
+def _molien_sums(group: BpgGroup, nterms: int) -> tuple[tuple[int, ...], int]:
+    """Molien coefficients 0..nterms and their deviation from integers, 0;
+    cached per process, keyed on the group itself, so two closures under
+    one name never share an entry.
 
     The character of g on Sym^n, the binary forms of degree n, is
     s_n = lambda^n + lambda^(n-2) + ... + lambda^-n for the eigenvalues
@@ -261,11 +271,11 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
         raise IdentityViolationError(
             f"molien coefficient at degree {size}: {total} is not a multiple of |G| = {order}"
         )
-    return out, 0
+    return tuple(out), 0
 
 
 def molien_coeffs(group: BpgGroup, nterms: int) -> list[int]:
     """dim of the degree-0..nterms invariants of the binary-form action."""
     if nterms < 0:
         raise DomainError("nterms must be >= 0")
-    return _molien_sums(group, nterms)[0]
+    return list(_molien_sums(group, nterms)[0])

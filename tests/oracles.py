@@ -558,7 +558,7 @@ def _power_trace_sum(weights: dict[int, int], d: int) -> int:
     return sum(w * _ramanujan(m, d) for m, w in weights.items())
 
 
-def loop_molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
+def loop_molien_sums(group: BpgGroup, nterms: int) -> tuple[tuple[int, ...], int]:
     """Molien coefficients 0..nterms and their deviation from integers, 0.
 
     The character of g on Sym^n, the binary forms of degree n, is
@@ -594,7 +594,7 @@ def loop_molien_sums(group: BpgGroup, nterms: int) -> tuple[list[int], int]:
                 f"invariant dimension {value} above dim Sym^{n} = {n + 1} at degree {n}"
             )
         out.append(value)
-    return out, 0
+    return tuple(out), 0
 
 
 def gather_series(f: IntPoly, nterms: int, den: IntPoly) -> list[int]:

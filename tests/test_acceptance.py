@@ -6,10 +6,17 @@ sums carry an asserted < 1e-6 margin before being rounded to integers.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 from pathlib import Path
 
+import dynkinlab
+import dynkinlab.diagram as diagram
+import dynkinlab.molien as molien
+from dynkinlab.cli import main
 from dynkinlab.coxeter import bicolored_reflections, char_polys, ebeling_quotient
 from dynkinlab.diagram import (
     SIMPLY_LACED,
@@ -18,6 +25,7 @@ from dynkinlab.diagram import (
     catalog_extended,
     catalog_groups,
     finite_part,
+    folded_pair,
     nil_root,
 )
 from dynkinlab.errors import RankError
@@ -237,3 +245,47 @@ def test_property_suites():
         except RankError:  # the solve reports a singular matrix
             det = IntPoly()
         assert det == brute
+
+
+def _clear_package_caches() -> None:
+    """Empty every cache the package defines, module globals and class
+    attributes alike, as a fresh process starts with none."""
+    for info in pkgutil.iter_modules(dynkinlab.__path__):
+        module = importlib.import_module(f"dynkinlab.{info.name}")
+        members = list(vars(module).values())
+        members += [getattr(v, "__func__", v) for cls in members
+                    if inspect.isclass(cls) and cls.__module__ == module.__name__
+                    for v in vars(cls).values()]
+        for obj in members:
+            if not inspect.isclass(obj) and callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
+    """From cold, one `verify all` solves each nil root, sums each Molien
+    series and finds each prime field once, however many checks read it;
+    a warm second run prints the same bytes."""
+    _clear_package_caches()
+    solved = []
+    real = diagram.nullspace_primitive
+
+    def counted(m):
+        solved.append(m)
+        return real(m)
+
+    monkeypatch.setattr(diagram, "nullspace_primitive", counted)
+    assert main(["verify", "all", "--terms", "40"]) == 0
+    cold = capsys.readouterr().out
+    # closed-form, orbit-form and the orbit walk read the extended ADE nil roots
+    ade = [ext.cartan for ext in catalog_extended() if ext.did.family in SIMPLY_LACED]
+    assert len(solved) == len(set(solved)) == len(ade) == 18 and set(solved) == set(ade)
+    sums, fields = molien._molien_sums.cache_info(), molien._field.cache_info()
+    # molien and mckay-shift sum each catalog group to 40 and 41 terms, and
+    # molien-folded both groups of each fold's Molien pair to 40
+    folded = {bid for ext in catalog_extended() if ext.did.family not in SIMPLY_LACED
+              for bid in folded_pair(ext.did)}
+    pairs = {(bid, n) for bid in catalog_groups() for n in (40, 41)} | {(bid, 40) for bid in folded}
+    assert sums.misses == len(pairs) == 34
+    assert fields.misses == len({enumerate_group(bid).level for bid, _ in pairs}) == 3
+    assert main(["verify", "all", "--terms", "40"]) == 0
+    assert capsys.readouterr().out == cold

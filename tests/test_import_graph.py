@@ -12,6 +12,10 @@ read somewhere in the package or exported, so no surface is kept for
 tests alone.  No module imports another's private name, except from
 `exact`, whose packed-slot helpers are the kernel's; the slot bias
 `exact._bias` stays inside `exact` even so.
+
+A third rule keeps the per-process caches safe to share: every
+`lru_cache` function states its return type, and that type names no
+mutable container, so no caller can edit what the next one is handed.
 """
 
 import ast
@@ -119,3 +123,36 @@ def _private_imports(trees: dict[str, ast.Module]) -> list[tuple[str, str, str]]
 
 def test_no_private_name_crosses_a_module_boundary():
     assert set(_private_imports(_trees())) == PRIVATE_IMPORTS
+
+
+# containers whose instances a caller could edit in place
+MUTABLE = {"list", "dict", "set", "bytearray"}
+
+
+def _named(node: ast.AST) -> set[str]:
+    """The names and attribute names an expression mentions."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+def _cached_mutable(trees: dict[str, ast.Module]) -> list[str]:
+    """Every `lru_cache` or `cache` function with no return annotation, or
+    with one that names a mutable container."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    _named(d) & {"lru_cache", "cache"} for d in node.decorator_list):
+                if node.returns is None or _named(node.returns) & MUTABLE:
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_no_cached_function_hands_out_a_mutable_value():
+    assert _cached_mutable(_trees()) == []
+    sample = ast.parse(
+        "@lru_cache(maxsize=None)\ndef tables(n) -> tuple[dict[int, int], int]: ...\n"
+        "@functools.cache\ndef bare(n): ...\n"
+        "@lru_cache\ndef rows(n) -> list[int]: ...\n"
+        "@lru_cache(maxsize=None)\ndef frozen(n) -> tuple[int, ...]: ...\n"
+    )
+    assert _cached_mutable({"m": sample}) == ["m.bare", "m.rows", "m.tables"]
