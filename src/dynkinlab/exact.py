@@ -329,35 +329,9 @@ class IntMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.rows[i][j]
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionError("shape mismatch")
-        return _trusted_matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return _trusted_matrix(tuple(tuple(-v for v in row) for row in self.rows))
-
-    def __mul__(self, scalar: int) -> "IntMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return _trusted_matrix(tuple(tuple(v * scalar for v in row) for row in self.rows))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of self @ other adds a times the nonzeros of row l of other

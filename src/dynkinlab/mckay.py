@@ -12,7 +12,12 @@ Ebeling's identities set y_0 and det M against chi and chi_affine at
 lambda = t^2, the closed and orbit forms set the Cramer components against
 (1 + t^h) and z(t) over (1 - t^a)(1 - t^b), and the Molien series meets
 component 0 (McKay's correspondence).  Each identity on x(t) is checked on
-the numerators y_i with det M cleared, in Z[t].  McKay's relation
+the numerators y_i with det M cleared.  Where an identity multiplies, its
+sides are compared as integers at t = 2^w (`exact._pack`; a matrix row
+by row), w sized by one rule: a difference whose coefficients all lie
+below 2^(w-1) in absolute value is zero iff its value at 2^w is, bounded
+by |p q| <= |p| |q| and ||X Y|| <= ||X|| ||Y||, where |p| is the
+coefficient 1-norm and ||X|| the largest row sum of |X_ij|.  McKay's relation
 B v_n = v_(n-1) + v_(n+1) is checked on packed columns in one place,
 `exact._three_term`, for the Cramer series and the assembling vectors
 alike.  `Report` is the type of every check's answer.
@@ -43,15 +48,24 @@ from .diagram import (
     nil_root,
 )
 from .errors import CatalogCorruptionError, DomainError, IdentityViolationError, UnsupportedFamilyError
-from .exact import IntMatrix, IntPoly, _pack, _three_term, _trusted_matrix, _unpack, _width, charpoly
+from .exact import IntMatrix, IntPoly, _pack, _sparse_left, _three_term, _trusted_matrix, _unpack, _width, charpoly
 from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, z_polynomials
 
-T = IntPoly.monomial(1)
 T2 = IntPoly.monomial(2)
 
 _TOL = 1e-6
+
+
+def _l1(p: IntPoly) -> int:
+    """|p|, the coefficient 1-norm."""
+    return sum(map(abs, p.coeffs))
+
+
+def _norm(m: IntMatrix, shift: int = 0) -> int:
+    """||shift I + m||, the largest row sum of its absolute entries."""
+    return max(sum(map(abs, row)) - abs(row[i]) + abs(shift + row[i]) for i, row in enumerate(m.rows))
 
 
 class Report(NamedTuple):
@@ -151,10 +165,11 @@ def verify_closed_form(did: DiagramId) -> Report:
         raise DomainError("the closed form applies to ADE diagrams")
     gf = generating_function(build(did, extended=True))
     num, den = closed_form_component0(did)
-    ok = gf.numerators[0] * den == num * gf.det_m
+    w = _width(_l1(gf.numerators[0]) * _l1(den) + _l1(num) * _l1(gf.det_m))
+    y0, d, n, m = _pack((p.coeffs for p in (gf.numerators[0], den, num, gf.det_m)), w)
     return Report(
         f"kostant closed form for {did.text}",
-        ((f"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for {did.text}", ok),),
+        ((f"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for {did.text}", y0 * d == n * m),),
     )
 
 
@@ -166,10 +181,13 @@ def verify_kostant_form(diagram: Diagram) -> Report:
     den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
     ext = build(diagram.did, extended=True)
     gf = generating_function(ext)
+    w = _width(max(map(_l1, gf.numerators)) * _l1(den) + max(map(_l1, zt)) * _l1(gf.det_m))
+    *y, d, m = _pack((p.coeffs for p in (*gf.numerators, den, gf.det_m)), w)
+    z = _pack((p.coeffs for p in zt), w)
     checks = tuple(
         (
             f"[P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^{a})(1 - t^{b}))",
-            gf.numerators[i] * den == zt[i] * gf.det_m,
+            y[i] * d == z[i] * m,
         )
         for i in range(ext.size)
     )
@@ -205,11 +223,19 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     bottom = a_semi.mulvec(z[0]) == z[1]
     top = a_semi.mulvec(z[h]) == z[h - 1]
 
-    pair = bicolored_reflections(diagram)
-    c = coxeter_transform(diagram)
-    ident = IntMatrix.identity(diagram.size)
-    block1 = a_fin @ (ident - pair.w2) @ pair.w1 == (ident - pair.w1) @ (ident + c)
-    block2 = a_fin @ (ident - pair.w1) @ c == (ident - pair.w2) @ pair.w1 @ (ident + c)
+    # C is coxeter_transform's own operator: as w2 after w1 it would test associativity
+    pair, c = bicolored_reflections(diagram), coxeter_transform(diagram)
+    na, n1, nc = _norm(a_fin), _norm(pair.w1), _norm(c)
+    m1, m2, pc = _norm(pair.w1, -1), _norm(pair.w2, -1), _norm(c, 1)  # ||1 - w1||, ||1 - w2||, ||1 + C||
+    w = _width(max(na * m2 * n1 + m1 * pc, na * m1 * nc + m2 * n1 * pc))
+    a, w1, w2, cx = map(_sparse_left, (a_fin, *pair, c))
+    ident = [1 << (w * i) for i in range(diagram.size)]  # the packed rows of 1
+
+    def one_minus(f, x: list[int]) -> list[int]:
+        return [u - v for u, v in zip(x, f(x))]
+    one_plus_c = [u + v for u, v in zip(ident, cx(ident))]
+    block1 = a(one_minus(w2, w1(ident))) == one_minus(w1, one_plus_c)
+    block2 = a(one_minus(w1, cx(ident))) == one_minus(w2, w1(one_plus_c))
 
     return Report(
         f"assembling recurrences for {diagram.did.text}",
@@ -236,15 +262,15 @@ def verify_observation(diagram: Diagram) -> Report:
     zt = z_polynomials(diagram)
     ext = build(diagram.did, extended=True)
     y = generating_function(ext).numerators
-    q = 1 + T2
-    neighbor_z = a_semi.mulvec(zt)
-    neighbor_y = a_semi.mulvec(y)
+    w = _width((2 + _norm(a_semi)) * max(map(_l1, (*zt, *y))))
+    z, y = _pack((p.coeffs for p in zt), w), _pack((p.coeffs for p in y), w)
+    nz, ny = a_semi.mulvec(z), a_semi.mulvec(y)
     checks = [
         (f"(t + 1/t) z(t)_{ext.labels[i]} = neighbor sum, both routes",
-         q * zt[i] == T * neighbor_z[i] and q * y[i] == T * neighbor_y[i])
+         (z[i] << 2 * w) + z[i] == nz[i] << w and (y[i] << 2 * w) + y[i] == ny[i] << w)
         for i in range(1, ext.size)
     ]
-    checks.append(("affine row annihilates z(t)", neighbor_z[0].is_zero()))
+    checks.append(("affine row annihilates z(t)", nz[0] == 0))
     return Report(f"mckay observation for {diagram.did.text}", tuple(checks))
 
 

@@ -22,6 +22,11 @@ its rows; the bipartition and neighbour lists of `diagram.py`, which visit
 the nonzero entries only, are checked against them.  `list_three_term` checks
 McKay's three-term relation one vector at a time; `exact._three_term`, which reads it off packed
 columns, is checked against it.
+`product_route` gives the two sides of each line of the closed-form,
+orbit-form, observation and block checks as IntPoly and IntMatrix
+products; the comparisons of `mckay.py`, made on packed integers at
+t = 2^w, must give every line the same verdict.  `lincomb` forms the sums
+and multiples of matrices that it and the tests need.
 `gather_series` is the series recurrence that gathers each term from
 every earlier one, zero or not; `exact.series_expand`, which adds each
 nonzero term forward, is checked against it.  `full_scan_classes` names the
@@ -41,6 +46,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from functools import lru_cache
@@ -49,8 +55,9 @@ from typing import Sequence
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import bicolored_reflections
-from dynkinlab.diagram import Diagram
+from dynkinlab.diagram import Diagram, DiagramId, build
 from dynkinlab.errors import (
     DimensionError,
     DomainError,
@@ -326,6 +333,56 @@ def list_three_term(a: IntMatrix, v) -> list[bool]:
     """Whether a v_n = v_(n-1) + v_(n+1), for each n = 1..len(v) - 2."""
     return [a.mulvec(v[n]) == tuple(map(sum, zip(v[n - 1], v[n + 1])))
             for n in range(1, len(v) - 1)]
+
+
+def lincomb(*terms: tuple[int, IntMatrix]) -> IntMatrix:
+    """sum(c m) over the terms (c, m), entry by entry: the sums, differences
+    and integer multiples of matrices, which IntMatrix does not define."""
+    if len({(m.nrows, m.ncols) for _, m in terms}) != 1:
+        raise DimensionError("shape mismatch")
+    cs = [c for c, _ in terms]
+    return IntMatrix([sum(map(operator.mul, cs, entries)) for entries in zip(*rows)]
+                     for rows in zip(*(m.rows for _, m in terms)))
+
+
+def product_route(check: str, target: Diagram | DiagramId) -> list[list[tuple]]:
+    """The two sides of each line of a `mckay` check, in the check's order,
+    as IntPoly products, and IntMatrix products with `lincomb` for 1 - X
+    and 1 + C.  A line passes iff every one of its pairs is equal.  check
+    is "closed-form" (target a DiagramId), "orbit-form",
+    "mckay-observation" or "blocks" (a finite diagram; the last two lines
+    of "z-recurrence").  Every side is read through `mckay`'s own names,
+    so a test that patches one patches both routes."""
+    if check == "closed-form":
+        gf = mckay.generating_function(build(target, extended=True))
+        num, den = mckay.closed_form_component0(target)
+        return [[(gf.numerators[0] * den, num * gf.det_m)]]
+    ext = build(target.did, extended=True)
+    if check == "orbit-form":
+        a, b, _, _ = mckay.kostant_numbers(target.did)
+        zt = mckay.z_polynomials(target)
+        den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
+        gf = mckay.generating_function(ext)
+        return [[(gf.numerators[i] * den, zt[i] * gf.det_m)] for i in range(ext.size)]
+    if check == "mckay-observation":
+        a_semi = mckay.semi_affine(target)
+        zt = mckay.z_polynomials(target)
+        y = mckay.generating_function(ext).numerators
+        q = 1 + T**2
+        neighbor_z = a_semi.mulvec(zt)
+        neighbor_y = a_semi.mulvec(y)
+        return [[(q * zt[i], T * neighbor_z[i]), (q * y[i], T * neighbor_y[i])]
+                for i in range(1, ext.size)] + [[(neighbor_z[0], IntPoly())]]
+    if check == "blocks":
+        a_fin = target.bonds
+        pair = mckay.bicolored_reflections(target)
+        c = mckay.coxeter_transform(target)
+        ident = IntMatrix.identity(target.size)
+        minus_w1, minus_w2, plus_c = (lincomb((1, ident), (s, m))
+                                      for s, m in ((-1, pair.w1), (-1, pair.w2), (1, c)))
+        return [[(a_fin @ minus_w2 @ pair.w1, minus_w1 @ plus_c)],
+                [(a_fin @ minus_w1 @ c, minus_w2 @ pair.w1 @ plus_c)]]
+    raise ValueError(f"no product route for {check!r}")
 
 
 def list_coxeter_number(diagram: Diagram) -> int:

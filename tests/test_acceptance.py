@@ -41,7 +41,7 @@ from dynkinlab.mckay import (
 )
 from dynkinlab.molien import enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
-from oracles import cramer_solve, parse_poly, zeros
+from oracles import cramer_solve, lincomb, parse_poly, zeros
 
 L = IntPoly.monomial(1)
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,7 +52,7 @@ def _eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
     n = m.nrows
     acc = zeros(n, n)
     for c in reversed(p.coeffs):
-        acc = acc @ m + IntMatrix.identity(n) * c
+        acc = lincomb((1, acc @ m), (c, IntMatrix.identity(n)))
     return acc
 
 

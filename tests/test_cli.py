@@ -23,7 +23,7 @@ from dynkinlab.diagram import DiagramId, build
 from dynkinlab.exact import IntMatrix, IntPoly
 from dynkinlab.mckay import Report
 from dynkinlab.orbit import z_polynomials
-from oracles import parse_poly
+from oracles import parse_poly, product_route
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -565,6 +565,57 @@ def test_cross_multiplied_checks_see_a_perturbed_numerator(capsys, monkeypatch):
         assert failed == [f"  FAIL  [P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^6)(1 - t^8))"]
         code, out, _ = run(capsys, "verify", "closed-form", "E6")
         assert (code, out.startswith("[FAIL]")) == ((2, True) if i == 0 else (0, False)), (i, k)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (2, 4), (5, 1)])
+def test_block_identities_see_a_perturbed_coxeter_matrix(capsys, monkeypatch, i, j):
+    """One entry of the C that coxeter_transform returns, off by one: both
+    block identities of E6 fail, and nothing else."""
+    real = mckay.coxeter_transform
+
+    def patched(d):
+        rows = [list(row) for row in real(d).rows]
+        rows[i][j] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(mckay, "coxeter_transform", patched)
+    code, out, _ = run(capsys, "verify", "z-recurrence", "E6")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("  FAIL")] == [
+        "  FAIL  A (1 - w2) w1 = (1 - w1)(1 + C)",
+        "  FAIL  A (1 - w1) C = (1 - w2) w1 (1 + C)",
+    ]
+
+
+@pytest.mark.parametrize("route", ["z", "y"])
+@pytest.mark.parametrize("i, k", [(1, 3), (3, 0), (6, 13)])
+def test_observation_lines_see_a_perturbed_side(capsys, monkeypatch, route, i, k):
+    """z(t)_i of E6 (route z) or its Cramer numerator y_i (route y) off by
+    t^k: the line of vertex i fails, with those of its finite neighbours,
+    whose sums read it.  Through y the z route still holds on every line."""
+    d = build(DiagramId("E6"))
+    ext = build(d.did, extended=True)
+    if route == "z":
+        real_z = mckay.z_polynomials
+        bumped = list(real_z(d))
+        bumped[i] += IntPoly.monomial(k)
+        monkeypatch.setattr(mckay, "z_polynomials", lambda g: tuple(bumped) if g == d else real_z(g))
+    else:
+        real_gf = mckay.generating_function
+        bumped = list(real_gf(ext).numerators)
+        bumped[i] += IntPoly.monomial(k)
+        broken = real_gf(ext)._replace(numerators=tuple(bumped))
+        monkeypatch.setattr(mckay, "generating_function", lambda g: broken if g == ext else real_gf(g))
+    a_semi = mckay.semi_affine(d)
+    failing = [v for v in range(1, ext.size) if v == i or a_semi[v, i]]
+    code, out, _ = run(capsys, "verify", "mckay-observation", "E6")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("  FAIL")] == [
+        f"  FAIL  (t + 1/t) z(t)_{ext.labels[v]} = neighbor sum, both routes" for v in failing
+    ]
+    if route == "y":
+        z_pairs = [pairs[0] for pairs in product_route("mckay-observation", d)[:-1]]
+        assert all(lhs == rhs for lhs, rhs in z_pairs)
 
 
 def test_broken_orbit_walk_is_an_identity_violation(capsys, monkeypatch):

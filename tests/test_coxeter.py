@@ -34,7 +34,7 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
-from oracles import list_charpoly, list_coxeter_number, list_matmul
+from oracles import lincomb, list_charpoly, list_coxeter_number, list_matmul
 
 L = IntPoly.monomial(1)
 
@@ -98,7 +98,7 @@ def test_bonds_and_class_sums_match_their_entrywise_forms():
     exts += [build(DiagramId.parse(t), extended=True) for t in ("D128", "A127")]
     for d in [d for ext in exts for d in (ext, finite_part(ext))]:
         k, n = d.cartan.rows, d.size
-        assert d.bonds == IntMatrix.identity(n) * 2 - d.cartan
+        assert d.bonds == lincomb((2, IntMatrix.identity(n)), (-1, d.cartan))
         for part in (d.bipartition or ()) + (tuple(range(0, n, 3)), ()):
             assert _class_sum(d, part) == IntMatrix(
                 tuple((1 if r == c else 0) - (k[r][c] if r in part else 0) for c in range(n))
@@ -133,17 +133,17 @@ def test_e6_pair_matches_block_matrices():
 def test_e6_coxeter_block_form():
     d = build(DiagramId("E6"))
     c = coxeter_transform(d)
-    b = IntMatrix.identity(6) * 2 - d.cartan
+    b = lincomb((2, IntMatrix.identity(6)), (-1, d.cartan))
     bxy = IntMatrix(tuple(row[3:] for row in b.rows[:3]))
     byx = IntMatrix(tuple(row[:3] for row in b.rows[3:]))
     # C = ((B_xy B_yx - I, -B_xy), (B_yx, -I)) in (x | y) block order
     top = IntMatrix(
         tuple(
-            tuple((bxy @ byx - IntMatrix.identity(3)).rows[i] + (-bxy).rows[i])
+            tuple(lincomb((1, bxy @ byx), (-1, IntMatrix.identity(3))).rows[i] + lincomb((-1, bxy)).rows[i])
             for i in range(3)
         )
     )
-    bottom = IntMatrix(tuple(tuple(byx.rows[i] + (-IntMatrix.identity(3)).rows[i]) for i in range(3)))
+    bottom = IntMatrix(tuple(tuple(byx.rows[i] + lincomb((-1, IntMatrix.identity(3))).rows[i]) for i in range(3)))
     assert c == IntMatrix(top.rows + bottom.rows)
 
 

@@ -1,14 +1,23 @@
-"""Adjacency action on the assembling vectors."""
+"""Adjacency action on the assembling vectors, and the packed comparisons
+of `mckay` against the IntPoly and IntMatrix products of
+`oracles.product_route`."""
 
 import pytest
 
 import dynkinlab.mckay as mckay
-from dynkinlab.diagram import DiagramId, build, catalog_extended, finite_part
+from dynkinlab.coxeter import coxeter_number
+from dynkinlab.diagram import SIMPLY_LACED, DiagramId, build, catalog_extended, finite_part
 from dynkinlab.errors import DomainError, ExcludedDiagramError, UnsupportedFamilyError
 from dynkinlab.exact import IntMatrix, IntPoly
-from dynkinlab.mckay import semi_affine, verify_observation, verify_z_recurrence
+from dynkinlab.mckay import (
+    semi_affine,
+    verify_closed_form,
+    verify_kostant_form,
+    verify_observation,
+    verify_z_recurrence,
+)
 from dynkinlab.orbit import assembling_vectors, z_polynomials
-from oracles import parse_poly
+from oracles import lincomb, parse_poly, product_route
 
 
 def fin(name: str):
@@ -83,7 +92,7 @@ def test_semi_affine_blocks():
         d = fin(name)
         m = semi_affine(d)
         a = d.bonds
-        assert m.shape == (d.size + 1, d.size + 1)
+        assert (m.nrows, m.ncols) == (d.size + 1, d.size + 1)
         assert all(m[i + 1, j + 1] == a[i, j] for i in range(d.size) for j in range(d.size))
         marked = tuple(i for i in range(1, d.size + 1) if m[i, 0])
         assert marked == tuple(v + 1 for v in d.u0)
@@ -152,5 +161,76 @@ def test_observation_worked_values():
 
 def test_semi_affine_equals_two_i_minus_cartan_inside():
     d = fin("D5")
-    inner = IntMatrix.identity(d.size) * 2 - d.cartan
+    inner = lincomb((2, IntMatrix.identity(d.size)), (-1, d.cartan))
     assert d.bonds == inner
+
+
+# each check's packed route, its lines in the order `product_route` gives them
+PACKED = {
+    "closed-form": lambda did: verify_closed_form(did).checks,
+    "orbit-form": lambda d: verify_kostant_form(d).checks,
+    "mckay-observation": lambda d: verify_observation(d).checks,
+    "blocks": lambda d: verify_z_recurrence(d).checks[-2:],
+}
+
+
+def _cases():
+    """closed-form on the 18 ADE catalog diagrams, the other three on the 14
+    of even Coxeter number, and all four on D32, A31 and D128."""
+    dids = [e.did for e in catalog_extended() if e.did.family in SIMPLY_LACED]
+    for did in dids + [DiagramId.parse(t) for t in ("D32", "A31", "D128")]:
+        yield "closed-form", did
+        d = build(did)
+        if coxeter_number(d) % 2 == 0:
+            yield from ((check, d) for check in ("orbit-form", "mckay-observation", "blocks"))
+
+
+def _bump(polys, i):
+    return tuple(p + IntPoly.monomial(3) if j == i else p for j, p in enumerate(polys))
+
+
+def _largest(side) -> int:
+    entries = side.coeffs if isinstance(side, IntPoly) else [v for row in side.rows for v in row]
+    return max(map(abs, entries), default=0)
+
+
+@pytest.mark.parametrize("perturb", [None, ("C", 0), ("C", -1), ("z", 1), ("y", 0), ("y", 1)],
+                         ids=["as-built", "C_00", "C_last", "z_1", "y_0", "y_1"])
+def test_packed_comparisons_agree_with_the_product_route(monkeypatch, perturb):
+    """Every line of the four checks reads the same boolean packed as through
+    IntPoly and IntMatrix products, with every side as built or with one
+    side off where `mckay` reads it: entry (i, i) of C by one (i = -1 the
+    last), or z(t)_i or the Cramer numerator y_i by t^3.  The width w each
+    check chooses holds both sides, so also their difference, below
+    2^(w-1)."""
+    kind, i = perturb or (None, None)
+    if kind == "C":
+        real_c = mckay.coxeter_transform
+
+        def off_by_one(d):
+            rows = [list(row) for row in real_c(d).rows]
+            rows[i][i] += 1
+            return IntMatrix(rows)
+
+        monkeypatch.setattr(mckay, "coxeter_transform", off_by_one)
+    elif kind == "z":
+        real_z = mckay.z_polynomials
+        monkeypatch.setattr(mckay, "z_polynomials", lambda d: _bump(real_z(d), i))
+    elif kind == "y":
+        real_gf = mckay.generating_function
+        monkeypatch.setattr(mckay, "generating_function",
+                            lambda d: real_gf(d)._replace(numerators=_bump(real_gf(d).numerators, i)))
+    widths, real_width = [], mckay._width
+    monkeypatch.setattr(mckay, "_width", lambda bound: widths.append(real_width(bound)) or widths[-1])
+    flipped = 0
+    for check, target in _cases():
+        widths.clear()
+        packed = [ok for _, ok in PACKED[check](target)]
+        w = widths[-1]  # z-recurrence sizes its three-term columns first
+        lines = product_route(check, target)
+        assert packed == [all(lhs == rhs for lhs, rhs in pairs) for pairs in lines], (check, target)
+        for lhs, rhs in (pair for pairs in lines for pair in pairs):
+            diff = lhs - rhs if isinstance(lhs, IntPoly) else lincomb((1, lhs), (-1, rhs))
+            assert _largest(diff) <= _largest(lhs) + _largest(rhs) < 1 << (w - 1), (check, target)
+        flipped += not all(packed)
+    assert (flipped > 0) == (kind is not None)

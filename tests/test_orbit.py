@@ -94,7 +94,7 @@ def test_walk_builds_the_sparse_products_once(cold_orbit, monkeypatch):
     real, built = exact._sparse_left, []
 
     def counting(m):
-        built.append(m.shape)
+        built.append((m.nrows, m.ncols))
         return real(m)
 
     monkeypatch.setattr(exact, "_sparse_left", counting)
