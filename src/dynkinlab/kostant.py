@@ -17,10 +17,10 @@ homomorphism, only these outputs need the bound, each decoded once.  Since
 det M(0) = 1 the series of y_i / det M expand in integers:
 `component_series` expands one, for the commands that compare component 0
 only; `packed_series` all, from one expansion of s = 1/det M and one
-product per component at t = 2^w (Kronecker substitution).  Nothing here
-reduces a fraction, and nothing here reads another side: the identities
-that compare this Cramer side with the Coxeter, orbit and Molien sides are
-checked in `mckay`.
+product per component at t = 2^w (Kronecker substitution), with the error
+naming the first negative slot.  Nothing here reduces a fraction, and
+nothing here reads another side: the identities that compare this Cramer
+side with the Coxeter, orbit and Molien sides are checked in `mckay`.
 """
 
 from __future__ import annotations
@@ -110,14 +110,14 @@ def _negative(diagram: Diagram, i: int, coeffs: Sequence[int]) -> IdentityViolat
     return IdentityViolationError(f"component {diagram.labels[i]} coefficient at t^{k} is {c}")
 
 
-def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
-    """(columns, w): column i = y_i(2^w) s(2^w) mod 2^(w nterms), s = 1/det M
-    expanded once, packs v_n[i], n < nterms, in slots of w bits.  Slot n is
-    at most c max|s_j|, c the largest 1-norm of the y_i and det M, and w
-    keeps r + 2 times that below 2^(w-1), r the largest row sum of B, which
-    is 2 - sum_j K_ij: a negative slot sets its top bit, B v and
-    v_(n-1) + v_(n+1) fit the slots, and evaluation at 2^w is injective on
-    t B y - (1 + t^2) y + det M e0."""
+def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int, IdentityViolationError | None]:
+    """(columns, w, negative): column i packs v_n[i], n < nterms, in signed
+    slots of w bits, read from y_i(2^w) s(2^w) mod 2^(w nterms), s = 1/det M
+    expanded once.  Slot n is at most c max|s_j|, c the largest 1-norm of the
+    y_i and det M, and w keeps r + 2 times that below 2^(w-1), r = 2 - min_i
+    sum_j K_ij the largest row sum of B: a negative slot sets its top bit, so
+    negative is None or names the first, from its column read back, and B v,
+    v_(n-1) + v_(n+1) and t B y - (1 + t^2) y + det M e0 fit the slots."""
     gf = generating_function(diagram)
     s = series_expand(IntPoly.one(), nterms, gf.det_m)
     r = max(2 - sum(row) for row in diagram.cartan.rows)
@@ -125,13 +125,13 @@ def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int]:
     w = _width((r + 2) * c * max(map(abs, s), default=1))
     (ps,) = _pack((s,), w)
     slots = [_low_slots(y * ps, nterms, w) for y in _pack((p.coeffs for p in gf.numerators), w)]
-    for i, (_, signed) in enumerate(slots):
-        if signed is not None:  # a negative slot: the column read back names it
-            raise _negative(diagram, i, signed)
-    return [col for col, _ in slots], w
+    negative = next((_negative(diagram, i, read) for i, (_, read) in enumerate(slots) if read is not None), None)
+    return [col if read is None else _pack((read,), w)[0] for col, read in slots], w, negative
 
 
 def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:
     """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
-    columns, w = packed_series(diagram, nterms)
+    columns, w, negative = packed_series(diagram, nterms)
+    if negative is not None:
+        raise negative
     return tuple(zip(*(_unpack(col, nterms, w) for col in columns)))

@@ -26,6 +26,8 @@ from .errors import (
 )
 from .exact import IntPoly, _sparse_left, _trusted, format_poly
 
+_CELL = 3  # characters per grid cell
+
 
 def _require_ade_even(diagram: Diagram) -> int:
     if diagram.extended:
@@ -105,19 +107,19 @@ def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:
     return tuple(map(_trusted, zip(*assembling_vectors(diagram).z)))
 
 
-def _render_blocks(diagram: Diagram, titled, width: int = 3) -> str:
+def _render_blocks(diagram: Diagram, titled) -> str:
     """One block per (title, vector) pair: the title, then the vector on the
     grid through one format string per display row, in which vertex v in
     cell c is field v right-aligned and the line ends at its last cell.  A
-    cell holds -10^(width-1) < v < 10^width.  Without a grid, one line."""
+    cell holds -10^(_CELL-1) < v < 10^_CELL.  Without a grid, one line."""
     grid = diagram.display
     formats = [" ".join(["{}"] * diagram.size)] if grid is None else [
-        "".join(f"{{{row[c]}:>{width}}}" if c in row else " " * width for c in range(max(row) + 1))
+        "".join(f"{{{row[c]}:>{_CELL}}}" if c in row else " " * _CELL for c in range(max(row) + 1))
         for row in map(dict, grid)
     ]
     blocks = []
     for title, vec in titled:
-        if grid is not None and not -10 ** (width - 1) < min(vec) <= max(vec) < 10**width:
+        if grid is not None and not -10 ** (_CELL - 1) < min(vec) <= max(vec) < 10**_CELL:
             raise DomainError("cell overflow")
         blocks.append("\n".join([title, *(f.format(*vec) for f in formats)]))
     return "\n\n".join(blocks) + "\n"

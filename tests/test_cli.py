@@ -618,6 +618,31 @@ def test_observation_lines_see_a_perturbed_side(capsys, monkeypatch, route, i, k
         assert all(lhs == rhs for lhs, rhs in z_pairs)
 
 
+def test_negative_series_fails_the_nonnegativity_line(capsys, monkeypatch):
+    """The Cramer numerator of E6's last vertex lowered at t^7, as both
+    `kostant` and `mckay` read it: `verify kostant-relation` keeps its three
+    labelled lines and FAILs the nonnegativity line among them (exit 2, no
+    stderr), while `verify mckay-shift`, which has no such line, refuses
+    with the witness."""
+    ext = build(DiagramId("E6"), extended=True)
+    real = kostant.generating_function
+    nums = list(real(ext).numerators)
+    nums[-1] -= 10 * IntPoly.monomial(7)
+    broken = real(ext)._replace(numerators=tuple(nums))
+    for module in (kostant, mckay):
+        monkeypatch.setattr(module, "generating_function", lambda g: broken if g == ext else real(g))
+    code, out, err = run(capsys, "verify", "kostant-relation", "E6", "--terms", "12")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "[FAIL] kostant relation for extended E6",
+        "  FAIL  series coefficients are nonnegative integers",
+        "  FAIL  B v_n = v_(n-1) + v_(n+1) for 1 <= n <= 11",
+        "  FAIL  t B x = (1 + t^2) x - e0",
+    ]
+    code, out, err = run(capsys, "verify", "mckay-shift", "binary_tetrahedral", "--terms", "12")
+    assert (code, out, err) == (2, "", "identity violation: component y3 coefficient at t^7 is -8\n")
+
+
 def test_broken_orbit_walk_is_an_identity_violation(capsys, monkeypatch):
     """With w1 and w2 swapped the walk's own check refuses E6: exit 2, one
     line on stderr, no traceback."""

@@ -383,6 +383,25 @@ def test_hyperbolic_tree_is_not_finite_type(monkeypatch):
     assert calls["_unpack"] == 10 * calls["_fits False"] == 10 * (calls["_pack"] - 1) > 0
 
 
+def test_lehmer_polynomial_on_e10():
+    """T(2,3,7) = E10 with vertex 0 the end of its longest arm: the chain
+    0..8 with vertex 9 on vertex 6.  C is not of finite order, and its
+    characteristic polynomial is Lehmer's, whose root outside the unit circle
+    (about 1.17628) is the least Mahler measure known (Lehmer, "Factorization
+    of certain cyclotomic functions", Ann. Math. 34, 1933; McMullen,
+    "Coxeter groups, Salem numbers and the Hilbert metric", Publ. IHES 95,
+    2002): a control for the Coxeter layer beyond finite and affine type."""
+    bonds = tuple((i, i + 1, 1, 1) for i in range(8)) + ((6, 9, 1, 1),)
+    e10 = diagram_module._make(
+        None, False, tuple(f"v{i}" for i in range(10)),
+        diagram_module._cartan(10, bonds),
+    )
+    assert charpoly(coxeter_transform(e10)).coeffs == (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    with pytest.raises(DomainError) as err:
+        coxeter_number(e10)
+    assert str(err.value) == "order exceeds the bound 1000; diagram is not finite type"
+
+
 def _clear_package_caches():
     for info in pkgutil.iter_modules(dynkinlab.__path__):
         module = importlib.import_module(f"dynkinlab.{info.name}")

@@ -16,6 +16,9 @@ tests alone.  No module imports another's private name, except from
 A third rule keeps the per-process caches safe to share: every
 `lru_cache` function states its return type, and that type names no
 mutable container, so no caller can edit what the next one is handed.
+
+A fourth rule keeps every check in `mckay` able to fail: no check tuple
+there, a label and its verdict, holds a literal bool as the verdict.
 """
 
 import ast
@@ -156,3 +159,28 @@ def test_no_cached_function_hands_out_a_mutable_value():
         "@lru_cache(maxsize=None)\ndef frozen(n) -> tuple[int, ...]: ...\n"
     )
     assert _cached_mutable({"m": sample}) == ["m.bare", "m.rows", "m.tables"]
+
+
+def _is_literal(node: ast.AST, kind: type) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, kind)
+
+
+def _literal_verdicts(tree: ast.Module) -> list[int]:
+    """The line of every check tuple, a 2-tuple whose first element is a str
+    or an f-string label, whose verdict is the literal True or False."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Tuple) and len(node.elts) == 2
+                  and (isinstance(node.elts[0], ast.JoinedStr) or _is_literal(node.elts[0], str))
+                  and _is_literal(node.elts[1], bool))
+
+
+def test_no_check_in_mckay_has_a_constant_verdict():
+    assert _literal_verdicts(_trees()["mckay"]) == []
+    sample = ast.parse(
+        'Report(name, ((f"series expansion: {exc}", False),))\n'
+        '("series coefficients are nonnegative integers", True)\n'
+        'zip(folded_pair(did), (True, False))\n'
+        '("B v_0 = v_1", holds[0])\n'
+        '(f"group order is {bid.order}", group.order == bid.order)\n'
+    )
+    assert _literal_verdicts(sample) == [1, 2]

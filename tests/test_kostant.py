@@ -10,14 +10,16 @@ import dynkinlab.kostant as kostant
 import dynkinlab.mckay as mckay
 from dynkinlab.diagram import Diagram, DiagramId, _make, build, catalog_extended
 from dynkinlab.errors import DomainError, IdentityViolationError
-from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, _pack, _three_term, _width
+from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, _pack, _three_term, _unpack, _width, series_expand
 from dynkinlab.kostant import component_series, generating_function, multiplicities, packed_series
 from dynkinlab.mckay import (
     closed_form_component0,
+    mckay_matrix_numeric,
     verify_closed_form,
     verify_ebeling,
     verify_kostant_relation,
 )
+from dynkinlab.molien import BpgId
 from oracles import cramer_matrix, cramer_solve, list_three_term, sympy_det, tree_solve
 
 T = IntPoly.monomial(1)
@@ -198,7 +200,8 @@ def test_packed_series_where_the_slots_fill():
     every column still equals the per-component recurrence."""
     for text, n in (("A1", 3000), ("E8", 3000), ("G2", 1000), ("C2", 300)):
         d = _ext(text)
-        columns, w = packed_series(d, n)
+        columns, w, negative = packed_series(d, n)
+        assert negative is None, text
         rows = [component_series(d, i, n) for i in range(d.size)]
         assert max(map(max, rows)) >= 2 ** (w - 9), text
         assert columns == _pack(rows, w), text
@@ -271,10 +274,49 @@ def test_negative_coefficient_names_its_component_and_degree(monkeypatch):
         multiplicities(d, 12)
     assert str(exc.value) == message
     assert len(calls) == 1
+    with pytest.raises(IdentityViolationError) as exc:
+        mckay_matrix_numeric(BpgId.parse("binary_tetrahedral"), 11)  # McKay group of E6
+    assert str(exc.value) == message
     assert min(component_series(d, 0, 12)) >= 0  # component 0 is not broken
+    # the columns come back signed with the error, not in its place
+    columns, w, negative = packed_series(d, 12)
+    assert str(negative) == message
+    vectors = list(zip(*(_unpack(col, 12, w) for col in columns)))
+    assert vectors[k][i] == -3 and min(min(v) for v in vectors[:k]) >= 0
+    # with mckay reading the broken numerators too, the report keeps its
+    # three lines: the nonnegativity line reads the sign, the shift line the
+    # signed columns, exactly, and the Z[t] line the numerators
+    monkeypatch.setattr(mckay, "generating_function", kostant.generating_function)
     r = verify_kostant_relation(d, 11)
-    assert not r.passed
-    assert r.checks == ((f"series expansion: {message}", False),)
+    zero = (0,) * d.size
+    shift = all(list_three_term(d.bonds, [zero, *vectors])[1:])
+    assert r.checks == (
+        ("series coefficients are nonnegative integers", False),
+        ("B v_n = v_(n-1) + v_(n+1) for 1 <= n <= 10", shift),
+        ("t B x = (1 + t^2) x - e0", False),
+    )
+    assert not shift
+
+
+def test_packed_series_names_the_first_negative_column(monkeypatch):
+    """y_1 and y_6 of E6 lowered by 10 t^9 and 10 t^5: every column comes
+    back equal to its signed series, and the witness names column 1, the
+    first with a negative slot, though column 6 turns negative at a lower
+    degree."""
+    d = _ext("E6")
+    gf = generating_function(d)
+    nums = list(gf.numerators)
+    nums[1] -= 10 * IntPoly.monomial(9)
+    nums[6] -= 10 * IntPoly.monomial(5)
+    broken = gf._replace(numerators=tuple(nums))
+    real = kostant.generating_function
+    monkeypatch.setattr(kostant, "generating_function", lambda g: broken if g == d else real(g))
+    columns, w, negative = packed_series(d, 12)
+    rows = [series_expand(p, 12, gf.det_m) for p in nums]
+    assert columns == _pack(rows, w)
+    k = next(k for k, c in enumerate(rows[1]) if c < 0)
+    assert min(rows[6][:k]) < 0
+    assert str(negative) == f"component {d.labels[1]} coefficient at t^{k} is {rows[1][k]}"
 
 
 def test_kostant_relation_reports():
@@ -295,9 +337,9 @@ def test_kostant_relation_shift_line_fails_alone(monkeypatch, n):
     real = mckay.packed_series
 
     def patched(d, nterms):
-        v, w = real(d, nterms)
+        v, w, negative = real(d, nterms)
         v[2] += 1 << (w * n)  # slot n of column 2
-        return v, w
+        return v, w, negative
 
     monkeypatch.setattr(mckay, "packed_series", patched)
     r = verify_kostant_relation(_ext("E6"), 20)

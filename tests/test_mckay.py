@@ -4,15 +4,18 @@ of `mckay` against the IntPoly and IntMatrix products of
 
 import pytest
 
+import dynkinlab.kostant as kostant
 import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import coxeter_number
 from dynkinlab.diagram import SIMPLY_LACED, DiagramId, build, catalog_extended, finite_part
 from dynkinlab.errors import DomainError, ExcludedDiagramError, UnsupportedFamilyError
-from dynkinlab.exact import IntMatrix, IntPoly
+from dynkinlab.exact import IntMatrix, IntPoly, _decode
+from dynkinlab.kostant import generating_function
 from dynkinlab.mckay import (
     semi_affine,
     verify_closed_form,
     verify_kostant_form,
+    verify_kostant_relation,
     verify_observation,
     verify_z_recurrence,
 )
@@ -234,3 +237,125 @@ def test_packed_comparisons_agree_with_the_product_route(monkeypatch, perturb):
             assert _largest(diff) <= _largest(lhs) + _largest(rhs) < 1 << (w - 1), (check, target)
         flipped += not all(packed)
     assert (flipped > 0) == (kind is not None)
+
+
+# Every width bound held at its edge.  At t = 2^8 a side can be swapped for
+# one of equal value there and other coefficients: 3 p against the 8-bit
+# digits of p(2^8) / 3 where p(1) = 0 (as 2^8 = 1 mod 3), or the digits of
+# q(2^8) p(2^8), which differ from q p once q p overflows a slot.  The true
+# difference of the two sides is then (2^8 - t) times a nonzero factor: the
+# packed comparison FAILs at the width its bound gives, 16 bits, and PASSes
+# with that width cut by a byte, as it would under a bound that gave 8.
+
+X = 1 << 8
+
+
+def _digits(x: int) -> IntPoly:
+    """The polynomial in slots of 8 bits whose value at 2^8 is x."""
+    return _decode(x, 8)
+
+
+def _real_and_cut(monkeypatch, module, run):
+    """(the labels run() FAILs, the widths module._width gives it, the labels
+    it FAILs with each of those widths cut by a byte, to no less than 8)."""
+    real, widths, failed = module._width, [], []
+    for width in (lambda bound: widths.append(real(bound)) or widths[-1],
+                  lambda bound: max(8, real(bound) - 8)):
+        with monkeypatch.context() as m:
+            m.setattr(module, "_width", width)
+            failed.append({label for label, ok in run().checks if not ok})
+    return failed[0], widths, failed[1]
+
+
+def _patch_gf(monkeypatch, module, ext, **fields):
+    real = module.generating_function
+    gf = real(ext)._replace(**fields)
+    monkeypatch.setattr(module, "generating_function", lambda g: gf if g == ext else real(g))
+
+
+@pytest.mark.parametrize("side", ["cramer", "closed"])
+def test_closed_form_width_at_its_edge(monkeypatch, side):
+    """3 y_0 against den / 3, or 3 (1 + t^h) against det M / 3, at t = 2^8:
+    each term of the bound in its turn the one the width needs."""
+    did, ext = DiagramId("E6"), build(DiagramId("E6"), extended=True)
+    num, den = mckay.closed_form_component0(did)
+    _, (y0, *ys), det_m = generating_function(ext)
+    if side == "cramer":
+        _patch_gf(monkeypatch, mckay, ext, numerators=(3 * y0, *ys))
+        monkeypatch.setattr(mckay, "closed_form_component0", lambda d: (num, _digits(den(X) // 3)))
+    else:
+        _patch_gf(monkeypatch, mckay, ext, det_m=_digits(det_m(X) // 3))
+        monkeypatch.setattr(mckay, "closed_form_component0", lambda d: (3 * num, den))
+    assert _real_and_cut(monkeypatch, mckay, lambda: verify_closed_form(did)) == (
+        {"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for E6"}, [16], set())
+
+
+def test_orbit_form_width_at_its_edge(monkeypatch):
+    """3 z(t) against det M / 3 at t = 2^8: every vertex's line."""
+    d, ext = fin("E6"), build(DiagramId("E6"), extended=True)
+    zt = z_polynomials(d)
+    _patch_gf(monkeypatch, mckay, ext, det_m=_digits(generating_function(ext).det_m(X) // 3))
+    monkeypatch.setattr(mckay, "z_polynomials", lambda g: tuple(3 * p for p in zt))
+    labels = {label for label, _ in verify_kostant_form(d).checks}
+    assert _real_and_cut(monkeypatch, mckay, lambda: verify_kostant_form(d)) == (labels, [16], set())
+
+
+@pytest.mark.parametrize("route", ["z", "y"])
+def test_observation_width_at_its_edge(monkeypatch, route):
+    """The digits of 100 p(2^8) for every z(t)_i, or every Cramer numerator."""
+    d, ext = fin("E6"), build(DiagramId("E6"), extended=True)
+    if route == "z":
+        zt = z_polynomials(d)
+        monkeypatch.setattr(mckay, "z_polynomials", lambda g: tuple(_digits(100 * p(X)) for p in zt))
+    else:
+        ys = generating_function(ext).numerators
+        _patch_gf(monkeypatch, mckay, ext, numerators=tuple(_digits(100 * p(X)) for p in ys))
+    failed, widths, cut = _real_and_cut(monkeypatch, mckay, lambda: verify_observation(d))
+    assert failed and widths == [16] and cut == set()
+
+
+def test_z_recurrence_column_width_at_its_edge(monkeypatch):
+    """Column i of z_1..z_(h-1) replaced by the digits of 100 times its value
+    at 2^8, still in h - 1 slots: at 2^8 the three-term comparison reads
+    100 times what it reads unperturbed, and as slot 0, 100 z_1, overflows
+    no slot, the middle slots it compares agree.  A^semi z_0 = z_1 and
+    A^semi z_h = z_(h-1) read z unpacked, and FAIL at every width."""
+    d = fin("E6")
+    table = assembling_vectors(d)
+    h = table.h
+    columns = [_digits(100 * IntPoly([zn[i] for zn in table.z[1:h]])(X)) for i in range(1, d.size + 1)]
+    assert max(len(c.coeffs) for c in columns) == h - 1
+    assert [c.coeff(0) for c in columns] == [100 * v for v in table.z[1][1:]]
+    z = [table.z[0], *((zn[0], *(c.coeff(k) for c in columns)) for k, zn in enumerate(table.z[1:h])),
+         table.z[h]]
+    monkeypatch.setattr(mckay, "assembling_vectors", lambda g: table._replace(z=tuple(z)))
+    packed = {"A z_n = z_(n-1) + z_(n+1) for 1 < n < 11", "A z_1 = z_2", "A z_11 = z_10"}
+    ends = {"A^semi z_0 = z_1", "A^semi z_12 = z_11"}
+    failed, widths, cut = _real_and_cut(monkeypatch, mckay, lambda: verify_z_recurrence(d))
+    assert failed & packed and failed - packed == ends and widths[0] == 16 and cut == ends
+
+
+def test_block_width_at_its_edge(monkeypatch):
+    """Row 0 of C plus (2^8, -1, 0, ..., 0), which packs to the same row at
+    2^8: both block identities."""
+    d = fin("E6")
+    rows = [list(row) for row in mckay.coxeter_transform(d).rows]
+    rows[0][0] += X
+    rows[0][1] -= 1
+    monkeypatch.setattr(mckay, "coxeter_transform", lambda g: IntMatrix(rows))
+    blocks = {"A (1 - w2) w1 = (1 - w1)(1 + C)", "A (1 - w1) C = (1 - w2) w1 (1 + C)"}
+    assert _real_and_cut(monkeypatch, mckay, lambda: verify_z_recurrence(d)) == (blocks, [8, 16], set())
+
+
+def test_packed_series_width_at_its_edge(monkeypatch):
+    """Every y_i and det M replaced by the digits of q(2^8) times its value
+    at 2^8, q = 1 + 100 t^8: below t^8 they keep their coefficients, so the
+    series lines read the true v_0..v_6, and only the Z[t] line, at the
+    width `packed_series` gives, can tell."""
+    ext = build(DiagramId("E6"), extended=True)
+    gf, q = generating_function(ext), (1 + 100 * IntPoly.monomial(8))(X)
+    fields = {"numerators": tuple(_digits(q * p(X)) for p in gf.numerators), "det_m": _digits(q * gf.det_m(X))}
+    _patch_gf(monkeypatch, mckay, ext, **fields)
+    _patch_gf(monkeypatch, kostant, ext, **fields)
+    assert _real_and_cut(monkeypatch, kostant, lambda: verify_kostant_relation(ext, 6)) == (
+        {"t B x = (1 + t^2) x - e0"}, [16], set())
