@@ -39,9 +39,9 @@ class BicoloredPair(NamedTuple):
     w2: IntMatrix
 
 
-def _class_sum(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
+def _class_sum(cartan: IntMatrix, part: tuple[int, ...]) -> IntMatrix:
     """prod(S_i, i in part) as the class sum I - sum(e_i (row_i K), i in part)."""
-    k, rows = diagram.cartan.rows, list(IntMatrix.identity(diagram.size).rows)
+    k, rows = cartan.rows, list(IntMatrix.identity(cartan.nrows).rows)
     for r in set(part):
         row = list(map(neg, k[r]))
         row[r] += 1
@@ -50,18 +50,23 @@ def _class_sum(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
+def _bicolored(cartan: IntMatrix, parts: tuple[tuple[int, ...], tuple[int, ...]] | None
+               ) -> tuple[BicoloredPair, IntMatrix]:
+    """The pair and C = w2 w1; cached per process on all they depend on, the
+    Cartan matrix and the bipartition, which two diagrams may share."""
+    if parts is None:
+        raise ExcludedDiagramError("diagram has an odd cycle, hence no bicolored decomposition")
+    part_x, part_y = parts
+    pair = BicoloredPair(w1=_class_sum(cartan, part_y), w2=_class_sum(cartan, part_x))
+    return pair, pair.w2 @ pair.w1
+
+
 def bicolored_reflections(diagram: Diagram) -> BicoloredPair:
-    if diagram.bipartition is None:
-        raise ExcludedDiagramError(
-            "diagram has an odd cycle, hence no bicolored decomposition"
-        )
-    part_x, part_y = diagram.bipartition
-    return BicoloredPair(w1=_class_sum(diagram, part_y), w2=_class_sum(diagram, part_x))
+    return _bicolored(diagram.cartan, diagram.bipartition)[0]
 
 
 def coxeter_transform(diagram: Diagram) -> IntMatrix:
-    pair = bicolored_reflections(diagram)
-    return pair.w2 @ pair.w1
+    return _bicolored(diagram.cartan, diagram.bipartition)[1]
 
 
 @lru_cache(maxsize=None)

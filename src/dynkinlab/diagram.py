@@ -137,10 +137,15 @@ class Diagram(NamedTuple):
         """2I - K: entry (i, j) is -K_ij off the diagonal, 0 on it.  On an
         extended diagram this is the McKay operator B, on a finite one the
         adjacency matrix."""
-        return _trusted_matrix(tuple(
-            tuple(0 if i == j else -v for j, v in enumerate(row))
-            for i, row in enumerate(self.cartan.rows)
-        ))
+        return _bonds(self.cartan)
+
+
+@lru_cache(maxsize=None)
+def _bonds(cartan: IntMatrix) -> IntMatrix:
+    """2I - K; cached per process on K, which diagrams may share."""
+    return _trusted_matrix(tuple(
+        tuple(0 if i == j else -v for j, v in enumerate(row)) for i, row in enumerate(cartan.rows)
+    ))
 
 
 def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

@@ -7,14 +7,17 @@ empty tuple.  Identities between fractions are checked by cross-multiplying
 in Z[t]; a rational function is reduced only to be printed, then with a
 positive leading denominator coefficient, so the reduced form is canonical.
 
-The packed-slot format is known here only: a row packs into one int in
-slots of w bits, read back with 2^(w-1) added per slot (`_bias`), and
-McKay's three-term relation is checked on packed columns (`_three_term`).
+The packed-slot format is known here only: a row v packs into the int x =
+sum v_j 2^(wj), w a multiple of 8 and |v_j| < 2^(w-1), and the bytes of x +
+`_bias` are the slots v_j + 2^(w-1); at w = 8, 16, 32 and 64 one struct call
+per row writes or reads the two's complement slots instead.  McKay's
+three-term relation is checked on packed columns (`_three_term`).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 from itertools import compress, zip_longest
 from typing import Iterable, Sequence
@@ -370,13 +373,17 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
+@lru_cache(maxsize=None)
+def _terms(m: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzeros (l, m[i, l]) of each row i of m; cached per process."""
+    return tuple([tuple([(l, row[l]) for l in compress(range(m.ncols), row)]) for row in m.rows])
+
+
 def _sparse_left(m: IntMatrix):
-    """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
-    +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
-    (`_pack` is additive); an all-zero row gives x's own zero.  The terms
-    (l, a) are picked out once, by `compress`, so a caller that applies m
-    in a loop builds the product once, before the loop."""
-    terms = [[(l, row[l]) for l in compress(range(m.ncols), row)] for row in m.rows]
+    """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only
+    (`_terms`), +-1 as a plain add or subtract.  x may hold ints, IntPolys or
+    packed rows (`_pack` is additive); an all-zero row gives x's own zero."""
+    terms = _terms(m)
 
     def product(x: Sequence) -> list:
         zero = x[0] * 0 if x else 0
@@ -403,20 +410,32 @@ def _bias(n: int, w: int) -> int:
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
 
 
+_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}  # struct's signed code per slot width
+
+
 def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
     """Each row as the one integer sum(v << (w j)) over its entries v, in slots
-    of w bits (Kronecker substitution), w a multiple of 8 and |v| < 2^(w-1):
-    v + 2^(w-1) is slot j's bytes, so a row packs in linear time.  `_unpack`
-    reads it back."""
-    nb, half = w // 8, 1 << (w - 1)
-    return [int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in row]), "little")
-            - _bias(len(row), w) for row in rows]
+    of w bits (Kronecker substitution), w a multiple of 8 and |v| < 2^(w-1)
+    (else OverflowError): with a struct code for w, x - 2 (x & bias) for the
+    row's two's complement bytes x, else the bytes of each v + 2^(w-1)."""
+    if (code := _CODES.get(w)) is None:
+        nb, half = w // 8, 1 << (w - 1)
+        return [int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in row]), "little")
+                - _bias(len(row), w) for row in rows]
+    try:
+        xs = [(len(row), int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little")) for row in rows]
+    except struct.error as exc:
+        raise OverflowError(f"slot out of range at width {w}: {exc}") from None
+    return [x - ((x & _bias(n, w)) << 1) for n, x in xs]
 
 
 def _unpack(x: int, n: int, w: int) -> list[int]:
-    """The n slots of a row packed by `_pack` at width w, in linear time."""
-    nb, half = w // 8, 1 << (w - 1)
-    digits = (x + _bias(n, w)).to_bytes(n * nb, "little")
+    """The n slots of a row packed by `_pack` at width w, in linear time: with
+    a struct code for w, the two's complement bytes (x + bias) ^ bias."""
+    nb, half, bias = w // 8, 1 << (w - 1), _bias(n, w)
+    if code := _CODES.get(w):
+        return list(struct.unpack(f"<{n}{code}", ((x + bias) ^ bias).to_bytes(n * nb, "little")))
+    digits = (x + bias).to_bytes(n * nb, "little")
     return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 

@@ -33,6 +33,7 @@ vertex, where the neighbor sum picks up z(t)_0 = 1 + t^h.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
@@ -190,8 +191,10 @@ def verify_kostant_form(diagram: Diagram) -> Report:
     return Report(f"kostant form via orbit for {diagram.did.text}", checks)
 
 
+@lru_cache(maxsize=None)
 def semi_affine(diagram: Diagram) -> IntMatrix:
-    """The McKay operator of the extension with the affine row zeroed out.
+    """The McKay operator of the extension with the affine row zeroed out;
+    cached per process.
 
     Acts on extended coordinates: finite block = adjacency, affine column =
     bonds of the affine vertex, affine row = 0.

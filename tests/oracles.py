@@ -39,6 +39,10 @@ sums are checked against them.  `loop_molien_sums` is the integer sum one
 degree at a time, with each Ramanujan sum from trial division and every
 coefficient checked as it is made; the per-gcd-class sums of `molien.py`
 must equal it, failures and their first witness included.
+`star_tree` builds the wild-tree controls T_{p,q,r}, extended diagrams
+with no catalog id: hyperbolic for 1/p + 1/q + 1/r < 1, where the paper's
+theorems have no group to speak of, affine for T_{3,3,3}.  A check that
+holds on every bipartite tree must PASS on them.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import bicolored_reflections
-from dynkinlab.diagram import Diagram, DiagramId, build
+from dynkinlab.diagram import Diagram, DiagramId, _cartan, _make, build
 from dynkinlab.errors import (
     DimensionError,
     DomainError,
@@ -687,3 +691,22 @@ def full_scan_classes(group: BpgGroup) -> tuple[tuple[int, int], ...]:
             f"{bid.text}: trace {min(traces)} mod {p} is not zeta^j + zeta^-j for any j"
         )
     return tuple(classes)
+
+
+def star_tree(p: int, q: int, r: int) -> Diagram:
+    """T_{p,q,r}, p <= q <= r, as an extended diagram with no id: three arms
+    of p, q and r vertices, the centre counted in each, p + q + r - 2 in all.
+    Vertex 0, the affine vertex, is the end of the longest arm, which runs
+    0..r-1 to the centre r - 1; the arms of q and then p vertices follow."""
+    n, centre = p + q + r - 2, r - 1
+    bonds, last = [(i, i + 1, 1, 1) for i in range(centre)], centre
+    for arm in (q, p):
+        for k in range(arm - 1):
+            last += 1
+            bonds.append((centre if k == 0 else last - 1, last, 1, 1))
+    return _make(None, True, tuple(f"v{i}" for i in range(n)), _cartan(n, bonds))
+
+
+# the hyperbolic T_{p,q,r} whose finite part is affine: E10 = T_{2,3,7} over
+# extended E8, T_{3,3,4} over extended E6 and T_{2,4,5} over extended E7
+HYPERBOLIC = ((2, 3, 7), (3, 3, 4), (2, 4, 5))

@@ -14,6 +14,7 @@ from dynkinlab import diagram as diagram_module
 from dynkinlab import exact
 from dynkinlab.cli import main
 from dynkinlab.coxeter import (
+    _bicolored,
     _class_sum,
     affine_A_charpoly,
     bicolored_reflections,
@@ -34,7 +35,7 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
-from oracles import lincomb, list_charpoly, list_coxeter_number, list_matmul
+from oracles import lincomb, list_charpoly, list_coxeter_number, list_matmul, star_tree
 
 L = IntPoly.monomial(1)
 
@@ -100,7 +101,7 @@ def test_bonds_and_class_sums_match_their_entrywise_forms():
         k, n = d.cartan.rows, d.size
         assert d.bonds == lincomb((2, IntMatrix.identity(n)), (-1, d.cartan))
         for part in (d.bipartition or ()) + (tuple(range(0, n, 3)), ()):
-            assert _class_sum(d, part) == IntMatrix(
+            assert _class_sum(d.cartan, part) == IntMatrix(
                 tuple((1 if r == c else 0) - (k[r][c] if r in part else 0) for c in range(n))
                 for r in range(n)
             ), (d.labels, part)
@@ -300,6 +301,7 @@ def test_packed_kernel_makes_no_matrix_product(monkeypatch):
     assert charpoly(c) == (L**36 + 1) * (L + 1)
     assert calls == 0
     coxeter_number.cache_clear()
+    _bicolored.cache_clear()  # C, cached with the pair
     assert coxeter_number(d) == 72
     assert calls == 1  # C = w2 w1 in coxeter_transform; the order loop makes none
 
@@ -408,6 +410,25 @@ def _clear_package_caches():
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
+
+
+def test_no_cache_keys_on_the_diagram_id():
+    """T_{2,3,7} and T_{2,4,6} are extended trees of 10 vertices with no id
+    and the same labels.  With the other's entries in the caches each still
+    gets its own 2I - K, C and charpoly, on itself and on its finite part,
+    each equal to its value from cold caches."""
+    def facts(tree):
+        return [(d.bonds, coxeter_transform(d), charpoly(coxeter_transform(d)))
+                for d in (tree, finite_part(tree))]
+
+    trees = (star_tree(2, 3, 7), star_tree(2, 4, 6))
+    assert trees[0].did is trees[1].did is None and trees[0].labels == trees[1].labels
+    cold = []
+    for tree in trees:
+        _clear_package_caches()
+        cold.append(facts(tree))
+    assert [facts(tree) for tree in trees] == cold
+    assert all(a != b for one, other in zip(*cold) for a, b in zip(one, other))
 
 
 def test_coxeter_number_cached_over_verify_all(capsys):

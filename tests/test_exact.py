@@ -29,6 +29,7 @@ from dynkinlab.exact import (
     _low_slots,
     _order,
     _pack,
+    _three_term,
     _unpack,
     _width,
 )
@@ -42,6 +43,7 @@ from oracles import (
     lincomb,
     list_charpoly,
     list_matmul,
+    list_three_term,
     parse_poly,
     perm_det,
     sympy_det,
@@ -505,7 +507,7 @@ def test_pack_and_unpack_against_the_shift_sum():
     entries up to the slot limit, slots wider than 64 bits and short rows;
     _decode reads a polynomial back with its slot count from the top bit."""
     rng = random.Random(17)
-    for w in (8, 16, 24, 64, 72, 136):
+    for w in (8, 16, 24, 32, 64, 72, 136):
         half = 1 << (w - 1)
         for n in (0, 1, 2, 3, 40):
             rows = [[rng.choice((-half, half - 1, 0, rng.randrange(-half, half))) for _ in range(n)]
@@ -513,13 +515,18 @@ def test_pack_and_unpack_against_the_shift_sum():
             packed = _pack(rows, w)
             assert packed == [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
             assert [_unpack(x, n, w) for x in packed] == rows
-    with pytest.raises(OverflowError):
-        _pack([[128]], 8)
+    # the accepted range is [-2^(w-1), 2^(w-1)) at the struct widths and off them
+    for w in (8, 16, 24, 32, 64):
+        half = 1 << (w - 1)
+        for v in (half, -half - 1):
+            for row in ([v], [0, v, 0], [half - 1] * 3 + [v]):
+                with pytest.raises(OverflowError):
+                    _pack([[1, -1], row], w)
     # _decode reads bit_length() // w + 1 slots: the zero value, one slot, and
     # a top slot of either sign over lower slots of either extreme; a top slot
     # of 1 over slots of -(2^(w-1) - 1) leaves x just above 2^(w(n-1) - 1),
     # where a count one short would overflow
-    for w in (8, 16, 24, 64, 72, 136):
+    for w in (8, 16, 24, 32, 64, 72, 136):
         lim = (1 << (w - 1)) - 1
         assert _decode(0, w) == IntPoly()
         for top in (lim, -lim, 1, -1):
@@ -530,6 +537,44 @@ def test_pack_and_unpack_against_the_shift_sum():
                     (x,) = _pack([row + [top]], w)
                     assert x.bit_length() // w + 1 == n
                     assert _decode(x, w) == IntPoly(row + [top]), (w, n, top, low)
+
+
+def _shift_sum(row, w: int) -> int:
+    return sum(v << (w * j) for j, v in enumerate(row))
+
+
+@pytest.mark.parametrize("w", [8, 16, 24, 32, 64, 72])
+def test_slot_readers_against_the_shift_sum(w):
+    """_low_slots, _decode and _three_term read rows built by the shift sum,
+    not by _pack, at the widths _pack packs with one struct call (8, 16, 32,
+    64) and at two it packs byte by byte (24, 72), with extreme slots."""
+    rng, outcomes = random.Random(w), set()
+    lim = (1 << (w - 1)) - 1
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        row = [rng.choice((-lim, lim, 0, rng.randint(-lim, lim))) for _ in range(n)]
+        x = _shift_sum(row, w)
+        assert _pack([row], w) == [x]
+        low, signed = _low_slots(x + (rng.randint(-(1 << 40), 1 << 40) << (w * n)), n, w)
+        assert low == x % (1 << (w * n)) and signed == (row if min(row) < 0 else None)
+        top = max((j for j, v in enumerate(row) if v), default=-1)
+        assert _decode(x, w) == IntPoly(row[:top + 1])
+    for _ in range(100):
+        size, n = rng.randint(1, 5), rng.randint(1, 8)
+        b = IntMatrix([[rng.randrange(-2, 3) for _ in range(size)] for _ in range(size)])
+        scale = (lim // 16) >> rng.randrange(w - 5)  # |B v| <= 10 scale < 2^(w-1)
+        v = [tuple(rng.randint(-scale, scale) for _ in range(size)) for _ in range(n)]
+        if rng.random() < 0.5:  # make the relation hold at some n
+            for k in range(1, n - 1):
+                v[k + 1] = tuple(a - c for a, c in zip(b.mulvec(v[k]), v[k - 1]))
+            if max(abs(c) for vk in v for c in vk) > lim // 16:
+                continue
+        columns = [_shift_sum(col, w) for col in zip(*v)]
+        zero = (0,) * size
+        holds = _three_term(b.mulvec(columns), columns, w, n)
+        assert holds == list_three_term(b, [zero, *v, zero])
+        outcomes.update(holds)
+    assert outcomes == {True, False}
 
 
 def test_low_slots_against_unpack():

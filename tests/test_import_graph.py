@@ -19,6 +19,10 @@ mutable container, so no caller can edit what the next one is handed.
 
 A fourth rule keeps every check in `mckay` able to fail: no check tuple
 there, a label and its verdict, holds a literal bool as the verdict.
+
+A fifth keeps every memo one that a caller can clear: no function stores
+into a module-level container, so each memo is an `lru_cache`, and the
+benchmark's `cache_clear` before each invocation starts it cold.
 """
 
 import ast
@@ -184,3 +188,57 @@ def test_no_check_in_mckay_has_a_constant_verdict():
         '(f"group order is {bid.order}", group.order == bid.order)\n'
     )
     assert _literal_verdicts(sample) == [1, 2]
+
+
+# the calls that change a container in place, by method name
+IN_PLACE = {"setdefault", "append", "add", "update"}
+
+
+def _global_stores(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function:line` for every store into a module-level container
+    from inside a function: a subscript assignment or an in-place call
+    (IN_PLACE) on a name bound at module level that the function does not
+    bind itself, or binds after a `global` statement.  A function here is a
+    module-level function or a class-body method, with the functions
+    nested in it."""
+    found = []
+    for module, tree in trees.items():
+        bound = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 for t in ast.walk(target) if isinstance(t, ast.Name)}
+        outer = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        outer += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)]
+        for func in outer:
+            nodes = list(ast.walk(func))
+            declared = {name for n in nodes if isinstance(n, ast.Global) for name in n.names}
+            local = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            local |= {a.arg for n in nodes if isinstance(n, ast.arguments)
+                      for a in (*n.posonlyargs, *n.args, *n.kwonlyargs, n.vararg, n.kwarg) if a}
+            shared = bound - (local - declared)
+            for n in nodes:
+                target = (n.value if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store) else
+                          n.func.value if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                          and n.func.attr in IN_PLACE else None)
+                if isinstance(target, ast.Name) and target.id in shared:
+                    found.append(f"{module}.{func.name}:{n.lineno}")
+    return sorted(found)
+
+
+def test_no_function_stores_into_a_module_level_container():
+    """Every memo is an `lru_cache`, which the benchmark clears before each
+    invocation; a module-level dict or list filled by a function would carry
+    work from one invocation into the next."""
+    assert _global_stores(_trees()) == []
+    sample = ast.parse(
+        "CACHE, SEEN = {}, []\n"
+        "TABLE: dict = {}\n"
+        "def memo(n):\n    CACHE[n] = n * n\n"
+        "def log(x):\n    SEEN.append(x)\n"
+        "def local(n):\n    CACHE = {}\n    CACHE[n] = 1\n    rows = []\n    rows.append(n)\n"
+        "class K:\n    def m(self):\n        TABLE.setdefault(1, 2)\n"
+        "def g():\n    global TABLE\n    TABLE = {}\n    TABLE.update(a=1)\n"
+        "def h(SEEN):\n    SEEN.add(1)\n"
+        "def nested():\n    def inner():\n        CACHE[1] += 1\n    return inner\n"
+    )
+    assert _global_stores({"m": sample}) == ["m.g:18", "m.log:6", "m.m:14", "m.memo:4", "m.nested:23"]

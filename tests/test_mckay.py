@@ -14,13 +14,14 @@ from dynkinlab.kostant import generating_function
 from dynkinlab.mckay import (
     semi_affine,
     verify_closed_form,
+    verify_ebeling,
     verify_kostant_form,
     verify_kostant_relation,
     verify_observation,
     verify_z_recurrence,
 )
 from dynkinlab.orbit import assembling_vectors, z_polynomials
-from oracles import lincomb, parse_poly, product_route
+from oracles import HYPERBOLIC, lincomb, parse_poly, product_route, star_tree
 
 
 def fin(name: str):
@@ -359,3 +360,23 @@ def test_packed_series_width_at_its_edge(monkeypatch):
     _patch_gf(monkeypatch, kostant, ext, **fields)
     assert _real_and_cut(monkeypatch, kostant, lambda: verify_kostant_relation(ext, 6)) == (
         {"t B x = (1 + t^2) x - e0"}, [16], set())
+
+
+@pytest.mark.parametrize("pqr", [*HYPERBOLIC, (3, 3, 3)], ids=lambda pqr: "T_{%d,%d,%d}" % pqr)
+def test_general_checks_pass_on_the_wild_tree_controls(pqr):
+    """Ebeling's two determinant lines hold for the bicolored C of every
+    bipartite graph, det((1 + t^2) I - t B) = chi_C(t^2) (A'Campo, Invent.
+    Math. 33, 1976), and the Kostant relation is Cramer's rule restated: both
+    checks are general, so they PASS on hyperbolic trees, which have no McKay
+    group, as on the affine T_{3,3,3}."""
+    tree = star_tree(*pqr)
+    for report in (verify_ebeling(tree), verify_kostant_relation(tree, 200)):
+        assert report.passed, report.render()
+
+
+def test_affine_control_is_extended_e6():
+    """T_{3,3,3} with its affine vertex at the end of an arm is extended E6
+    in another vertex order: the same det M and component 0."""
+    tree, e6 = generating_function(star_tree(3, 3, 3)), generating_function(build(DiagramId("E6"), extended=True))
+    assert tree.det_m == e6.det_m and tree.numerators[0] == e6.numerators[0]
+
