@@ -9,9 +9,10 @@ positive leading denominator coefficient, so the reduced form is canonical.
 
 The packed-slot format is known here only: a row v packs into the int x =
 sum v_j 2^(wj), w a multiple of 8 and |v_j| < 2^(w-1), and the bytes of x +
-`_bias` are the slots v_j + 2^(w-1); at w = 8, 16, 32 and 64 one struct call
-per row writes or reads the two's complement slots instead.  McKay's
-three-term relation is checked on packed columns (`_three_term`).
+`_bias` are the slots v_j + 2^(w-1), which is how every reader reads them;
+at w = 8, 16, 32 and 64 `_pack` writes a row's two's complement slots with
+one struct call instead.  McKay's three-term relation is checked on packed
+columns (`_three_term`).
 """
 
 from __future__ import annotations
@@ -373,17 +374,13 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
-@lru_cache(maxsize=None)
-def _terms(m: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzeros (l, m[i, l]) of each row i of m; cached per process."""
-    return tuple([tuple([(l, row[l]) for l in compress(range(m.ncols), row)]) for row in m.rows])
-
-
 def _sparse_left(m: IntMatrix):
-    """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only
-    (`_terms`), +-1 as a plain add or subtract.  x may hold ints, IntPolys or
-    packed rows (`_pack` is additive); an all-zero row gives x's own zero."""
-    terms = _terms(m)
+    """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
+    +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
+    (`_pack` is additive); an all-zero row gives x's own zero.  The terms
+    (l, a) are picked out once, by `compress`, so a caller that applies m
+    in a loop builds the product once, before the loop."""
+    terms = [[(l, row[l]) for l in compress(range(m.ncols), row)] for row in m.rows]
 
     def product(x: Sequence) -> list:
         zero = x[0] * 0 if x else 0
@@ -430,12 +427,9 @@ def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
 
 
 def _unpack(x: int, n: int, w: int) -> list[int]:
-    """The n slots of a row packed by `_pack` at width w, in linear time: with
-    a struct code for w, the two's complement bytes (x + bias) ^ bias."""
-    nb, half, bias = w // 8, 1 << (w - 1), _bias(n, w)
-    if code := _CODES.get(w):
-        return list(struct.unpack(f"<{n}{code}", ((x + bias) ^ bias).to_bytes(n * nb, "little")))
-    digits = (x + bias).to_bytes(n * nb, "little")
+    """The n slots of a row packed by `_pack` at width w, in linear time."""
+    nb, half = w // 8, 1 << (w - 1)
+    digits = (x + _bias(n, w)).to_bytes(n * nb, "little")
     return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 

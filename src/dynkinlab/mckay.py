@@ -33,7 +33,6 @@ vertex, where the neighbor sum picks up z(t)_0 = 1 + t^h.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
@@ -191,10 +190,8 @@ def verify_kostant_form(diagram: Diagram) -> Report:
     return Report(f"kostant form via orbit for {diagram.did.text}", checks)
 
 
-@lru_cache(maxsize=None)
 def semi_affine(diagram: Diagram) -> IntMatrix:
-    """The McKay operator of the extension with the affine row zeroed out;
-    cached per process.
+    """The McKay operator of the extension with the affine row zeroed out.
 
     Acts on extended coordinates: finite block = adjacency, affine column =
     bonds of the affine vertex, affine row = 0.
@@ -214,20 +211,21 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     a_semi = semi_affine(diagram)
     z = table.z
 
+    # C is coxeter_transform's own operator: as w2 after w1 it would test associativity
+    pair, c = bicolored_reflections(diagram), coxeter_transform(diagram)
+    a, semi, w1, w2, cx = map(_sparse_left, (a_fin, a_semi, *pair, c))  # each applied more than once
+
     rows = [zn[1:] for zn in z[1:h]]  # the finite parts of z_0 and z_h are 0
     w = _width(max(*map(sum, a_fin.rows), 2) * max(map(max, rows)))
     columns = _pack(zip(*rows), w)
-    holds = _three_term(a_fin.mulvec(columns), columns, w, h - 1)
+    holds = _three_term(a(columns), columns, w, h - 1)
     first, interior, last = holds[0], all(holds[1:-1]), holds[-1]
-    bottom = a_semi.mulvec(z[0]) == z[1]
-    top = a_semi.mulvec(z[h]) == z[h - 1]
+    bottom = semi(z[0]) == list(z[1])
+    top = semi(z[h]) == list(z[h - 1])
 
-    # C is coxeter_transform's own operator: as w2 after w1 it would test associativity
-    pair, c = bicolored_reflections(diagram), coxeter_transform(diagram)
     na, n1, nc = _norm(a_fin), _norm(pair.w1), _norm(c)
     m1, m2, pc = _norm(pair.w1, -1), _norm(pair.w2, -1), _norm(c, 1)  # ||1 - w1||, ||1 - w2||, ||1 + C||
     w = _width(max(na * m2 * n1 + m1 * pc, na * m1 * nc + m2 * n1 * pc))
-    a, w1, w2, cx = map(_sparse_left, (a_fin, *pair, c))
     ident = [1 << (w * i) for i in range(diagram.size)]  # the packed rows of 1
 
     def one_minus(f, x: list[int]) -> list[int]:

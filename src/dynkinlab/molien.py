@@ -32,8 +32,7 @@ import operator
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .diagram import BpgId
 from .errors import DomainError, GeneratorSetError, IdentityViolationError
@@ -178,10 +177,8 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
     return BpgGroup(bid, tuple(elems), p, level, tuple(classes))
 
 
-@lru_cache(maxsize=None)
-def _divisor_tables(level: int) -> tuple[Mapping[int, int], Mapping[int, int]]:
-    """Euler's phi(q) and Moebius mu(q) for each divisor q of level, from one
-    factorisation; cached per process, read-only."""
+def _divisor_tables(level: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Euler's phi(q) and Moebius mu(q) for each divisor q of level, from one factorisation."""
     phi, mu = {1: 1}, {1: 1}
     for r in _prime_factors(level):
         for q in list(phi):
@@ -189,11 +186,10 @@ def _divisor_tables(level: int) -> tuple[Mapping[int, int], Mapping[int, int]]:
             while level % (q * power) == 0:
                 phi[q * power], mu[q * power] = phi[q] * phi_power, mu[q] * sign
                 power, phi_power, sign = power * r, phi_power * r, 0
-    return MappingProxyType(phi), MappingProxyType(mu)
+    return phi, mu
 
 
-@lru_cache(maxsize=None)
-def _order_weights(group: BpgGroup) -> Mapping[int, int]:
+def _order_weights(group: BpgGroup, phi: dict[int, int]) -> dict[int, int]:
     """{m: w_m} with sum_g tr(g^n) = sum_m w_m c_m(n) over the element orders m.
 
     A class (j, count) holds elements with eigenvalues zeta^j and zeta^-j of
@@ -201,9 +197,7 @@ def _order_weights(group: BpgGroup) -> Mapping[int, int]:
     primitive m-th roots, so the Ramanujan sum stands in for the classes of
     order m only if all phi(m) / 2 of them occur with one count k_m; then
     w_m = k_m.  For m <= 2 the root +-1 is its own inverse: w_m = 2 count.
-    Cached per process, read-only.
     """
-    phi = _divisor_tables(group.level)[0]
     counts: dict[int, list[int]] = {}
     for j, count in group.classes:
         counts.setdefault(group.level // math.gcd(j, group.level), []).append(count)
@@ -216,10 +210,10 @@ def _order_weights(group: BpgGroup) -> Mapping[int, int]:
                 f"counts {found} over {pairs} classes"
             )
         weights[m] = found[0] if m > 2 else 2 * found[0]
-    return MappingProxyType(weights)
+    return weights
 
 
-def _power_trace_sum(weights: Mapping[int, int], d: int, phi: Mapping[int, int], mu: Mapping[int, int]) -> int:
+def _power_trace_sum(weights: dict[int, int], d: int, phi: dict[int, int], mu: dict[int, int]) -> int:
     """P(n) = sum_g tr(g^n) for every n with gcd(n, L) = d: c_m(n) = c_m(d)
     as each order m divides L, and the Ramanujan sum c_m(d) is
     mu(q) phi(m) / phi(q) with q = m / gcd(d, m) (Ramanujan, 1918)."""
@@ -254,7 +248,7 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[tuple[int, ...], int]:
     """
     level, order = group.level, group.order
     phi, mu = _divisor_tables(level)
-    weights = _order_weights(group)
+    weights = _order_weights(group, phi)
     gcds = list(map(math.gcd, range(1, min(nterms, level) + 1), repeat(level)))
     power_sums = {d: _power_trace_sum(weights, d, phi, mu) for d in set(gcds)}
     size = nterms + 1  # a_0..a_(size-1) are exact: |G| divides P(n) for 1 <= n < size

@@ -102,9 +102,8 @@ def assembling_vectors(diagram: Diagram) -> OrbitTable:
     return OrbitTable(diagram, h, taus, tuple(z))
 
 
-@lru_cache(maxsize=None)
 def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:
-    """z(t)_i = sum_n z_n[i] t^n on extended coordinates, z(t)_0 = 1 + t^h; cached."""
+    """z(t)_i = sum_n z_n[i] t^n on extended coordinates; z(t)_0 = 1 + t^h."""
     return tuple(map(_trusted, zip(*assembling_vectors(diagram).z)))
 
 

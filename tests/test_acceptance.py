@@ -16,10 +16,7 @@ from pathlib import Path
 import dynkinlab
 import dynkinlab.coxeter as coxeter
 import dynkinlab.diagram as diagram
-import dynkinlab.exact as exact
-import dynkinlab.mckay as mckay
 import dynkinlab.molien as molien
-import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
 from dynkinlab.coxeter import bicolored_reflections, char_polys, coxeter_number, ebeling_quotient
 from dynkinlab.diagram import (
@@ -268,12 +265,11 @@ def _clear_package_caches() -> None:
 def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     """From cold, one `verify all` solves each nil root, sums each Molien
     series and finds each prime field once, however many checks read it;
-    it also forms each C = w2 w1, each 2I - K, each sparse term list, each
-    divisor table and each group's order weights once.  A warm second run
+    it also forms each C = w2 w1 and each 2I - K once.  A warm second run
     prints the same bytes."""
     _clear_package_caches()
-    solved, products, applied = [], [], set()
-    real, matmul, sparse_left = diagram.nullspace_primitive, IntMatrix.__matmul__, exact._sparse_left
+    solved, products = [], []
+    real, matmul = diagram.nullspace_primitive, IntMatrix.__matmul__
 
     def counted(m):
         solved.append(m)
@@ -283,14 +279,8 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
         products.append((a, b))
         return matmul(a, b)
 
-    def counted_sparse(m):
-        applied.add(m)
-        return sparse_left(m)
-
     monkeypatch.setattr(diagram, "nullspace_primitive", counted)
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_product)
-    for module in (exact, mckay, orbit):
-        monkeypatch.setattr(module, "_sparse_left", counted_sparse)
     assert main(["verify", "all", "--terms", "40"]) == 0
     cold = capsys.readouterr().out
     # C and its pair depend on (Cartan matrix, bipartition) only: finite_part(ext)
@@ -303,8 +293,6 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     # 2I - K is read on every extended diagram and on the even-h finite ADE ones
     even = {d.cartan for d in ade if coxeter_number(d) % 2 == 0}
     assert diagram._bonds.cache_info().misses == len({ext.cartan for ext in exts} | even) == 55
-    # each matrix that is applied has its nonzeros picked out once
-    assert exact._terms.cache_info().misses == len(applied) == 174
     # closed-form, orbit-form and the orbit walk read the extended ADE nil roots
     ade = [ext.cartan for ext in catalog_extended() if ext.did.family in SIMPLY_LACED]
     assert len(solved) == len(set(solved)) == len(ade) == 18 and set(solved) == set(ade)
@@ -316,7 +304,5 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     pairs = {(bid, n) for bid in catalog_groups() for n in (40, 41)} | {(bid, 40) for bid in folded}
     assert sums.misses == len(pairs) == 34
     assert fields.misses == len({enumerate_group(bid).level for bid, _ in pairs}) == 3
-    assert molien._divisor_tables.cache_info().misses == fields.misses
-    assert molien._order_weights.cache_info().misses == len({bid for bid, _ in pairs}) == 19
     assert main(["verify", "all", "--terms", "40"]) == 0
     assert capsys.readouterr().out == cold

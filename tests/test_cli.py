@@ -649,7 +649,7 @@ def test_broken_orbit_walk_is_an_identity_violation(capsys, monkeypatch):
     real = orbit.bicolored_reflections
     monkeypatch.setattr(orbit, "bicolored_reflections",
                         lambda d: real(d)._replace(w1=real(d).w2, w2=real(d).w1))
-    caches = (orbit.tau_orbit, orbit.assembling_vectors, orbit.z_polynomials)
+    caches = (orbit.tau_orbit, orbit.assembling_vectors)
     for c in caches:
         c.cache_clear()
     try:
