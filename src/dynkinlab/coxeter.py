@@ -3,10 +3,11 @@
 A reflection acts on root-basis coordinates by S_i = I - e_i (row_i K).
 For a bipartite diagram with classes (part_x, part_y) the bicolored pair is
 w1 = prod(S_i, i in part_y) and w2 = prod(S_i, i in part_x); the Coxeter
-transformation is C = w2 w1.  On a finite simply-laced diagram the class
-orientation is chosen so that w2 fixes the highest root; on an extended
-diagram the affine vertex sits in part_y, which makes C independent of the
-choice up to similarity.
+transformation is C = w2 w1.  On a finite diagram whose attachment
+vertices u0 share a class, that class is part_y, so w2 fixes beta, the
+finite part of the nil root (`orbit`); on an extended diagram the affine
+vertex sits in part_y, which makes C independent of the choice up to
+similarity.
 
 No reflection is multiplied out: K[i, j] = 0 for i != j in one class, so
 the product over a class is the class sum I - sum(e_i K_i), whose class

@@ -26,7 +26,8 @@ gives each family its labels, its bonds (i, j, -K_ij, -K_ji), the vertices
 the extension attaches a0 to and the display grid orbit tables render on,
 and _cartan subtracts the bonds from 2I.  The A/D/E extension adds a0's
 bonds to the same table (two to a1 for A1, hence the double bond).
-Extended diagrams carry no display grid; only finite ones are rendered.
+Extended diagrams carry no display grid; finite ones, finite_part's too,
+carry the catalog's.
 
 The per-family facts are data, stated once: _FOLDS gives each folded
 family its base diagram, orbits and Molien pair (H, G) (Slodowy's
@@ -429,6 +430,12 @@ def folded_pair(did: DiagramId) -> tuple[BpgId, BpgId]:
     return BpgId.parse(h), BpgId.parse(g)
 
 
+def molien_group(did: DiagramId) -> BpgId:
+    """The group whose Molien series is component 0 of did's extension:
+    H of the Molien pair (H, G) on a fold, McKay's group on A/D/E."""
+    return folded_pair(did)[0] if did.family in _FOLDS else mckay_group(did)
+
+
 @lru_cache(maxsize=None)
 def build(did: DiagramId, extended: bool = False) -> Diagram:
     """Construct a catalog diagram; the multiply-laced extended ones fold
@@ -443,14 +450,18 @@ def build(did: DiagramId, extended: bool = False) -> Diagram:
     return fold(build(DiagramId.parse(base), extended=True), orbits)._replace(did=did)
 
 
+@lru_cache(maxsize=None)
 def finite_part(diagram: Diagram) -> Diagram:
-    """The diagram left after deleting the affine vertex."""
+    """The diagram left after deleting the affine vertex, on the catalog's
+    display grid where it has one; on A/D/E it equals build(did).  Cached
+    per process."""
     if not diagram.extended:
         raise DomainError("finite part is defined for extended diagrams")
     sub = _trusted_matrix(tuple(row[1:] for row in diagram.cartan.rows[1:]))
     attach = tuple(j - 1 for j in (diagram.u0 or ()))
     did = diagram.did if diagram.did and diagram.did.family not in EXTENDED_ONLY else None
-    return _make(did, False, diagram.labels[1:], sub, attach=attach)
+    display = did and _finite_spec(did)[3]
+    return _make(did, False, diagram.labels[1:], sub, attach=attach, display=display)
 
 
 @lru_cache(maxsize=None)
@@ -460,18 +471,6 @@ def nil_root(diagram: Diagram) -> tuple[int, ...]:
     if not diagram.extended:
         raise DomainError("nil root requires an extended diagram")
     return nullspace_primitive(diagram.cartan)
-
-
-def highest_root(diagram: Diagram) -> tuple[int, ...]:
-    """Coordinates of the highest root, read off the extension's nil root."""
-    if diagram.extended or diagram.did is None:
-        raise DomainError("highest root is computed for finite catalog diagrams")
-    if diagram.did.family not in SIMPLY_LACED:
-        raise UnsupportedFamilyError("highest root construction is simply-laced only")
-    delta = nil_root(build(diagram.did, extended=True))
-    if delta[0] != 1:
-        raise CatalogCorruptionError("nil root affine coordinate is not 1")
-    return delta[1:]
 
 
 def catalog_extended() -> tuple[Diagram, ...]:

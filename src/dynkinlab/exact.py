@@ -356,12 +356,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return _trusted_matrix(tuple(out))
 
-    def mulvec(self, v: Sequence[int]) -> tuple[int, ...]:
-        """self @ v; the entries of v may also be IntPolys."""
-        if len(v) != self.ncols:
-            raise DimensionError("vector length mismatch")
-        return tuple(_sparse_left(self)(v))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

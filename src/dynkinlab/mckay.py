@@ -4,7 +4,7 @@ Each identity of the paper is computed two ways, by modules that never
 read one another's answers: `kostant` solves M(t) x = e0 by Cramer's rule
 on the tree (the Cramer side), `coxeter` forms the bicolored Coxeter
 transformation C and its characteristic polynomials, `orbit` walks the
-highest root by C's factors w1 and w2 up to C's order h, and `molien`
+tail of the nil root by C's factors w1 and w2 up to C's order h, and `molien`
 closes the binary polyhedral group and sums its Molien series.  Every
 function that compares two sides is here, so no side can compute its
 answer from another's; a test pins the package's import graph.
@@ -33,21 +33,12 @@ vertex, where the neighbor sum picks up z(t)_0 = 1 + t^h.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
-from .diagram import (
-    SIMPLY_LACED,
-    BpgId,
-    Diagram,
-    DiagramId,
-    build,
-    finite_part,
-    folded_pair,
-    mckay_group,
-    nil_root,
-)
-from .errors import CatalogCorruptionError, DomainError, UnsupportedFamilyError
+from .diagram import BpgId, Diagram, DiagramId, build, finite_part, folded_pair, molien_group
+from .errors import CatalogCorruptionError, DomainError
 from .exact import IntMatrix, IntPoly, _pack, _sparse_left, _three_term, _trusted_matrix, _unpack, _width, charpoly
 from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
@@ -88,26 +79,25 @@ class Report(NamedTuple):
 
 
 def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
-    """(a, b, h, |G|) for a finite ADE diagram, with a*b = 2|G| certified
-    against the order of its McKay group.
+    """(a, b, h, |H|) for a catalog diagram.
 
-    a is twice the largest nil root coordinate, h the Coxeter number and
-    b = h + 2 - a.
+    h is the Coxeter number of the finite part of did's extension, |H| the
+    order of the group whose Molien series is component 0 (`molien_group`:
+    McKay's group on A/D/E, where |H| = |G|), and a <= b are the roots of
+    x^2 - (h + 2) x + 2|H|, which must be integers.
     """
-    if did.family not in SIMPLY_LACED:
-        raise UnsupportedFamilyError("Kostant numbers are defined for ADE families")
-    a = 2 * max(nil_root(build(did, extended=True)))
-    h = coxeter_number(build(did))
-    b = h + 2 - a
-    order = mckay_group(did).order
-    if a * b != 2 * order:
-        raise CatalogCorruptionError(f"a*b = {a * b} but 2|G| = {2 * order}")
-    return a, b, h, order
+    h = coxeter_number(finite_part(build(did, extended=True)))
+    order = molien_group(did).order
+    disc = (h + 2) ** 2 - 8 * order  # = (h + 2)^2 mod 8: a root has the parity of h + 2
+    root = isqrt(max(disc, 0))
+    if root * root != disc:
+        raise CatalogCorruptionError(f"x^2 - {h + 2}x + {2 * order} has no integer roots")
+    return (h + 2 - root) // 2, (h + 2 + root) // 2, h, order
 
 
 def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     """(1 + t^h, (1 - t^a)(1 - t^b)): numerator and denominator of component
-    0 for a finite ADE diagram, unreduced."""
+    0 of did's extension, unreduced."""
     a, b, h, _ = kostant_numbers(did)
     return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
 
@@ -115,14 +105,14 @@ def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
 def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
     """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
     rational-function identity t B x = (1 + t^2) x - e0."""
-    b = diagram.bonds
+    b = _sparse_left(diagram.bonds)  # applied to both sides
     v, w, negative = packed_series(diagram, nterms + 1)
-    rec_ok = all(_three_term(b.mulvec(v), v, w, nterms + 1)[1:-1])
+    rec_ok = all(_three_term(b(v), v, w, nterms + 1)[1:-1])
     # x = y / det M: clear det M, compare in Z[t] at t = 2^w (injective there)
     gf = generating_function(diagram)
     *y, det_m = _pack((p.coeffs for p in (*gf.numerators, gf.det_m)), w)
     func_ok = all(by << w == (yi << 2 * w) + yi - (i == 0) * det_m
-                  for i, (by, yi) in enumerate(zip(b.mulvec(y), y)))
+                  for i, (by, yi) in enumerate(zip(b(y), y)))
     return Report(
         f"kostant relation for {diagram.name}",
         (
@@ -157,8 +147,6 @@ def verify_ebeling(diagram: Diagram) -> Report:
 def verify_closed_form(did: DiagramId) -> Report:
     """Cramer component 0 against (1 + t^h)/((1 - t^a)(1 - t^b)), as
     det M_0 (1 - t^a)(1 - t^b) = (1 + t^h) det M."""
-    if did.family not in SIMPLY_LACED:
-        raise DomainError("the closed form applies to ADE diagrams")
     gf = generating_function(build(did, extended=True))
     num, den = closed_form_component0(did)
     w = _width(_l1(gf.numerators[0]) * _l1(den) + _l1(num) * _l1(gf.det_m))
@@ -169,13 +157,12 @@ def verify_closed_form(did: DiagramId) -> Report:
     )
 
 
-def verify_kostant_form(diagram: Diagram) -> Report:
-    """Orbit route against the Cramer route, component by component, as
-    det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
-    a, b, _, _ = kostant_numbers(diagram.did)
-    zt = z_polynomials(diagram)
+def verify_kostant_form(ext: Diagram) -> Report:
+    """Orbit route against the Cramer route on an extended diagram,
+    component by component, as det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
+    a, b, _, _ = kostant_numbers(ext.did)
+    zt = z_polynomials(ext)
     den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
-    ext = build(diagram.did, extended=True)
     gf = generating_function(ext)
     w = _width(max(map(_l1, gf.numerators)) * _l1(den) + max(map(_l1, zt)) * _l1(gf.det_m))
     *y, d, m = _pack((p.coeffs for p in (*gf.numerators, den, gf.det_m)), w)
@@ -187,32 +174,29 @@ def verify_kostant_form(diagram: Diagram) -> Report:
         )
         for i in range(ext.size)
     )
-    return Report(f"kostant form via orbit for {diagram.did.text}", checks)
+    return Report(f"kostant form via orbit for {ext.did.text}", checks)
 
 
-def semi_affine(diagram: Diagram) -> IntMatrix:
-    """The McKay operator of the extension with the affine row zeroed out.
-
-    Acts on extended coordinates: finite block = adjacency, affine column =
-    bonds of the affine vertex, affine row = 0.
+def semi_affine(ext: Diagram) -> IntMatrix:
+    """The McKay operator B = 2I - K of an extended diagram with its affine
+    row zeroed out: finite block = adjacency, affine column = bonds of the
+    affine vertex, affine row = 0.
     """
-    if diagram.extended or diagram.did is None:
-        raise UnsupportedFamilyError("semi-affine operator extends a finite diagram")
-    rows = build(diagram.did, extended=True).bonds.rows
+    rows = ext.bonds.rows
     return _trusted_matrix(((0,) * len(rows),) + rows[1:])
 
 
-def verify_z_recurrence(diagram: Diagram) -> Report:
-    """Three-term recurrences of the assembling vectors, plus the two
-    matrix identities that splice the orbit walk into the adjacency action."""
-    table = assembling_vectors(diagram)
-    h = table.h
-    a_fin = diagram.bonds
-    a_semi = semi_affine(diagram)
-    z = table.z
+def verify_z_recurrence(ext: Diagram) -> Report:
+    """Three-term recurrences of the assembling vectors of an extended
+    diagram, plus the two matrix identities that splice the orbit walk into
+    the action of A = 2I - K on the finite part it walked."""
+    table = assembling_vectors(ext)
+    h, finite, z = table.h, table.diagram, table.z
+    a_fin = finite.bonds
+    a_semi = semi_affine(ext)
 
     # C is coxeter_transform's own operator: as w2 after w1 it would test associativity
-    pair, c = bicolored_reflections(diagram), coxeter_transform(diagram)
+    pair, c = bicolored_reflections(finite), coxeter_transform(finite)
     a, semi, w1, w2, cx = map(_sparse_left, (a_fin, a_semi, *pair, c))  # each applied more than once
 
     rows = [zn[1:] for zn in z[1:h]]  # the finite parts of z_0 and z_h are 0
@@ -226,7 +210,7 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     na, n1, nc = _norm(a_fin), _norm(pair.w1), _norm(c)
     m1, m2, pc = _norm(pair.w1, -1), _norm(pair.w2, -1), _norm(c, 1)  # ||1 - w1||, ||1 - w2||, ||1 + C||
     w = _width(max(na * m2 * n1 + m1 * pc, na * m1 * nc + m2 * n1 * pc))
-    ident = [1 << (w * i) for i in range(diagram.size)]  # the packed rows of 1
+    ident = [1 << (w * i) for i in range(finite.size)]  # the packed rows of 1
 
     def one_minus(f, x: list[int]) -> list[int]:
         return [u - v for u, v in zip(x, f(x))]
@@ -235,7 +219,7 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     block2 = a(one_minus(w1, cx(ident))) == one_minus(w2, w1(one_plus_c))
 
     return Report(
-        f"assembling recurrences for {diagram.did.text}",
+        f"assembling recurrences for {ext.did.text}",
         (
             (f"A z_n = z_(n-1) + z_(n+1) for 1 < n < {h - 1}", interior),
             ("A z_1 = z_2", first),
@@ -248,27 +232,27 @@ def verify_z_recurrence(diagram: Diagram) -> Report:
     )
 
 
-def verify_observation(diagram: Diagram) -> Report:
+def verify_observation(ext: Diagram) -> Report:
     """(t + 1/t) z(t)_i = neighbor sum of z(t), for every finite vertex.
 
     Checked twice: once on the orbit polynomials z(t), once on the Cramer
     numerators, i.e. the generating-function components with their common
     denominator det M(t) cleared; the affine row must annihilate z(t).
     """
-    a_semi = semi_affine(diagram)
-    zt = z_polynomials(diagram)
-    ext = build(diagram.did, extended=True)
+    a_semi = semi_affine(ext)
+    zt = z_polynomials(ext)
     y = generating_function(ext).numerators
     w = _width((2 + _norm(a_semi)) * max(map(_l1, (*zt, *y))))
     z, y = _pack((p.coeffs for p in zt), w), _pack((p.coeffs for p in y), w)
-    nz, ny = a_semi.mulvec(z), a_semi.mulvec(y)
+    semi = _sparse_left(a_semi)  # applied to both routes
+    nz, ny = semi(z), semi(y)
     checks = [
         (f"(t + 1/t) z(t)_{ext.labels[i]} = neighbor sum, both routes",
          (z[i] << 2 * w) + z[i] == nz[i] << w and (y[i] << 2 * w) + y[i] == ny[i] << w)
         for i in range(1, ext.size)
     ]
     checks.append(("affine row annihilates z(t)", nz[0] == 0))
-    return Report(f"mckay observation for {diagram.did.text}", tuple(checks))
+    return Report(f"mckay observation for {ext.did.text}", tuple(checks))
 
 
 def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
@@ -310,7 +294,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
     v, w, negative = packed_series(ext, nterms + 2)
     if negative is not None:
         raise negative
-    bv = b.mulvec(v)
+    bv = _sparse_left(b)(v)
     holds = _three_term(bv, v, w, nterms + 2)[:-1]
     comp0 = _unpack(bv[0], nterms + 2, w)[:-1] == [m0[n] + m0[n + 2] for n in range(nterms + 1)]
     checks = [

@@ -333,9 +333,15 @@ def horner_substitute(f: IntPoly, p: IntPoly) -> IntPoly:
     return acc
 
 
+def matvec(m: IntMatrix, v) -> tuple:
+    """m v as a dense sum over every entry of each row; v may hold ints,
+    IntPolys or packed rows."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.rows)
+
+
 def list_three_term(a: IntMatrix, v) -> list[bool]:
     """Whether a v_n = v_(n-1) + v_(n+1), for each n = 1..len(v) - 2."""
-    return [a.mulvec(v[n]) == tuple(map(sum, zip(v[n - 1], v[n + 1])))
+    return [matvec(a, v[n]) == tuple(map(sum, zip(v[n - 1], v[n + 1])))
             for n in range(1, len(v) - 1)]
 
 
@@ -354,34 +360,35 @@ def product_route(check: str, target: Diagram | DiagramId) -> list[list[tuple]]:
     as IntPoly products, and IntMatrix products with `lincomb` for 1 - X
     and 1 + C.  A line passes iff every one of its pairs is equal.  check
     is "closed-form" (target a DiagramId), "orbit-form",
-    "mckay-observation" or "blocks" (a finite diagram; the last two lines
-    of "z-recurrence").  Every side is read through `mckay`'s own names,
-    so a test that patches one patches both routes."""
+    "mckay-observation" or "blocks" (an extended diagram; the last two
+    lines of "z-recurrence", on the finite part the walk ran on).  Every
+    side is read through `mckay`'s own names, so a test that patches one
+    patches both routes."""
     if check == "closed-form":
         gf = mckay.generating_function(build(target, extended=True))
         num, den = mckay.closed_form_component0(target)
         return [[(gf.numerators[0] * den, num * gf.det_m)]]
-    ext = build(target.did, extended=True)
     if check == "orbit-form":
         a, b, _, _ = mckay.kostant_numbers(target.did)
         zt = mckay.z_polynomials(target)
         den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
-        gf = mckay.generating_function(ext)
-        return [[(gf.numerators[i] * den, zt[i] * gf.det_m)] for i in range(ext.size)]
+        gf = mckay.generating_function(target)
+        return [[(gf.numerators[i] * den, zt[i] * gf.det_m)] for i in range(target.size)]
     if check == "mckay-observation":
         a_semi = mckay.semi_affine(target)
         zt = mckay.z_polynomials(target)
-        y = mckay.generating_function(ext).numerators
+        y = mckay.generating_function(target).numerators
         q = 1 + T**2
-        neighbor_z = a_semi.mulvec(zt)
-        neighbor_y = a_semi.mulvec(y)
+        neighbor_z = matvec(a_semi, zt)
+        neighbor_y = matvec(a_semi, y)
         return [[(q * zt[i], T * neighbor_z[i]), (q * y[i], T * neighbor_y[i])]
-                for i in range(1, ext.size)] + [[(neighbor_z[0], IntPoly())]]
+                for i in range(1, target.size)] + [[(neighbor_z[0], IntPoly())]]
     if check == "blocks":
-        a_fin = target.bonds
-        pair = mckay.bicolored_reflections(target)
-        c = mckay.coxeter_transform(target)
-        ident = IntMatrix.identity(target.size)
+        finite = mckay.assembling_vectors(target).diagram
+        a_fin = finite.bonds
+        pair = mckay.bicolored_reflections(finite)
+        c = mckay.coxeter_transform(finite)
+        ident = IntMatrix.identity(finite.size)
         minus_w1, minus_w2, plus_c = (lincomb((1, ident), (s, m))
                                       for s, m in ((-1, pair.w1), (-1, pair.w2), (1, c)))
         return [[(a_fin @ minus_w2 @ pair.w1, minus_w1 @ plus_c)],

@@ -13,6 +13,8 @@ import pkgutil
 import random
 from pathlib import Path
 
+import pytest
+
 import dynkinlab
 import dynkinlab.coxeter as coxeter
 import dynkinlab.diagram as diagram
@@ -104,6 +106,8 @@ def test_poincare_series_determinant_identity():
 
 
 def test_closed_form_and_degree_table():
+    """The closed form holds on every catalog diagram, the folds with |H|
+    of their Molien pair (H, G); the A/D/E numbers are the table's."""
     expected = {
         "E6": (6, 8, 12, 24),
         "E7": (8, 12, 18, 48),
@@ -111,13 +115,13 @@ def test_closed_form_and_degree_table():
     }
     for ext in catalog_extended():
         did = ext.did
-        if did.family not in SIMPLY_LACED:
-            continue
         rep = verify_closed_form(did)
         assert rep.passed, rep.render()
         a, b, h, order = kostant_numbers(did)
-        assert a * b == 2 * order
-        if did.family == "A":
+        assert a * b == 2 * order and a + b == h + 2
+        if did.family not in SIMPLY_LACED:
+            assert order == folded_pair(did)[0].order
+        elif did.family == "A":
             assert (a, b, h, order) == (2, did.rank + 1, did.rank + 1, did.rank + 1)
         elif did.family == "D":
             n = did.rank - 2
@@ -127,7 +131,7 @@ def test_closed_form_and_degree_table():
 
 
 def test_e6_golden_tables():
-    d = build(DiagramId("E6"))
+    d = build(DiagramId("E6"), extended=True)
     table = assembling_vectors(d)
     assert render_orbit_table(table) == (GOLDEN / "e6_orbit_table.txt").read_text()
     assert render_z_table(table) == (GOLDEN / "e6_z_vectors.txt").read_text()
@@ -150,10 +154,10 @@ def test_e6_x1_multiplicities():
 
 def test_mckay_observation_with_worked_identities():
     for name in ("A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"):
-        rep = verify_observation(build(DiagramId.parse(name)))
+        rep = verify_observation(build(DiagramId.parse(name), extended=True))
         assert rep.passed, rep.render()
 
-    zt = z_polynomials(build(DiagramId("E6")))
+    zt = z_polynomials(build(DiagramId("E6"), extended=True))
     t = IntPoly.monomial(1)
     q = 1 + t**2
     a0, x0, x1, y1, y2, y3 = zt[0], zt[1], zt[2], zt[4], zt[5], zt[6]
@@ -262,11 +266,23 @@ def _clear_package_caches() -> None:
                 obj.cache_clear()
 
 
+def _count_orders(monkeypatch) -> list:
+    """Record the matrix of every Coxeter number the package computes."""
+    orders, real = [], coxeter._order
+
+    def counted(m, limit):
+        orders.append(m)
+        return real(m, limit)
+
+    monkeypatch.setattr(coxeter, "_order", counted)
+    return orders
+
+
 def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
-    """From cold, one `verify all` solves each nil root, sums each Molien
-    series and finds each prime field once, however many checks read it;
-    it also forms each C = w2 w1 and each 2I - K once.  A warm second run
-    prints the same bytes."""
+    """From cold, one `verify all` solves each nil root, finds each Coxeter
+    number, sums each Molien series and finds each prime field once, however
+    many checks read it; it also forms each C = w2 w1 and each 2I - K once.
+    A warm second run prints the same bytes."""
     _clear_package_caches()
     solved, products = [], []
     real, matmul = diagram.nullspace_primitive, IntMatrix.__matmul__
@@ -281,6 +297,7 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
 
     monkeypatch.setattr(diagram, "nullspace_primitive", counted)
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_product)
+    orders = _count_orders(monkeypatch)
     assert main(["verify", "all", "--terms", "40"]) == 0
     cold = capsys.readouterr().out
     # C and its pair depend on (Cartan matrix, bipartition) only: finite_part(ext)
@@ -293,9 +310,13 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     # 2I - K is read on every extended diagram and on the even-h finite ADE ones
     even = {d.cartan for d in ade if coxeter_number(d) % 2 == 0}
     assert diagram._bonds.cache_info().misses == len({ext.cartan for ext in exts} | even) == 55
-    # closed-form, orbit-form and the orbit walk read the extended ADE nil roots
-    ade = [ext.cartan for ext in catalog_extended() if ext.did.family in SIMPLY_LACED]
-    assert len(solved) == len(set(solved)) == len(ade) == 18 and set(solved) == set(ade)
+    # only the orbit walk reads nil roots, on the 14 even-h A/D/E diagrams;
+    # the 18 A/D/E Coxeter numbers are read by the walk, kostant_numbers and
+    # the choice of the walk's targets
+    walked = {ext.cartan for ext in exts if ext.did.family in SIMPLY_LACED
+              and coxeter_number(finite_part(ext)) % 2 == 0}
+    assert len(solved) == len(set(solved)) == len(walked) == 14 and set(solved) == walked
+    assert len(orders) == len(set(orders)) == len(ade) == 18
     sums, fields = molien._molien_sums.cache_info(), molien._field.cache_info()
     # molien and mckay-shift sum each catalog group to 40 and 41 terms, and
     # molien-folded both groups of each fold's Molien pair to 40
@@ -306,3 +327,15 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     assert fields.misses == len({enumerate_group(bid).level for bid, _ in pairs}) == 3
     assert main(["verify", "all", "--terms", "40"]) == 0
     assert capsys.readouterr().out == cold
+
+
+@pytest.mark.parametrize("argv", [["verify", "orbit-form", "D16"], ["zpoly", "D24"],
+                                  ["verify", "orbit-form", "B16"]])
+def test_one_walk_finds_its_coxeter_number_once(capsys, monkeypatch, argv):
+    """The walk, Kostant's numbers and the finite part they read agree on
+    one F, so a cold single command orders its C once."""
+    _clear_package_caches()
+    orders = _count_orders(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(orders) == 1

@@ -30,12 +30,11 @@ from dynkinlab.diagram import (
     build,
     catalog_extended,
     finite_part,
-    highest_root,
     nil_root,
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
-from oracles import lincomb, list_charpoly, list_coxeter_number, list_matmul, star_tree
+from oracles import lincomb, list_charpoly, list_coxeter_number, list_matmul, matvec, star_tree
 
 L = IntPoly.monomial(1)
 
@@ -166,12 +165,14 @@ def test_involutions_and_determinant():
 
 
 def test_w2_fixes_highest_root():
-    for did in [DiagramId("A", 1), DiagramId("A", 3), DiagramId("A", 5),
-                DiagramId("D", 4), DiagramId("D", 6), DiagramId("E6"),
-                DiagramId("E7"), DiagramId("E8")]:
-        d = build(did)
-        beta = highest_root(d)
-        assert bicolored_reflections(d).w2.mulvec(beta) == beta
+    """On the finite part of every catalog diagram of even Coxeter number w2
+    fixes beta = delta[1:], the highest root on A/D/E: part_y holds the
+    attachment vertices, the only rows where K beta is not 0.  On A_n, n
+    even, the two chain ends lie in different classes."""
+    for ext in catalog_extended():
+        d, beta = finite_part(ext), nil_root(ext)[1:]
+        fixed = matvec(bicolored_reflections(d).w2, beta) == beta
+        assert fixed == (coxeter_number(d) % 2 == 0), ext.did
 
 
 def test_affine_transform_fixes_nil_root():
@@ -179,7 +180,7 @@ def test_affine_transform_fixes_nil_root():
         if d.bipartition is None:
             continue
         delta = nil_root(d)
-        assert coxeter_transform(d).mulvec(delta) == delta
+        assert matvec(coxeter_transform(d), delta) == delta
 
 
 def test_coxeter_numbers():

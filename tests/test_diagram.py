@@ -8,6 +8,7 @@ import re
 import pytest
 import sympy
 
+import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import (
     _FOLDS,
@@ -22,8 +23,8 @@ from dynkinlab.diagram import (
     build,
     catalog_extended,
     fold,
+    finite_part,
     folded_pair,
-    highest_root,
     mckay_group,
     nil_root,
 )
@@ -38,7 +39,7 @@ from dynkinlab.kostant import generating_function
 from dynkinlab.mckay import Report, kostant_numbers
 from dynkinlab.molien import enumerate_group
 from dynkinlab.orbit import assembling_vectors
-from oracles import dense_neighbors, dense_two_coloring, gauss_jordan_nullspace
+from oracles import dense_neighbors, dense_two_coloring, gauss_jordan_nullspace, matvec
 
 
 def _submatrix_drop0(m: IntMatrix) -> IntMatrix:
@@ -122,11 +123,15 @@ def test_only_finite_simply_laced_diagrams_have_a_display_grid():
     dids = [d.did for d in catalog_extended()] + [DiagramId(f, 128) for f in RANKED]
     for did in dids:
         assert build(did, extended=True).display is None, did
+        # finite_part keeps the grid, so on A/D/E it is build(did) in every field
         if did.family in SIMPLY_LACED:
             finite = build(did)
             assert sorted(v for row in finite.display for _, v in row) == list(range(finite.size)), did
-        elif did.family not in EXTENDED_ONLY:
-            assert build(did).display is None, did
+            assert finite_part(build(did, extended=True)) == finite, did
+        else:
+            assert finite_part(build(did, extended=True)).display is None, did
+            if did.family not in EXTENDED_ONLY:
+                assert build(did).display is None, did
 
 
 def test_e6_layout():
@@ -178,7 +183,7 @@ def test_nil_roots():
 def test_nil_root_at_the_rank_limit(text):
     ext = build(DiagramId.parse(text), extended=True)
     delta = nil_root(ext)
-    assert ext.cartan.mulvec(delta) == (0,) * ext.size
+    assert matvec(ext.cartan, delta) == (0,) * ext.size
     assert delta[0] == 1
     assert delta == gauss_jordan_nullspace(ext.cartan)
 
@@ -198,13 +203,20 @@ def test_doubled_coordinate_law_simply_laced():
 
 
 def test_highest_root():
-    assert highest_root(build(DiagramId("E6"))) == (3, 1, 1, 2, 2, 2)
-    assert highest_root(build(DiagramId("E7"))) == (2, 3, 4, 3, 2, 1, 2)
-    assert highest_root(build(DiagramId("E8"))) == (2, 3, 4, 5, 6, 4, 2, 3)
-    assert highest_root(build(DiagramId("D", 4))) == (1, 2, 1, 1)
-    assert highest_root(build(DiagramId("A", 3))) == (1, 1, 1)
-    with pytest.raises(UnsupportedFamilyError):
-        highest_root(build(DiagramId("B", 3)))
+    """beta, where the orbit walk starts, is the tail of the nil root: the
+    highest root on A/D/E.  On the folds it is pinned per family; B3's is
+    (1, 1, 1), the highest root of neither K_F nor its transpose."""
+    def beta(text):
+        return nil_root(build(DiagramId.parse(text), extended=True))[1:]
+
+    assert beta("E6") == (3, 1, 1, 2, 2, 2)
+    assert beta("E7") == (2, 3, 4, 3, 2, 1, 2)
+    assert beta("E8") == (2, 3, 4, 5, 6, 4, 2, 3)
+    assert beta("D4") == (1, 2, 1, 1)
+    assert beta("A3") == (1, 1, 1)
+    assert beta("B3") == (1, 1, 1)
+    assert beta("C3") == (2, 2, 1)
+    assert beta("G2") == (2, 3)
 
 
 def test_symmetric_exactly_for_simply_laced():
@@ -321,8 +333,20 @@ def test_kostant_numbers():
     assert kostant_numbers(DiagramId("E8")) == (12, 20, 30, 120)
     assert kostant_numbers(DiagramId("D", 5)) == (4, 6, 8, 12)
     assert kostant_numbers(DiagramId("A", 3)) == (2, 4, 4, 4)
-    with pytest.raises(UnsupportedFamilyError):
-        kostant_numbers(DiagramId("B", 3))
+    # on a fold |H| is the order of H in its Molien pair (H, G)
+    assert kostant_numbers(DiagramId("F4")) == (6, 8, 12, 24)
+    assert kostant_numbers(DiagramId("G2")) == (4, 4, 6, 8)
+    assert kostant_numbers(DiagramId("B", 3)) == (2, 6, 6, 6)
+    assert kostant_numbers(DiagramId("DD", 4)) == (4, 6, 8, 12)
+    assert kostant_numbers(DiagramId("CD", 3)) == (4, 4, 6, 8)
+
+
+def test_kostant_numbers_must_be_integers(monkeypatch):
+    """With |H| = 5 on E6, x^2 - 14x + 10 has no integer root."""
+    monkeypatch.setattr(mckay, "molien_group", lambda did: BpgId("cyclic", 5))
+    with pytest.raises(CatalogCorruptionError) as exc:
+        kostant_numbers(DiagramId("E6"))
+    assert str(exc.value) == "x^2 - 14x + 10 has no integer roots"
 
 
 def test_group_orders():
@@ -504,7 +528,7 @@ _RECORDS = {
     "BpgId": lambda: BpgId("cyclic", 3),
     "BicoloredPair": lambda: bicolored_reflections(build(DiagramId("D", 4))),
     "GeneratingFunction": lambda: generating_function(build(DiagramId("E6"), extended=True)),
-    "OrbitTable": lambda: assembling_vectors(build(DiagramId("E6"))),
+    "OrbitTable": lambda: assembling_vectors(build(DiagramId("E6"), extended=True)),
     "BpgGroup": lambda: enumerate_group(BpgId("binary_tetrahedral")),
     "Report": lambda: Report("example", (("a check", True),)),
 }

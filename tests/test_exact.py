@@ -29,6 +29,7 @@ from dynkinlab.exact import (
     _low_slots,
     _order,
     _pack,
+    _sparse_left,
     _three_term,
     _unpack,
     _width,
@@ -44,6 +45,7 @@ from oracles import (
     list_charpoly,
     list_matmul,
     list_three_term,
+    matvec,
     parse_poly,
     perm_det,
     sympy_det,
@@ -459,7 +461,7 @@ def test_coxeter_transform_against_triple_loop():
         assert coxeter_transform(d) == naive_matmul(pair.w2, pair.w1), d.labels
 
 
-def test_mulvec_against_the_dense_sum():
+def test_sparse_left_against_the_dense_sum():
     """The sparse product against sum(a * b) over every entry of the row,
     on int and IntPoly vectors; an all-zero row gives the vector's zero."""
     rng = random.Random(1977)
@@ -467,18 +469,17 @@ def test_mulvec_against_the_dense_sum():
         n, k = rng.randint(1, 6), rng.randint(1, 6)
         m = IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)]
                        for _ in range(n - 1)] + [(0,) * k])
+        product = _sparse_left(m)
         ints = tuple(rng.randint(-9, 9) for _ in range(k))
         polys = tuple(IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
                       for _ in range(k))
         for v in (ints, polys):
-            assert m.mulvec(v) == tuple(sum(a * b for a, b in zip(row, v)) for row in m.rows)
-        assert type(m.mulvec(ints)[-1]) is int
-        last = m.mulvec(polys)[-1]
+            assert tuple(product(v)) == matvec(m, v)
+        assert type(product(ints)[-1]) is int
+        last = product(polys)[-1]
         assert isinstance(last, IntPoly) and last.is_zero()
-        with pytest.raises(DimensionError):
-            m.mulvec(ints + (1,))
-    assert IntMatrix(()).mulvec(()) == ()
-    assert IntMatrix(((),) * 3).mulvec(()) == (0, 0, 0)
+    assert _sparse_left(IntMatrix(()))(()) == []
+    assert _sparse_left(IntMatrix(((),) * 3))(()) == [0, 0, 0]
 
 
 def test_int_matrix_is_a_plain_value():
@@ -486,7 +487,7 @@ def test_int_matrix_is_a_plain_value():
     assert IntMatrix.__slots__ == ("rows",)
     m = IntMatrix(((0, 1), (-1, -1)))  # order 3
     rows, twin = m.rows, IntMatrix(m.rows)
-    assert m.mulvec((1, 2)) == (2, -3)
+    assert _sparse_left(m)((1, 2)) == [2, -3]
     assert (m @ m).rows == ((-1, -1), (1, 0))
     assert charpoly(m) == IntPoly((1, 1, 1))
     assert _order(m, 10) == 3
@@ -566,12 +567,12 @@ def test_slot_readers_against_the_shift_sum(w):
         v = [tuple(rng.randint(-scale, scale) for _ in range(size)) for _ in range(n)]
         if rng.random() < 0.5:  # make the relation hold at some n
             for k in range(1, n - 1):
-                v[k + 1] = tuple(a - c for a, c in zip(b.mulvec(v[k]), v[k - 1]))
+                v[k + 1] = tuple(a - c for a, c in zip(matvec(b, v[k]), v[k - 1]))
             if max(abs(c) for vk in v for c in vk) > lim // 16:
                 continue
         columns = [_shift_sum(col, w) for col in zip(*v)]
         zero = (0,) * size
-        holds = _three_term(b.mulvec(columns), columns, w, n)
+        holds = _three_term(matvec(b, columns), columns, w, n)
         assert holds == list_three_term(b, [zero, *v, zero])
         outcomes.update(holds)
     assert outcomes == {True, False}
@@ -861,7 +862,7 @@ def test_ratfunc_equivalence_random():
 def test_matrix_basics():
     m = IntMatrix(((1, 2), (3, 4)))
     assert m @ IntMatrix.identity(2) == m
-    assert m.mulvec((1, 1)) == (3, 7)
+    assert _sparse_left(m)((1, 1)) == [3, 7]
     assert IntMatrix.identity(2) @ m == m
     assert int_det(m) == -2
     assert charpoly(m).coeff(1) == -5  # minus the trace

@@ -7,9 +7,10 @@ import pytest
 import dynkinlab.kostant as kostant
 import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import coxeter_number
+from dynkinlab.cli import main
 from dynkinlab.diagram import SIMPLY_LACED, DiagramId, build, catalog_extended, finite_part
-from dynkinlab.errors import DomainError, ExcludedDiagramError, UnsupportedFamilyError
-from dynkinlab.exact import IntMatrix, IntPoly, _decode
+from dynkinlab.errors import DomainError, ExcludedDiagramError
+from dynkinlab.exact import IntMatrix, IntPoly, _decode, _trusted_matrix
 from dynkinlab.kostant import generating_function
 from dynkinlab.mckay import (
     semi_affine,
@@ -26,6 +27,13 @@ from oracles import HYPERBOLIC, lincomb, parse_poly, product_route, star_tree
 
 def fin(name: str):
     return build(DiagramId.parse(name))
+
+
+def ext(name: str):
+    return build(DiagramId.parse(name), extended=True)
+
+
+FOLDS = [e.did.text for e in catalog_extended() if e.did.family not in SIMPLY_LACED]
 
 
 def test_adjacency_frozen():
@@ -59,33 +67,29 @@ def test_adjacency_matches_neighbor_lists():
                 assert a[i, j] == (1 if j in d.neighbors(i) else 0)
 
 
-def test_recurrence_checks_refuse_outside_finite_ade():
-    """Each check raises the error of the first guard it meets: the walk's,
-    or on an extended diagram the semi-affine operator's."""
-    for check, name, extended, error in (
-        (verify_z_recurrence, "B3", False, UnsupportedFamilyError),
-        (verify_z_recurrence, "G2", False, UnsupportedFamilyError),
-        (verify_z_recurrence, "A3", True, DomainError),
-        (verify_observation, "B3", False, UnsupportedFamilyError),
-        (verify_observation, "G2", False, UnsupportedFamilyError),
-        (verify_observation, "A3", True, UnsupportedFamilyError),
-    ):
-        with pytest.raises(error) as refused:
-            check(build(DiagramId.parse(name), extended=extended))
-        assert type(refused.value) is error, (check.__name__, name)
+def test_recurrence_checks_refuse_only_odd_h():
+    """B3 and G2 pass; odd h is refused by the walk, and so is a finite
+    diagram, which has no affine vertex to start from."""
+    for check in (verify_z_recurrence, verify_observation):
+        for name in ("B3", "G2"):
+            assert check(ext(name)).passed, (check.__name__, name)
+        for diagram, error in ((ext("A2"), ExcludedDiagramError), (fin("A3"), DomainError)):
+            with pytest.raises(error) as refused:
+                check(diagram)
+            assert type(refused.value) is error, (check.__name__, diagram.name)
 
 
 def test_semi_affine_frozen():
     # extension of A3 is a 4-cycle: two unit entries in the affine column
-    assert semi_affine(fin("A3")).rows == (
+    assert semi_affine(ext("A3")).rows == (
         (0, 0, 0, 0),
         (1, 0, 1, 0),
         (0, 1, 0, 1),
         (1, 0, 1, 0),
     )
     # A1 extension carries a double bond
-    assert semi_affine(fin("A1")).rows == ((0, 0), (2, 0))
-    m = semi_affine(fin("E6"))
+    assert semi_affine(ext("A1")).rows == ((0, 0), (2, 0))
+    m = semi_affine(ext("E6"))
     assert m.rows[0] == (0,) * 7
     assert tuple(m[i, 0] for i in range(7)) == (0, 0, 0, 0, 0, 0, 1)  # y3 only
 
@@ -94,7 +98,7 @@ def test_semi_affine_blocks():
     """Finite block is the adjacency matrix; the affine column marks u0."""
     for name in ("A5", "D6", "E7"):
         d = fin(name)
-        m = semi_affine(d)
+        m = semi_affine(ext(name))
         a = d.bonds
         assert (m.nrows, m.ncols) == (d.size + 1, d.size + 1)
         assert all(m[i + 1, j + 1] == a[i, j] for i in range(d.size) for j in range(d.size))
@@ -103,8 +107,8 @@ def test_semi_affine_blocks():
 
 
 def test_z_recurrence_reports_pass():
-    for name in ("A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"):
-        rep = verify_z_recurrence(fin(name))
+    for name in ("A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8", *FOLDS):
+        rep = verify_z_recurrence(ext(name))
         assert rep.passed, rep.render()
 
 
@@ -119,7 +123,7 @@ _INTERIOR = "A z_n = z_(n-1) + z_(n+1) for 1 < n < 11"
 ])
 def test_z_recurrence_lines_fail_alone(monkeypatch, n, failed):
     """E6 with the x0 entry of z_n off by one: exactly the lines that read z_n fail."""
-    d = fin("E6")
+    d = ext("E6")
     table = assembling_vectors(d)
     z = [list(zn) for zn in table.z]
     z[n][1] += 1
@@ -131,18 +135,32 @@ def test_z_recurrence_lines_fail_alone(monkeypatch, n, failed):
 
 def test_z_recurrence_rejects_odd_coxeter_number():
     with pytest.raises(ExcludedDiagramError):
-        verify_z_recurrence(fin("A2"))
+        verify_z_recurrence(ext("A2"))
 
 
 def test_observation_reports_pass():
-    for name in ("A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"):
-        rep = verify_observation(fin(name))
+    for name in ("A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8", *FOLDS):
+        rep = verify_observation(ext(name))
         assert rep.passed, rep.render()
+
+
+@pytest.mark.parametrize("name", FOLDS)
+def test_observation_reads_the_rows_of_b(monkeypatch, capsys, name):
+    """McKay's observation holds with the rows of B = 2I - K, the paper's
+    i <- j; with the rows of B^T it fails on every fold, whose B is not
+    symmetric, so the orientation is pinned."""
+    def transposed(e):
+        rows = tuple(zip(*e.bonds.rows))
+        return _trusted_matrix(((0,) * len(rows),) + rows[1:])
+
+    monkeypatch.setattr(mckay, "semi_affine", transposed)
+    assert main(["verify", "mckay-observation", name]) == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_observation_worked_values():
     """Neighbor sums at x0, x1 and y3 of E6, written out term by term."""
-    zt = z_polynomials(fin("E6"))
+    zt = z_polynomials(ext("E6"))
     t = IntPoly.monomial(1)
     q = 1 + t**2
     # indices in extended order: a0 x0 x1 x2 y1 y2 y3
@@ -179,14 +197,14 @@ PACKED = {
 
 
 def _cases():
-    """closed-form on the 18 ADE catalog diagrams, the other three on the 14
-    of even Coxeter number, and all four on D32, A31 and D128."""
-    dids = [e.did for e in catalog_extended() if e.did.family in SIMPLY_LACED]
+    """closed-form on the 41 catalog diagrams, the other three on the 37 of
+    even Coxeter number, and all four on D32, A31 and D128."""
+    dids = [e.did for e in catalog_extended()]
     for did in dids + [DiagramId.parse(t) for t in ("D32", "A31", "D128")]:
         yield "closed-form", did
-        d = build(did)
-        if coxeter_number(d) % 2 == 0:
-            yield from ((check, d) for check in ("orbit-form", "mckay-observation", "blocks"))
+        e = build(did, extended=True)
+        if coxeter_number(finite_part(e)) % 2 == 0:
+            yield from ((check, e) for check in ("orbit-form", "mckay-observation", "blocks"))
 
 
 def _bump(polys, i):
@@ -293,9 +311,9 @@ def test_closed_form_width_at_its_edge(monkeypatch, side):
 
 def test_orbit_form_width_at_its_edge(monkeypatch):
     """3 z(t) against det M / 3 at t = 2^8: every vertex's line."""
-    d, ext = fin("E6"), build(DiagramId("E6"), extended=True)
+    d = ext("E6")
     zt = z_polynomials(d)
-    _patch_gf(monkeypatch, mckay, ext, det_m=_digits(generating_function(ext).det_m(X) // 3))
+    _patch_gf(monkeypatch, mckay, d, det_m=_digits(generating_function(d).det_m(X) // 3))
     monkeypatch.setattr(mckay, "z_polynomials", lambda g: tuple(3 * p for p in zt))
     labels = {label for label, _ in verify_kostant_form(d).checks}
     assert _real_and_cut(monkeypatch, mckay, lambda: verify_kostant_form(d)) == (labels, [16], set())
@@ -304,13 +322,13 @@ def test_orbit_form_width_at_its_edge(monkeypatch):
 @pytest.mark.parametrize("route", ["z", "y"])
 def test_observation_width_at_its_edge(monkeypatch, route):
     """The digits of 100 p(2^8) for every z(t)_i, or every Cramer numerator."""
-    d, ext = fin("E6"), build(DiagramId("E6"), extended=True)
+    d = ext("E6")
     if route == "z":
         zt = z_polynomials(d)
         monkeypatch.setattr(mckay, "z_polynomials", lambda g: tuple(_digits(100 * p(X)) for p in zt))
     else:
-        ys = generating_function(ext).numerators
-        _patch_gf(monkeypatch, mckay, ext, numerators=tuple(_digits(100 * p(X)) for p in ys))
+        ys = generating_function(d).numerators
+        _patch_gf(monkeypatch, mckay, d, numerators=tuple(_digits(100 * p(X)) for p in ys))
     failed, widths, cut = _real_and_cut(monkeypatch, mckay, lambda: verify_observation(d))
     assert failed and widths == [16] and cut == set()
 
@@ -321,10 +339,10 @@ def test_z_recurrence_column_width_at_its_edge(monkeypatch):
     100 times what it reads unperturbed, and as slot 0, 100 z_1, overflows
     no slot, the middle slots it compares agree.  A^semi z_0 = z_1 and
     A^semi z_h = z_(h-1) read z unpacked, and FAIL at every width."""
-    d = fin("E6")
+    d = ext("E6")
     table = assembling_vectors(d)
     h = table.h
-    columns = [_digits(100 * IntPoly([zn[i] for zn in table.z[1:h]])(X)) for i in range(1, d.size + 1)]
+    columns = [_digits(100 * IntPoly([zn[i] for zn in table.z[1:h]])(X)) for i in range(1, d.size)]
     assert max(len(c.coeffs) for c in columns) == h - 1
     assert [c.coeff(0) for c in columns] == [100 * v for v in table.z[1][1:]]
     z = [table.z[0], *((zn[0], *(c.coeff(k) for c in columns)) for k, zn in enumerate(table.z[1:h])),
@@ -339,8 +357,8 @@ def test_z_recurrence_column_width_at_its_edge(monkeypatch):
 def test_block_width_at_its_edge(monkeypatch):
     """Row 0 of C plus (2^8, -1, 0, ..., 0), which packs to the same row at
     2^8: both block identities."""
-    d = fin("E6")
-    rows = [list(row) for row in mckay.coxeter_transform(d).rows]
+    d = ext("E6")
+    rows = [list(row) for row in mckay.coxeter_transform(finite_part(d)).rows]
     rows[0][0] += X
     rows[0][1] -= 1
     monkeypatch.setattr(mckay, "coxeter_transform", lambda g: IntMatrix(rows))
