@@ -11,7 +11,7 @@ from .coxeter import (
 )
 from .diagram import BpgId, Diagram, DiagramId, build, catalog_extended, finite_part, fold
 from .exact import IntMatrix, IntPoly, RatFunc, format_poly, series_expand
-from .kostant import generating_function, multiplicities
+from .kostant import generating_function
 from .mckay import (
     Report,
     crosscheck,
@@ -51,7 +51,6 @@ __all__ = [
     "format_poly",
     "generating_function",
     "molien_coeffs",
-    "multiplicities",
     "semi_affine",
     "series_expand",
     "tau_orbit",

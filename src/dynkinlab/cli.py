@@ -127,7 +127,7 @@ def _build_parser(verb: str | None = None) -> _Parser:
     diagram_verb("charpoly", "characteristic polynomials of the Coxeter and affine Coxeter transformations", k=True)
     diagram_verb("quotient", "quotient of the two characteristic polynomials", k=True)
     diagram_verb("poincare", "Poincare series of the invariant algebra (component 0)", terms=True)
-    diagram_verb("orbit", "orbit of the highest root under the Coxeter transformation")
+    diagram_verb("orbit", "orbit of beta, the nil root's finite part, under the bicolored involutions")
     diagram_verb("zpoly", "assembling vectors and their generating polynomials")
 
     if "molien" in wanted:

@@ -464,10 +464,9 @@ def finite_part(diagram: Diagram) -> Diagram:
     return _make(did, False, diagram.labels[1:], sub, attach=attach, display=display)
 
 
-@lru_cache(maxsize=None)
 def nil_root(diagram: Diagram) -> tuple[int, ...]:
-    """Primitive positive kernel vector of the extended Cartan matrix;
-    cached per process."""
+    """Primitive positive kernel vector of the extended Cartan matrix, one
+    solve per call: its one caller, the walk, is cached."""
     if not diagram.extended:
         raise DomainError("nil root requires an extended diagram")
     return nullspace_primitive(diagram.cartan)

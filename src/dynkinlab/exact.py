@@ -162,18 +162,6 @@ class IntPoly:
             acc = acc * value + c
         return acc
 
-    def substitute(self, p: "IntPoly") -> "IntPoly":
-        """Composition self(p(t)) with a monomial p = c t^m, m >= 1: the
-        coefficient a_k becomes a_k c^k at t^(mk).  Any other p raises
-        ValueError."""
-        pc = p.coeffs
-        m = len(pc) - 1
-        if m < 1 or any(pc[:-1]):
-            raise ValueError("substitute takes a monomial c*t^m with m >= 1")
-        out = [0] * (m * len(self.coeffs) - m + 1)
-        out[::m] = [a * pc[-1] ** k for k, a in enumerate(self.coeffs)]
-        return _trusted(out)
-
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 

@@ -31,11 +31,10 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Diagram
 from .errors import DomainError, IdentityViolationError
-from .exact import IntPoly, _decode, _low_slots, _pack, _unpack, _width, series_expand
+from .exact import IntPoly, _decode, _low_slots, _pack, _width, series_expand
 
 
 class GeneratingFunction(NamedTuple):
-    diagram: Diagram
     numerators: tuple[IntPoly, ...]  # det M_i(t), unreduced
     det_m: IntPoly                   # det M(t), the common denominator
 
@@ -91,7 +90,7 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
             raise IdentityViolationError(
                 f"component {diagram.labels[i]} has constant term {num.coeff(0)}"
             )
-    return GeneratingFunction(diagram, numerators, det_m)
+    return GeneratingFunction(numerators, det_m)
 
 
 def component_series(diagram: Diagram, i: int, nterms: int) -> tuple[int, ...]:
@@ -128,10 +127,3 @@ def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int, Identi
     negative = next((_negative(diagram, i, read) for i, (_, read) in enumerate(slots) if read is not None), None)
     return [col if read is None else _pack((read,), w)[0] for col, read in slots], w, negative
 
-
-def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:
-    """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
-    columns, w, negative = packed_series(diagram, nterms)
-    if negative is not None:
-        raise negative
-    return tuple(zip(*(_unpack(col, nterms, w) for col in columns)))

@@ -14,12 +14,11 @@ the same tree solve on integers at t = 2^w, is checked against both.
 width to get wrong and no product code shared with the package.
 `exact.charpoly`, `coxeter.coxeter_number` and the package's `@` are
 checked against them.  `gauss_jordan_nullspace` is the dense
-fraction-free Gauss-Jordan kernel vector and `horner_substitute` the
-composition by Horner's rule for any inner polynomial; the sparse
-elimination of `exact.nullspace_primitive` and the monomial-only
-`IntPoly.substitute` are checked against them.  `dense_two_coloring` and `dense_neighbors` read a graph off every entry of
-its rows; the bipartition and neighbour lists of `diagram.py`, which visit
-the nonzero entries only, are checked against them.  `list_three_term` checks
+fraction-free Gauss-Jordan kernel vector; the sparse elimination of
+`exact.nullspace_primitive` is checked against it.  `dense_two_coloring`
+and `dense_neighbors` read a graph off every entry of its rows; the
+bipartition and neighbour lists of `diagram.py`, which visit the nonzero
+entries only, are checked against them.  `list_three_term` checks
 McKay's three-term relation one vector at a time; `exact._three_term`, which reads it off packed
 columns, is checked against it.
 `product_route` gives the two sides of each line of the closed-form,
@@ -43,14 +42,23 @@ must equal it, failures and their first witness included.
 with no catalog id: hyperbolic for 1/p + 1/q + 1/r < 1, where the paper's
 theorems have no group to speak of, affine for T_{3,3,3}.  A check that
 holds on every bipartite tree must PASS on them.
+`multiplicities` reads every component's series back from the packed
+columns of `kostant.packed_series`, raising the first negative slot's
+error; the package itself compares those columns packed.
+`package_caches` finds every cache the package defines, by qualified name,
+as the benchmark's harness does; `clear_package_caches` empties them all,
+as a fresh process starts.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib
+import inspect
 import itertools
 import math
 import operator
+import pkgutil
 import re
 from collections import Counter
 from functools import lru_cache
@@ -59,6 +67,7 @@ from typing import Sequence
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+import dynkinlab
 import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import Diagram, DiagramId, _cartan, _make, build
@@ -69,7 +78,8 @@ from dynkinlab.errors import (
     IdentityViolationError,
     RankError,
 )
-from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix
+from dynkinlab.exact import IntMatrix, IntPoly, _as_poly, _trusted_matrix, _unpack
+from dynkinlab.kostant import packed_series
 from dynkinlab.molien import BpgGroup, BpgId, _field, _prime_factors
 
 T = IntPoly.monomial(1)
@@ -325,12 +335,12 @@ def gauss_jordan_nullspace(m: IntMatrix) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def horner_substitute(f: IntPoly, p: IntPoly) -> IntPoly:
-    """The composition f(p(t)) by Horner's rule, for any p."""
-    acc = IntPoly()
-    for c in reversed(f.coeffs):
-        acc = acc * p + c
-    return acc
+def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:
+    """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
+    columns, w, negative = packed_series(diagram, nterms)
+    if negative is not None:
+        raise negative
+    return tuple(zip(*(_unpack(col, nterms, w) for col in columns)))
 
 
 def matvec(m: IntMatrix, v) -> tuple:
@@ -717,3 +727,28 @@ def star_tree(p: int, q: int, r: int) -> Diagram:
 # the hyperbolic T_{p,q,r} whose finite part is affine: E10 = T_{2,3,7} over
 # extended E8, T_{3,3,4} over extended E6 and T_{2,4,5} over extended E7
 HYPERBOLIC = ((2, 3, 7), (3, 3, 4), (2, 4, 5))
+
+
+def package_caches() -> dict[str, object]:
+    """Every object with `cache_clear` that the package defines, module
+    globals and class attributes alike, keyed by where it is defined
+    (e.g. "dynkinlab.orbit.tau_orbit"), so a cache added later is found."""
+    found = {}
+    for info in pkgutil.iter_modules(dynkinlab.__path__):
+        module = importlib.import_module(f"dynkinlab.{info.name}")
+        members = list(vars(module).values())
+        members += [getattr(v, "__func__", v) for cls in members
+                    if inspect.isclass(cls) and cls.__module__ == module.__name__
+                    for v in vars(cls).values()]
+        for obj in members:
+            owner = getattr(obj, "__module__", None) or ""
+            if (not inspect.isclass(obj) and callable(getattr(obj, "cache_clear", None))
+                    and owner.startswith("dynkinlab")):
+                found[f"{owner}.{obj.__qualname__}"] = obj
+    return dict(sorted(found.items()))
+
+
+def clear_package_caches() -> None:
+    """Empty every cache the package defines, as a fresh process starts with none."""
+    for cache in package_caches().values():
+        cache.cache_clear()

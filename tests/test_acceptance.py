@@ -6,16 +6,12 @@ sums carry an asserted < 1e-6 margin before being rounded to integers.
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import itertools
-import pkgutil
 import random
 from pathlib import Path
 
 import pytest
 
-import dynkinlab
 import dynkinlab.coxeter as coxeter
 import dynkinlab.diagram as diagram
 import dynkinlab.molien as molien
@@ -33,7 +29,6 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import RankError
 from dynkinlab.exact import IntMatrix, IntPoly, charpoly
-from dynkinlab.kostant import multiplicities
 from dynkinlab.mckay import (
     crosscheck,
     kostant_numbers,
@@ -44,7 +39,7 @@ from dynkinlab.mckay import (
 )
 from dynkinlab.molien import enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
-from oracles import cramer_solve, lincomb, parse_poly, zeros
+from oracles import clear_package_caches, cramer_solve, lincomb, multiplicities, parse_poly, zeros
 
 L = IntPoly.monomial(1)
 GOLDEN = Path(__file__).parent / "golden"
@@ -252,20 +247,6 @@ def test_property_suites():
         assert det == brute
 
 
-def _clear_package_caches() -> None:
-    """Empty every cache the package defines, module globals and class
-    attributes alike, as a fresh process starts with none."""
-    for info in pkgutil.iter_modules(dynkinlab.__path__):
-        module = importlib.import_module(f"dynkinlab.{info.name}")
-        members = list(vars(module).values())
-        members += [getattr(v, "__func__", v) for cls in members
-                    if inspect.isclass(cls) and cls.__module__ == module.__name__
-                    for v in vars(cls).values()]
-        for obj in members:
-            if not inspect.isclass(obj) and callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
-
-
 def _count_orders(monkeypatch) -> list:
     """Record the matrix of every Coxeter number the package computes."""
     orders, real = [], coxeter._order
@@ -283,7 +264,7 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     number, sums each Molien series and finds each prime field once, however
     many checks read it; it also forms each C = w2 w1 and each 2I - K once.
     A warm second run prints the same bytes."""
-    _clear_package_caches()
+    clear_package_caches()
     solved, products = [], []
     real, matmul = diagram.nullspace_primitive, IntMatrix.__matmul__
 
@@ -334,7 +315,7 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
 def test_one_walk_finds_its_coxeter_number_once(capsys, monkeypatch, argv):
     """The walk, Kostant's numbers and the finite part they read agree on
     one F, so a cold single command orders its C once."""
-    _clear_package_caches()
+    clear_package_caches()
     orders = _count_orders(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()

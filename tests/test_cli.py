@@ -23,7 +23,7 @@ from dynkinlab.diagram import DiagramId, build
 from dynkinlab.exact import IntMatrix, IntPoly
 from dynkinlab.mckay import Report
 from dynkinlab.orbit import z_polynomials
-from oracles import parse_poly, product_route
+from oracles import clear_package_caches, package_caches, parse_poly, product_route
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -749,14 +749,40 @@ def test_verify_all_runs_the_table_rows_in_order(capsys):
     assert whole == "\n".join(parts)
 
 
+def _bench_refs() -> tuple[dict, list[str]]:
+    """bench/refs.json's outputs, and the keys of the 57 it pins here: every
+    catalog and rank-ladder invocation, and the nominal high-degree ones."""
+    refs = json.loads(BENCH_REFS.read_text())["outputs"]
+    pinned = [k for k in refs if not k.startswith(("poincare", "molien", "verify molien"))]
+    return refs, pinned + list(HIGH_DEGREE_NOMINAL)
+
+
 def test_bench_reference_outputs(capsys):
     """Exit code and stdout digest of every catalog and rank-ladder bench
     invocation, and of the nominal high-degree ones, against bench/refs.json."""
-    refs = json.loads(BENCH_REFS.read_text())["outputs"]
-    pinned = [k for k in refs if not k.startswith(("poincare", "molien", "verify molien"))]
-    pinned += HIGH_DEGREE_NOMINAL
+    refs, pinned = _bench_refs()
     assert len(pinned) == 57
     for key in pinned:
         code, out, _ = run(capsys, *key.split())
         assert code == refs[key]["exit"], key
         assert hashlib.sha256(out.encode()).hexdigest() == refs[key]["sha256"], key
+
+
+# no caller repeats a diagram in the walk, but bench/spans.py counts its
+# steps on cache misses only, so its cache goes once that counter counts
+# calls (ROADMAP item 5c)
+UNHIT_BY_DESIGN = {"dynkinlab.orbit.tau_orbit"}
+
+
+def test_every_cache_is_hit_by_the_bench_traffic(capsys):
+    """Replayed as the benchmark runs them, each from cold caches, the
+    pinned invocations hit every package cache but the ones allowlisted: a
+    cache that no traffic hits keeps its entries and saves nothing."""
+    caches = package_caches()
+    hits = dict.fromkeys(caches, 0)
+    for key in _bench_refs()[1]:
+        clear_package_caches()
+        run(capsys, *key.split())
+        for name, cache in caches.items():
+            hits[name] += cache.cache_info().hits
+    assert {name for name, n in hits.items() if n == 0} == UNHIT_BY_DESIGN

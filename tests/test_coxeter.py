@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import importlib
-import pkgutil
 from collections import Counter
 
 import pytest
 import sympy
 
-import dynkinlab
 from dynkinlab import diagram as diagram_module
 from dynkinlab import exact
 from dynkinlab.cli import main
@@ -34,7 +31,7 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
-from oracles import lincomb, list_charpoly, list_coxeter_number, list_matmul, matvec, star_tree
+from oracles import clear_package_caches, lincomb, list_charpoly, list_coxeter_number, list_matmul, matvec, star_tree
 
 L = IntPoly.monomial(1)
 
@@ -405,14 +402,6 @@ def test_lehmer_polynomial_on_e10():
     assert str(err.value) == "order exceeds the bound 1000; diagram is not finite type"
 
 
-def _clear_package_caches():
-    for info in pkgutil.iter_modules(dynkinlab.__path__):
-        module = importlib.import_module(f"dynkinlab.{info.name}")
-        for obj in vars(module).values():
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
-
-
 def test_no_cache_keys_on_the_diagram_id():
     """T_{2,3,7} and T_{2,4,6} are extended trees of 10 vertices with no id
     and the same labels.  With the other's entries in the caches each still
@@ -426,14 +415,14 @@ def test_no_cache_keys_on_the_diagram_id():
     assert trees[0].did is trees[1].did is None and trees[0].labels == trees[1].labels
     cold = []
     for tree in trees:
-        _clear_package_caches()
+        clear_package_caches()
         cold.append(facts(tree))
     assert [facts(tree) for tree in trees] == cold
     assert all(a != b for one, other in zip(*cold) for a, b in zip(one, other))
 
 
 def test_coxeter_number_cached_over_verify_all(capsys):
-    _clear_package_caches()
+    clear_package_caches()
     assert main(["verify", "all"]) == 0
     capsys.readouterr()
     info = coxeter_number.cache_info()

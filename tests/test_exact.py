@@ -40,7 +40,6 @@ from oracles import (
     det,
     gather_series,
     gauss_jordan_nullspace,
-    horner_substitute,
     lincomb,
     list_charpoly,
     list_matmul,
@@ -118,25 +117,6 @@ def test_poly_arithmetic():
     assert (T + 1) ** 2 == T**2 + 2 * T + 1
     assert p(1) == 2
     assert p(Fraction(1, 2)) == Fraction(1, 1) + Fraction(2, 8) - Fraction(1, 32)
-    assert (T**2 + 1).substitute(T**3) == T**6 + 1
-
-
-@pytest.mark.parametrize("p", [1 + T, IntPoly((2,)), IntPoly()])
-def test_substitute_takes_a_monomial_of_positive_degree_only(p):
-    with pytest.raises(ValueError, match="monomial"):
-        (1 + T**2).substitute(p)
-
-
-def test_substitute_against_horner():
-    rng = random.Random(1202)
-    polys = [IntPoly(), IntPoly.one(), IntPoly((-3,)), T, 2 - T**4]
-    polys += [IntPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 12))) for _ in range(20)]
-    for c in (1, -1, 2):
-        for m in (1, 2, 3):
-            p = IntPoly.monomial(m, c)
-            for f in polys:
-                assert f.substitute(p) == horner_substitute(f, p), (f, p)
-    assert IntPoly().substitute(T**2).coeffs == ()
 
 
 @pytest.mark.parametrize("c", (-2, 0, 1, 7))

@@ -298,7 +298,7 @@ def test_closed_form_width_at_its_edge(monkeypatch, side):
     each term of the bound in its turn the one the width needs."""
     did, ext = DiagramId("E6"), build(DiagramId("E6"), extended=True)
     num, den = mckay.closed_form_component0(did)
-    _, (y0, *ys), det_m = generating_function(ext)
+    (y0, *ys), det_m = generating_function(ext)
     if side == "cramer":
         _patch_gf(monkeypatch, mckay, ext, numerators=(3 * y0, *ys))
         monkeypatch.setattr(mckay, "closed_form_component0", lambda d: (num, _digits(den(X) // 3)))
@@ -390,6 +390,84 @@ def test_general_checks_pass_on_the_wild_tree_controls(pqr):
     tree = star_tree(*pqr)
     for report in (verify_ebeling(tree), verify_kostant_relation(tree, 200)):
         assert report.passed, report.render()
+
+
+# ways to move a side of Ebeling's identities off q(t^2): an odd coefficient
+# inside the degree or just above it, or an even one off by one, inside or
+# above the top
+_OFF_T2 = {
+    "odd": lambda p: p + IntPoly.monomial(3),
+    "odd above the top": lambda p: p + IntPoly.monomial(p.degree + 1),
+    "even off by one": lambda p: p + IntPoly.monomial(2),
+    "even above the top": lambda p: p + IntPoly.monomial(p.degree + 2),
+}
+
+
+@pytest.mark.parametrize("way", list(_OFF_T2))
+@pytest.mark.parametrize("name, side, line", [
+    ("E6", "numerators", "det M_0(t) = chi(t^2)"),
+    ("E6", "det_m", "det M(t) = chi_affine(t^2)"),
+    ("A4", "det_m", "det M(t) = (t^5 - 1)^2 on the 5-cycle"),
+])
+def test_ebeling_lines_fail_alone(monkeypatch, name, side, line, way):
+    """A Cramer side moved off chi(t^2), or off the cycle form, FAILs its
+    own line and no other."""
+    d = ext(name)
+    gf = generating_function(d)
+    assert gf.numerators[0].degree % 2 == gf.det_m.degree % 2 == 0
+    off = _OFF_T2[way]
+    if side == "numerators":
+        _patch_gf(monkeypatch, mckay, d, numerators=(off(gf.numerators[0]), *gf.numerators[1:]))
+    else:
+        _patch_gf(monkeypatch, mckay, d, det_m=off(gf.det_m))
+    assert {label for label, ok in verify_ebeling(d).checks if not ok} == {line}
+
+
+_CONTROLS = [*HYPERBOLIC, (3, 3, 3)]
+
+
+def _tree_id(pqr) -> str:
+    return "T_{%d,%d,%d}" % pqr
+
+
+def _refused_as_hyperbolic(check, pqr) -> bool:
+    """On a hyperbolic tree the finite part is affine, so the walk refuses it
+    for that reason; T_{3,3,3}, extended E6 in another order, walks."""
+    if pqr not in HYPERBOLIC:
+        return False
+    with pytest.raises(DomainError, match="diagram is not finite type"):
+        check(star_tree(*pqr))
+    return True
+
+
+@pytest.mark.parametrize("pqr", _CONTROLS, ids=_tree_id)
+def test_z_recurrence_on_the_wild_tree_controls(pqr):
+    """A paper check: refused where the walk has no finite type to walk,
+    and every line PASSes on T_{3,3,3}, named by the tree's own name."""
+    if not _refused_as_hyperbolic(verify_z_recurrence, pqr):
+        tree = star_tree(*pqr)
+        report = verify_z_recurrence(tree)
+        assert report.passed and report.name == f"assembling recurrences for {tree.name}", report.render()
+
+
+@pytest.mark.parametrize("pqr", _CONTROLS, ids=_tree_id)
+def test_observation_on_the_wild_tree_controls(pqr):
+    """A paper check: refused where the walk has no finite type to walk,
+    and both routes PASS on T_{3,3,3}, named by the tree's own name."""
+    if not _refused_as_hyperbolic(verify_observation, pqr):
+        tree = star_tree(*pqr)
+        report = verify_observation(tree)
+        assert report.passed and report.name == f"mckay observation for {tree.name}", report.render()
+
+
+@pytest.mark.parametrize("pqr", _CONTROLS, ids=_tree_id)
+def test_kostant_form_on_the_wild_tree_controls(pqr):
+    """A paper check: refused where the walk has no finite type to walk;
+    on T_{3,3,3} the walk succeeds and the check refuses for want of the
+    Molien group whose order gives Kostant's numbers a and b."""
+    if not _refused_as_hyperbolic(verify_kostant_form, pqr):
+        with pytest.raises(DomainError, match="no catalog id, so no Molien group H"):
+            verify_kostant_form(star_tree(*pqr))
 
 
 def test_affine_control_is_extended_e6():
