@@ -123,8 +123,8 @@ class Diagram(NamedTuple):
 
     @property
     def name(self) -> str:
-        """"E6", "extended E6", or "folded diagram" for a fold with no id."""
-        base = self.did.text if self.did else "folded diagram"
+        """"E6", "extended E6", or "diagram with no catalog id" (a fold or hand-made)."""
+        base = self.did.text if self.did else "diagram with no catalog id"
         return f"extended {base}" if self.extended else base
 
     def index_of(self, label: str) -> int:
@@ -311,10 +311,7 @@ def fold(diagram: Diagram, orbits: Sequence[Sequence[str]]) -> Diagram:
     rows = [[0] * m for _ in range(m)]
     for a, orb_a in enumerate(resolved):
         summed = [sum(col) for col in zip(*(k[i] for i in orb_a))]
-        for b, orb_b in enumerate(resolved):
-            if a == b:
-                rows[a][b] = 2
-                continue
+        for b, orb_b in enumerate(resolved):  # an orbit holds no bond, so a == b sums to 2
             sums = {summed[j] for j in orb_b}
             if len(sums) != 1:
                 raise FoldingError("entry sum depends on the representative")

@@ -121,9 +121,7 @@ class IntPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return _trusted(())
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)  # a zero factor trims to ()
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
@@ -203,16 +201,12 @@ class IntPoly:
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b."""
+    """lc(b)^j a modulo b, j <= deg a - deg b + 1; the primitive part drops lc(b)^j."""
     lead = b.leading()
     r = a
-    k = a.degree - b.degree + 1
     while not r.is_zero() and r.degree >= b.degree:
         shift = r.degree - b.degree
         r = r * lead - b * IntPoly.monomial(shift, r.leading())
-        k -= 1
-    if k > 0:
-        r = r * (lead ** k)
     return r
 
 
@@ -221,12 +215,6 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
 
     Result has positive leading coefficient; gcd(0, 0) = 0.
     """
-    if p.is_zero() and q.is_zero():
-        return IntPoly()
-    if p.is_zero():
-        return q.primitive() * abs(q.content())
-    if q.is_zero():
-        return p.primitive() * abs(p.content())
     c = math.gcd(p.content(), q.content())
     a, b = p.primitive(), q.primitive()
     if a.degree < b.degree:
@@ -251,14 +239,11 @@ class RatFunc:
         d = _as_poly(den)
         if d.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if n.is_zero():
-            d = IntPoly.one()
-        else:
-            g = poly_gcd(n, d)
-            n = n.divexact(g)
-            d = d.divexact(g)
-            if d.leading() < 0:
-                n, d = -n, -d
+        g = poly_gcd(n, d)  # +-d when n = 0, which leaves 0 / 1
+        n = n.divexact(g)
+        d = d.divexact(g)
+        if d.leading() < 0:
+            n, d = -n, -d
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -382,6 +367,16 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+def _l1(p: IntPoly) -> int:
+    """|p|, the coefficient 1-norm."""
+    return sum(map(abs, p.coeffs))
+
+
+def _norm(m: IntMatrix, shift: int = 0) -> int:
+    """||shift I + m||, the largest row sum of its absolute entries."""
+    return max(sum(map(abs, row)) - abs(row[i]) + abs(shift + row[i]) for i, row in enumerate(m.rows))
+
+
 @lru_cache(maxsize=None)
 def _bias(n: int, w: int) -> int:
     """2^(w-1) in each of n slots of w bits, w a multiple of 8; cached per
@@ -415,14 +410,14 @@ def _unpack(x: int, n: int, w: int) -> list[int]:
     return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 
-def _low_slots(x: int, n: int, w: int) -> tuple[int, list[int] | None]:
-    """(x mod 2^(wn), its n slots of w bits read back signed, or None when no
-    slot is negative), every slot below 2^(w-1) in absolute value: the
-    lowest negative slot sets its top bit in x mod 2^(wn), and with no
-    negative slot nothing borrows, so no top bit is set."""
+def _low_slots(x: int, n: int, w: int) -> tuple[int, bool]:
+    """(v, nonnegative): v packs the n low slots of w bits of x as `_pack`
+    would, every slot below 2^(w-1) in absolute value.  The lowest negative
+    slot sets its top bit in x mod 2^(wn), and with no negative slot nothing
+    borrows, so no top bit is set and v = x mod 2^(wn); else the bias signs v."""
     low, sign = (1 << (w * n)) - 1, _bias(n, w)
     x &= low
-    return x, _unpack(((x + sign) & low) - sign, n, w) if x & sign else None
+    return (x, True) if not x & sign else (((x + sign) & low) - sign, False)
 
 
 def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
@@ -475,8 +470,7 @@ def _order(m: IntMatrix, limit: int) -> int | None:
     compares n integers, and m^k is read back and re-packed wider only
     where `_fits` fails at the end of a stride.
     """
-    n, step = m.nrows, _sparse_left(m)
-    r = max(sum(map(abs, row)) for row in m.rows)
+    n, step, r = m.nrows, _sparse_left(m), _norm(m)
     g, power = max(2, (r**_STRIDE).bit_length()), m.rows
     for k in range(1, limit + 1):
         if power is not None:  # with room for r at least
@@ -506,7 +500,7 @@ def charpoly(m: IntMatrix) -> IntPoly:
     n = m.nrows
     if n == 0:
         return IntPoly.one()
-    r = max(sum(map(abs, row)) for row in m.rows) or 1
+    r = _norm(m)
     g, step = max(2, (r**_STRIDE).bit_length()), _sparse_left(m)
     b, w = 1, _width(r << g)  # M_0 = I, with room for r
     trace, mk, coeffs = _trace(n, w), [1 << (w * i) for i in range(n)], [1]

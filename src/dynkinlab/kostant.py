@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Diagram
 from .errors import DomainError, IdentityViolationError
-from .exact import IntPoly, _decode, _low_slots, _pack, _width, series_expand
+from .exact import IntPoly, _decode, _l1, _low_slots, _norm, _pack, _unpack, _width, series_expand
 
 
 class GeneratingFunction(NamedTuple):
@@ -111,19 +111,18 @@ def _negative(diagram: Diagram, i: int, coeffs: Sequence[int]) -> IdentityViolat
 
 def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int, IdentityViolationError | None]:
     """(columns, w, negative): column i packs v_n[i], n < nterms, in signed
-    slots of w bits, read from y_i(2^w) s(2^w) mod 2^(w nterms), s = 1/det M
-    expanded once.  Slot n is at most c max|s_j|, c the largest 1-norm of the
-    y_i and det M, and w keeps r + 2 times that below 2^(w-1), r = 2 - min_i
-    sum_j K_ij the largest row sum of B: a negative slot sets its top bit, so
-    negative is None or names the first, from its column read back, and B v,
-    v_(n-1) + v_(n+1) and t B y - (1 + t^2) y + det M e0 fit the slots."""
+    slots of w bits: the low slots of y_i(2^w) s(2^w), s = 1/det M expanded
+    once, as `_low_slots` signs them.  Slot n is at most c max|s_j|, c the
+    largest 1-norm of the y_i and det M, and w keeps ||B|| + 2 times that
+    below 2^(w-1): a negative slot sets its top bit, so negative is None or
+    names the first, read back by `_unpack`, and B v, v_(n-1) + v_(n+1) and
+    t B y - (1 + t^2) y + det M e0 fit the slots."""
     gf = generating_function(diagram)
     s = series_expand(IntPoly.one(), nterms, gf.det_m)
-    r = max(2 - sum(row) for row in diagram.cartan.rows)
-    c = max(sum(map(abs, p.coeffs)) for p in (*gf.numerators, gf.det_m))
-    w = _width((r + 2) * c * max(map(abs, s), default=1))
+    c = max(map(_l1, (*gf.numerators, gf.det_m)))
+    w = _width((_norm(diagram.bonds) + 2) * c * max(map(abs, s), default=1))
     (ps,) = _pack((s,), w)
     slots = [_low_slots(y * ps, nterms, w) for y in _pack((p.coeffs for p in gf.numerators), w)]
-    negative = next((_negative(diagram, i, read) for i, (_, read) in enumerate(slots) if read is not None), None)
-    return [col if read is None else _pack((read,), w)[0] for col, read in slots], w, negative
+    negative = next((_negative(diagram, i, _unpack(v, nterms, w)) for i, (v, ok) in enumerate(slots) if not ok), None)
+    return [v for v, _ in slots], w, negative
 

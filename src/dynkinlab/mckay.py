@@ -16,11 +16,11 @@ the numerators y_i with det M cleared.  Where an identity multiplies, its
 sides are compared as integers at t = 2^w (`exact._pack`; a matrix row
 by row), w sized by one rule: a difference whose coefficients all lie
 below 2^(w-1) in absolute value is zero iff its value at 2^w is, bounded
-by |p q| <= |p| |q| and ||X Y|| <= ||X|| ||Y||, where |p| is the
-coefficient 1-norm and ||X|| the largest row sum of |X_ij|.  McKay's relation
-B v_n = v_(n-1) + v_(n+1) is checked on packed columns in one place,
-`exact._three_term`, for the Cramer series and the assembling vectors
-alike.  `Report` is the type of every check's answer.
+by |p q| <= |p| |q| and ||X Y|| <= ||X|| ||Y||, where |p| = `exact._l1(p)`
+is the coefficient 1-norm and ||X|| = `exact._norm(X)` the largest row sum
+of |X_ij|.  McKay's relation B v_n = v_(n-1) + v_(n+1) is checked on packed
+columns in one place, `exact._three_term`, for the Cramer series and the
+assembling vectors alike.  `Report` is the type of every check's answer.
 
 The semi-affine operator acts on extended coordinates: its finite block is
 the adjacency matrix, its affine row is zero, and its affine column keeps
@@ -39,17 +39,13 @@ from typing import NamedTuple
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
 from .diagram import BpgId, Diagram, DiagramId, build, finite_part, folded_pair, molien_group
 from .errors import CatalogCorruptionError, DomainError
-from .exact import IntMatrix, IntPoly, _pack, _sparse_left, _three_term, _trusted_matrix, _unpack, _width, charpoly
+from .exact import (IntMatrix, IntPoly, _l1, _norm, _pack, _sparse_left, _three_term, _trusted_matrix,
+                    _unpack, _width, charpoly)
 from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, z_polynomials
 
 _TOL = 1e-6
-
-
-def _l1(p: IntPoly) -> int:
-    """|p|, the coefficient 1-norm."""
-    return sum(map(abs, p.coeffs))
 
 
 def _of_t2(p: IntPoly, q: IntPoly) -> bool:
@@ -61,11 +57,6 @@ def _of_t2(p: IntPoly, q: IntPoly) -> bool:
 def _title(ext: Diagram) -> str:
     """What a report calls a diagram: its id's text, else `Diagram.name`."""
     return ext.did.text if ext.did else ext.name
-
-
-def _norm(m: IntMatrix, shift: int = 0) -> int:
-    """||shift I + m||, the largest row sum of its absolute entries."""
-    return max(sum(map(abs, row)) - abs(row[i]) + abs(shift + row[i]) for i, row in enumerate(m.rows))
 
 
 class Report(NamedTuple):
@@ -111,7 +102,7 @@ def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
 
 
-def verify_kostant_relation(diagram: Diagram, nterms: int = 40) -> Report:
+def verify_kostant_relation(diagram: Diagram, nterms: int) -> Report:
     """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
     rational-function identity t B x = (1 + t^2) x - e0."""
     b = _sparse_left(diagram.bonds)  # applied to both sides
@@ -138,9 +129,7 @@ def verify_ebeling(diagram: Diagram) -> Report:
     On the odd cycles, which have no bicolored affine transformation, the
     second identity is replaced by the closed cycle form (t^m - 1)^2.
     """
-    if not diagram.extended:
-        raise DomainError("Ebeling identities compare an extended diagram")
-    gf = generating_function(diagram)
+    gf = generating_function(diagram)  # raises DomainError on a finite diagram
     chi = charpoly(coxeter_transform(finite_part(diagram)))
     checks = [("det M_0(t) = chi(t^2)", _of_t2(gf.numerators[0], chi))]
     if diagram.bipartition is not None:
@@ -171,7 +160,7 @@ def verify_kostant_form(ext: Diagram) -> Report:
     component by component, as det M_i (1 - t^a)(1 - t^b) = z(t)_i det M."""
     zt = z_polynomials(ext)
     if ext.did is None:
-        raise DomainError(f"{ext.name} has no catalog id, so no Molien group H gives |H| for a and b")
+        raise DomainError(f"{ext.name}: no Molien group H gives |H| for a and b")
     a, b, _, _ = kostant_numbers(ext.did)
     den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
     gf = generating_function(ext)
@@ -266,7 +255,7 @@ def verify_observation(ext: Diagram) -> Report:
     return Report(f"mckay observation for {_title(ext)}", tuple(checks))
 
 
-def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
+def crosscheck(bid: BpgId, nterms: int) -> Report:
     """Molien series against component 0 of the paired diagram, two routes."""
     group = enumerate_group(bid)
     did = bid.paired_diagram()
@@ -286,7 +275,7 @@ def crosscheck(bid: BpgId, nterms: int = 60) -> Report:
     return Report(f"molien crosscheck {bid.text} vs {did.text}", tuple(checks))
 
 
-def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
+def mckay_matrix_numeric(bid: BpgId, nterms: int) -> Report:
     """Report on the Clebsch-Gordan shift B v_n = v_(n-1) + v_(n+1) on the
     paired diagram, with component 0 sourced from the Molien sum rather
     than from Cramer.
@@ -313,7 +302,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
         (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:])),
         ("(B v_n)_0 = m0(n-1) + m0(n+1) with molien-sourced m0", comp0),
     ]
-    if bid.family == "cyclic" and bid.n >= 2:
+    if bid.family == "cyclic":  # cyclic:1 has no paired diagram
         s = ext.size  # B = P + P^-1 with P the cyclic shift
         circulant = all(
             b[i, j] == ((i - j) % s == 1) + ((j - i) % s == 1)
@@ -324,7 +313,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int = 40) -> Report:
     return Report(f"mckay shift for {bid.text} via {did.text}", tuple(checks))
 
 
-def folded_component_report(did: DiagramId, nterms: int = 24) -> Report:
+def folded_component_report(did: DiagramId, nterms: int) -> Report:
     """Component 0 of a folded diagram against the Molien series of its
     natural subgroup pair (H, G): it must match that of H and differ from
     that of G.  Each label says what the comparison found."""

@@ -673,7 +673,7 @@ def test_component_0_commands_expand_one_series(capsys, monkeypatch):
     runs = (
         lambda: run(capsys, "poincare", "E8", "--terms", "50")[0] == 0,
         lambda: run(capsys, "verify", "molien", "binary_icosahedral")[0] == 0,
-        lambda: mckay.folded_component_report(DiagramId.parse("F4")).passed,
+        lambda: mckay.folded_component_report(DiagramId.parse("F4"), 24).passed,
     )
     for go in runs:
         calls.clear()

@@ -257,8 +257,20 @@ def test_diagram_names():
     assert build(DiagramId("E6")).name == "E6"
     assert build(DiagramId("E6"), extended=True).name == "extended E6"
     g2 = fold(build(DiagramId("D", 4), extended=True), (("a0",), ("d2",), ("d1", "f1", "f2")))
-    assert g2.name == "extended folded diagram"
+    assert g2.name == "extended diagram with no catalog id"
     assert build(DiagramId("G2"), extended=True).name == "extended G2"
+
+
+def test_every_catalog_fold_has_2_on_its_diagonal():
+    """fold sums an orbit's own column as it sums any other: with no bond
+    inside the orbit, that sum is K_jj = 2, on each of the 23 catalog folds."""
+    folds = [d for d in catalog_extended() if d.did.family not in SIMPLY_LACED]
+    assert len(folds) == 23
+    for d in folds:
+        base, orbits, _ = _FOLDS[d.did.family](d.did.rank)
+        folded = fold(build(DiagramId.parse(base), extended=True), orbits)
+        assert folded.cartan == d.cartan, d.did.text
+        assert [row[i] for i, row in enumerate(folded.cartan.rows)] == [2] * d.size, d.did.text
 
 
 def test_fold_f4_pair_from_extended_e6():

@@ -117,6 +117,11 @@ def test_poly_arithmetic():
     assert (T + 1) ** 2 == T**2 + 2 * T + 1
     assert p(1) == 2
     assert p(Fraction(1, 2)) == Fraction(1, 1) + Fraction(2, 8) - Fraction(1, 32)
+    # a zero factor, the empty polynomial or the int 0, on either side
+    for q in (T - 2, -3 * T**4 + 6, IntPoly((5,)), IntPoly()):
+        for zero in (IntPoly(), 0):
+            for product in (q * zero, zero * q):
+                assert isinstance(product, IntPoly) and product.coeffs == (), (q, zero)
 
 
 @pytest.mark.parametrize("c", (-2, 0, 1, 7))
@@ -142,9 +147,35 @@ def test_poly_gcd():
     assert poly_gcd(-T + 1, T**2 - 1) == T - 1
 
 
+def _sympy_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    x = sympy.Symbol("x")
+    p, q = (sympy.Poly(list(reversed(f.coeffs)) or [0], x, domain="ZZ") for f in (p, q))
+    return IntPoly(int(c) for c in reversed(sympy.gcd(p, q).all_coeffs()))
+
+
+def test_poly_gcd_with_zero_operands_against_sympy():
+    """gcd(p, 0) = gcd(0, p) is p with content kept and sign made positive,
+    and gcd(0, 0) = 0, from the remainder sequence alone: operands with a
+    negative leading coefficient and content above 1, constants among them,
+    in both orders, and random pairs of which some are zero."""
+    zero = IntPoly()
+    signed = (-6 * T**2 + 6, -4 * T + 4, 9 * T**3 - 3 * T, IntPoly((-6,)), IntPoly((4,)), T**2 + 1)
+    for p in (zero, *signed):
+        for q in (zero, *signed):
+            assert poly_gcd(p, q) == _sympy_gcd(p, q), (p, q)
+    assert poly_gcd(zero, -6 * T**2 + 6) == poly_gcd(-6 * T**2 + 6, zero) == 6 * T**2 - 6
+    assert poly_gcd(zero, IntPoly((-6,))) == 6
+    rng = random.Random(1967)
+    for _ in range(200):
+        p, q = (rng.choice((0, -1, 1, 2, -3)) * IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
+                for _ in range(2))
+        assert poly_gcd(p, q) == _sympy_gcd(p, q), (p, q)
+
+
 def test_charpoly_frozen_values():
     assert charpoly(IntMatrix(())) == IntPoly.one()
     assert charpoly(IntMatrix.identity(2)) == (T - 1) ** 2
+    assert charpoly(IntMatrix(((0, 0, 0),) * 3)) == T**3  # row norm 0
     # Coxeter transformation of the rank-2 chain
     assert charpoly(IntMatrix(((0, -1), (1, -1)))) == T**2 + T + 1
 
@@ -536,8 +567,8 @@ def test_slot_readers_against_the_shift_sum(w):
         row = [rng.choice((-lim, lim, 0, rng.randint(-lim, lim))) for _ in range(n)]
         x = _shift_sum(row, w)
         assert _pack([row], w) == [x]
-        low, signed = _low_slots(x + (rng.randint(-(1 << 40), 1 << 40) << (w * n)), n, w)
-        assert low == x % (1 << (w * n)) and signed == (row if min(row) < 0 else None)
+        v, nonnegative = _low_slots(x + (rng.randint(-(1 << 40), 1 << 40) << (w * n)), n, w)
+        assert v == x and nonnegative == (min(row) >= 0)
         top = max((j for j, v in enumerate(row) if v), default=-1)
         assert _decode(x, w) == IntPoly(row[:top + 1])
     for _ in range(100):
@@ -559,10 +590,10 @@ def test_slot_readers_against_the_shift_sum(w):
 
 
 def test_low_slots_against_unpack():
-    """_low_slots(x, n, w) is x mod 2^(wn) with its n slots read back signed
-    exactly when one is negative, whatever multiple of 2^(wn) lies above
-    them: 1 to 40 slots of widths 8 to 64, each slot zero, an extreme or
-    random, all of one sign or of both."""
+    """_low_slots(x, n, w) is (v, nonnegative): v is _pack of the n low slots
+    of x that _unpack reads, and nonnegative says that none is negative,
+    whatever multiple of 2^(wn) lies above them: 1 to 40 slots of widths 8
+    to 64, each slot zero, an extreme or random, all of one sign or of both."""
     rng = random.Random(2027)
     outcomes = set()
     for _ in range(3000):
@@ -572,10 +603,10 @@ def test_low_slots_against_unpack():
         (packed,) = _pack([[rng.choice((lo, top, 0, rng.randint(lo, top))) for _ in range(n)]], w)
         x = packed + (rng.randint(-(1 << 70), 1 << 70) << (w * n))
         slots = _unpack(packed, n, w)
-        low, signed = _low_slots(x, n, w)
-        assert low == x % (1 << (w * n)), (w, n)
-        assert signed == (slots if min(slots) < 0 else None), (w, n, slots)
-        outcomes.add(signed is None)
+        v, nonnegative = _low_slots(x, n, w)
+        assert [v] == _pack([slots], w), (w, n, slots)
+        assert nonnegative == (min(slots) >= 0), (w, n, slots)
+        outcomes.add(nonnegative)
     assert outcomes == {True, False}
 
 
@@ -617,8 +648,11 @@ def test_ratfunc_frozen_values():
     f = RatFunc(T**3 + 1, T + 1)
     assert f.is_polynomial()
     assert f.num == T**2 - T + 1 and f.den == IntPoly.one()
-    z = RatFunc(IntPoly(), T**5 - 3)
-    assert z.num == IntPoly() and z.den == IntPoly.one()
+    # a zero numerator gives 0 / 1 for any sign and content of the denominator
+    for d in (T**5 - 3, -6 * T**2 + 3, 1 - T, IntPoly((-3,)), 4 * T**5 - 2, -1):
+        for zero in (IntPoly(), 0):
+            z = RatFunc(zero, d)
+            assert z.num.coeffs == () and z.den.coeffs == (1,), d
     g = RatFunc(T**2 - 1, T - 1)
     assert g.num == T + 1 and g.den == IntPoly.one()
     # denominator leading coefficient is made positive

@@ -137,11 +137,11 @@ def test_tree_solve_domain_errors():
     lonely = _make(None, True, ("a0", "v1"), IntMatrix(((2, 0), (0, 2))))
     with pytest.raises(DomainError) as exc:
         generating_function(lonely)
-    assert str(exc.value) == "the affine vertex of extended folded diagram has no neighbours"
+    assert str(exc.value) == "the affine vertex of extended diagram with no catalog id has no neighbours"
     split = _make(None, True, ("a0", "v1", "v2"), IntMatrix(((2, -1, 0), (-1, 2, 0), (0, 0, 2))))
     with pytest.raises(DomainError) as exc:
         generating_function(split)
-    assert str(exc.value) == "the finite part of extended folded diagram is disconnected"
+    assert str(exc.value) == "the finite part of extended diagram with no catalog id is disconnected"
 
 
 def test_generating_function_a1():

@@ -8,7 +8,7 @@ import dynkinlab.kostant as kostant
 import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import coxeter_number
 from dynkinlab.cli import main
-from dynkinlab.diagram import SIMPLY_LACED, DiagramId, build, catalog_extended, finite_part
+from dynkinlab.diagram import SIMPLY_LACED, BpgId, DiagramId, build, catalog_extended, finite_part
 from dynkinlab.errors import DomainError, ExcludedDiagramError
 from dynkinlab.exact import IntMatrix, IntPoly, _decode, _trusted_matrix
 from dynkinlab.kostant import generating_function
@@ -466,7 +466,7 @@ def test_kostant_form_on_the_wild_tree_controls(pqr):
     on T_{3,3,3} the walk succeeds and the check refuses for want of the
     Molien group whose order gives Kostant's numbers a and b."""
     if not _refused_as_hyperbolic(verify_kostant_form, pqr):
-        with pytest.raises(DomainError, match="no catalog id, so no Molien group H"):
+        with pytest.raises(DomainError, match="no catalog id: no Molien group H gives"):
             verify_kostant_form(star_tree(*pqr))
 
 
@@ -476,3 +476,12 @@ def test_affine_control_is_extended_e6():
     tree, e6 = generating_function(star_tree(3, 3, 3)), generating_function(build(DiagramId("E6"), extended=True))
     assert tree.det_m == e6.det_m and tree.numerators[0] == e6.numerators[0]
 
+
+def test_the_first_call_refuses_what_no_guard_checks():
+    """verify_ebeling leaves a finite diagram to generating_function, and
+    mckay_matrix_numeric leaves cyclic:1 to paired_diagram, before its
+    circulant line reads n: each raises DomainError."""
+    with pytest.raises(DomainError, match="live on the extended diagram"):
+        verify_ebeling(build(DiagramId("E6")))
+    with pytest.raises(DomainError, match="cyclic:1 has no paired diagram"):
+        mckay.mckay_matrix_numeric(BpgId("cyclic", 1), 2)
