@@ -377,6 +377,18 @@ def _norm(m: IntMatrix, shift: int = 0) -> int:
     return max(sum(map(abs, row)) - abs(row[i]) + abs(shift + row[i]) for i, row in enumerate(m.rows))
 
 
+def _agree(nums: Sequence[IntPoly], den: IntPoly, others: Sequence[IntPoly], other_den: IntPoly) -> list[bool]:
+    """Whether nums[i] / den = others[i] / other_den for each i, as nums[i]
+    other_den = others[i] den at t = 2^w, all packed by one `_pack`.  Width
+    rule: a difference with all |coefficients| < 2^(w-1) is zero iff its
+    value at 2^w is; here w = `_width`(max|nums_i| |other_den| + max|others_i|
+    |den|) by |p q| <= |p| |q|, |p| = `_l1(p)`, and `mckay`'s matrix
+    identities bound theirs by ||X Y|| <= ||X|| ||Y||, ||X|| = `_norm(X)`."""
+    w = _width(max(map(_l1, nums)) * _l1(other_den) + max(map(_l1, others)) * _l1(den))
+    *xs, d, od = _pack((p.coeffs for p in (*nums, *others, den, other_den)), w)
+    return [x * od == y * d for x, y in zip(xs[:len(nums)], xs[len(nums):], strict=True)]
+
+
 @lru_cache(maxsize=None)
 def _bias(n: int, w: int) -> int:
     """2^(w-1) in each of n slots of w bits, w a multiple of 8; cached per

@@ -13,14 +13,11 @@ lambda = t^2, the closed and orbit forms set the Cramer components against
 (1 + t^h) and z(t) over (1 - t^a)(1 - t^b), and the Molien series meets
 component 0 (McKay's correspondence).  Each identity on x(t) is checked on
 the numerators y_i with det M cleared.  Where an identity multiplies, its
-sides are compared as integers at t = 2^w (`exact._pack`; a matrix row
-by row), w sized by one rule: a difference whose coefficients all lie
-below 2^(w-1) in absolute value is zero iff its value at 2^w is, bounded
-by |p q| <= |p| |q| and ||X Y|| <= ||X|| ||Y||, where |p| = `exact._l1(p)`
-is the coefficient 1-norm and ||X|| = `exact._norm(X)` the largest row sum
-of |X_ij|.  McKay's relation B v_n = v_(n-1) + v_(n+1) is checked on packed
-columns in one place, `exact._three_term`, for the Cramer series and the
-assembling vectors alike.  `Report` is the type of every check's answer.
+sides are compared as integers at t = 2^w (`exact._pack`; a matrix row by
+row), w sized by the rule at `exact._agree`, which compares the closed and
+orbit forms.  McKay's relation B v_n = v_(n-1) + v_(n+1) is checked on
+packed columns in one place, `exact._three_term`, for the Cramer series and
+the assembling vectors alike.  `Report` is every check's answer type.
 
 The semi-affine operator acts on extended coordinates: its finite block is
 the adjacency matrix, its affine row is zero, and its affine column keeps
@@ -39,8 +36,8 @@ from typing import NamedTuple
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
 from .diagram import BpgId, Diagram, DiagramId, build, finite_part, folded_pair, molien_group
 from .errors import CatalogCorruptionError, DomainError
-from .exact import (IntMatrix, IntPoly, _l1, _norm, _pack, _sparse_left, _three_term, _trusted_matrix,
-                    _unpack, _width, charpoly)
+from .exact import (IntMatrix, IntPoly, _agree, _l1, _norm, _pack, _sparse_left, _three_term,
+                    _trusted_matrix, _unpack, _width, charpoly)
 from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, z_polynomials
@@ -147,11 +144,10 @@ def verify_closed_form(did: DiagramId) -> Report:
     det M_0 (1 - t^a)(1 - t^b) = (1 + t^h) det M."""
     gf = generating_function(build(did, extended=True))
     num, den = closed_form_component0(did)
-    w = _width(_l1(gf.numerators[0]) * _l1(den) + _l1(num) * _l1(gf.det_m))
-    y0, d, n, m = _pack((p.coeffs for p in (gf.numerators[0], den, num, gf.det_m)), w)
+    (ok,) = _agree(gf.numerators[:1], gf.det_m, (num,), den)
     return Report(
         f"kostant closed form for {did.text}",
-        ((f"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for {did.text}", y0 * d == n * m),),
+        ((f"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for {did.text}", ok),),
     )
 
 
@@ -164,16 +160,8 @@ def verify_kostant_form(ext: Diagram) -> Report:
     a, b, _, _ = kostant_numbers(ext.did)
     den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
     gf = generating_function(ext)
-    w = _width(max(map(_l1, gf.numerators)) * _l1(den) + max(map(_l1, zt)) * _l1(gf.det_m))
-    *y, d, m = _pack((p.coeffs for p in (*gf.numerators, den, gf.det_m)), w)
-    z = _pack((p.coeffs for p in zt), w)
-    checks = tuple(
-        (
-            f"[P]_{ext.labels[i]} = z(t)_{ext.labels[i]} / ((1 - t^{a})(1 - t^{b}))",
-            y[i] * d == z[i] * m,
-        )
-        for i in range(ext.size)
-    )
+    checks = tuple((f"[P]_{label} = z(t)_{label} / ((1 - t^{a})(1 - t^{b}))", ok)
+                   for label, ok in zip(ext.labels, _agree(gf.numerators, gf.det_m, zt, den)))
     return Report(f"kostant form via orbit for {ext.did.text}", checks)
 
 

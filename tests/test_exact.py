@@ -23,9 +23,11 @@ from dynkinlab.exact import (
     nullspace_primitive,
     poly_gcd,
     series_expand,
+    _agree,
     _decode,
     _echelon,
     _fits,
+    _l1,
     _low_slots,
     _order,
     _pack,
@@ -642,6 +644,49 @@ def test_fits_against_the_largest_unpacked_slot():
     # rows of different slot counts in one call: each is read to its top slot
     assert _fits(_pack([[1], [0] * 39 + [4]], 8), 8, 4)
     assert not _fits(_pack([[1], [0] * 39 + [8]], 8), 8, 4)
+
+
+def _random_poly(rng, zero=0.0) -> IntPoly:
+    """0 with probability zero, else 1 to 6 coefficients in [-9, 9]."""
+    return IntPoly() if rng.random() < zero else IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+
+
+def test_agree_against_intpoly_products():
+    """_agree(nums, den, others, other_den)[i] is nums[i] other_den ==
+    others[i] den as IntPoly products: c a / (a g) against c b / (b g), as
+    built or with a random term added to c b, over numerators of different
+    lengths, zero ones and negative coefficients; sides of unequal count
+    are refused."""
+    rng, outcomes = random.Random(36), set()
+    for _ in range(400):
+        a, b, g = (_random_poly(rng) or T for _ in range(3))
+        cs = [_random_poly(rng, zero=0.2) for _ in range(rng.randint(1, 6))]
+        nums = [c * a for c in cs]
+        others = [c * b + (_random_poly(rng, zero=0.2) if rng.random() < 0.5 else 0) for c in cs]
+        expected = [x * (b * g) == y * (a * g) for x, y in zip(nums, others)]
+        assert _agree(nums, a * g, others, b * g) == expected, (nums, others, a, b, g)
+        outcomes.update(expected)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError):
+        _agree((T,), T, (T, T), T)
+
+
+@pytest.mark.parametrize("term", ["nums", "others"])
+def test_agree_width_at_its_edge(monkeypatch, term):
+    """3 p / q against p / r, q = (1 - t^2)(1 - t^3) and r the digits of
+    q(2^8) / 3 (q(1) = 0 and 2^8 = 1 mod 3), agree at t = 2^8 but not in
+    Z[t].  Each term of the bound in its turn carries the width, the other
+    below 2^7: the helper FAILs at the 16 bits it gives and PASSes with them
+    cut by a byte, as it would under a bound without that term."""
+    p, q = 1 + T**6, (1 - T**2) * (1 - T**3)
+    r = _decode(q(1 << 8) // 3, 8)
+    args = ((3 * p,), q, (p,), r) if term == "nums" else ((p,), r, (3 * p,), q)
+    assert _l1(p) * _l1(q) < 1 << 7 <= _l1(3 * p) * _l1(r)
+    real, widths = exact_module._width, []
+    monkeypatch.setattr(exact_module, "_width", lambda bound: widths.append(real(bound)) or widths[-1])
+    assert _agree(*args) == [False] and widths == [16]
+    monkeypatch.setattr(exact_module, "_width", lambda bound: real(bound) - 8)
+    assert _agree(*args) == [True]
 
 
 def test_ratfunc_frozen_values():

@@ -23,6 +23,10 @@ there, a label and its verdict, holds a literal bool as the verdict.
 A fifth keeps every memo one that a caller can clear: no function stores
 into a module-level container, so each memo is an `lru_cache`, and the
 benchmark's `cache_clear` before each invocation starts it cold.
+
+A sixth keeps the width rule in one place: in `mckay`, only the matrix
+identities size a packed width by `_width`; a check that compares
+cross-multiplied fractions calls `exact._agree`, which sizes its own.
 """
 
 import ast
@@ -242,3 +246,22 @@ def test_no_function_stores_into_a_module_level_container():
         "def nested():\n    def inner():\n        CACHE[1] += 1\n    return inner\n"
     )
     assert _global_stores({"m": sample}) == ["m.g:18", "m.log:6", "m.m:14", "m.memo:4", "m.nested:23"]
+
+
+def _width_callers(tree: ast.Module) -> list[str]:
+    """Every module-level function that calls `_width`, by name or as an
+    attribute, in its body or in a function nested in it."""
+    return sorted(func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+                  and any(isinstance(n, ast.Call) and "_width" in _named(n.func) for n in ast.walk(func)))
+
+
+def test_only_the_matrix_identities_size_a_width_in_mckay():
+    assert _width_callers(_trees()["mckay"]) == ["verify_observation", "verify_z_recurrence"]
+    sample = ast.parse(
+        "def closed(p):\n    return _width(p)\n"
+        "def kernel(p):\n    return exact._width(p)\n"
+        "def outer(p):\n    def inner():\n        return _width(p)\n    return inner\n"
+        "def agreed(p):\n    return _agree(p)\n"
+        "def named(p):\n    width = _width\n    return width\n"
+    )
+    assert _width_callers(sample) == ["closed", "kernel", "outer"]

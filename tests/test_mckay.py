@@ -4,6 +4,7 @@ of `mckay` against the IntPoly and IntMatrix products of
 
 import pytest
 
+import dynkinlab.exact as exact
 import dynkinlab.kostant as kostant
 import dynkinlab.mckay as mckay
 from dynkinlab.coxeter import coxeter_number
@@ -223,8 +224,8 @@ def test_packed_comparisons_agree_with_the_product_route(monkeypatch, perturb):
     IntPoly and IntMatrix products, with every side as built or with one
     side off where `mckay` reads it: entry (i, i) of C by one (i = -1 the
     last), or z(t)_i or the Cramer numerator y_i by t^3.  The width w each
-    check chooses holds both sides, so also their difference, below
-    2^(w-1)."""
+    check chooses, by `mckay._width` or inside `exact._agree`, holds both
+    sides, so also their difference, below 2^(w-1)."""
     kind, i = perturb or (None, None)
     if kind == "C":
         real_c = mckay.coxeter_transform
@@ -242,13 +243,15 @@ def test_packed_comparisons_agree_with_the_product_route(monkeypatch, perturb):
         real_gf = mckay.generating_function
         monkeypatch.setattr(mckay, "generating_function",
                             lambda d: real_gf(d)._replace(numerators=_bump(real_gf(d).numerators, i)))
-    widths, real_width = [], mckay._width
-    monkeypatch.setattr(mckay, "_width", lambda bound: widths.append(real_width(bound)) or widths[-1])
+    widths = []
+    for module in (mckay, exact):
+        monkeypatch.setattr(module, "_width",
+                            lambda bound, real=module._width: widths.append(real(bound)) or widths[-1])
     flipped = 0
     for check, target in _cases():
         widths.clear()
         packed = [ok for _, ok in PACKED[check](target)]
-        w = widths[-1]  # z-recurrence sizes its three-term columns first
+        w = widths[-1]  # each check sizes its compared sides last; z-recurrence its blocks
         lines = product_route(check, target)
         assert packed == [all(lhs == rhs for lhs, rhs in pairs) for pairs in lines], (check, target)
         for lhs, rhs in (pair for pairs in lines for pair in pairs):
@@ -305,7 +308,7 @@ def test_closed_form_width_at_its_edge(monkeypatch, side):
     else:
         _patch_gf(monkeypatch, mckay, ext, det_m=_digits(det_m(X) // 3))
         monkeypatch.setattr(mckay, "closed_form_component0", lambda d: (3 * num, den))
-    assert _real_and_cut(monkeypatch, mckay, lambda: verify_closed_form(did)) == (
+    assert _real_and_cut(monkeypatch, exact, lambda: verify_closed_form(did)) == (
         {"[P]_0 = (1 + t^h)/((1 - t^a)(1 - t^b)) for E6"}, [16], set())
 
 
@@ -316,7 +319,7 @@ def test_orbit_form_width_at_its_edge(monkeypatch):
     _patch_gf(monkeypatch, mckay, d, det_m=_digits(generating_function(d).det_m(X) // 3))
     monkeypatch.setattr(mckay, "z_polynomials", lambda g: tuple(3 * p for p in zt))
     labels = {label for label, _ in verify_kostant_form(d).checks}
-    assert _real_and_cut(monkeypatch, mckay, lambda: verify_kostant_form(d)) == (labels, [16], set())
+    assert _real_and_cut(monkeypatch, exact, lambda: verify_kostant_form(d)) == (labels, [16], set())
 
 
 @pytest.mark.parametrize("route", ["z", "y"])
