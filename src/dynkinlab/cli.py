@@ -13,9 +13,11 @@ checks up in one table, `_checks`.  Inputs beyond the MAX_* bounds are
 usage errors; a group that a check pairs with a diagram must also keep
 that diagram within MAX_RANK.
 
-`main` builds only the parser of the verb it was asked for; with help, no
-verb or an unknown verb it builds the whole tree, so the top-level help and
-the choice errors list every verb.  `json` is imported only to print JSON.
+Each verb has its own parser: when the first argument is a verb, `main`
+builds that verb's parser alone and parses the arguments after it.  Any
+other command line (help, no verb, an unknown verb) goes to the whole tree,
+one subparser per verb, so the top-level help and the choice errors list
+every verb.  `json` is imported only to print JSON.
 """
 
 from __future__ import annotations
@@ -100,49 +102,56 @@ def _paired_group_id(text: str) -> BpgId:
     return bid
 
 
-def _build_parser(verb: str | None = None) -> _Parser:
-    """The subparser of `verb` alone when it is a key of `_HANDLERS`,
-    otherwise every verb's."""
-    p = _Parser(prog="dynkinlab", description="Coxeter transformations, Poincare series and McKay data for Dynkin diagrams")
-    sub = p.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    wanted = (verb,) if verb in _HANDLERS else tuple(_HANDLERS)
+# each verb's line in `dynkinlab --help`
+_HELP = {
+    "cartan": "print the Cartan matrix",
+    "coxeter": "print the Coxeter transformation",
+    "charpoly": "characteristic polynomials of the Coxeter and affine Coxeter transformations",
+    "quotient": "quotient of the two characteristic polynomials",
+    "poincare": "Poincare series of the invariant algebra (component 0)",
+    "orbit": "orbit of beta, the nil root's finite part, under the bicolored involutions",
+    "zpoly": "assembling vectors and their generating polynomials",
+    "molien": "Molien series of a binary polyhedral group",
+    "verify": "run named identity checks",
+}
 
-    def diagram_verb(name: str, help_text: str, *, extended=False, k=False, terms=False):
-        if name not in wanted:
-            return
-        q = sub.add_parser(name, help=help_text)
+
+def _add_arguments(q: _Parser, verb: str) -> None:
+    """The arguments of one verb."""
+    if verb == "molien":
+        q.add_argument("group", help="cyclic:N, binary_dihedral:N, binary_tetrahedral, binary_octahedral, binary_icosahedral")
+        q.add_argument("--terms", type=_terms, default=40)
+    elif verb == "verify":
+        q.add_argument("check", choices=("all", *_checks()))
+        q.add_argument("target", nargs="?", default=None,
+                       help="diagram or group to check (default: whole catalog)")
+        q.add_argument("--terms", type=_terms, default=40)
+    else:
         q.add_argument("diagram", help="diagram name, e.g. E6, A3, DD4")
-        if extended:
+        if verb in ("cartan", "coxeter"):
             q.add_argument("--extended", action="store_true", help="use the extended diagram")
-        if k:
+        if verb in ("charpoly", "quotient"):
             q.add_argument("--k", type=_integer, default=None,
                            help="conjugacy class index for family A (1 <= k <= rank)")
-        if terms:
+        if verb == "poincare":
             q.add_argument("--terms", type=_terms, default=40,
                            help="number of series coefficients (default 40)")
-        q.add_argument("--format", choices=("text", "json"), default="text")
+    q.add_argument("--format", choices=("text", "json"), default="text")
 
-    diagram_verb("cartan", "print the Cartan matrix", extended=True)
-    diagram_verb("coxeter", "print the Coxeter transformation", extended=True)
-    diagram_verb("charpoly", "characteristic polynomials of the Coxeter and affine Coxeter transformations", k=True)
-    diagram_verb("quotient", "quotient of the two characteristic polynomials", k=True)
-    diagram_verb("poincare", "Poincare series of the invariant algebra (component 0)", terms=True)
-    diagram_verb("orbit", "orbit of beta, the nil root's finite part, under the bicolored involutions")
-    diagram_verb("zpoly", "assembling vectors and their generating polynomials")
 
-    if "molien" in wanted:
-        m = sub.add_parser("molien", help="Molien series of a binary polyhedral group")
-        m.add_argument("group", help="cyclic:N, binary_dihedral:N, binary_tetrahedral, binary_octahedral, binary_icosahedral")
-        m.add_argument("--terms", type=_terms, default=40)
-        m.add_argument("--format", choices=("text", "json"), default="text")
-
-    if "verify" in wanted:
-        v = sub.add_parser("verify", help="run named identity checks")
-        v.add_argument("check", choices=("all", *_checks()))
-        v.add_argument("target", nargs="?", default=None,
-                       help="diagram or group to check (default: whole catalog)")
-        v.add_argument("--terms", type=_terms, default=40)
-        v.add_argument("--format", choices=("text", "json"), default="text")
+def _build_parser(verb: str | None = None) -> _Parser:
+    """The parser of `verb` alone, which parses the arguments after the verb,
+    when it is a key of `_HANDLERS`; otherwise the whole tree, one
+    subparser per verb."""
+    if verb in _HANDLERS:
+        p = _Parser(prog=f"dynkinlab {verb}")
+        _add_arguments(p, verb)
+        p.set_defaults(verb=verb)
+        return p
+    p = _Parser(prog="dynkinlab", description="Coxeter transformations, Poincare series and McKay data for Dynkin diagrams")
+    sub = p.add_subparsers(dest="verb", required=True, parser_class=_Parser)
+    for name in _HANDLERS:
+        _add_arguments(sub.add_parser(name, help=_HELP[name]), name)
     return p
 
 
@@ -349,9 +358,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
+    known = bool(argv) and argv[0] in _HANDLERS
+    parser = _build_parser(argv[0] if known else None)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if known else argv)
         result = _HANDLERS[args.verb](args)
         if args.format == "json":
             import json  # only --format json needs it; every other run starts without it

@@ -10,7 +10,12 @@ in F_p.  p is the least prime congruent to 1 mod L, with L = lcm(120, 2N)
 and N the group's parameter (1 for the exceptional groups), so F_p holds
 zeta of exact order L and with it i, 1/2, sqrt 2 and the golden ratio.
 Reduction mod such a prime is injective on a finite matrix group
-(Minkowski's lemma), and the closure's size is checked against |G|.
+(Minkowski's lemma), and the closure's size is checked against |G|.  The
+closure is Dimino's coset closure, in batches of products by one right
+factor: the cyclic group of the first generator by doubling, then one
+right coset per batch.  It forms each element but the identity once, the
+tail of its last doubling aside, plus one squaring per doubling and one
+product per coset representative and generator.
 
 Each element's trace is zeta^j + zeta^-j for one j in 0..L/2, and as
 g^|G| = I (Lagrange), j is a multiple of L / gcd(L, |G|): only those j are
@@ -22,7 +27,8 @@ follow from T(n) = T(n-2) + P(n), each divided exactly by |G|.  L is
 factored once per sum, and P(n) = T(n) - T(n-2) depends only on
 gcd(n, L): so |G| divides every T(n) exactly when it divides P(d) for each
 gcd d that occurs, which is checked once per d before the recurrence runs
-on the quotients.
+on the quotients.  gcd(n, L) comes from a sieve over the divisors of L,
+not from one gcd call per n.
 """
 
 from __future__ import annotations
@@ -87,10 +93,11 @@ def _field(level: int) -> tuple[int, int]:
     return p, next(z for z in candidates if all(pow(z, level // q, p) != 1 for q in factors))
 
 
-def _mul(x: Mat2, y: Mat2, p: int) -> Mat2:
-    (a, b), (c, d) = x
+def _times(xs: list[Mat2], y: Mat2, p: int) -> list[Mat2]:
+    """[x y for x in xs], mod p: one batch of products by one right factor."""
     (e, f), (g, h) = y
-    return (((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p))
+    return [(((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p))
+            for (a, b), (c, d) in xs]
 
 
 def _generators(bid: BpgId, p: int, level: int, zeta: int) -> tuple[Mat2, ...]:
@@ -126,8 +133,22 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
     order; cached per process.  Like every cached function in the package it
     hands out nothing mutable: BpgGroup is frozen and holds only tuples.
 
-    Each element is multiplied by each generator exactly once.  Every
-    generator must have determinant 1, hence so has every element."""
+    Dimino's coset closure (Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991), in batches of products by one right factor.  The cyclic
+    group of the first generator g doubles: g^0..g^(m-1) times g^m, cut at
+    the first identity.  Each later generator s not yet in the group H
+    closed so far adds the right coset H s, then H r for every product r of
+    a coset representative (the first element of its coset) by a generator
+    so far that is not yet in the group: the group so far is a union of
+    right cosets of H, so only r needs a membership test.
+
+    So each element but the identity is formed once, by a doubling or a
+    coset batch, and the batches form 2^k - ord g products more, 2^k the
+    least power of 2 at or above ord g: the last doubling runs to its end
+    past the identity.  Beyond those come one squaring after each doubling
+    batch that does not hold the identity and, for each coset of H but H
+    itself, one product per generator so far.  Every generator must have
+    determinant 1, hence so has every element."""
     expected = bid.order
     # 120 holds the element orders 3, 5, 8 and 10 of the exceptional groups,
     # 2N the rotation orders of the parametric ones
@@ -138,24 +159,34 @@ def enumerate_group(bid: BpgId) -> BpgGroup:
         if (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p != 1:
             raise GeneratorSetError(f"{bid.text}: generator {g} has determinant != 1 mod {p}")
     identity: Mat2 = ((1, 0), (0, 1))
-    seen = {identity}
-    elems: list[Mat2] = [identity]
-    frontier = [identity]
-    while frontier:
-        fresh: list[Mat2] = []
-        for x in frontier:
-            for g in gens:
-                y = _mul(x, g, p)
-                if y in seen:
-                    continue
-                seen.add(y)
-                elems.append(y)
-                fresh.append(y)
-                if len(elems) > expected:
-                    raise GeneratorSetError(
-                        f"{bid.text}: closure exceeded expected order {expected}"
-                    )
-        frontier = fresh
+    elems, seen = [identity], {identity}
+
+    def add(batch: list[Mat2]) -> None:
+        elems.extend(batch)
+        seen.update(batch)
+        if len(elems) > expected:
+            raise GeneratorSetError(f"{bid.text}: closure exceeded expected order {expected}")
+
+    power = gens[0]  # g^m, m = len(elems)
+    while power != identity:
+        batch = _times(elems, power, p)
+        if identity in batch:
+            add(batch[:batch.index(identity)])
+            break
+        add(batch)
+        (power,) = _times([power], power, p)
+    for i, s in enumerate(gens[1:], 2):  # gens[:i]: the generators so far
+        if s in seen:
+            continue
+        subgroup, start = elems[:], len(elems)
+        add(_times(subgroup, s, p))
+        while start < len(elems):
+            rep = elems[start]
+            for g in gens[:i]:
+                (r,) = _times([rep], g, p)
+                if r not in seen:
+                    add(_times(subgroup, r, p))
+            start += len(subgroup)
     if len(elems) != expected:
         raise GeneratorSetError(
             f"{bid.text}: closure has {len(elems)} elements, expected {expected}"
@@ -238,7 +269,11 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[tuple[int, ...], int]:
     invariants lie inside Sym^n).  As P(n) = T(n) - T(n-2), |G| divides
     every T(n) with n <= nterms exactly when it divides every such P(n),
     with the same first failing degree; P(n) depends only on
-    d = gcd(n, L), so it is computed and checked once per d.  Then
+    d = gcd(n, L), so it is computed and checked once per d.  The gcds of
+    n <= min(nterms, L) come from a sieve: each divisor d of L, in
+    ascending order, is written at every multiple of d, so the last one
+    written at n is the largest divisor of L that divides n, which is
+    gcd(n, L); the divisors written are exactly the gcds that occur.  Then
     a_n = a_(n-2) + P(n) / |G| from a_0 = 1 and a_(-1) = 0, the steps
     repeating with period L.  This one pass runs up to the first degree n1
     whose P(n1) is not a multiple of |G|, if there is one (it lies in the
@@ -249,12 +284,17 @@ def _molien_sums(group: BpgGroup, nterms: int) -> tuple[tuple[int, ...], int]:
     level, order = group.level, group.order
     phi, mu = _divisor_tables(level)
     weights = _order_weights(group, phi)
-    gcds = list(map(math.gcd, range(1, min(nterms, level) + 1), repeat(level)))
-    power_sums = {d: _power_trace_sum(weights, d, phi, mu) for d in set(gcds)}
+    top = min(nterms, level)
+    divisors = [d for d in sorted(phi) if d <= top]
+    gcds = [0] * top  # gcds[n - 1] = gcd(n, L)
+    for d in divisors:  # ascending, so the last d written at n is gcd(n, L)
+        gcds[d - 1::d] = repeat(d, top // d)
+    power_sums = {d: _power_trace_sum(weights, d, phi, mu) for d in divisors}
     size = nterms + 1  # a_0..a_(size-1) are exact: |G| divides P(n) for 1 <= n < size
     if any(s % order for s in power_sums.values()):
         size = next(n for n, d in enumerate(gcds, 1) if power_sums[d] % order)
-    period = [power_sums[d] // order for d in gcds]  # a_n - a_(n-2), n = 1..
+    quotients = {d: s // order for d, s in power_sums.items()}
+    period = list(map(quotients.__getitem__, gcds))  # a_n - a_(n-2), n = 1..
     steps = list(islice(cycle(period), size - 1))
     out = [0] * size
     out[0::2] = accumulate(steps[1::2], initial=1)

@@ -28,8 +28,10 @@ t = 2^w, must give every line the same verdict.  `lincomb` forms the sums
 and multiples of matrices that it and the tests need.
 `gather_series` is the series recurrence that gathers each term from
 every earlier one, zero or not; `exact.series_expand`, which adds each
-nonzero term forward, is checked against it.  `full_scan_classes` names the
-trace classes by scanning every j in 0..L/2; the scan of `molien.py` over
+nonzero term forward, is checked against it.  `bfs_enumerate_group` is the breadth-first closure over F_p that
+multiplies every element by every generator; the coset closure of
+`molien.py` must find the same elements and trace classes.
+`full_scan_classes` names the trace classes by scanning every j in 0..L/2; the scan of `molien.py` over
 the multiples of L / gcd(L, |G|) must find the same classes.
 `float_enumerate_group` closes each group as 2x2 unitary complex matrices
 with an O(|G|^2) nearness scan, and `float_molien_sums` runs one recurrence
@@ -69,6 +71,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import dynkinlab
 import dynkinlab.mckay as mckay
+import dynkinlab.molien as molien
 from dynkinlab.coxeter import bicolored_reflections
 from dynkinlab.diagram import Diagram, DiagramId, _cartan, _make, build
 from dynkinlab.errors import (
@@ -689,6 +692,67 @@ def gather_series(f: IntPoly, nterms: int, den: IntPoly) -> list[int]:
             acc -= c * out[k - j]
         out.append(acc * scale)
     return out
+
+
+IntMat2 = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _mul_mod(x: IntMat2, y: IntMat2, p: int) -> IntMat2:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p))
+
+
+def bfs_enumerate_group(bid: BpgId) -> BpgGroup:
+    """The breadth-first closure over F_p: every element times every
+    generator, one product at a time, then the trace classes."""
+    expected = bid.order
+    # 120 holds the element orders 3, 5, 8 and 10 of the exceptional groups,
+    # 2N the rotation orders of the parametric ones
+    level = math.lcm(120, 2 * (bid.n or 1))
+    p, zeta = _field(level)
+    gens = molien._generators(bid, p, level, zeta)
+    for g in gens:
+        if (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p != 1:
+            raise GeneratorSetError(f"{bid.text}: generator {g} has determinant != 1 mod {p}")
+    identity: IntMat2 = ((1, 0), (0, 1))
+    seen = {identity}
+    elems: list[IntMat2] = [identity]
+    frontier = [identity]
+    while frontier:
+        fresh: list[IntMat2] = []
+        for x in frontier:
+            for g in gens:
+                y = _mul_mod(x, g, p)
+                if y in seen:
+                    continue
+                seen.add(y)
+                elems.append(y)
+                fresh.append(y)
+                if len(elems) > expected:
+                    raise GeneratorSetError(
+                        f"{bid.text}: closure exceeded expected order {expected}"
+                    )
+        frontier = fresh
+    if len(elems) != expected:
+        raise GeneratorSetError(
+            f"{bid.text}: closure has {len(elems)} elements, expected {expected}"
+        )
+    # zeta^j + zeta^-j differs for each j in 0..L/2; g^|G| = I (Lagrange), so
+    # the eigenvalues zeta^+-j of g are |G|-th roots of unity and step divides j
+    traces = Counter((m[0][0] + m[1][1]) % p for m in elems)
+    classes: list[tuple[int, int]] = []
+    step = level // math.gcd(level, expected)
+    up, down, rise, fall = 1, 1, pow(zeta, step, p), pow(zeta, -step, p)  # zeta^+-j, zeta^+-step
+    for j in range(0, level // 2 + 1, step):
+        if count := traces.pop((up + down) % p, 0):
+            classes.append((j, count))
+        up, down = up * rise % p, down * fall % p
+    if traces:
+        raise GeneratorSetError(
+            f"{bid.text}: trace {min(traces)} mod {p} is not zeta^j + zeta^-j for any j"
+        )
+    return BpgGroup(bid, tuple(elems), p, level, tuple(classes))
 
 
 def full_scan_classes(group: BpgGroup) -> tuple[tuple[int, int], ...]:

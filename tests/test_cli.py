@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -210,17 +211,34 @@ def test_text_mode_never_builds_the_document(capsys, monkeypatch):
         capsys.readouterr()
 
 
+class _NoVerbKnown(dict):
+    """`_HANDLERS` as `main` sees it when no first argument is a verb."""
+
+    def __contains__(self, key):
+        return False
+
+
 def test_one_verb_parser_matches_the_full_tree(capsys, monkeypatch):
     """Each command line gives the same exit code and streams whether
-    `main` builds the requested verb's parser alone or the whole tree."""
+    `main` parses the arguments after a verb with that verb's parser alone
+    or parses the whole command line with the whole tree."""
     argvs = [["--help"], [], ["--", "charpoly", "D4"], ["frobnicate", "E6"]]
-    for verb in cli._HANDLERS:
-        argvs += [_EVERY_OPTION[verb], [verb, "--help"]]
+    for verb, argv in _EVERY_OPTION.items():
+        positionals = list(itertools.takewhile(lambda a: not a.startswith("--"), argv[1:]))
+        argvs += [argv, [verb, "--help"], [verb, "--", *positionals], [verb, *positionals, "extra"]]
+    for verb, target in (("poincare", "E6"), ("molien", "cyclic:3"), ("verify", "all")):
+        argvs += [[verb, target, "--terms=5"], [verb, target, "--ter", "3"]]
     for seed in (1, 2, 3):
         argvs += _misused_argv(seed)
     one_verb = [_outcome(capsys, argv) for argv in argvs]
     full_tree = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full_tree())
+
+    def whole_tree_only(verb=None):
+        assert verb is None
+        return full_tree()
+
+    monkeypatch.setattr(cli, "_build_parser", whole_tree_only)
+    monkeypatch.setattr(cli, "_HANDLERS", _NoVerbKnown(cli._HANDLERS))
     for argv, expected in zip(argvs, one_verb):
         assert _outcome(capsys, argv) == expected, argv
 
@@ -235,22 +253,25 @@ def test_main_builds_only_the_requested_verbs_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     full_tree = 1 + len(cli._HANDLERS)
-    for argv, parsers in ((["charpoly", "D4"], 2), (["verify", "ebeling", "E6"], 2),
+    for argv, parsers in ((["charpoly", "D4"], 1), (["verify", "ebeling", "E6"], 1),
                           ([], full_tree), (["--help"], full_tree), (["frobnicate", "E6"], full_tree)):
         built.clear()
         _outcome(capsys, argv)
         assert len(built) == parsers, argv
 
 
-def _verb_choices(parser) -> list[str]:
+def _verb_parsers(parser) -> dict:
     (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(verbs.choices)
+    return verbs.choices
 
 
 def test_parser_verbs_are_the_handler_table():
-    assert _verb_choices(cli._build_parser()) == list(cli._HANDLERS)
+    """The whole tree's verbs are the handler table, and each verb's own
+    parser prints the help of its subparser in the whole tree."""
+    tree = _verb_parsers(cli._build_parser())
+    assert list(tree) == list(cli._HANDLERS)
     for verb in cli._HANDLERS:
-        assert _verb_choices(cli._build_parser(verb)) == [verb]
+        assert cli._build_parser(verb).format_help() == tree[verb].format_help(), verb
 
 
 # stdlib modules a start-up does not need; each one costs milliseconds to import

@@ -26,6 +26,7 @@ from dynkinlab.mckay import crosscheck, folded_component_report, mckay_matrix_nu
 from dynkinlab.molien import BpgId, enumerate_group, molien_coeffs
 
 from oracles import (
+    bfs_enumerate_group,
     float_contains_minus_identity,
     float_enumerate_group,
     float_molien_sums,
@@ -149,22 +150,64 @@ def test_trace_outside_the_table(monkeypatch):
         patched_closure(monkeypatch, "binary_dihedral:4", order_16)
 
 
-def test_closure_multiplies_each_element_by_each_generator_once(monkeypatch):
-    calls = 0
-    mul = molien._mul
+# (group, order of its first generator, (index, generators so far) for each
+# later generator): <i> has index 6 in the tetrahedral group, which has
+# index 2 in the octahedral
+_COSETS = (
+    ("cyclic:1", 1, ()),
+    ("cyclic:1021", 1021, ()),
+    ("binary_dihedral:200", 400, ((2, 2),)),
+    ("binary_dihedral:256", 512, ((2, 2),)),
+    ("binary_tetrahedral", 4, ((6, 2),)),
+    ("binary_octahedral", 4, ((6, 2), (2, 3))),
+    ("binary_icosahedral", 6, ((20, 2),)),
+)
 
-    def counted(x, y, p):
-        nonlocal calls
-        calls += 1
-        return mul(x, y, p)
 
-    monkeypatch.setattr(molien, "_mul", counted)
+@pytest.mark.parametrize("text, first, cosets", _COSETS, ids=[c[0] for c in _COSETS])
+def test_closure_forms_each_element_once(monkeypatch, text, first, cosets):
+    """The coset closure forms |G| - 1 elements by batches, plus the tail of
+    the last doubling past the identity (2^k - ord g for the least
+    2^k >= ord g, first = ord g of the first generator), one squaring per
+    doubling without the identity, and one representative product per
+    generator so far for each new coset: (index, generators so far) per
+    generator in cosets.  The breadth-first closure formed |G| products per
+    generator, 1600 on binary_dihedral:200 where this count is 921."""
+    products = 0
+    times = molien._times
+
+    def counted(xs, y, p):
+        nonlocal products
+        products += len(xs)
+        return times(xs, y, p)
+
+    monkeypatch.setattr(molien, "_times", counted)
     enumerate_group.cache_clear()
     try:
-        assert enumerate_group(BpgId.parse("binary_dihedral:200")).order == 800
+        order = enumerate_group(BpgId.parse(text)).order
     finally:
         enumerate_group.cache_clear()
-    assert calls == 1600
+    k = (first - 1).bit_length()  # 2^k is the least power of 2 at or above first
+    squarings = k if first == 1 << k else k - 1
+    reps = sum((index - 1) * gens for index, gens in cosets)
+    assert products == order - 1 + (1 << k) - first + squarings + reps
+
+
+_CLOSURE_GROUPS = (
+    [g.text for g in catalog_groups()]
+    + [f"cyclic:{n}" for n in (1, 1021, 1024)]
+    + [f"binary_dihedral:{n}" for n in (*range(2, 9), 126, 199, 251, 256)]
+)
+
+
+@pytest.mark.parametrize("text", _CLOSURE_GROUPS)
+def test_coset_closure_against_breadth_first_closure(text):
+    """The coset closure finds the elements, the order and the trace classes
+    of the breadth-first closure."""
+    group, oracle = grp(text), bfs_enumerate_group(BpgId.parse(text))
+    assert group.order == oracle.order == len(set(group.elements))
+    assert set(group.elements) == set(oracle.elements)
+    assert (group.p, group.level, group.classes) == (oracle.p, oracle.level, oracle.classes)
 
 
 @pytest.mark.parametrize(
