@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
+from operator import neg
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -143,15 +144,17 @@ class Diagram(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _bonds(cartan: IntMatrix) -> IntMatrix:
-    """2I - K; cached per process on K, which diagrams may share."""
-    return _trusted_matrix(tuple(
-        tuple(0 if i == j else -v for j, v in enumerate(row)) for i, row in enumerate(cartan.rows)
-    ))
+    """2I - K, each row negated whole and its diagonal sliced out; cached per
+    process on K, which diagrams may share."""
+    negated = (tuple(map(neg, row)) for row in cartan.rows)
+    return _trusted_matrix(tuple(row[:i] + (0,) + row[i + 1:] for i, row in enumerate(negated)))
 
 
-def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    rows = k.rows
-    n = len(rows)
+def _two_coloring(bonded: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(part0, part1) of the graph whose vertex i is joined to each j != i in
+    bonded[i], or None if it has an odd cycle; colour 0 for the least
+    vertex of each component."""
+    n = len(bonded)
     color = [-1] * n
     for start in range(n):
         if color[start] != -1:
@@ -160,7 +163,7 @@ def _two_coloring(k: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
         queue = [start]
         while queue:
             i = queue.pop()
-            for j in compress(range(n), rows[i]):
+            for j in bonded[i]:
                 if j == i:
                     continue
                 if color[j] == -1:
@@ -210,15 +213,19 @@ def _make(
     if cartan.ncols != n or len(labels) != n:
         raise CatalogCorruptionError("label/matrix size mismatch")
     cols = range(n)
-    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+    bonded = [list(compress(cols, row)) for row in rows]  # each row's nonzero columns
+    index: list[list[int]] = [[] for _ in cols]  # index[j]: the rows nonzero in column j
+    for i, js in enumerate(bonded):
+        for j in js:
+            index[j].append(i)
+    for i, (row, js) in enumerate(zip(rows, bonded)):
         if row[i] != 2:
             raise CatalogCorruptionError("diagonal entry is not 2")
-        bonded = list(compress(cols, row))
-        if bonded != list(compress(cols, col)) or any(row[j] > 0 for j in bonded if j != i):
+        if js != index[i] or any(row[j] > 0 for j in js if j != i):
             raise CatalogCorruptionError("off-diagonal sign pattern broken")
     if extended:
-        attach = tuple(compress(cols[1:], rows[0][1:]))
-    parts = _orient(_two_coloring(cartan), extended, attach)
+        attach = tuple(bonded[0][1:])  # row 0's bonds, past its diagonal
+    parts = _orient(_two_coloring(bonded), extended, attach)
     return Diagram(
         did=did,
         extended=extended,
@@ -469,8 +476,10 @@ def nil_root(diagram: Diagram) -> tuple[int, ...]:
     return nullspace_primitive(diagram.cartan)
 
 
+@lru_cache(maxsize=None)
 def catalog_extended() -> tuple[Diagram, ...]:
-    """Every extended diagram exercised by the verification suites."""
+    """Every extended diagram exercised by the verification suites; cached
+    per process, as `verify all` reads it once per check."""
     ids: list[DiagramId] = []
     ids += [DiagramId("A", n) for n in range(1, 9)]
     ids += [DiagramId("D", m) for m in range(4, 11)]

@@ -11,8 +11,8 @@ The packed-slot format is known here only: a row v packs into the int x =
 sum v_j 2^(wj), w a multiple of 8 and |v_j| < 2^(w-1), and the bytes of x +
 `_bias` are the slots v_j + 2^(w-1), which is how every reader reads them;
 at w = 8, 16, 32 and 64 `_pack` writes a row's two's complement slots with
-one struct call instead.  McKay's three-term relation is checked on packed
-columns (`_three_term`).
+one struct call instead, and `_unpack` reads them back with one.  McKay's
+three-term relation is checked on packed columns (`_three_term`).
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions differ")
         m, inner, out = other.ncols, range(other.nrows), []
-        right = [[(j, row[j]) for j in compress(range(m), row)] for row in other.rows]
+        right = _terms(other)
         for row in self.rows:
             acc = [0] * m
             for l in compress(inner, row):
@@ -341,13 +341,20 @@ class IntMatrix:
         return f"IntMatrix({self.rows!r})"
 
 
+def _terms(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Each row of m as its (column, value) pairs over the nonzero entries,
+    which `compress` picks out at C speed."""
+    cols = range(m.ncols)
+    return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
+
+
 def _sparse_left(m: IntMatrix):
     """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
     +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
     (`_pack` is additive); an all-zero row gives x's own zero.  The terms
-    (l, a) are picked out once, by `compress`, so a caller that applies m
+    (l, a) are picked out once, by `_terms`, so a caller that applies m
     in a loop builds the product once, before the loop."""
-    terms = [[(l, row[l]) for l in compress(range(m.ncols), row)] for row in m.rows]
+    terms = _terms(m)
 
     def product(x: Sequence) -> list:
         zero = x[0] * 0 if x else 0
@@ -416,9 +423,14 @@ def _pack(rows: Iterable[Sequence[int]], w: int) -> list[int]:
 
 
 def _unpack(x: int, n: int, w: int) -> list[int]:
-    """The n slots of a row packed by `_pack` at width w, in linear time."""
-    nb, half = w // 8, 1 << (w - 1)
-    digits = (x + _bias(n, w)).to_bytes(n * nb, "little")
+    """The n slots of a row packed by `_pack` at width w, in linear time:
+    adding the bias makes each slot v + 2^(w-1), so with a struct code for
+    w, xor with the bias flips each top bit back to v's two's complement
+    bytes for one struct call, else each slot is read from its bytes."""
+    bias, nb = _bias(n, w), w // 8
+    if (code := _CODES.get(w)) is not None:
+        return list(struct.unpack(f"<{n}{code}", ((x + bias) ^ bias).to_bytes(n * nb, "little")))
+    half, digits = 1 << (w - 1), (x + bias).to_bytes(n * nb, "little")
     return [int.from_bytes(digits[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 
@@ -449,14 +461,6 @@ def _decode(x: int, w: int) -> IntPoly:
     """p with p(2^w) = x, every |coefficient| < 2^(w-1): then x has
     bit_length() // w + 1 slots up to its top nonzero one."""
     return _trusted(_unpack(x, x.bit_length() // w + 1, w))
-
-
-def _trace(n: int, w: int):
-    """rows -> the sum of slot i of row i over n packed rows, exact while
-    every slot is below 2^(w-1) in absolute value: adding 2^(w-1) to each
-    slot then makes every base-2^w digit nonnegative."""
-    half, mask, bias = 1 << (w - 1), (1 << w) - 1, _bias(n, w)
-    return lambda rows: sum(((x + bias) >> s) & mask for x, s in zip(rows, range(0, w * n, w))) - n * half
 
 
 def _fits(rows: Sequence[int], w: int, g: int) -> bool:
@@ -499,9 +503,12 @@ def _order(m: IntMatrix, limit: int) -> int | None:
 def charpoly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - m), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recursion on packed rows (`_pack`): the trace reads
-    the diagonal slots only, + c_k I adds c_k << (w i) to row i, and the
-    closure M_n = 0 tests n integers.  b <- r b + |c_k| bounds the entries
+    Faddeev-LeVerrier recursion on packed rows (`_pack`): row i of
+    m M_(k-1) is summed over m's terms (`_terms`), and its slot i is added
+    to the trace in the same pass, exact while every slot is below 2^(w-1)
+    in absolute value, as adding 2^(w-1) to each slot then makes every
+    base-2^w digit nonnegative.  + c_k I adds c_k << (w i) to row i, and
+    the closure M_n = 0 tests n integers.  b <- r b + |c_k| bounds the entries
     of M_k; where r b could reach 2^(w-1), `_fits` proves b = 2^(w-1-g),
     or m M_(k-1) is read back and re-packed wider before c_k I is added.
     Every division is exact, so the result is certified over Z.  charpoly
@@ -513,12 +520,18 @@ def charpoly(m: IntMatrix) -> IntPoly:
     if n == 0:
         return IntPoly.one()
     r = _norm(m)
-    g, step = max(2, (r**_STRIDE).bit_length()), _sparse_left(m)
+    g, terms = max(2, (r**_STRIDE).bit_length()), _terms(m)
     b, w = 1, _width(r << g)  # M_0 = I, with room for r
-    trace, mk, coeffs = _trace(n, w), [1 << (w * i) for i in range(n)], [1]
+    mk, coeffs = [1 << (w * i) for i in range(n)], [1]
     for k in range(1, n + 1):
-        am = step(mk)
-        tr = trace(am)
+        half, mask, bias = 1 << (w - 1), (1 << w) - 1, _bias(n, w)
+        am, tr = [], -n * half
+        for s, row in zip(range(0, w * n, w), terms):
+            acc = 0
+            for l, a in row:
+                acc = acc + mk[l] if a == 1 else acc - mk[l] if a == -1 else acc + a * mk[l]
+            am.append(acc)
+            tr += ((acc + bias) >> s) & mask
         if tr % k:
             raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
         ck = -(tr // k)
@@ -531,7 +544,7 @@ def charpoly(m: IntMatrix) -> IntPoly:
                 rows = [_unpack(x, n, w) for x in am]
                 b = max(max(map(abs, row)) for row in rows) + abs(ck)
                 w = _width(b << g)
-                trace, mk = _trace(n, w), [x + (ck << (w * i)) for i, x in enumerate(_pack(rows, w))]
+                mk = [x + (ck << (w * i)) for i, x in enumerate(_pack(rows, w))]
     if any(mk):
         raise ArithmeticError("Faddeev-LeVerrier closure failed")
     return _trusted(coeffs[::-1])

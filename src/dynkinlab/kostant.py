@@ -41,7 +41,7 @@ class GeneratingFunction(NamedTuple):
 
 def _adjugate_column(diagram: Diagram, root: int, w: int) -> tuple[int, dict[int, int]]:
     """(det M_F, {v: adj(M_F)_(v, root)}) at t = 2^w, the finite part F rooted at root."""
-    k = diagram.cartan
+    k = diagram.cartan.rows
     parent, children, order = {root: 0}, {root: []}, [root]
     for v in order:  # breadth first; order grows while it is walked
         for c in diagram.neighbors(v):
@@ -61,13 +61,13 @@ def _adjugate_column(diagram: Diagram, root: int, w: int) -> tuple[int, dict[int
         for i, c in enumerate(cs):
             rest[c] = math.prod(d[x] for x in cs[:i] + cs[i + 1:])
         ev = e[v] = math.prod(d[c] for c in cs)
-        d[v] = ev + ((ev - sum(k[v, c] * k[c, v] * e[c] * rest[c] for c in cs)) << 2 * w)
+        d[v] = ev + ((ev - sum(k[v][c] * k[c][v] * e[c] * rest[c] for c in cs)) << 2 * w)
     # root to leaf: path[v] = (f, depth), t^depth f the product of b_(child, parent)
     # down to v times the determinants of the subtrees off the path above v
     path = {root: (1, 0)}
     for v in order[1:]:
         f, depth = path[parent[v]]
-        path[v] = (-k[v, parent[v]] * f * rest[v], depth + 1)
+        path[v] = (-k[v][parent[v]] * f * rest[v], depth + 1)
     return d[root], {v: (f * e[v]) << (w * depth) for v, (f, depth) in path.items()}
 
 
@@ -77,12 +77,12 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
         raise DomainError("the generating functions live on the extended diagram")
     if not diagram.u0:
         raise DomainError(f"the affine vertex of {diagram.name} has no neighbours")
-    k, u0 = diagram.cartan, diagram.u0
-    w = _width(math.prod(sum(map(abs, row)) for row in k.rows))
+    k, u0 = diagram.cartan.rows, diagram.u0
+    w = _width(math.prod(sum(map(abs, row)) for row in k))
     dets, columns = zip(*(_adjugate_column(diagram, u, w) for u in u0))
-    ys = [dets[0]] + [sum(-k[u, 0] * adj[v] for u, adj in zip(u0, columns)) << w
+    ys = [dets[0]] + [sum(-k[u][0] * adj[v] for u, adj in zip(u0, columns)) << w
                       for v in range(1, diagram.size)]
-    cross = sum(k[0, x] * k[u, 0] * adj[x] for u, adj in zip(u0, columns) for x in u0)
+    cross = sum(k[0][x] * k[u][0] * adj[x] for u, adj in zip(u0, columns) for x in u0)
     det_m = _decode(dets[0] + ((dets[0] - cross) << 2 * w), w)
     numerators = tuple(_decode(y, w) for y in ys)
     for i, num in enumerate(numerators):
@@ -109,10 +109,12 @@ def _negative(diagram: Diagram, i: int, coeffs: Sequence[int]) -> IdentityViolat
     return IdentityViolationError(f"component {diagram.labels[i]} coefficient at t^{k} is {c}")
 
 
-def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int, IdentityViolationError | None]:
-    """(columns, w, negative): column i packs v_n[i], n < nterms, in signed
-    slots of w bits: the low slots of y_i(2^w) s(2^w), s = 1/det M expanded
-    once, as `_low_slots` signs them.  Slot n is at most c max|s_j|, c the
+def packed_series(diagram: Diagram, nterms: int
+                  ) -> tuple[list[int], int, IdentityViolationError | None, list[int]]:
+    """(columns, w, negative, numerators): column i packs v_n[i], n < nterms,
+    in signed slots of w bits: the low slots of y_i(2^w) s(2^w), s = 1/det M
+    expanded once, as `_low_slots` signs them, and numerators[i] = y_i(2^w)
+    packed at the same w.  Slot n is at most c max|s_j|, c the
     largest 1-norm of the y_i and det M, and w keeps ||B|| + 2 times that
     below 2^(w-1): a negative slot sets its top bit, so negative is None or
     names the first, read back by `_unpack`, and B v, v_(n-1) + v_(n+1) and
@@ -121,8 +123,8 @@ def packed_series(diagram: Diagram, nterms: int) -> tuple[list[int], int, Identi
     s = series_expand(IntPoly.one(), nterms, gf.det_m)
     c = max(map(_l1, (*gf.numerators, gf.det_m)))
     w = _width((_norm(diagram.bonds) + 2) * c * max(map(abs, s), default=1))
-    (ps,) = _pack((s,), w)
-    slots = [_low_slots(y * ps, nterms, w) for y in _pack((p.coeffs for p in gf.numerators), w)]
+    ps, *ys = _pack((s, *(p.coeffs for p in gf.numerators)), w)
+    slots = [_low_slots(y * ps, nterms, w) for y in ys]
     negative = next((_negative(diagram, i, _unpack(v, nterms, w)) for i, (v, ok) in enumerate(slots) if not ok), None)
-    return [v for v, _ in slots], w, negative
+    return [v for v, _ in slots], w, negative, ys
 

@@ -110,11 +110,10 @@ def verify_kostant_relation(diagram: Diagram, nterms: int) -> Report:
     """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
     rational-function identity t B x = (1 + t^2) x - e0."""
     b = _sparse_left(diagram.bonds)  # applied to both sides
-    v, w, negative = packed_series(diagram, nterms + 1)
+    v, w, negative, y = packed_series(diagram, nterms + 1)
     rec_ok = all(_three_term(b(v), v, w, nterms + 1)[1:-1])
     # x = y / det M: clear det M, compare in Z[t] at t = 2^w (injective there)
-    gf = generating_function(diagram)
-    *y, det_m = _pack((p.coeffs for p in (*gf.numerators, gf.det_m)), w)
+    (det_m,) = _pack((generating_function(diagram).det_m.coeffs,), w)
     func_ok = all(by << w == (yi << 2 * w) + yi - (i == 0) * det_m
                   for i, (by, yi) in enumerate(zip(b(y), y)))
     return Report(
@@ -285,7 +284,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int) -> Report:
     b = ext.bonds
     # m0[k] = m0(k-1): m0(-1) = 0 is the zero representation, as v_(-1) in _three_term
     m0 = [0, *molien_coeffs(group, nterms + 1)]
-    v, w, negative = packed_series(ext, nterms + 2)
+    v, w, negative, _ = packed_series(ext, nterms + 2)
     if negative is not None:
         raise negative
     bv = _sparse_left(b)(v)

@@ -340,7 +340,7 @@ def gauss_jordan_nullspace(m: IntMatrix) -> tuple[int, ...]:
 
 def multiplicities(diagram: Diagram, nterms: int) -> tuple[tuple[int, ...], ...]:
     """v_n for n < nterms: entry [n][i] is the multiplicity of vertex i at degree n."""
-    columns, w, negative = packed_series(diagram, nterms)
+    columns, w, negative, _ = packed_series(diagram, nterms)
     if negative is not None:
         raise negative
     return tuple(zip(*(_unpack(col, nterms, w) for col in columns)))

@@ -736,6 +736,22 @@ def test_charpoly_against_list_products_and_sympy(monkeypatch):
     assert unpacked
 
 
+def test_charpoly_against_list_products_on_dense_rows(monkeypatch):
+    """Dense rows of general coefficients, n = 5..12 and entries in [-3, 3]:
+    the trace read in the product pass meets rows summed by multiplies, not
+    the near-unit entries of a Coxeter matrix, and from n = 6 on the bound
+    r b sets off the read-back and wider re-pack before M_n."""
+    widened = set()
+    unpack = exact_module._unpack
+    monkeypatch.setattr(exact_module, "_unpack", lambda *args: widened.add(args[1]) or unpack(*args))
+    rng = random.Random(2006)
+    for n in range(5, 13):
+        for _ in range(6):
+            m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            assert charpoly(m) == list_charpoly(m), m
+    assert widened >= set(range(6, 13))
+
+
 def test_det_cofactor_against_permutation_sum():
     rng = random.Random(7)
     for n in (2, 3, 4):

@@ -201,11 +201,20 @@ def test_packed_series_where_the_slots_fill():
     every column still equals the per-component recurrence."""
     for text, n in (("A1", 3000), ("E8", 3000), ("G2", 1000), ("C2", 300)):
         d = _ext(text)
-        columns, w, negative = packed_series(d, n)
+        columns, w, negative, _ = packed_series(d, n)
         assert negative is None, text
         rows = [component_series(d, i, n) for i in range(d.size)]
         assert max(map(max, rows)) >= 2 ** (w - 9), text
         assert columns == _pack(rows, w), text
+
+
+def test_packed_series_returns_the_numerators_at_its_width():
+    """The numerators packed_series forms for the product are y_i(2^w) at
+    the width of its columns, as `_pack` writes generating_function's: on
+    the catalog, and at the rank limit where the width is widest."""
+    for d in (*catalog_extended(), _ext("D128"), _ext("A127")):
+        _, w, _, numerators = packed_series(d, 3)
+        assert numerators == _pack((p.coeffs for p in generating_function(d).numerators), w), d.name
 
 
 def _relation_vectors(rng, b: IntMatrix, n: int, scale: int) -> list[tuple[int, ...]]:
@@ -280,7 +289,7 @@ def test_negative_coefficient_names_its_component_and_degree(monkeypatch):
     assert str(exc.value) == message
     assert min(component_series(d, 0, 12)) >= 0  # component 0 is not broken
     # the columns come back signed with the error, not in its place
-    columns, w, negative = packed_series(d, 12)
+    columns, w, negative, _ = packed_series(d, 12)
     assert str(negative) == message
     vectors = list(zip(*(_unpack(col, 12, w) for col in columns)))
     assert vectors[k][i] == -3 and min(min(v) for v in vectors[:k]) >= 0
@@ -312,7 +321,7 @@ def test_packed_series_names_the_first_negative_column(monkeypatch):
     broken = gf._replace(numerators=tuple(nums))
     real = kostant.generating_function
     monkeypatch.setattr(kostant, "generating_function", lambda g: broken if g == d else real(g))
-    columns, w, negative = packed_series(d, 12)
+    columns, w, negative, _ = packed_series(d, 12)
     rows = [series_expand(p, 12, gf.det_m) for p in nums]
     assert columns == _pack(rows, w)
     k = next(k for k, c in enumerate(rows[1]) if c < 0)
@@ -338,9 +347,9 @@ def test_kostant_relation_shift_line_fails_alone(monkeypatch, n):
     real = mckay.packed_series
 
     def patched(d, nterms):
-        v, w, negative = real(d, nterms)
+        v, w, negative, y = real(d, nterms)
         v[2] += 1 << (w * n)  # slot n of column 2
-        return v, w, negative
+        return v, w, negative, y
 
     monkeypatch.setattr(mckay, "packed_series", patched)
     r = verify_kostant_relation(_ext("E6"), 20)

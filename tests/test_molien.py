@@ -446,8 +446,8 @@ def test_mckay_shift_lines_fail_alone(monkeypatch, text):
         return m0
 
     def v0_off(d, nterms):
-        v, w, negative = real_v(d, nterms)
-        return [v[0] + 1, *v[1:]], w, negative  # slot 0 of column 0
+        v, w, negative, y = real_v(d, nterms)
+        return [v[0] + 1, *v[1:]], w, negative, y  # slot 0 of column 0
 
     for name, patched, failed in (
         ("molien_coeffs", m0_off, {_COMPONENT0}),
