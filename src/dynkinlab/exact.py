@@ -12,15 +12,16 @@ sum v_j 2^(wj), w a multiple of 8 and |v_j| < 2^(w-1), and the bytes of x +
 `_bias` are the slots v_j + 2^(w-1), which is how every reader reads them;
 at w = 8, 16, 32 and 64 `_pack` writes a row's two's complement slots with
 one struct call instead, and `_unpack` reads them back with one.  McKay's
-three-term relation is checked on packed columns (`_three_term`).
+relation is compared in one place, `_three_term`, by row and by degree.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from functools import lru_cache
-from itertools import compress, zip_longest
+from functools import lru_cache, reduce
+from itertools import compress, repeat, zip_longest
+from operator import not_, or_
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, PoleAtOriginError, RankError
@@ -381,6 +382,8 @@ def _l1(p: IntPoly) -> int:
 
 def _norm(m: IntMatrix, shift: int = 0) -> int:
     """||shift I + m||, the largest row sum of its absolute entries."""
+    if not shift:  # every row sum at C speed
+        return max(map(sum, map(map, repeat(abs), m.rows)))
     return max(sum(map(abs, row)) - abs(row[i]) + abs(shift + row[i]) for i, row in enumerate(m.rows))
 
 
@@ -444,17 +447,19 @@ def _low_slots(x: int, n: int, w: int) -> tuple[int, bool]:
     return (x, True) if not x & sign else (((x + sign) & low) - sign, False)
 
 
-def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int) -> list[bool]:
-    """Whether (B v_k)_i = v_(k-1)[i] + v_(k+1)[i] for all i, for each k < n,
-    v_(-1) = v_n = 0: v[i] packs column i of v_0..v_(n-1) in slots of w
-    bits, bv = B v, every slot below 2^(w-1) in absolute value.  Slot k + 1
-    of bv[i] << w against (v[i] << 2w) + v[i] (>> w would floor a negative
-    slot 0), each with 2^(w-1) added per slot: equal slots, equal bytes."""
-    bias, nb, diff = _bias(n + 2, w), w // 8, 0
-    for lhs, col in zip(bv, v):
-        diff |= ((lhs << w) + bias) ^ ((col << 2 * w) + col + bias)
-    digits, zero = diff.to_bytes((n + 2) * nb, "little"), bytes(nb)
-    return [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
+def _three_term(bv: Sequence[int], v: Sequence[int], w: int, n: int, e0: int = 0) -> tuple[list[bool], list[bool]]:
+    """(rows, degrees) for t B x + e0 = (1 + t^2) x: v[i] packs row i of x at
+    width w, bv = B v, e0 (packed) joins row 0's left side, and every slot
+    of each side is below 2^(w-1) in absolute value.  rows[i]: row i's whole
+    identity holds.  degrees[k], k < n: B v_k = v_(k-1) + v_(k+1) at every
+    row, v_k slot k of the v[i], v_(-1) = 0: slot k + 1 of bv[i] << w (>> w
+    would floor a negative slot 0) against (v[i] << 2w) + v[i], 2^(w-1) added
+    per slot; later slots are masked off, so n = 0 reads whole rows only."""
+    bias, nb = _bias(n + 2, w), w // 8
+    diffs = [((lhs << w) + e + bias) ^ ((col << 2 * w) + col + bias)
+             for lhs, col, e in zip(bv, v, (e0, *[0] * len(v)))]  # e0 joins row 0 only
+    digits, zero = (reduce(or_, diffs, 0) & ((1 << (n + 2) * w) - 1)).to_bytes((n + 2) * nb, "little"), bytes(nb)
+    return list(map(not_, diffs)), [digits[k:k + nb] == zero for k in range(nb, (n + 1) * nb, nb)]
 
 
 def _decode(x: int, w: int) -> IntPoly:

@@ -15,9 +15,9 @@ component 0 (McKay's correspondence).  Each identity on x(t) is checked on
 the numerators y_i with det M cleared.  Where an identity multiplies, its
 sides are compared as integers at t = 2^w (`exact._pack`; a matrix row by
 row), w sized by the rule at `exact._agree`, which compares the closed and
-orbit forms.  McKay's relation B v_n = v_(n-1) + v_(n+1) is checked on
-packed columns in one place, `exact._three_term`, for the Cramer series and
-the assembling vectors alike.  `Report` is every check's answer type.
+orbit forms.  `exact._three_term` compares McKay's relation t B x + e0 =
+(1 + t^2) x by row and degree, on the Cramer side (e0 = det M) and per
+vertex under A^semi (`_semi_relation`).  `Report` is every check's answer type.
 
 The semi-affine operator acts on extended coordinates: its finite block is
 the adjacency matrix, its affine row is zero, and its affine column keeps
@@ -31,12 +31,12 @@ sum picks up z(t)_0 = 1 + t^h.
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
 from .diagram import BpgId, Diagram, DiagramId, build, finite_part, folded_pair, molien_group
 from .errors import CatalogCorruptionError, DomainError
-from .exact import (IntMatrix, IntPoly, _agree, _l1, _norm, _pack, _sparse_left, _three_term,
+from .exact import (IntMatrix, IntPoly, _agree, _norm, _pack, _sparse_left, _three_term,
                     _trusted_matrix, _unpack, _width, charpoly)
 from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
@@ -111,17 +111,15 @@ def verify_kostant_relation(diagram: Diagram, nterms: int) -> Report:
     rational-function identity t B x = (1 + t^2) x - e0."""
     b = _sparse_left(diagram.bonds)  # applied to both sides
     v, w, negative, y = packed_series(diagram, nterms + 1)
-    rec_ok = all(_three_term(b(v), v, w, nterms + 1)[1:-1])
-    # x = y / det M: clear det M, compare in Z[t] at t = 2^w (injective there)
-    (det_m,) = _pack((generating_function(diagram).det_m.coeffs,), w)
-    func_ok = all(by << w == (yi << 2 * w) + yi - (i == 0) * det_m
-                  for i, (by, yi) in enumerate(zip(b(y), y)))
+    _, holds = _three_term(b(v), v, w, nterms + 1)
+    # x = y / det M: t B y + det M e0 = (1 + t^2) y in Z[t], at t = 2^w (injective there)
+    rows, _ = _three_term(b(y), y, w, 0, *_pack((generating_function(diagram).det_m.coeffs,), w))  # rows only
     return Report(
         f"kostant relation for {diagram.name}",
         (
             ("series coefficients are nonnegative integers", negative is None),
-            (f"B v_n = v_(n-1) + v_(n+1) for 1 <= n <= {nterms - 1}", rec_ok),
-            ("t B x = (1 + t^2) x - e0", func_ok),
+            (f"B v_n = v_(n-1) + v_(n+1) for 1 <= n <= {nterms - 1}", all(holds[1:-1])),
+            ("t B x = (1 + t^2) x - e0", all(rows)),
         ),
     )
 
@@ -179,26 +177,31 @@ def semi_affine(ext: Diagram) -> IntMatrix:
     return _trusted_matrix(((0,) * len(rows),) + rows[1:])
 
 
+def _semi_relation(ext: Diagram, n: int, *routes: Iterable[Sequence[int]]) -> list[tuple[bool, list[bool], list[bool]]]:
+    """Per route, the coefficients of one p(t)_i per vertex, packed: (affine,
+    rows, degrees), whether A^semi's affine row annihilates p(t), then
+    `_three_term` on its finite rows (rows[i - 1] is vertex i) for degrees
+    k < n.  Each slot is at most (2 + ||A^semi||) max|p_i|."""
+    a_semi = semi_affine(ext)
+    semi, bound, out = _sparse_left(a_semi), 2 + _norm(a_semi), []  # for every route
+    for rows in map(list, routes):
+        w = _width(bound * max(sum(map(abs, row)) for row in rows))
+        x = _pack(rows, w)
+        bx = semi(x)
+        out.append((bx[0] == 0, *_three_term(bx[1:], x[1:], w, n)))
+    return out
+
+
 def verify_z_recurrence(ext: Diagram) -> Report:
     """Three-term recurrences of the assembling vectors of an extended
     diagram, plus the two matrix identities that splice the orbit walk into
     the action of A = 2I - K on the finite part it walked."""
-    table = assembling_vectors(ext)
-    h, finite, z = table.h, table.diagram, table.z
-    a_fin = finite.bonds
-    a_semi = semi_affine(ext)
+    finite, h, _, z = assembling_vectors(ext)
+    ((_, _, holds),) = _semi_relation(ext, h + 1, zip(*z))  # z(t)_i is column i; z_(-1) = z_(h+1) = 0
 
     # C is coxeter_transform's own operator: as w2 after w1 it would test associativity
-    pair, c = bicolored_reflections(finite), coxeter_transform(finite)
-    a, semi, w1, w2, cx = map(_sparse_left, (a_fin, a_semi, *pair, c))  # each applied more than once
-
-    rows = [zn[1:] for zn in z[1:h]]  # the finite parts of z_0 and z_h are 0
-    w = _width(max(*map(sum, a_fin.rows), 2) * max(map(max, rows)))
-    columns = _pack(zip(*rows), w)
-    holds = _three_term(a(columns), columns, w, h - 1)
-    first, interior, last = holds[0], all(holds[1:-1]), holds[-1]
-    bottom = semi(z[0]) == list(z[1])
-    top = semi(z[h]) == list(z[h - 1])
+    a_fin, pair, c = finite.bonds, bicolored_reflections(finite), coxeter_transform(finite)
+    a, w1, w2, cx = map(_sparse_left, (a_fin, *pair, c))  # each applied more than once
 
     na, n1, nc = _norm(a_fin), _norm(pair.w1), _norm(c)
     m1, m2, pc = _norm(pair.w1, -1), _norm(pair.w2, -1), _norm(c, 1)  # ||1 - w1||, ||1 - w2||, ||1 + C||
@@ -214,11 +217,11 @@ def verify_z_recurrence(ext: Diagram) -> Report:
     return Report(
         f"assembling recurrences for {_title(ext)}",
         (
-            (f"A z_n = z_(n-1) + z_(n+1) for 1 < n < {h - 1}", interior),
-            ("A z_1 = z_2", first),
-            (f"A z_{h - 1} = z_{h - 2}", last),
-            ("A^semi z_0 = z_1", bottom),
-            (f"A^semi z_{h} = z_{h - 1}", top),
+            (f"A z_n = z_(n-1) + z_(n+1) for 1 < n < {h - 1}", all(holds[2:h - 1])),
+            ("A z_1 = z_2", holds[1]),
+            (f"A z_{h - 1} = z_{h - 2}", holds[h - 1]),
+            ("A^semi z_0 = z_1", holds[0]),
+            (f"A^semi z_{h} = z_{h - 1}", holds[h]),
             ("A (1 - w2) w1 = (1 - w1)(1 + C)", block1),
             ("A (1 - w1) C = (1 - w2) w1 (1 + C)", block2),
         ),
@@ -232,19 +235,11 @@ def verify_observation(ext: Diagram) -> Report:
     numerators, i.e. the generating-function components with their common
     denominator det M(t) cleared; the affine row must annihilate z(t).
     """
-    a_semi = semi_affine(ext)
-    zt = z_polynomials(ext)
-    y = generating_function(ext).numerators
-    w = _width((2 + _norm(a_semi)) * max(map(_l1, (*zt, *y))))
-    z, y = _pack((p.coeffs for p in zt), w), _pack((p.coeffs for p in y), w)
-    semi = _sparse_left(a_semi)  # applied to both routes
-    nz, ny = semi(z), semi(y)
-    checks = [
-        (f"(t + 1/t) z(t)_{ext.labels[i]} = neighbor sum, both routes",
-         (z[i] << 2 * w) + z[i] == nz[i] << w and (y[i] << 2 * w) + y[i] == ny[i] << w)
-        for i in range(1, ext.size)
-    ]
-    checks.append(("affine row annihilates z(t)", nz[0] == 0))
+    zt, ys = z_polynomials(ext), generating_function(ext).numerators
+    (affine, z, _), (_, y, _) = _semi_relation(ext, 0, (p.coeffs for p in zt), (p.coeffs for p in ys))
+    checks = [(f"(t + 1/t) z(t)_{label} = neighbor sum, both routes", zi and yi)
+              for label, zi, yi in zip(ext.labels[1:], z, y)]
+    checks.append(("affine row annihilates z(t)", affine))
     return Report(f"mckay observation for {_title(ext)}", tuple(checks))
 
 
@@ -288,11 +283,11 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int) -> Report:
     if negative is not None:
         raise negative
     bv = _sparse_left(b)(v)
-    holds = _three_term(bv, v, w, nterms + 2)[:-1]
+    _, holds = _three_term(bv, v, w, nterms + 2)
     comp0 = _unpack(bv[0], nterms + 2, w)[:-1] == [m0[n] + m0[n + 2] for n in range(nterms + 1)]
     checks = [
         ("B v_0 = v_1", holds[0]),
-        (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:])),
+        (f"B v_n = v_(n-1) + v_(n+1) for n = 1..{nterms}", all(holds[1:-1])),
         ("(B v_n)_0 = m0(n-1) + m0(n+1) with molien-sourced m0", comp0),
     ]
     if bid.family == "cyclic":  # cyclic:1 has no paired diagram

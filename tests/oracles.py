@@ -19,8 +19,9 @@ fraction-free Gauss-Jordan kernel vector; the sparse elimination of
 and `dense_neighbors` read a graph off every entry of its rows; the
 bipartition and neighbour lists of `diagram.py`, which visit the nonzero
 entries only, are checked against them.  `list_three_term` checks
-McKay's three-term relation one vector at a time; `exact._three_term`, which reads it off packed
-columns, is checked against it.
+McKay's three-term relation one vector at a time and `relation_rows` each
+row's whole polynomial identity; `exact._three_term`, which reads both off
+packed rows, is checked against them.
 `product_route` gives the two sides of each line of the closed-form,
 orbit-form, observation and block checks as IntPoly and IntMatrix
 products; the comparisons of `mckay.py`, made on packed integers at
@@ -356,6 +357,13 @@ def list_three_term(a: IntMatrix, v) -> list[bool]:
     """Whether a v_n = v_(n-1) + v_(n+1), for each n = 1..len(v) - 2."""
     return [matvec(a, v[n]) == tuple(map(sum, zip(v[n - 1], v[n + 1])))
             for n in range(1, len(v) - 1)]
+
+
+def relation_rows(b: IntMatrix, x, e0: IntPoly = IntPoly()) -> list[bool]:
+    """Whether t (b x)_i + e0 [i = 0] = (1 + t^2) x_i, for each row i of
+    the IntPolys x, in IntPoly products."""
+    return [T * bx + (e0 if i == 0 else 0) == (1 + T**2) * xi
+            for i, (bx, xi) in enumerate(zip(matvec(b, x), x))]
 
 
 def lincomb(*terms: tuple[int, IntMatrix]) -> IntMatrix:

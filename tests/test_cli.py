@@ -443,6 +443,35 @@ def test_verify_all_passes(capsys):
     assert "[FAIL]" not in out
 
 
+# the label of every line that reads McKay's relation, one pattern per family
+_RELATION_LINES = [re.compile(p) for p in (
+    r"B v_n = v_\(n-1\) \+ v_\(n\+1\) for 1 <= n <= \d+", r"t B x = \(1 \+ t\^2\) x - e0",  # kostant-relation
+    r"B v_0 = v_1", r"B v_n = v_\(n-1\) \+ v_\(n\+1\) for n = 1\.\.\d+",  # mckay-shift
+    r"A z_n = z_\(n-1\) \+ z_\(n\+1\) for 1 < n < \d+", r"A z_1 = z_2", r"A z_\d+ = z_\d+",  # z-recurrence
+    r"A\^semi z_0 = z_1", r"A\^semi z_\d+ = z_\d+",
+    r"\(t \+ 1/t\) z\(t\)_\w+ = neighbor sum, both routes",  # mckay-observation
+)]
+
+
+def test_three_term_is_the_one_place_mckays_relation_is_compared(capsys, monkeypatch):
+    """With `mckay._three_term` reporting every row and every degree false,
+    `verify all` FAILs exactly the lines that read McKay's relation, each
+    family on some line: kostant-relation's shift and Z[t] lines,
+    mckay-shift's two shift lines, z-recurrence's five recurrence lines and
+    every observation vertex line.  A1's "for 1 < n < 1" reads no degree
+    and still PASSes (see the empty-range test below)."""
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    labels = [line.split(maxsplit=1)[1] for line in out.splitlines() if line.startswith("  PASS")]
+    relation = [label for label in labels if any(p.fullmatch(label) for p in _RELATION_LINES)]
+    monkeypatch.setattr(mckay, "_three_term", lambda bv, v, w, n, e0=0: ([False] * len(bv), [False] * n))
+    code, out, _ = run(capsys, "verify", "all")
+    failed = [line.split(maxsplit=1)[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert code == 2
+    assert failed == [label for label in relation if label != "A z_n = z_(n-1) + z_(n+1) for 1 < n < 1"]
+    assert all(any(p.fullmatch(label) for label in failed) for p in _RELATION_LINES)
+
+
 def test_no_verify_all_label_states_an_empty_range(capsys):
     """A check stated over an empty range of n tests nothing.  The one known
     case is A1 (h = 2), whose z-recurrence line reads "for 1 < n < 1";

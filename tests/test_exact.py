@@ -29,6 +29,7 @@ from dynkinlab.exact import (
     _fits,
     _l1,
     _low_slots,
+    _norm,
     _order,
     _pack,
     _sparse_left,
@@ -49,6 +50,7 @@ from oracles import (
     matvec,
     parse_poly,
     perm_det,
+    relation_rows,
     sympy_det,
     zeros,
 )
@@ -509,6 +511,19 @@ def test_int_matrix_is_a_plain_value():
         m.rows = ()
 
 
+def test_norm_against_the_dense_row_sums():
+    """||shift I + m|| is the largest row sum of |entries| of shift I + m,
+    formed entry by entry, for signed matrices and the shifts -1, 0 and 1
+    that the package asks for."""
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        m = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        for shift in (-1, 0, 1):
+            dense = lincomb((shift, IntMatrix.identity(n)), (1, m))
+            assert _norm(m, shift) == max(sum(map(abs, row)) for row in dense.rows), (m, shift)
+
+
 @pytest.mark.parametrize("bound", [0, 1, 127, 128, 2**63 - 1, 2**63, 2**100])
 def test_width_is_the_least_byte_multiple_above_the_bound(bound):
     w = _width(bound)
@@ -585,10 +600,45 @@ def test_slot_readers_against_the_shift_sum(w):
                 continue
         columns = [_shift_sum(col, w) for col in zip(*v)]
         zero = (0,) * size
-        holds = _three_term(matvec(b, columns), columns, w, n)
+        rows, holds = _three_term(matvec(b, columns), columns, w, n)
         assert holds == list_three_term(b, [zero, *v, zero])
+        assert rows == relation_rows(b, [IntPoly(col) for col in zip(*v)])
         outcomes.update(holds)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1, 50, 2**20, 2**40, 2**70])
+def test_three_term_rows_and_e0_against_intpoly_products(scale):
+    """rows and degrees of _three_term against the IntPoly differences d_i =
+    t (B x)_i + e0 [i = 0] - (1 + t^2) x_i: rows[i] is d_i = 0, degrees[k]
+    is coefficient k + 1 of every d_i zero.  B is random, signed and not
+    symmetric; e0 cancels row 0 or is random; the width is the least that
+    holds every slot of x, e0 and both sides, from 8 bits to past 64; n runs
+    from 0 (rows only) to past the longest row, so slots past n + 1 are
+    masked off in most trials."""
+    rng, outcomes = random.Random(scale), set()
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        b = IntMatrix([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
+        x = [IntPoly(rng.randint(-scale, scale) * (rng.random() < 0.7) for _ in range(rng.randint(0, 7)))
+             for _ in range(size)]
+        bx = matvec(b, x)
+        e0 = (1 + T**2) * x[0] - T * bx[0]
+        if rng.random() < 0.5:
+            e0 += IntPoly.monomial(rng.randrange(9), rng.choice((-1, 1)) * rng.randint(1, scale))
+        lefts = [T * p + (e0 if i == 0 else 0) for i, p in enumerate(bx)]
+        rights = [(1 + T**2) * p for p in x]
+        w = _width(max((abs(c) for p in (*lefts, *rights, *x, e0) for c in p.coeffs), default=0))
+        n = rng.randint(0, max(len(p.coeffs) for p in (*x, e0)) + 2)
+        *packed, e0_packed = _pack([p.coeffs for p in (*x, e0)], w)
+        rows, degrees = _three_term(matvec(b, packed), packed, w, n, e0_packed)
+        diffs = [lhs - rhs for lhs, rhs in zip(lefts, rights)]
+        assert rows == [not d for d in diffs] == relation_rows(b, x, e0)
+        assert degrees == [all(d.coeff(k + 1) == 0 for d in diffs) for k in range(n)]
+        outcomes.update((w, ok) for ok in rows)
+    widths = {w for w, _ in outcomes}
+    assert {ok for _, ok in outcomes} == {True, False}
+    assert (max(widths) > 64) == (scale > 2**64) and (scale > 1 or widths == {8})
 
 
 def test_low_slots_against_unpack():

@@ -3,9 +3,10 @@ package, in function bodies too, must equal its row of GRAPH, so a new
 edge is a deliberate edit of this table.
 
 The sides of the paper's identities are `coxeter` (C and chi), `kostant`
-(the Cramer solve and its series), `orbit` (the highest-root walk) and
-`molien` (the group and its sums).  No side reads another's answer: every
-comparison of two sides is in `mckay`, with the `Report` type it fills.
+(the Cramer solve and its series), `orbit` (the walk from beta =
+delta[1:], the highest root on A/D/E only) and `molien` (the group and its
+sums).  No side reads another's answer: every comparison of two sides is
+in `mckay`, with the `Report` type it fills.
 
 Two finer rules keep each decision in one module.  Every definition is
 read somewhere in the package or exported, so no surface is kept for
@@ -24,9 +25,11 @@ A fifth keeps every memo one that a caller can clear: no function stores
 into a module-level container, so each memo is an `lru_cache`, and the
 benchmark's `cache_clear` before each invocation starts it cold.
 
-A sixth keeps the width rule in one place: in `mckay`, only the matrix
-identities size a packed width by `_width`; a check that compares
-cross-multiplied fractions calls `exact._agree`, which sizes its own.
+A sixth keeps the width rule in one place: in `mckay`, only
+`_semi_relation`, which packs one polynomial per vertex for McKay's
+relation, and the matrix identities of z-recurrence size a packed width by
+`_width`; a check that compares cross-multiplied fractions calls
+`exact._agree`, which sizes its own.
 """
 
 import ast
@@ -256,7 +259,7 @@ def _width_callers(tree: ast.Module) -> list[str]:
 
 
 def test_only_the_matrix_identities_size_a_width_in_mckay():
-    assert _width_callers(_trees()["mckay"]) == ["verify_observation", "verify_z_recurrence"]
+    assert _width_callers(_trees()["mckay"]) == ["_semi_relation", "verify_z_recurrence"]
     sample = ast.parse(
         "def closed(p):\n    return _width(p)\n"
         "def kernel(p):\n    return exact._width(p)\n"

@@ -20,7 +20,8 @@ from dynkinlab.mckay import (
     verify_kostant_relation,
 )
 from dynkinlab.molien import BpgId
-from oracles import cramer_matrix, cramer_solve, list_three_term, matvec, multiplicities, sympy_det, tree_solve
+from oracles import (cramer_matrix, cramer_solve, list_three_term, matvec, multiplicities, relation_rows, sympy_det,
+                     tree_solve)
 
 T = IntPoly.monomial(1)
 
@@ -247,7 +248,8 @@ def test_packed_three_term_against_the_list_oracle():
         columns = _pack(zip(*v), w)
         zero = (0,) * size
         expected = list_three_term(b, [zero, *v, zero])
-        assert _three_term(matvec(b, columns), columns, w, n) == expected, (trial, b, v)
+        rows = relation_rows(b, [IntPoly(col) for col in zip(*v)])
+        assert _three_term(matvec(b, columns), columns, w, n) == (rows, expected), (trial, b, v)
 
 
 def test_packed_three_term_with_a_negative_slot_0():
@@ -257,9 +259,9 @@ def test_packed_three_term_with_a_negative_slot_0():
     b = IntMatrix(((0,),))
     (col,) = _pack([[-1]], 8)
     assert col >> 8 == -1
-    assert _three_term(matvec(b, [col]), [col], 8, 1) == [True]
+    assert _three_term(matvec(b, [col]), [col], 8, 1) == ([False], [True])  # the row is 0 = -1 - t^2
     (col,) = _pack([[-1, 0]], 8)
-    assert _three_term(matvec(b, [col]), [col], 8, 2) == [True, False]
+    assert _three_term(matvec(b, [col]), [col], 8, 2) == ([False], [True, False])
 
 
 def test_negative_coefficient_names_its_component_and_degree(monkeypatch):

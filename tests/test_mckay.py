@@ -116,22 +116,36 @@ def test_z_recurrence_reports_pass():
 _INTERIOR = "A z_n = z_(n-1) + z_(n+1) for 1 < n < 11"
 
 
+def _failed_with_z_off_by_one(monkeypatch, n: int, i: int) -> set[str]:
+    """The lines of E6's z-recurrence that FAIL with entry i of z_n off by one."""
+    d = ext("E6")
+    table = assembling_vectors(d)
+    z = [list(zn) for zn in table.z]
+    z[n][i] += 1
+    broken = table._replace(z=tuple(map(tuple, z)))
+    monkeypatch.setattr(mckay, "assembling_vectors", lambda g: broken)
+    return {label for label, ok in verify_z_recurrence(d).checks if not ok}
+
+
 @pytest.mark.parametrize("n, failed", [
     (1, {"A z_1 = z_2", _INTERIOR, "A^semi z_0 = z_1"}),
     (3, {_INTERIOR}),
     (11, {_INTERIOR, "A z_11 = z_10", "A^semi z_12 = z_11"}),
-    (12, {"A^semi z_12 = z_11"}),  # the finite rows of z_h, which A^semi alone reads
+    (12, {"A z_11 = z_10", "A^semi z_12 = z_11"}),  # z_h is read by degree h - 1 as by degree h
 ])
 def test_z_recurrence_lines_fail_alone(monkeypatch, n, failed):
-    """E6 with the x0 entry of z_n off by one: exactly the lines that read z_n fail."""
-    d = ext("E6")
-    table = assembling_vectors(d)
-    z = [list(zn) for zn in table.z]
-    z[n][1] += 1
-    broken = table._replace(z=tuple(map(tuple, z)))
-    monkeypatch.setattr(mckay, "assembling_vectors", lambda g: broken)
-    rep = verify_z_recurrence(d)
-    assert {label for label, ok in rep.checks if not ok} == failed
+    """E6 with the x0 entry of z_n off by one: exactly the lines whose
+    degree reads z_n fail."""
+    assert _failed_with_z_off_by_one(monkeypatch, n, 1) == failed
+
+
+def test_z_recurrence_reads_the_affine_entries_at_the_attachment_vertex(monkeypatch):
+    """The affine entry of z_n, 0 < n < h, enters the recurrence through
+    A^semi's affine column, at the vertex the affine vertex attaches to: off
+    by one, it fails the line of degree n."""
+    assert _failed_with_z_off_by_one(monkeypatch, 1, 0) == {"A z_1 = z_2"}
+    assert _failed_with_z_off_by_one(monkeypatch, 5, 0) == {_INTERIOR}
+    assert _failed_with_z_off_by_one(monkeypatch, 11, 0) == {"A z_11 = z_10"}
 
 
 def test_z_recurrence_rejects_odd_coxeter_number():
@@ -224,8 +238,8 @@ def test_packed_comparisons_agree_with_the_product_route(monkeypatch, perturb):
     IntPoly and IntMatrix products, with every side as built or with one
     side off where `mckay` reads it: entry (i, i) of C by one (i = -1 the
     last), or z(t)_i or the Cramer numerator y_i by t^3.  The width w each
-    check chooses, by `mckay._width` or inside `exact._agree`, holds both
-    sides, so also their difference, below 2^(w-1)."""
+    comparison chooses, by `mckay._width` or inside `exact._agree`, holds
+    both sides, so also their difference, below 2^(w-1)."""
     kind, i = perturb or (None, None)
     if kind == "C":
         real_c = mckay.coxeter_transform
@@ -251,10 +265,12 @@ def test_packed_comparisons_agree_with_the_product_route(monkeypatch, perturb):
     for check, target in _cases():
         widths.clear()
         packed = [ok for _, ok in PACKED[check](target)]
-        w = widths[-1]  # each check sizes its compared sides last; z-recurrence its blocks
+        # the observation sizes its z route last but one and its y route last, the order of
+        # each line's pairs; every other check sizes its compared sides last, z-recurrence its blocks
+        ws = widths[-2:] if check == "mckay-observation" else widths[-1:]
         lines = product_route(check, target)
         assert packed == [all(lhs == rhs for lhs, rhs in pairs) for pairs in lines], (check, target)
-        for lhs, rhs in (pair for pairs in lines for pair in pairs):
+        for lhs, rhs, w in ((*pair, w) for pairs in lines for pair, w in zip(pairs, ws)):
             diff = lhs - rhs if isinstance(lhs, IntPoly) else lincomb((1, lhs), (-1, rhs))
             assert _largest(diff) <= _largest(lhs) + _largest(rhs) < 1 << (w - 1), (check, target)
         flipped += not all(packed)
@@ -324,7 +340,8 @@ def test_orbit_form_width_at_its_edge(monkeypatch):
 
 @pytest.mark.parametrize("route", ["z", "y"])
 def test_observation_width_at_its_edge(monkeypatch, route):
-    """The digits of 100 p(2^8) for every z(t)_i, or every Cramer numerator."""
+    """The digits of 100 p(2^8) for every z(t)_i, or every Cramer numerator:
+    each route sizes its own width, and only the perturbed one needs 16."""
     d = ext("E6")
     if route == "z":
         zt = z_polynomials(d)
@@ -333,28 +350,30 @@ def test_observation_width_at_its_edge(monkeypatch, route):
         ys = generating_function(d).numerators
         _patch_gf(monkeypatch, mckay, d, numerators=tuple(_digits(100 * p(X)) for p in ys))
     failed, widths, cut = _real_and_cut(monkeypatch, mckay, lambda: verify_observation(d))
-    assert failed and widths == [16] and cut == set()
+    assert failed and widths == {"z": [16, 8], "y": [8, 16]}[route] and cut == set()
 
 
 def test_z_recurrence_column_width_at_its_edge(monkeypatch):
-    """Column i of z_1..z_(h-1) replaced by the digits of 100 times its value
-    at 2^8, still in h - 1 slots: at 2^8 the three-term comparison reads
-    100 times what it reads unperturbed, and as slot 0, 100 z_1, overflows
-    no slot, the middle slots it compares agree.  A^semi z_0 = z_1 and
-    A^semi z_h = z_(h-1) read z unpacked, and FAIL at every width."""
-    d = ext("E6")
-    table = assembling_vectors(d)
-    h = table.h
-    columns = [_digits(100 * IntPoly([zn[i] for zn in table.z[1:h]])(X)) for i in range(1, d.size)]
-    assert max(len(c.coeffs) for c in columns) == h - 1
-    assert [c.coeff(0) for c in columns] == [100 * v for v in table.z[1][1:]]
-    z = [table.z[0], *((zn[0], *(c.coeff(k) for c in columns)) for k, zn in enumerate(table.z[1:h])),
-         table.z[h]]
-    monkeypatch.setattr(mckay, "assembling_vectors", lambda g: table._replace(z=tuple(z)))
-    packed = {"A z_n = z_(n-1) + z_(n+1) for 1 < n < 11", "A z_1 = z_2", "A z_11 = z_10"}
-    ends = {"A^semi z_0 = z_1", "A^semi z_12 = z_11"}
-    failed, widths, cut = _real_and_cut(monkeypatch, mckay, lambda: verify_z_recurrence(d))
-    assert failed & packed and failed - packed == ends and widths[0] == 16 and cut == ends
+    """Every column z(t)_i of the z table replaced by the digits of 100
+    z(t)_i(2^8): at 2^8 the packed comparison reads 100 times what it reads
+    unperturbed, so with the width cut to 8 every recurrence line, the ends
+    included, PASSes; at the width the bound gives, 16, the degrees whose
+    slots carried FAIL.  E6, A3 and C3 between them reach all five lines."""
+    cases = {
+        "E6": {"A z_n = z_(n-1) + z_(n+1) for 1 < n < 11"},
+        "A3": {"A z_n = z_(n-1) + z_(n+1) for 1 < n < 3", "A z_1 = z_2", "A z_3 = z_2", "A^semi z_4 = z_3"},
+        # the affine vertex bonds twice, so z_1 holds a 2: 100 times it carries where 100 z_0 does not
+        "C3": {"A z_1 = z_2", "A^semi z_0 = z_1", "A^semi z_6 = z_5"},
+    }
+    for name, failed in cases.items():
+        d = ext(name)
+        table = assembling_vectors(d)
+        columns = [_digits(100 * p(X)) for p in z_polynomials(d)]
+        z = tuple(tuple(c.coeff(k) for c in columns) for k in range(max(len(c.coeffs) for c in columns)))
+        with monkeypatch.context() as m:
+            m.setattr(mckay, "assembling_vectors", lambda g: table._replace(z=z))
+            got, widths, cut = _real_and_cut(m, mckay, lambda: verify_z_recurrence(d))
+        assert got == failed and widths[0] == 16 and cut == set(), name  # widths[1] sizes the blocks
 
 
 def test_block_width_at_its_edge(monkeypatch):
