@@ -12,9 +12,12 @@ similarity.
 No reflection is multiplied out: K[i, j] = 0 for i != j in one class, so
 the product over a class is the class sum I - sum(e_i K_i), whose class
 rows are e_i - K_i and whose other rows are the identity's (Steinberg 1959;
-A'Campo 1976).  C then has about four nonzeros per row (317 on D80).
-Forming C = w2 w1 visits the nonzeros of both factors only, and so does
-every product by C.
+A'Campo 1976).  C then has about four nonzeros per row (317 on D80).  Its
+part_y rows are w1's, as w2 is the identity there, so forming C sums only
+its part_x rows, over the nonzeros of both factors.  The order of C steps
+through the pair, w1 and then w2, and each sparse product by a factor
+passes the identity rows through, so it sums one colour class only; C
+itself is read by charpoly and by the checks that take it as one operator.
 """
 
 from __future__ import annotations
@@ -30,7 +33,16 @@ from .errors import (
     IdentityViolationError,
     MissingParameterError,
 )
-from .exact import IntMatrix, IntPoly, RatFunc, _order, _trusted_matrix, charpoly
+from .exact import (
+    IntMatrix,
+    IntPoly,
+    RatFunc,
+    _order,
+    _row_product,
+    _terms,
+    _trusted_matrix,
+    charpoly,
+)
 
 
 class BicoloredPair(NamedTuple):
@@ -54,12 +66,17 @@ def _class_sum(cartan: IntMatrix, part: tuple[int, ...]) -> IntMatrix:
 def _bicolored(cartan: IntMatrix, parts: tuple[tuple[int, ...], tuple[int, ...]] | None
                ) -> tuple[BicoloredPair, IntMatrix]:
     """The pair and C = w2 w1; cached per process on all they depend on, the
-    Cartan matrix and the bipartition, which two diagrams may share."""
+    Cartan matrix and the bipartition, which two diagrams may share.  Row i
+    of C is row i of w2 times w1: w1's own row off part_x, where w2's row
+    is e_i, and on part_x summed over w2's nonzeros by `_row_product`."""
     if parts is None:
         raise ExcludedDiagramError("diagram has an odd cycle, hence no bicolored decomposition")
     part_x, part_y = parts
     pair = BicoloredPair(w1=_class_sum(cartan, part_y), w2=_class_sum(cartan, part_x))
-    return pair, pair.w2 @ pair.w1
+    rows, right, n = list(pair.w1.rows), _terms(pair.w1), cartan.nrows
+    for i in part_x:
+        rows[i] = _row_product(pair.w2.rows[i], right, range(n), n)
+    return pair, _trusted_matrix(tuple(rows))
 
 
 def bicolored_reflections(diagram: Diagram) -> BicoloredPair:
@@ -72,11 +89,12 @@ def coxeter_transform(diagram: Diagram) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def coxeter_number(diagram: Diagram) -> int:
-    """Order of the bicolored Coxeter transformation of a finite diagram."""
+    """Order of the bicolored Coxeter transformation of a finite diagram,
+    stepped through its pair: C^k = (w2 w1)^k, w1 applied first."""
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
     bound = 10 * diagram.size**2
-    h = _order(coxeter_transform(diagram), bound)
+    h = _order(bicolored_reflections(diagram), bound)
     if h is None:
         raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
     return h

@@ -312,23 +312,14 @@ class IntMatrix:
         return self.rows[i][j]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Row i of self @ other adds a times the nonzeros of row l of other
-        into a zero row, for each nonzero a = self[i, l]: one multiply-add
-        per pair of nonzeros, no column products and no transposes."""
+        """Row i of self @ other is row i of self times other, by
+        `_row_product`: no column products and no transposes."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions differ")
-        m, inner, out = other.ncols, range(other.nrows), []
-        right = _terms(other)
-        for row in self.rows:
-            acc = [0] * m
-            for l in compress(inner, row):
-                a = row[l]
-                for j, b in right[l]:
-                    acc[j] += a * b
-            out.append(tuple(acc))
-        return _trusted_matrix(tuple(out))
+        m, inner, right = other.ncols, range(other.nrows), _terms(other)
+        return _trusted_matrix(tuple(_row_product(row, right, inner, m) for row in self.rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -349,22 +340,40 @@ def _terms(m: IntMatrix) -> list[list[tuple[int, int]]]:
     return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
 
 
+def _row_product(row: Sequence[int], right: list[list[tuple[int, int]]], inner: range,
+                 m: int) -> tuple[int, ...]:
+    """row times the matrix whose rows are `right` as `_terms`, m columns:
+    a times the nonzeros of row l of it added into a zero row, for each
+    nonzero a = row[l], so one multiply-add per pair of nonzeros."""
+    acc = [0] * m
+    for l in compress(inner, row):
+        a = row[l]
+        for j, b in right[l]:
+            acc[j] += a * b
+    return tuple(acc)
+
+
 def _sparse_left(m: IntMatrix):
     """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
-    +-1 as a plain add or subtract.  x may hold ints, IntPolys or packed rows
-    (`_pack` is additive); an all-zero row gives x's own zero.  The terms
-    (l, a) are picked out once, by `_terms`, so a caller that applies m
-    in a loop builds the product once, before the loop."""
+    +-1 as a plain add or subtract, and x[i] itself where row i is the
+    identity's, so a product by a bicolored involution sums one colour
+    class's rows.  x may hold ints, IntPolys or packed rows (`_pack` is
+    additive); an all-zero row gives x's own zero.  The terms (l, a) are
+    picked out once, by `_terms`, so a caller that applies m in a loop
+    builds the product once, before the loop."""
     terms = _terms(m)
+    n = len(terms)
+    sums = [(i, row) for i, row in enumerate(terms) if row != [(i, 1)]]  # all but the identity's
 
     def product(x: Sequence) -> list:
         zero = x[0] * 0 if x else 0
-        out = []
-        for row in terms:
+        out = list(x)
+        out[n:] = [zero] * (n - len(out))  # x cut or padded to n rows; the others are overwritten
+        for i, row in sums:
             acc = zero
             for l, a in row:
                 acc = acc + x[l] if a == 1 else acc - x[l] if a == -1 else acc + a * x[l]
-            out.append(acc)
+            out[i] = acc
         return out
 
     return product
@@ -468,13 +477,13 @@ def _decode(x: int, w: int) -> IntPoly:
     return _trusted(_unpack(x, x.bit_length() // w + 1, w))
 
 
-def _fits(rows: Sequence[int], w: int, g: int) -> bool:
-    """Whether every slot v of the packed rows has -b <= v < b, b = 2^(w-1-g),
-    given |v| < 2^(w-1) and 2 <= g < w: one mask test of the top g bits of
-    every slot of x + sum(b << (w j)), over the slots `_decode` would read.
-    Exact: digits d_j that pass spell the same integer as the v_j + b only if
-    all d_j = v_j + b, since |d_j - v_j - b| < 2^(w-g) + 2^(w-1) + b < 2^w."""
-    half = _bias(max(x.bit_length() for x in rows) // w + 1, w)
+def _fits(rows: Sequence[int], n: int, w: int, g: int) -> bool:
+    """Whether every slot v of the rows, each packed in n slots of w bits,
+    has -b <= v < b, b = 2^(w-1-g), given |v| < 2^(w-1) and 2 <= g < w: one
+    mask test of the top g bits of each of the n slots of x + sum(b << (w j)).
+    Exact: n digits d_j that pass spell the same integer as the v_j + b only
+    if all d_j = v_j + b, since |d_j - v_j - b| < 2^(w-g) + 2^(w-1) + b < 2^w."""
+    half = _bias(n, w)
     bias, mask = half >> g, (half << 1) - (half >> (g - 1))
     return not any((x + bias) & mask for x in rows)
 
@@ -484,24 +493,32 @@ def _fits(rows: Sequence[int], w: int, g: int) -> bool:
 _STRIDE = 4
 
 
-def _order(m: IntMatrix, limit: int) -> int | None:
-    """The least k <= limit with m^k = I, or None.
+def _order(factors: Sequence[IntMatrix], limit: int) -> int | None:
+    """The least k <= limit with m^k = I, or None, for m the product of the
+    square factors applied in turn, factors[0] first.
 
-    m^k is kept as packed rows: each step is one sparse product, m^k = I
-    compares n integers, and m^k is read back and re-packed wider only
-    where `_fits` fails at the end of a stride.
+    m^k is kept as packed rows, from I built by shifts: each step is one
+    sparse product per factor, which for the bicolored pair (w1, w2) sums
+    one colour class's rows each (`_sparse_left`), m^k = I compares n
+    integers, and m^k is read back and re-packed wider only where `_fits`
+    fails at the end of a stride.  r, the product of the factors' norms,
+    bounds ||m|| and every partial product of a step, so I needs only the
+    g bits of headroom and a sign bit.
     """
-    n, step, r = m.nrows, _sparse_left(m), _norm(m)
-    g, power = max(2, (r**_STRIDE).bit_length()), m.rows
+    n, steps = factors[0].nrows, [_sparse_left(f) for f in factors]
+    r = math.prod(map(_norm, factors))
+    g = max(2, (r**_STRIDE).bit_length())
+    w = _width(1 << g)
+    cur = ident = [1 << (w * i) for i in range(n)]
     for k in range(1, limit + 1):
-        if power is not None:  # with room for r at least
-            w = _width(max(r, *(max(map(abs, row)) for row in power)) << g)
-            cur, ident, power = _pack(power, w), [1 << (w * i) for i in range(n)], None
+        for step in steps:
+            cur = step(cur)
         if cur == ident:
             return k
-        cur = step(cur)
-        if k % _STRIDE == 0 and not _fits(cur, w, g):
-            power = [_unpack(x, n, w) for x in cur]
+        if k % _STRIDE == 0 and not _fits(cur, n, w, g):
+            rows = [_unpack(x, n, w) for x in cur]
+            w = _width(max(max(map(abs, row)) for row in rows) << g)
+            cur, ident = _pack(rows, w), [1 << (w * i) for i in range(n)]
     return None
 
 
@@ -543,7 +560,7 @@ def charpoly(m: IntMatrix) -> IntPoly:
         coeffs.append(ck)
         mk, b = ([x + (ck << (w * i)) for i, x in enumerate(am)] if ck else am), r * b + abs(ck)
         if r * b >> (w - 1):
-            if not b >> (w - 1) and _fits(mk, w, g):
+            if not b >> (w - 1) and _fits(mk, n, w, g):
                 b = 1 << (w - 1 - g)
             else:
                 rows = [_unpack(x, n, w) for x in am]

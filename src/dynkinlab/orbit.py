@@ -17,7 +17,8 @@ numerators over (1 - t^a)(1 - t^b).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
+from itertools import chain
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .coxeter import bicolored_reflections, coxeter_number
@@ -95,20 +96,27 @@ def z_polynomials(diagram: Diagram) -> tuple[IntPoly, ...]:
 
 def _render_blocks(diagram: Diagram, titled) -> str:
     """One block per (title, vector) pair: the title, then the vector on the
-    grid through one format string per display row, in which vertex v in
-    cell c is field v right-aligned and the line ends at its last cell.  A
-    cell holds -10^(_CELL-1) < v < 10^_CELL.  Without a grid, one line."""
-    grid = diagram.display
-    formats = [" ".join(["{}"] * diagram.size)] if grid is None else [
-        "".join(f"{{{row[c]}:>{_CELL}}}" if c in row else " " * _CELL for c in range(max(row) + 1))
-        for row in map(dict, grid)
-    ]
-    blocks = []
-    for title, vec in titled:
-        if grid is not None and not -10 ** (_CELL - 1) < min(vec) <= max(vec) < 10**_CELL:
+    grid, one line per display row, in which the cell of each vertex is
+    right-aligned and the line ends at its last cell.  The whole table is
+    one %-format (about twice as fast per field as str.format): one
+    template per block, whose fields take the title and then the cells in
+    grid order, which an `itemgetter` picks from (title, *vector); with two
+    or more indices it always returns a tuple.  A cell holds
+    -10^(_CELL-1) < v < 10^_CELL.  Without a grid, one line."""
+    grid, titled = diagram.display, list(titled)
+    if grid is None:
+        line, cells = " ".join(["%d"] * diagram.size), range(diagram.size)
+    else:
+        rows = [dict(row) for row in grid]
+        line = "\n".join("".join(f"%{_CELL}d" if c in row else " " * _CELL for c in range(max(row) + 1))
+                         for row in rows)
+        cells = [row[c] for row in rows for c in sorted(row)]
+        vecs = [vec for _, vec in titled]
+        if vecs and not -10 ** (_CELL - 1) < min(map(min, vecs)) <= max(map(max, vecs)) < 10**_CELL:
             raise DomainError("cell overflow")
-        blocks.append("\n".join([title, *(f.format(*vec) for f in formats)]))
-    return "\n\n".join(blocks) + "\n"
+    pick = itemgetter(0, *(1 + v for v in cells))
+    fields = tuple(chain.from_iterable(pick((title, *vec)) for title, vec in titled))
+    return "\n\n".join(["%s\n" + line] * len(titled)) % fields + "\n"
 
 
 def render_orbit_table(table: OrbitTable) -> str:

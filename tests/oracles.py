@@ -9,16 +9,20 @@ back.
 diagram's shape; `tree_solve` is the tree-shaped Cramer solve in IntPoly
 arithmetic, fast enough for the rank limit.  `kostant.generating_function`,
 the same tree solve on integers at t = 2^w, is checked against both.
-`list_matmul` combines whole IntMatrix rows as lists; `list_charpoly` and
+`list_matmul` combines whole IntMatrix rows as lists; `list_charpoly`,
+`dense_order` (the order of a whole matrix by dense powers) and
 `list_coxeter_number` (C = w2 w1 included) multiply with it, with no slot
 width to get wrong and no product code shared with the package.
-`exact.charpoly`, `coxeter.coxeter_number` and the package's `@` are
-checked against them.  `gauss_jordan_nullspace` is the dense
-fraction-free Gauss-Jordan kernel vector; the sparse elimination of
-`exact.nullspace_primitive` is checked against it.  `dense_two_coloring`
-and `dense_neighbors` read a graph off every entry of its rows; the
-bipartition and neighbour lists of `diagram.py`, which visit the nonzero
-entries only, are checked against them.  `list_three_term` checks
+`exact.charpoly`, `coxeter.coxeter_number`, which steps through the
+bicolored pair, and the package's `@` are checked against them.
+`gauss_jordan_nullspace` is the dense fraction-free Gauss-Jordan kernel
+vector; the sparse elimination of `exact.nullspace_primitive` is checked
+against it.  `block_render` renders an orbit table one block and one
+display row at a time; `orbit._render_blocks`, one format call per table,
+must give the same text.  `dense_two_coloring` and `dense_neighbors`
+read a graph off every entry of its rows; the bipartition and neighbour
+lists of `diagram.py`, which visit the nonzero entries only, are checked
+against them.  `list_three_term` checks
 McKay's three-term relation one vector at a time and `relation_rows` each
 row's whole polynomial identity; `exact._three_term`, which reads both off
 packed rows, is checked against them.
@@ -417,20 +421,44 @@ def product_route(check: str, target: Diagram | DiagramId) -> list[list[tuple]]:
     raise ValueError(f"no product route for {check!r}")
 
 
+def dense_order(m: IntMatrix, limit: int) -> int | None:
+    """The least k <= limit with m^k = I, or None, from the dense powers
+    m^k = m m^(k-1) of `list_matmul`: m whole, with no factor stepped."""
+    ident, cur = IntMatrix.identity(m.nrows), m
+    for k in range(1, limit + 1):
+        if cur == ident:
+            return k
+        cur = list_matmul(m, cur)  # the sparse factor on the left
+    return None
+
+
 def list_coxeter_number(diagram: Diagram) -> int:
     """Order of the bicolored Coxeter transformation of a finite diagram."""
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
     pair = bicolored_reflections(diagram)
-    c = list_matmul(pair.w2, pair.w1)
-    ident = IntMatrix.identity(diagram.size)
     bound = 10 * diagram.size * diagram.size
-    cur = c
-    for m in range(1, bound + 1):
-        if cur == ident:
-            return m
-        cur = list_matmul(c, cur)  # the sparse factor on the left
-    raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
+    h = dense_order(list_matmul(pair.w2, pair.w1), bound)
+    if h is None:
+        raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
+    return h
+
+
+def block_render(diagram: Diagram, titled, cell: int = 3) -> str:
+    """Orbit and z tables one block at a time: the title, then one
+    `str.format` per display row with each vertex's field named by its
+    index, cells of `cell` characters, blocks apart by a blank line."""
+    grid = diagram.display
+    formats = [" ".join(["{}"] * diagram.size)] if grid is None else [
+        "".join(f"{{{row[c]}:>{cell}}}" if c in row else " " * cell for c in range(max(row) + 1))
+        for row in map(dict, grid)
+    ]
+    blocks = []
+    for title, vec in titled:
+        if grid is not None and not -10 ** (cell - 1) < min(vec) <= max(vec) < 10**cell:
+            raise DomainError("cell overflow")
+        blocks.append("\n".join([title, *(f.format(*vec) for f in formats)]))
+    return "\n\n".join(blocks) + "\n"
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:([A-Za-z])(?:\^(\d+))?)?$")

@@ -248,12 +248,13 @@ def test_property_suites():
 
 
 def _count_orders(monkeypatch) -> list:
-    """Record the matrix of every Coxeter number the package computes."""
+    """Record the factors of every Coxeter number the package computes: the
+    bicolored pair it steps through."""
     orders, real = [], coxeter._order
 
-    def counted(m, limit):
-        orders.append(m)
-        return real(m, limit)
+    def counted(factors, limit):
+        orders.append(factors)
+        return real(factors, limit)
 
     monkeypatch.setattr(coxeter, "_order", counted)
     return orders
@@ -262,8 +263,8 @@ def _count_orders(monkeypatch) -> list:
 def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     """From cold, one `verify all` solves each nil root, finds each Coxeter
     number, sums each Molien series and finds each prime field once, however
-    many checks read it; it also forms each C = w2 w1 and each 2I - K once.
-    A warm second run prints the same bytes."""
+    many checks read it; it also forms each C = w2 w1 and each 2I - K once,
+    C with no matrix product.  A warm second run prints the same bytes."""
     clear_package_caches()
     solved, products = [], []
     real, matmul = diagram.nullspace_primitive, IntMatrix.__matmul__
@@ -286,8 +287,8 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     exts = catalog_extended()
     ade = [build(ext.did) for ext in exts if ext.did.family in SIMPLY_LACED]
     keys = {(d.cartan, d.bipartition) for d in (*map(finite_part, exts), *exts, *ade) if d.bipartition}
-    assert len(products) == len(set(products)) == len(keys) == 78
-    assert coxeter._bicolored.cache_info().misses == len(keys)
+    assert products == []
+    assert coxeter._bicolored.cache_info().misses == len(keys) == 78
     # 2I - K is read on every extended diagram and on the even-h finite ADE ones
     even = {d.cartan for d in ade if coxeter_number(d) % 2 == 0}
     assert diagram._bonds.cache_info().misses == len({ext.cartan for ext in exts} | even) == 55
@@ -298,6 +299,7 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
               and coxeter_number(finite_part(ext)) % 2 == 0}
     assert len(solved) == len(set(solved)) == len(walked) == 14 and set(solved) == walked
     assert len(orders) == len(set(orders)) == len(ade) == 18
+    assert set(orders) == set(map(bicolored_reflections, ade))
     sums, fields = molien._molien_sums.cache_info(), molien._field.cache_info()
     # molien and mckay-shift sum each catalog group to 40 and 41 terms, and
     # molien-folded both groups of each fold's Molien pair to 40

@@ -11,7 +11,6 @@ from dynkinlab import diagram as diagram_module
 from dynkinlab import exact
 from dynkinlab.cli import main
 from dynkinlab.coxeter import (
-    _bicolored,
     _class_sum,
     affine_A_charpoly,
     bicolored_reflections,
@@ -31,7 +30,8 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
 from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
-from oracles import clear_package_caches, lincomb, list_charpoly, list_coxeter_number, list_matmul, matvec, star_tree
+from oracles import (HYPERBOLIC, clear_package_caches, dense_order, lincomb, list_charpoly, list_coxeter_number,
+                     list_matmul, matvec, star_tree)
 
 L = IntPoly.monomial(1)
 
@@ -284,9 +284,11 @@ def test_packed_kernel_against_list_products_up_to_rank_64():
                 assert charpoly(c) == list_charpoly(c)
 
 
-def test_packed_kernel_makes_no_matrix_product(monkeypatch):
+def test_packed_kernel_makes_no_matrix_product(monkeypatch, capsys):
+    """charpoly, the order loop and C = w2 w1 itself sum rows without `@`:
+    from cold caches, `verify all`, `charpoly D35` and `zpoly D37` make no
+    IntMatrix product at all."""
     d = build(DiagramId("D", 37))
-    c = coxeter_transform(d)
     calls = 0
     matmul = IntMatrix.__matmul__
 
@@ -296,12 +298,37 @@ def test_packed_kernel_makes_no_matrix_product(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
-    assert charpoly(c) == (L**36 + 1) * (L + 1)
-    assert calls == 0
-    coxeter_number.cache_clear()
-    _bicolored.cache_clear()  # C, cached with the pair
+    clear_package_caches()
+    assert charpoly(coxeter_transform(d)) == (L**36 + 1) * (L + 1)
+    clear_package_caches()
     assert coxeter_number(d) == 72
-    assert calls == 1  # C = w2 w1 in coxeter_transform; the order loop makes none
+    for argv in (["verify", "all"], ["charpoly", "D35"], ["zpoly", "D37"]):
+        clear_package_caches()
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == 0
+
+
+def test_coxeter_number_against_dense_powers():
+    """The order stepped through the pair equals the order of the whole C by
+    dense powers, on the 41 catalog finite parts and at the rank limit,
+    where D128's C has the repeated eigenvalue -1 and the class rows of
+    B128 and C128 are not symmetric.  The hyperbolic controls, whose finite
+    parts are affine, still exceed the bound on both routes."""
+    finite = [finite_part(ext) for ext in catalog_extended()]
+    finite += [build(DiagramId.parse(name)) for name in ("D128", "C128", "B128", "A127")]
+    assert len(finite) == 45
+    for d in finite:
+        bound = 10 * d.size**2
+        assert coxeter_number(d) == dense_order(coxeter_transform(d), bound), d.labels
+        assert _order((coxeter_transform(d),), bound) == coxeter_number(d), d.labels
+    for pqr in HYPERBOLIC:
+        d = finite_part(star_tree(*pqr))
+        bound = 10 * d.size**2
+        assert dense_order(coxeter_transform(d), bound) is None
+        with pytest.raises(DomainError) as err:
+            coxeter_number(d)
+        assert str(err.value) == f"order exceeds the bound {bound}; diagram is not finite type"
 
 
 def _count_packing(monkeypatch) -> Counter:
@@ -323,19 +350,21 @@ def _count_packing(monkeypatch) -> Counter:
 def test_packed_loops_keep_their_first_width(monkeypatch):
     """The entries of these Coxeter transformations, their powers and their
     M_k stay within the room the first width leaves, so `_fits` passes at
-    every test and nothing is read back: the order loop packs m once and
-    tests once per stride, and charpoly builds M_0 = I by shifts, no pack."""
+    every test and nothing is read back: the order loop, stepping through
+    the pair, w1 and then w2, and charpoly both build I by shifts, no pack,
+    and the order loop tests once per stride."""
     calls = _count_packing(monkeypatch)
     for text, h, chi in (("D37", 72, (L**36 + 1) * (L + 1)), ("A31", 32, IntPoly((1,) * 32)),
                          ("E8", 30, None), ("D128", 254, (L**127 + 1) * (L + 1))):
-        c = coxeter_transform(build(DiagramId.parse(text)))
+        d = build(DiagramId.parse(text))
+        c = coxeter_transform(d)
         chi = chi or list_charpoly(c)
         calls.clear()
         assert charpoly(c) == chi
         assert calls["_pack"] == calls["_unpack"] == calls["_fits False"] == 0, text
         calls.clear()
-        assert _order(c, 10 * c.nrows**2) == h
-        assert calls == Counter({"_pack": 1, "_fits True": (h - 1) // _STRIDE}), text
+        assert _order(bicolored_reflections(d), 10 * c.nrows**2) == h
+        assert calls == Counter({"_fits True": (h - 1) // _STRIDE}), text
 
 
 def test_packed_loops_read_back_and_widen(monkeypatch):
@@ -361,8 +390,8 @@ def test_packed_loops_read_back_and_widen(monkeypatch):
         powers.append(list_matmul(m, powers[-1]))
     assert [p == IntMatrix.identity(6) for p in powers] == [False] * 5 + [True]
     calls.clear()
-    assert _order(m, 100) == 6
-    assert calls == Counter({"_pack": 2, "_unpack": 6, "_fits False": 1})
+    assert _order((m,), 100) == 6
+    assert calls == Counter({"_pack": 1, "_unpack": 6, "_fits False": 1})
 
 
 def test_hyperbolic_tree_is_not_finite_type(monkeypatch):
@@ -380,7 +409,7 @@ def test_hyperbolic_tree_is_not_finite_type(monkeypatch):
         with pytest.raises(DomainError) as err:
             order(e10)
         assert str(err.value) == "order exceeds the bound 1000; diagram is not finite type"
-    assert calls["_unpack"] == 10 * calls["_fits False"] == 10 * (calls["_pack"] - 1) > 0
+    assert calls["_unpack"] == 10 * calls["_fits False"] == 10 * calls["_pack"] > 0
 
 
 def test_lehmer_polynomial_on_e10():

@@ -478,23 +478,42 @@ def test_coxeter_transform_against_triple_loop():
 
 def test_sparse_left_against_the_dense_sum():
     """The sparse product against sum(a * b) over every entry of the row,
-    on int and IntPoly vectors; an all-zero row gives the vector's zero."""
+    on int and IntPoly vectors; an identity row i gives x[i] itself, not a
+    sum equal to it, and an all-zero row gives the vector's zero.  Square
+    and non-square matrices, with and without identity rows."""
     rng = random.Random(1977)
-    for _ in range(60):
+    kept_rows = 0
+    for _ in range(120):
         n, k = rng.randint(1, 6), rng.randint(1, 6)
-        m = IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)]
-                       for _ in range(n - 1)] + [(0,) * k])
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)] for _ in range(n - 1)] + [[0] * k]
+        for i in range(min(n - 1, k)):
+            if rng.random() < 0.4:
+                rows[i] = [int(j == i) for j in range(k)]
+        m = IntMatrix(rows)
+        kept = [i for i, row in enumerate(m.rows) if i < k and row == tuple(int(j == i) for j in range(k))]
+        kept_rows += len(kept)
         product = _sparse_left(m)
-        ints = tuple(rng.randint(-9, 9) for _ in range(k))
+        ints = tuple(rng.randint(-9, 9) << 80 for _ in range(k))
         polys = tuple(IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
                       for _ in range(k))
         for v in (ints, polys):
-            assert tuple(product(v)) == matvec(m, v)
+            out = product(v)
+            assert tuple(out) == matvec(m, v)
+            assert all(out[i] is v[i] for i in kept)
         assert type(product(ints)[-1]) is int
         last = product(polys)[-1]
         assert isinstance(last, IntPoly) and last.is_zero()
+    assert kept_rows > 50
     assert _sparse_left(IntMatrix(()))(()) == []
     assert _sparse_left(IntMatrix(((),) * 3))(()) == [0, 0, 0]
+    # a bicolored involution of D37 sums only its class rows; the rest pass through
+    pair = bicolored_reflections(build(DiagramId("D", 37)))
+    x = [IntPoly((i, 1)) for i in range(37)]
+    for w in pair:
+        out = _sparse_left(w)(x)
+        moved = [i for i in range(37) if out[i] is not x[i]]
+        assert moved == [i for i, row in enumerate(w.rows) if row[i] == -1]
+        assert tuple(out) == matvec(w, x)
 
 
 def test_int_matrix_is_a_plain_value():
@@ -505,7 +524,7 @@ def test_int_matrix_is_a_plain_value():
     assert _sparse_left(m)((1, 2)) == [2, -3]
     assert (m @ m).rows == ((-1, -1), (1, 0))
     assert charpoly(m) == IntPoly((1, 1, 1))
-    assert _order(m, 10) == 3
+    assert _order((m,), 10) == 3
     assert m.rows is rows and m == twin and hash(m) == hash(twin)
     with pytest.raises(AttributeError):
         m.rows = ()
@@ -663,7 +682,7 @@ def test_low_slots_against_unpack():
 
 
 def test_fits_against_the_largest_unpacked_slot():
-    """_fits(rows, w, g) holds iff every slot v has -b <= v < b, b =
+    """_fits(rows, n, w, g) holds iff every slot v has -b <= v < b, b =
     2^(w-1-g): slots at -b and b - 1 pass and one step outside them fails, in
     the bottom slot and in a negative top slot, for g = 2 (the least the proof
     allows) up to g = w - 1, one to 40 slots and widths 8 to 136; random rows
@@ -679,21 +698,23 @@ def test_fits_against_the_largest_unpacked_slot():
                     for j in {0, n - 1}:
                         row = [rng.randrange(-b, b) for _ in range(n)]
                         row[j] = edge
-                        assert _fits(_pack([row], w), w, g) is inside, (w, g, n, edge, j)
+                        assert _fits(_pack([row], w), n, w, g) is inside, (w, g, n, edge, j)
                 # every slot at -b: the packed row is as negative as a passing row gets
-                assert _fits(_pack([[-b] * n], w), w, g)
+                assert _fits(_pack([[-b] * n], w), n, w, g)
                 for spread in (b // 2, b, b + 1, 2 * b, half):
                     rows = [[rng.randrange(-spread + 1, spread) if spread > 1 else 0 for _ in range(n)]
                             for _ in range(4)]
                     packed = _pack(rows, w)
                     slots = [v for x in packed for v in _unpack(x, n, w)]
                     want = -b <= min(slots) and max(slots) < b
-                    assert _fits(packed, w, g) is want, (w, g, n, spread)
+                    assert _fits(packed, n, w, g) is want, (w, g, n, spread)
                     outcomes.add(want)
     assert outcomes == {True, False}
-    # rows of different slot counts in one call: each is read to its top slot
-    assert _fits(_pack([[1], [0] * 39 + [4]], 8), 8, 4)
-    assert not _fits(_pack([[1], [0] * 39 + [8]], 8), 8, 4)
+    # every row is read in all n slots, however short its own value: a row
+    # that is 1 in slot 0 beside one whose top slot is 4, then 8 or -9
+    assert _fits(_pack([[1] + [0] * 39, [0] * 39 + [4]], 8), 40, 8, 4)
+    assert not _fits(_pack([[1] + [0] * 39, [0] * 39 + [8]], 8), 40, 8, 4)
+    assert not _fits(_pack([[1] + [0] * 39, [0] * 39 + [-9]], 8), 40, 8, 4)
 
 
 def _random_poly(rng, zero=0.0) -> IntPoly:

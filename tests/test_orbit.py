@@ -3,6 +3,7 @@ extended diagram."""
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from dynkinlab.orbit import (
     tau_orbit,
     z_polynomials,
 )
-from oracles import HYPERBOLIC, star_tree
+from oracles import HYPERBOLIC, block_render, star_tree
 
 GOLDEN = Path(__file__).parent / "golden"
 T = IntPoly.monomial(1)
@@ -241,3 +242,40 @@ def test_grid_cells_hold_three_characters():
         with pytest.raises(DomainError) as err:
             orbit._render_blocks(d, [("v", vec)])
         assert str(err.value) == "cell overflow"
+
+
+def test_render_blocks_against_the_per_block_oracle():
+    """One format call per table renders what one call per block and per
+    display row renders: on the 41 catalog finite parts, the 18 A/D/E grids,
+    A1's one-cell grid among them, and the folds, which have none, with
+    random vectors up to both cell limits, one block and many; on extended
+    diagrams, which have no grid; and as the orbit and z tables of every
+    even-h catalog diagram.  Overflow is refused alike."""
+    rng = random.Random(40)
+    finite = [finite_part(e) for e in catalog_extended()]
+    grids = [d for d in finite if d.display is not None]
+    assert len(finite) == 41 and len(grids) == 18 and grids[0].size == 1
+    for d in [*finite, ext("E6"), ext("A1")]:
+        for blocks in (1, 2, 7):
+            titled = [(f"v{b}", tuple(rng.choice((-99, 999, 0, rng.randint(-99, 999))) for _ in range(d.size)))
+                      for b in range(blocks)]
+            assert orbit._render_blocks(d, titled) == block_render(d, titled), d.labels
+            assert orbit._render_blocks(d, iter(titled)) == block_render(d, titled)
+        if d.display is not None:
+            for bad in (-100, 1000):
+                titled = [("v", (0,) * d.size), ("w", (bad,) + (0,) * (d.size - 1))]
+                for render in (orbit._render_blocks, block_render):
+                    with pytest.raises(DomainError) as err:
+                        render(d, titled)
+                    assert str(err.value) == "cell overflow"
+    walked = 0
+    for e in catalog_extended():
+        if coxeter_number(finite_part(e)) % 2:
+            continue
+        table = assembling_vectors(e)
+        taus = [(f"tau^({n})beta", vec) for n, vec in enumerate(table.tau_beta)]
+        zs = [(f"z_{n}", table.z[n][1:]) for n in range(1, table.h)]
+        assert render_orbit_table(table) == block_render(table.diagram, taus), e.labels
+        assert render_z_table(table) == block_render(table.diagram, zs), e.labels
+        walked += 1
+    assert walked > 20
