@@ -233,7 +233,7 @@ def _cmd_poincare(args) -> _Result:
     coeffs = component_series(ext, 0, args.terms)
     return _Result("\n".join([
         f"component 0 for {did.text}: {format_ratfunc(component0)}",
-        f"coefficients (t^0..t^{args.terms - 1}): " + ", ".join(str(c) for c in coeffs),
+        f"coefficients (t^0..t^{args.terms - 1}): " + ", ".join([str(c) for c in coeffs]),
     ]), lambda: {
         "diagram": did.text,
         "terms": args.terms,
@@ -276,7 +276,7 @@ def _cmd_molien(args) -> _Result:
     coeffs = molien_coeffs(group, args.terms - 1)
     return _Result("\n".join([
         f"group {bid.text}, order {group.order}",
-        f"molien coefficients (t^0..t^{args.terms - 1}): " + ", ".join(str(c) for c in coeffs),
+        f"molien coefficients (t^0..t^{args.terms - 1}): " + ", ".join([str(c) for c in coeffs]),
     ]), lambda: {"group": bid.text, "order": group.order, "terms": args.terms, "coefficients": coeffs})
 
 

@@ -131,9 +131,6 @@ class Diagram(NamedTuple):
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in compress(range(self.size), self.cartan.rows[i]) if j != i)
-
     @property
     def bonds(self) -> IntMatrix:
         """2I - K: entry (i, j) is -K_ij off the diagonal, 0 on it.  On an

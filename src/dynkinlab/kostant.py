@@ -1,18 +1,19 @@
 """Kostant generating functions for extended diagrams.
 
 x(t) solves M(t) x = e0 with M(t) = (1 + t^2) I - t B and B = 2I - K the
-McKay operator of the extended diagram, a tree F (its finite part) plus
-the affine vertex 0.  With q = 1 + t^2 and b_ij = -K_ij, the Schur
-complement at vertex 0 gives det M = q det M_F - t^2 sum b_0u adj(M_F)_uw
-b_w0 and the Cramer numerators y_0 = det M_F, y_v = t sum adj(M_F)_vu b_u0
-(u, w over the neighbours N(0) of vertex 0).  On a tree, adj(M_F)_vu is
-t^d prod b_(child, parent) along the path from u down to v times the
-determinant of the forest the path leaves (Godsil, Algebraic
+McKay operator of the extended diagram, a tree F (its finite part) plus the
+affine vertex 0; its entries are read from B (`Diagram.bonds`) only.
+With q = 1 + t^2 and b_ij = -K_ij, the Schur complement at vertex 0 gives
+det M = q det M_F - t^2 sum b_0u adj(M_F)_uw b_w0 and the Cramer numerators
+y_0 = det M_F, y_v = t sum adj(M_F)_vu b_u0 (u, w over the neighbours N(0)
+of vertex 0; the neighbours of v are the nonzero b_vj, as b_vv = 0).  On a
+tree, adj(M_F)_vu is t^d prod b_(child, parent) along the path from u down
+to v times the determinant of the forest the path leaves (Godsil, Algebraic
 Combinatorics, 1993), so one leaf-to-root and one root-to-leaf pass per
 u in N(0) give every entry with no division, on ints at t = 2^w: q x is
 x + (x << 2w) and a path product a (factor, depth) pair, stepped by a shift.
 Each y_i and det M, a minor of M, has coefficient 1-norm at most the product
-of M's row 1-norms sum_j |K_ij| < 2^(w-1); as evaluation at 2^w is a ring
+of M's row 1-norms 2 + sum_j |b_ij| < 2^(w-1); as evaluation at 2^w is a ring
 homomorphism, only these outputs need the bound, each decoded once.  Since
 det M(0) = 1 the series of y_i / det M expand in integers:
 `component_series` expands one, for the commands that compare component 0
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .diagram import Diagram
@@ -41,10 +43,10 @@ class GeneratingFunction(NamedTuple):
 
 def _adjugate_column(diagram: Diagram, root: int, w: int) -> tuple[int, dict[int, int]]:
     """(det M_F, {v: adj(M_F)_(v, root)}) at t = 2^w, the finite part F rooted at root."""
-    k = diagram.cartan.rows
+    b, cols = diagram.bonds.rows, range(diagram.size)
     parent, children, order = {root: 0}, {root: []}, [root]
     for v in order:  # breadth first; order grows while it is walked
-        for c in diagram.neighbors(v):
+        for c in compress(cols, b[v]):
             if c not in (0, parent[v]):
                 if c in parent:
                     raise DomainError(f"the finite part of {diagram.name} has a cycle")
@@ -61,13 +63,13 @@ def _adjugate_column(diagram: Diagram, root: int, w: int) -> tuple[int, dict[int
         for i, c in enumerate(cs):
             rest[c] = math.prod(d[x] for x in cs[:i] + cs[i + 1:])
         ev = e[v] = math.prod(d[c] for c in cs)
-        d[v] = ev + ((ev - sum(k[v][c] * k[c][v] * e[c] * rest[c] for c in cs)) << 2 * w)
+        d[v] = ev + ((ev - sum(b[v][c] * b[c][v] * e[c] * rest[c] for c in cs)) << 2 * w)
     # root to leaf: path[v] = (f, depth), t^depth f the product of b_(child, parent)
     # down to v times the determinants of the subtrees off the path above v
     path = {root: (1, 0)}
     for v in order[1:]:
         f, depth = path[parent[v]]
-        path[v] = (-k[v][parent[v]] * f * rest[v], depth + 1)
+        path[v] = (b[v][parent[v]] * f * rest[v], depth + 1)
     return d[root], {v: (f * e[v]) << (w * depth) for v, (f, depth) in path.items()}
 
 
@@ -77,12 +79,12 @@ def generating_function(diagram: Diagram) -> GeneratingFunction:
         raise DomainError("the generating functions live on the extended diagram")
     if not diagram.u0:
         raise DomainError(f"the affine vertex of {diagram.name} has no neighbours")
-    k, u0 = diagram.cartan.rows, diagram.u0
-    w = _width(math.prod(sum(map(abs, row)) for row in k))
+    b, u0 = diagram.bonds.rows, diagram.u0
+    w = _width(math.prod(2 + sum(map(abs, row)) for row in b))
     dets, columns = zip(*(_adjugate_column(diagram, u, w) for u in u0))
-    ys = [dets[0]] + [sum(-k[u][0] * adj[v] for u, adj in zip(u0, columns)) << w
+    ys = [dets[0]] + [sum(b[u][0] * adj[v] for u, adj in zip(u0, columns)) << w
                       for v in range(1, diagram.size)]
-    cross = sum(k[0][x] * k[u][0] * adj[x] for u, adj in zip(u0, columns) for x in u0)
+    cross = sum(b[0][x] * b[u][0] * adj[x] for u, adj in zip(u0, columns) for x in u0)
     det_m = _decode(dets[0] + ((dets[0] - cross) << 2 * w), w)
     numerators = tuple(_decode(y, w) for y in ys)
     for i, num in enumerate(numerators):

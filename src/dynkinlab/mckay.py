@@ -66,13 +66,10 @@ class Report(NamedTuple):
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
-    def lines(self) -> list[str]:
-        out = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
-        out += [f"  {'PASS' if ok else 'FAIL'}  {label}" for label, ok in self.checks]
-        return out
-
     def render(self) -> str:
-        return "\n".join(self.lines())
+        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
+        lines += [f"  {'PASS' if ok else 'FAIL'}  {label}" for label, ok in self.checks]
+        return "\n".join(lines)
 
 
 def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
@@ -92,18 +89,11 @@ def kostant_numbers(did: DiagramId) -> tuple[int, int, int, int]:
     return (h + 2 - root) // 2, (h + 2 + root) // 2, h, order
 
 
-def kostant_denominator(did: DiagramId) -> tuple[int, int, IntPoly]:
-    """(a, b, (1 - t^a)(1 - t^b)): the denominator of the Kostant form, with
-    a and b from `kostant_numbers`."""
-    a, b, _, _ = kostant_numbers(did)
-    return a, b, (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
-
-
 def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     """(1 + t^h, (1 - t^a)(1 - t^b)): numerator and denominator of component
-    0 of did's extension, unreduced; h = a + b - 2, as a + b = h + 2."""
-    a, b, den = kostant_denominator(did)
-    return 1 + IntPoly.monomial(a + b - 2), den
+    0 of did's extension, unreduced, with a, b and h from `kostant_numbers`."""
+    a, b, h, _ = kostant_numbers(did)
+    return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
 
 
 def verify_kostant_relation(diagram: Diagram, nterms: int) -> Report:
@@ -161,7 +151,8 @@ def verify_kostant_form(ext: Diagram) -> Report:
     zt = z_polynomials(ext)
     if ext.did is None:
         raise DomainError(f"{ext.name}: no Molien group H gives |H| for a and b")
-    a, b, den = kostant_denominator(ext.did)
+    a, b, _, _ = kostant_numbers(ext.did)
+    _, den = closed_form_component0(ext.did)
     gf = generating_function(ext)
     checks = tuple((f"[P]_{label} = z(t)_{label} / ((1 - t^{a})(1 - t^{b}))", ok)
                    for label, ok in zip(ext.labels, _agree(gf.numerators, gf.det_m, zt, den)))

@@ -20,9 +20,9 @@ vector; the sparse elimination of `exact.nullspace_primitive` is checked
 against it.  `block_render` renders an orbit table one block and one
 display row at a time; `orbit._render_blocks`, one format call per table,
 must give the same text.  `dense_two_coloring` and `dense_neighbors`
-read a graph off every entry of its rows; the bipartition and neighbour
-lists of `diagram.py`, which visit the nonzero entries only, are checked
-against them.  `list_three_term` checks
+read a graph off every entry of its rows; the bipartition of `diagram.py`
+and the nonzero columns of B that `kostant` walks, which visit the nonzero
+entries only, are checked against them.  `list_three_term` checks
 McKay's three-term relation one vector at a time and `relation_rows` each
 row's whole polynomial identity; `exact._three_term`, which reads both off
 packed rows, is checked against them.
@@ -154,13 +154,14 @@ def tree_solve(diagram: Diagram) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     diagram whose finite part F is a tree, in IntPoly arithmetic: the Schur
     complement at vertex 0 over adj(M_F) columns, one per neighbour u of
     vertex 0, from a leaf-to-root pass of subtree determinants and a
-    root-to-leaf pass of path products with F rooted at u."""
+    root-to-leaf pass of path products with F rooted at u.  The tree is
+    walked by `dense_neighbors` on K's rows, a reader `kostant` does not use."""
     k, q, u0 = diagram.cartan, 1 + T**2, diagram.u0
     columns = []
     for root in u0:
         parent, children, order = {root: 0}, {root: []}, [root]
         for v in order:
-            for c in diagram.neighbors(v):
+            for c in dense_neighbors(k.rows, v):
                 if c not in (0, parent[v]):
                     parent[c], children[c] = v, []
                     children[v].append(c)
@@ -394,9 +395,8 @@ def product_route(check: str, target: Diagram | DiagramId) -> list[list[tuple]]:
         num, den = mckay.closed_form_component0(target)
         return [[(gf.numerators[0] * den, num * gf.det_m)]]
     if check == "orbit-form":
-        a, b, _, _ = mckay.kostant_numbers(target.did)
+        _, den = mckay.closed_form_component0(target.did)
         zt = mckay.z_polynomials(target)
-        den = (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
         gf = mckay.generating_function(target)
         return [[(gf.numerators[i] * den, zt[i] * gf.det_m)] for i in range(target.size)]
     if check == "mckay-observation":

@@ -4,8 +4,9 @@ import argparse
 import hashlib
 import itertools
 import json
-import random
+import platform
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from dynkinlab.diagram import DiagramId, build
 from dynkinlab.exact import IntMatrix, IntPoly
 from dynkinlab.mckay import Report
 from dynkinlab.orbit import z_polynomials
+from make_corpus import CORPUS, command_lines, misused_argv, outcome
 from oracles import clear_package_caches, package_caches, parse_poly, product_route
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
@@ -130,38 +132,8 @@ def test_exit_codes_follow_the_error_taxonomy(capsys, monkeypatch):
         assert out == "" and "Traceback" not in err, cls
 
 
-def _misused_argv(seed: int) -> list[list[str]]:
-    """Seeded misuses of the command line, each one a usage, domain or
-    parse error before any result is printed."""
-    rng = random.Random(seed)
-    diagram_verbs = ("cartan", "coxeter", "charpoly", "quotient", "poincare", "orbit", "zpoly")
-    bad_diagrams = ("Z9", "H4", "E9", "F5", "a5", "", "A0", "B1", "C1", "D3", "DD2", "CD1",
-                    "A129", "D129", "B200", "A\u00b2", "D\u0663", "B\uff13")
-    bad_groups = ("dihedral:3", "binary_cubic", "cyclic", "binary_dihedral", "cyclic:0",
-                  "binary_dihedral:1", "binary_tetrahedral:2", "cyclic:1.5", "cyclic:-2",
-                  "cyclic:\u00b2", "cyclic:\u0663", "binary_dihedral:\uff13", "cyclic:1025")
-    out = [[]]
-    out += [[verb, "E6"] for verb in ("frobnicate", "Cartan", "verify-all", "molien2")]
-    out += [[rng.choice(diagram_verbs), d] for d in bad_diagrams]
-    out += [["verify", rng.choice(("ebeling", "orbit-form", "closed-form")), d] for d in bad_diagrams]
-    out += [["molien", g] for g in bad_groups]
-    out += [["verify", rng.choice(("molien", "mckay-shift")), g] for g in bad_groups]
-    for terms in ("0", "-1", "1e3", "", "100001", "\u0663", "1\u0660", "+3", "1_0", " 3"):
-        out.append(["poincare", rng.choice(("E6", "D5", "A3")), "--terms", terms])
-        out.append(["molien", "cyclic:3", "--terms", terms])
-        out.append(["verify", "all", "--terms", terms])
-    for target in ("E6", "D5", "B4", "G2", "DD4"):
-        out.append([rng.choice(("charpoly", "quotient")), target, "--k", str(rng.randint(1, 4))])
-    for k in ("0", "-1", "6", "99", "x", "", "\u0663", "\uff13", "+3", " 3"):
-        out.append([rng.choice(("charpoly", "quotient")), "A5", "--k", k])
-    out += [["verify", "all", "E6"], ["verify", "molien-folded", "A5"], ["verify", "nope"],
-            ["cartan", "E6", "--format", "xml"], ["verify", "all", "--format", "yaml"]]
-    rng.shuffle(out)
-    return out
-
-
 def test_misused_command_lines_fail_cleanly(capsys):
-    for argv in _misused_argv(2006):
+    for argv in misused_argv(2006):
         code, out, err = run(capsys, *argv)
         assert code in (1, 2), argv
         assert out == "", argv
@@ -229,7 +201,7 @@ def test_one_verb_parser_matches_the_full_tree(capsys, monkeypatch):
     for verb, target in (("poincare", "E6"), ("molien", "cyclic:3"), ("verify", "all")):
         argvs += [[verb, target, "--terms=5"], [verb, target, "--ter", "3"]]
     for seed in (1, 2, 3):
-        argvs += _misused_argv(seed)
+        argvs += misused_argv(seed)
     one_verb = [_outcome(capsys, argv) for argv in argvs]
     full_tree = cli._build_parser
 
@@ -816,6 +788,28 @@ def test_bench_reference_outputs(capsys):
         code, out, _ = run(capsys, *key.split())
         assert code == refs[key]["exit"], key
         assert hashlib.sha256(out.encode()).hexdigest() == refs[key]["sha256"], key
+
+
+def test_corpus_replays_byte_identically(monkeypatch):
+    """Each command line of tests/corpus.json, from cold caches with
+    COLUMNS=80, gives the exit code and the stdout and stderr digests that
+    the file records; the file holds the command lines `make_corpus`
+    generates, in its order.  On another Python version than the one that
+    wrote it, help and errors, which argparse may render, compare their
+    exit codes only."""
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    outputs = corpus["outputs"]
+    assert list(outputs) == [shlex.join(argv) for argv in command_lines()]
+    same_python = corpus["made_with"]["python"] == platform.python_version()
+    caches, changed = list(package_caches().values()), []
+    for key, ref in outputs.items():
+        got = outcome(shlex.split(key), caches)
+        if not same_python and (ref["exit"] != 0 or "--help" in key.split()):
+            got, ref = got["exit"], ref["exit"]
+        if got != ref:
+            changed.append(key)
+    assert changed == []
 
 
 # no caller repeats a diagram in the walk, but bench/spans.py counts its
