@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -37,10 +38,11 @@ from dynkinlab.mckay import (
     verify_observation,
 )
 from dynkinlab.molien import enumerate_group, molien_coeffs
-from dynkinlab.orbit import z_polynomials
+from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
 from oracles import clear_package_caches, cramer_solve, lincomb, multiplicities, parse_poly, zeros
 
 L = IntPoly.monomial(1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
@@ -121,6 +123,14 @@ def test_closed_form_and_degree_table():
             assert (a, b, h, order) == (4, 2 * n, 2 * n + 2, 4 * n)
         else:
             assert (a, b, h, order) == expected[did.family]
+
+
+def test_e6_golden_tables():
+    d = build(DiagramId("E6"), extended=True)
+    table = assembling_vectors(d)
+    assert render_orbit_table(table) == (GOLDEN / "e6_orbit_table.txt").read_text()
+    assert render_z_table(table) == (GOLDEN / "e6_z_vectors.txt").read_text()
+    assert render_z_polynomials(d) == (GOLDEN / "e6_z_polynomials.txt").read_text()
 
 
 def test_e6_x1_multiplicities():

@@ -4,6 +4,7 @@ extended diagram."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +24,14 @@ from dynkinlab.mckay import verify_kostant_form
 from dynkinlab.orbit import (
     assembling_vectors,
     render_orbit_table,
+    render_z_polynomials,
     render_z_table,
     tau_orbit,
     z_polynomials,
 )
 from oracles import HYPERBOLIC, block_render, star_tree
 
+GOLDEN = Path(__file__).parent / "golden"
 T = IntPoly.monomial(1)
 
 
@@ -209,6 +212,21 @@ def test_sum_of_values_matches_total_mass():
         table = assembling_vectors(ext(name))
         zt = z_polynomials(ext(name))
         assert sum(p(1) for p in zt) == sum(sum(zn) for zn in table.z)
+
+
+def test_golden_e6_orbit_table():
+    table = assembling_vectors(ext("E6"))
+    assert render_orbit_table(table) == (GOLDEN / "e6_orbit_table.txt").read_text()
+
+
+def test_golden_e6_z_vectors():
+    table = assembling_vectors(ext("E6"))
+    assert render_z_table(table) == (GOLDEN / "e6_z_vectors.txt").read_text()
+
+
+def test_golden_e6_z_polynomials():
+    out = render_z_polynomials(ext("E6"))
+    assert out == (GOLDEN / "e6_z_polynomials.txt").read_text()
 
 
 def test_grid_cells_hold_three_characters():
