@@ -14,10 +14,11 @@ the product over a class is the class sum I - sum(e_i K_i), whose class
 rows are e_i - K_i and whose other rows are the identity's (Steinberg 1959;
 A'Campo 1976).  C then has about four nonzeros per row (317 on D80).  Its
 part_y rows are w1's, as w2 is the identity there, so forming C sums only
-its part_x rows, over the nonzeros of both factors.  The order of C steps
-through the pair, w1 and then w2, and each sparse product by a factor
-passes the identity rows through, so it sums one colour class only; C
-itself is read by charpoly and by the checks that take it as one operator.
+its part_x rows, over the nonzeros of both factors.  The order of C is
+the period of one vector, a colour class's indicator, stepped through the
+pair, w1 and then w2; each sparse product by a factor passes the identity
+rows through, so it sums one colour class only.  C itself is read by
+charpoly and by the checks that take it as one operator.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .exact import (
     IntMatrix,
     IntPoly,
     RatFunc,
-    _order,
     _row_product,
+    _sparse_left,
     _terms,
     _trusted_matrix,
     charpoly,
@@ -89,15 +90,39 @@ def coxeter_transform(diagram: Diagram) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def coxeter_number(diagram: Diagram) -> int:
-    """Order of the bicolored Coxeter transformation of a finite diagram,
-    stepped through its pair: C^k = (w2 w1)^k, w1 applied first."""
+    """Order of the bicolored Coxeter transformation of a finite diagram:
+    the period of x, the indicator vector of the colour class that holds
+    vertex 0, under x <- w2 (w1 x), as `orbit.tau_orbit` steps beta.
+
+    One vector suffices (Steinberg 1959; A'Campo 1976).  On a connected
+    finite diagram C has order h, and x has a nonzero component on the
+    eigenvalue e^(2 pi i / h): Steinberg builds that eigenvector from the
+    Perron-Frobenius vector of the bond graph, symmetrised on the
+    multiply-laced diagrams, and on one class it is a multiple of a
+    positive vector, so its pairing with x does not vanish.  On a connected
+    diagram that is not finite type, C grows along a direction that is
+    again a multiple of a positive vector on each class (delta's Jordan
+    block at 1 if affine, the Perron eigenvalue > 1 if wild), so the orbit
+    never closes and the bound refuses it.  A disconnected C is block
+    diagonal, and `diagram._two_coloring` gives colour 0 to the least vertex
+    of each component, so x meets every component and its period is the
+    lcm of their orders.  No shorter start will do: the all-ones vector has
+    period 2 on the affine finite part of T(3,3,4), and e_0 alone has
+    period 2 on A1 + A2, whose C has order 6.
+    """
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
-    bound = 10 * diagram.size**2
-    h = _order(bicolored_reflections(diagram), bound)
-    if h is None:
-        raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
-    return h
+    pair = bicolored_reflections(diagram)  # refuses an odd cycle
+    w1, w2 = _sparse_left(pair.w1), _sparse_left(pair.w2)
+    start = [0] * diagram.size
+    for i in next((part for part in diagram.bipartition if 0 in part), ()):
+        start[i] = 1
+    bound, x = 10 * diagram.size**2, start
+    for k in range(1, bound + 1):
+        x = w2(w1(x))
+        if x == start:
+            return k
+    raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
 
 
 def affine_A_charpoly(n: int, k: int) -> IntPoly:

@@ -389,11 +389,9 @@ def _l1(p: IntPoly) -> int:
     return sum(map(abs, p.coeffs))
 
 
-def _norm(m: IntMatrix, shift: int = 0) -> int:
-    """||shift I + m||, the largest row sum of its absolute entries."""
-    if not shift:  # every row sum at C speed
-        return max(map(sum, map(map, repeat(abs), m.rows)))
-    return max(sum(map(abs, row)) - abs(row[i]) + abs(shift + row[i]) for i, row in enumerate(m.rows))
+def _norm(m: IntMatrix) -> int:
+    """||m||, the largest row sum of its absolute entries, at C speed."""
+    return max(map(sum, map(map, repeat(abs), m.rows)))
 
 
 def _agree(nums: Sequence[IntPoly], den: IntPoly, others: Sequence[IntPoly], other_den: IntPoly) -> list[bool]:
@@ -488,38 +486,9 @@ def _fits(rows: Sequence[int], n: int, w: int, g: int) -> bool:
     return not any((x + bias) & mask for x in rows)
 
 
-# Both packed loops keep g bits of headroom, r^_STRIDE < 2^g: entries at most
+# charpoly keeps g bits of headroom, r^_STRIDE < 2^g: entries at most
 # 2^(w-1-g) stay below 2^(w-1) for _STRIDE products by m.
 _STRIDE = 4
-
-
-def _order(factors: Sequence[IntMatrix], limit: int) -> int | None:
-    """The least k <= limit with m^k = I, or None, for m the product of the
-    square factors applied in turn, factors[0] first.
-
-    m^k is kept as packed rows, from I built by shifts: each step is one
-    sparse product per factor, which for the bicolored pair (w1, w2) sums
-    one colour class's rows each (`_sparse_left`), m^k = I compares n
-    integers, and m^k is read back and re-packed wider only where `_fits`
-    fails at the end of a stride.  r, the product of the factors' norms,
-    bounds ||m|| and every partial product of a step, so I needs only the
-    g bits of headroom and a sign bit.
-    """
-    n, steps = factors[0].nrows, [_sparse_left(f) for f in factors]
-    r = math.prod(map(_norm, factors))
-    g = max(2, (r**_STRIDE).bit_length())
-    w = _width(1 << g)
-    cur = ident = [1 << (w * i) for i in range(n)]
-    for k in range(1, limit + 1):
-        for step in steps:
-            cur = step(cur)
-        if cur == ident:
-            return k
-        if k % _STRIDE == 0 and not _fits(cur, n, w, g):
-            rows = [_unpack(x, n, w) for x in cur]
-            w = _width(max(max(map(abs, row)) for row in rows) << g)
-            cur, ident = _pack(rows, w), [1 << (w * i) for i in range(n)]
-    return None
 
 
 def charpoly(m: IntMatrix) -> IntPoly:

@@ -195,7 +195,7 @@ def verify_z_recurrence(ext: Diagram) -> Report:
     a, w1, w2, cx = map(_sparse_left, (a_fin, *pair, c))  # each applied more than once
 
     na, n1, nc = _norm(a_fin), _norm(pair.w1), _norm(c)
-    m1, m2, pc = _norm(pair.w1, -1), _norm(pair.w2, -1), _norm(c, 1)  # ||1 - w1||, ||1 - w2||, ||1 + C||
+    m1, m2, pc = 1 + n1, 1 + _norm(pair.w2), 1 + nc  # bound ||1 - w1||, ||1 - w2||, ||1 + C||
     w = _width(max(na * m2 * n1 + m1 * pc, na * m1 * nc + m2 * n1 * pc))
     ident = [1 << (w * i) for i in range(finite.size)]  # the packed rows of 1
 
@@ -241,8 +241,13 @@ def crosscheck(bid: BpgId, nterms: int) -> Report:
     ext = build(did, extended=True)
     coeffs, worst = _molien_sums(group, nterms)  # a tuple, as is component0
     component0 = component_series(ext, 0, nterms + 1)
+    # y_0 / det M ~ 1 / (|G| (1 - t)^2) at t = 1, so with c_k the coefficients of
+    # det M: sum c_k = sum k c_k = 0 and sum k^2 c_k = det M''(1) = 2 |G| y_0(1)
+    gf = generating_function(ext)
+    moments = [sum(k**j * c for k, c in enumerate(gf.det_m.coeffs)) for j in range(3)]
     checks = [
-        (f"group order is {bid.order}", group.order == bid.order),
+        (f"group order is {bid.order}",
+         moments[:2] == [0, 0] and moments[2] == 2 * group.order * gf.numerators[0](1)),
         (f"float deviation below {_TOL:g}", worst < _TOL),
         (f"molien series matches component 0 of {did.text} through degree {nterms}",
          coeffs == component0),

@@ -13,8 +13,8 @@ the same tree solve on integers at t = 2^w, is checked against both.
 `dense_order` (the order of a whole matrix by dense powers) and
 `list_coxeter_number` (C = w2 w1 included) multiply with it, with no slot
 width to get wrong and no product code shared with the package.
-`exact.charpoly`, `coxeter.coxeter_number`, which steps through the
-bicolored pair, and the package's `@` are checked against them.
+`exact.charpoly`, `coxeter.coxeter_number`, which walks one colour class
+through the bicolored pair, and the package's `@` are checked against them.
 `gauss_jordan_nullspace` is the dense fraction-free Gauss-Jordan kernel
 vector; the sparse elimination of `exact.nullspace_primitive` is checked
 against it.  `block_render` renders an orbit table one block and one
@@ -52,9 +52,9 @@ holds on every bipartite tree must PASS on them.
 `multiplicities` reads every component's series back from the packed
 columns of `kostant.packed_series`, raising the first negative slot's
 error; the package itself compares those columns packed.
-`package_caches` finds every cache the package defines, by qualified name,
-as the benchmark's harness does; `clear_package_caches` empties them all,
-as a fresh process starts.
+`package_caches` lists every cache the package defines, by qualified name,
+as the benchmark's harness does, found once when this module is imported;
+`clear_package_caches` empties them all, as a fresh process starts.
 """
 
 from __future__ import annotations
@@ -829,7 +829,7 @@ def star_tree(p: int, q: int, r: int) -> Diagram:
 HYPERBOLIC = ((2, 3, 7), (3, 3, 4), (2, 4, 5))
 
 
-def package_caches() -> dict[str, object]:
+def _find_caches() -> dict[str, object]:
     """Every object with `cache_clear` that the package defines, module
     globals and class attributes alike, keyed by where it is defined
     (e.g. "dynkinlab.orbit.tau_orbit"), so a cache added later is found."""
@@ -848,7 +848,16 @@ def package_caches() -> dict[str, object]:
     return dict(sorted(found.items()))
 
 
+# found once, on import, before any test can monkeypatch a cached function
+_CACHES = _find_caches()
+
+
+def package_caches() -> dict[str, object]:
+    """Every cache the package defines, by qualified name (`_find_caches`)."""
+    return dict(_CACHES)
+
+
 def clear_package_caches() -> None:
     """Empty every cache the package defines, as a fresh process starts with none."""
-    for cache in package_caches().values():
+    for cache in _CACHES.values():
         cache.cache_clear()

@@ -248,15 +248,16 @@ def test_property_suites():
 
 
 def _count_orders(monkeypatch) -> list:
-    """Record the factors of every Coxeter number the package computes: the
-    bicolored pair it steps through."""
-    orders, real = [], coxeter._order
+    """Record the bicolored pair of every Coxeter number the package
+    computes: in `coxeter`, only `coxeter_number` reads the pair through
+    the module's own `bicolored_reflections`, once per cache miss."""
+    orders, real = [], coxeter.bicolored_reflections
 
-    def counted(factors, limit):
-        orders.append(factors)
-        return real(factors, limit)
+    def counted(d):
+        orders.append(real(d))
+        return orders[-1]
 
-    monkeypatch.setattr(coxeter, "_order", counted)
+    monkeypatch.setattr(coxeter, "bicolored_reflections", counted)
     return orders
 
 

@@ -29,9 +29,9 @@ from dynkinlab.diagram import (
     nil_root,
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
-from dynkinlab.exact import _STRIDE, IntMatrix, IntPoly, RatFunc, _order, charpoly
+from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, charpoly
 from oracles import (HYPERBOLIC, clear_package_caches, dense_order, lincomb, list_charpoly, list_coxeter_number,
-                     list_matmul, matvec, star_tree)
+                     matvec, star_tree)
 
 L = IntPoly.monomial(1)
 
@@ -267,11 +267,9 @@ def test_packed_kernel_against_list_products_on_catalog():
 
 
 def test_packed_kernel_against_list_products_up_to_rank_64():
-    """The order loop tests `_fits` after every 4 steps: A_n closes on the
-    last step of a stride where 4 divides h = n + 1 (A3, A7, A11, A15, A31,
-    A63) and on the first step after one where h = 1 mod 4 (A4, A8, A12,
-    A16, A32, A64).  The extended A_n with n even are odd cycles."""
-    assert _STRIDE == 4
+    """The walk from one colour class closes at h on every family up to
+    rank 64, where D_even's C has the repeated eigenvalue -1, as the whole
+    C's list powers do.  The extended A_n with n even are odd cycles."""
     for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
         for n in (*range(low, 13), 15, 16, 31, 32, 33, 63, 64):
             d = build(DiagramId(family, n))
@@ -285,7 +283,7 @@ def test_packed_kernel_against_list_products_up_to_rank_64():
 
 
 def test_packed_kernel_makes_no_matrix_product(monkeypatch, capsys):
-    """charpoly, the order loop and C = w2 w1 itself sum rows without `@`:
+    """charpoly, the walk that finds h and C = w2 w1 itself sum rows without `@`:
     from cold caches, `verify all`, `charpoly D35` and `zpoly D37` make no
     IntMatrix product at all."""
     d = build(DiagramId("D", 37))
@@ -310,18 +308,18 @@ def test_packed_kernel_makes_no_matrix_product(monkeypatch, capsys):
 
 
 def test_coxeter_number_against_dense_powers():
-    """The order stepped through the pair equals the order of the whole C by
-    dense powers, on the 41 catalog finite parts and at the rank limit,
-    where D128's C has the repeated eigenvalue -1 and the class rows of
-    B128 and C128 are not symmetric.  The hyperbolic controls, whose finite
-    parts are affine, still exceed the bound on both routes."""
+    """The period of one colour class under the pair equals the order of the
+    whole C by dense powers, on the 41 catalog finite parts and at the rank
+    limit, where D128's C has the repeated eigenvalue -1, the class rows of
+    B128 and C128 are not symmetric and A128's h is odd.  The hyperbolic
+    controls, whose finite parts are affine, still exceed the bound on both
+    routes."""
     finite = [finite_part(ext) for ext in catalog_extended()]
-    finite += [build(DiagramId.parse(name)) for name in ("D128", "C128", "B128", "A127")]
-    assert len(finite) == 45
+    finite += [build(DiagramId.parse(name)) for name in ("D128", "C128", "B128", "A127", "A128")]
+    assert len(finite) == 46
     for d in finite:
         bound = 10 * d.size**2
         assert coxeter_number(d) == dense_order(coxeter_transform(d), bound), d.labels
-        assert _order((coxeter_transform(d),), bound) == coxeter_number(d), d.labels
     for pqr in HYPERBOLIC:
         d = finite_part(star_tree(*pqr))
         bound = 10 * d.size**2
@@ -329,6 +327,65 @@ def test_coxeter_number_against_dense_powers():
         with pytest.raises(DomainError) as err:
             coxeter_number(d)
         assert str(err.value) == f"order exceeds the bound {bound}; diagram is not finite type"
+
+
+def block_sum(*names: str) -> Diagram:
+    """The finite diagram whose Cartan matrix is the block sum of the named
+    catalog diagrams' (extended ones with a trailing "~"), in that order."""
+    blocks = [build(DiagramId.parse(name.rstrip("~")), extended=name.endswith("~")).cartan
+              for name in names]
+    n, rows, at = sum(k.nrows for k in blocks), [], 0
+    for k in blocks:
+        rows += [(0,) * at + row + (0,) * (n - at - k.nrows) for row in k.rows]
+        at += k.nrows
+    return diagram_module._make(None, False, tuple(f"v{i}" for i in range(n)), IntMatrix(rows))
+
+
+def _period(d: Diagram, x: tuple[int, ...]) -> int | None:
+    """The least k <= 10 n^2 with C^k x = x, from C's list products."""
+    c, y = coxeter_transform(d), x
+    for k in range(1, 10 * d.size**2 + 1):
+        y = matvec(c, y)
+        if y == x:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("names, h", [(("A1", "A2"), 6), (("A1", "A2", "A4"), 30), (("E6", "G2"), 12)])
+def test_coxeter_number_of_a_block_sum(names, h):
+    """C of a block sum is block diagonal and its order is the lcm of the
+    blocks' orders: the class that holds vertex 0 meets every block, as
+    colour 0 goes to the least vertex of each component.  e_0 alone would
+    see the first block's order only."""
+    d = block_sum(*names)
+    assert coxeter_number(d) == dense_order(coxeter_transform(d), 10 * d.size**2) == h
+    e0 = (1,) + (0,) * (d.size - 1)
+    assert _period(d, e0) == coxeter_number(build(DiagramId.parse(names[0])))
+
+
+def test_coxeter_number_refuses_what_is_not_finite_type():
+    """Every bipartite catalog extended Cartan matrix read as a finite
+    diagram, and a finite block beside an affine one, have no finite orbit
+    from the class of vertex 0, so the bound refuses them.  The all-ones
+    vector would close at 2 on the affine finite part of T(3,3,4)."""
+    affine = [diagram_module._make(None, False, ext.labels, ext.cartan)
+              for ext in catalog_extended() if ext.bipartition is not None]
+    assert len(affine) == 37
+    for d in (*affine, block_sum("A2", "E6~"), block_sum("D4~", "A1")):
+        bound = 10 * d.size**2
+        with pytest.raises(DomainError) as err:
+            coxeter_number(d)
+        assert str(err.value) == f"order exceeds the bound {bound}; diagram is not finite type", d.cartan
+    d = finite_part(star_tree(3, 3, 4))
+    assert _period(d, (1,) * d.size) == 2
+
+
+def test_coxeter_number_of_the_empty_diagram():
+    """No vertex, so a bound of 0 steps and no class to start from."""
+    empty = diagram_module._make(None, False, (), IntMatrix(()))
+    with pytest.raises(DomainError) as err:
+        coxeter_number(empty)
+    assert str(err.value) == "order exceeds the bound 0; diagram is not finite type"
 
 
 def _count_packing(monkeypatch) -> Counter:
@@ -348,31 +405,23 @@ def _count_packing(monkeypatch) -> Counter:
 
 
 def test_packed_loops_keep_their_first_width(monkeypatch):
-    """The entries of these Coxeter transformations, their powers and their
-    M_k stay within the room the first width leaves, so `_fits` passes at
-    every test and nothing is read back: the order loop, stepping through
-    the pair, w1 and then w2, and charpoly both build I by shifts, no pack,
-    and the order loop tests once per stride."""
+    """The M_k of these Coxeter transformations stay within the room the
+    first width leaves, so charpoly, which builds I by shifts, packs nothing,
+    no `_fits` test fails and nothing is read back."""
     calls = _count_packing(monkeypatch)
-    for text, h, chi in (("D37", 72, (L**36 + 1) * (L + 1)), ("A31", 32, IntPoly((1,) * 32)),
-                         ("E8", 30, None), ("D128", 254, (L**127 + 1) * (L + 1))):
-        d = build(DiagramId.parse(text))
-        c = coxeter_transform(d)
+    for text, chi in (("D37", (L**36 + 1) * (L + 1)), ("A31", IntPoly((1,) * 32)),
+                      ("E8", None), ("D128", (L**127 + 1) * (L + 1))):
+        c = coxeter_transform(build(DiagramId.parse(text)))
         chi = chi or list_charpoly(c)
         calls.clear()
         assert charpoly(c) == chi
         assert calls["_pack"] == calls["_unpack"] == calls["_fits False"] == 0, text
-        calls.clear()
-        assert _order(bicolored_reflections(d), 10 * c.nrows**2) == h
-        assert calls == Counter({"_fits True": (h - 1) // _STRIDE}), text
 
 
 def test_packed_loops_read_back_and_widen(monkeypatch):
     """A scalar d I makes c_1 = -n d too wide for the slots of M_1 before any
     `_fits` test, so am is read back and re-packed wider, and for |d| > 1 the
-    M_k also outgrow their slots between c_k's.  A conjugate U P U^-1 of the
-    6-cycle P has a fourth power past 2^(w-1-g): the order loop re-packs it
-    once and still closes at 6, as the list products do."""
+    M_k also outgrow their slots between c_k's."""
     calls = _count_packing(monkeypatch)
     for n, d in ((40, 1), (64, 2), (64, -9)):
         calls.clear()
@@ -383,33 +432,21 @@ def test_packed_loops_read_back_and_widen(monkeypatch):
             assert set(calls) == {"_pack", "_unpack"}
         else:
             assert calls["_fits False"] > 0
-    m = IntMatrix(((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 2, 0, 1, 0, 0),
-                   (0, 0, -2, 0, 1, 0), (3, -3, 0, 0, 0, 1), (1, -3, 3, 0, 0, 0)))
-    powers = [m]
-    for _ in range(5):
-        powers.append(list_matmul(m, powers[-1]))
-    assert [p == IntMatrix.identity(6) for p in powers] == [False] * 5 + [True]
-    calls.clear()
-    assert _order((m,), 100) == 6
-    assert calls == Counter({"_pack": 1, "_unpack": 6, "_fits False": 1})
 
 
-def test_hyperbolic_tree_is_not_finite_type(monkeypatch):
+def test_hyperbolic_tree_is_not_finite_type():
     """T(2,3,7) = E10, the chain 0..8 with vertex 9 on vertex 2: its Coxeter
-    transformation has infinite order and powers whose entries grow past
-    2^200 within the bound, so `_fits` fails again and again and the order
-    loop re-packs at growing widths."""
+    transformation has infinite order, and the walk's vector grows without
+    bound, so both routes refuse it at the bound."""
     bonds = tuple((i, i + 1, 1, 1) for i in range(8)) + ((2, 9, 1, 1),)
     e10 = diagram_module._make(
         None, False, tuple(f"v{i}" for i in range(10)),
         diagram_module._cartan(10, bonds),
     )
-    calls = _count_packing(monkeypatch)
     for order in (coxeter_number, list_coxeter_number):
         with pytest.raises(DomainError) as err:
             order(e10)
         assert str(err.value) == "order exceeds the bound 1000; diagram is not finite type"
-    assert calls["_unpack"] == 10 * calls["_fits False"] == 10 * calls["_pack"] > 0
 
 
 def test_lehmer_polynomial_on_e10():

@@ -421,6 +421,23 @@ def test_crosscheck_reports():
         assert rep.passed, rep.render()
 
 
+@pytest.mark.parametrize("text", ["cyclic:3", "binary_tetrahedral"])
+def test_crosscheck_group_order_line_fails_alone(monkeypatch, text):
+    """The group order is read off the Cramer side, det M''(1) = 2 |G| y_0(1):
+    y_0 one higher, through `mckay`'s binding of the tree solve only, fails
+    that line alone, as the Molien line reads `kostant`'s binding."""
+    bid = BpgId.parse(text)
+    real = mckay.generating_function
+
+    def y0_off(ext):
+        gf = real(ext)
+        return gf._replace(numerators=(gf.numerators[0] + 1, *gf.numerators[1:]))
+
+    monkeypatch.setattr(mckay, "generating_function", y0_off)
+    rep = crosscheck(bid, 30)
+    assert [label for label, ok in rep.checks if not ok] == [f"group order is {bid.order}"]
+
+
 def test_mckay_shift_reports():
     for text in ("cyclic:2", "cyclic:4", "binary_tetrahedral"):
         rep = mckay_matrix_numeric(BpgId.parse(text), 24)

@@ -137,8 +137,8 @@ def test_a_longer_walk_does_not_end_at_minus_beta(cold_orbit, monkeypatch):
 
 def test_walk_builds_the_sparse_products_once(cold_orbit, monkeypatch):
     """D128 has h = 254: each involution's product is built before the walk,
-    not at each of its 253 steps.  The Coxeter number, whose matrix order
-    builds one more, is cached first."""
+    not at each of its 253 steps.  The Coxeter number, whose walk builds
+    its own two, is cached first."""
     d = ext("D128")
     assert coxeter_number(finite_part(d)) == 254
     real, built = exact._sparse_left, []
