@@ -24,8 +24,9 @@ charpoly and by the checks that take it as one operator.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import cycle
 from operator import neg
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .diagram import Diagram, DiagramId, build
 from .errors import (
@@ -38,10 +39,12 @@ from .exact import (
     IntMatrix,
     IntPoly,
     RatFunc,
+    _decode,
     _row_product,
     _sparse_left,
     _terms,
     _trusted_matrix,
+    _width,
     charpoly,
 )
 
@@ -89,6 +92,71 @@ def coxeter_transform(diagram: Diagram) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
+def _products(cartan: IntMatrix, parts: tuple[tuple[int, ...], tuple[int, ...]] | None
+              ) -> tuple[Callable, Callable]:
+    """The `_sparse_left` products of w1 and w2, cached per process on the
+    same key as `_bicolored`; a separate cache, as most pairs never walk."""
+    pair = _bicolored(cartan, parts)[0]
+    return _sparse_left(pair.w1), _sparse_left(pair.w2)
+
+
+def bicolored_products(diagram: Diagram) -> tuple[Callable, Callable]:
+    """(x -> w1 x, x -> w2 x), built once per pair for every walk by it."""
+    return _products(diagram.cartan, diagram.bipartition)
+
+
+def coxeter_charpoly(diagram: Diagram) -> IntPoly:
+    """det(lambda I - C), from the nx x nx matrix Q = C_xx - I alone.
+
+    In the order (part_x, part_y), with C = w2 w1, C_yy = -I: C's part_y
+    rows are w1's, -e_i on part_y.  w2's part_x rows are -e_i - sum over
+    j in part_y of K_ij e_j, and w1's part_y rows restricted to part_x are
+    -K_yx, so C_xx = -I + K_xy K_yx = -I - C_xy C_yx.  By the Schur
+    complement of the (lambda + 1) I block (A'Campo 1976; Steinberg 1959),
+
+      det(lambda I - C) = (lambda + 1)^ny det(lambda I - C_xx - C_xy C_yx / (lambda + 1))
+                        = (lambda + 1)^(ny - nx) det((lambda^2 + 1) I - lambda Q),
+
+    and with q = charpoly(Q) = sum q_k mu^k the last determinant is
+    lambda^nx q((lambda^2 + 1) / lambda) = sum q_k (lambda^2 + 1)^k lambda^(nx - k).
+
+    C is read through `coxeter_transform` only, and both block facts are
+    checked on its nonzeros, the second as one `_row_product` of each
+    C_xy row against C_yx's terms.  The sum is evaluated by Horner at
+    lambda = 2^w, acc <- acc (lambda^2 + 1) + q_(nx-1-j) lambda^(j+1),
+    times (1 + lambda) ny - nx times, and decoded once: each coefficient is
+    at most sum |q_k| 2^k 2^max(ny - nx, 0) in absolute value.  For nx > ny
+    the result is divided exactly by (1 + lambda)^(nx - ny).
+    """
+    c = coxeter_transform(diagram)  # refuses an odd cycle
+    part_x, part_y = diagram.bipartition
+    rows, terms, ys, n = c.rows, _terms(c), set(part_y), c.nrows
+    if any([(j, a) for j, a in terms[i] if j in ys] != [(i, -1)] for i in part_y):
+        raise IdentityViolationError("C_yy is not -I")
+    yx = [[(j, a) for j, a in row if j not in ys] if l in ys else [] for l, row in enumerate(terms)]
+    for i in part_x:
+        row, cross = rows[i], _row_product(rows[i], yx, range(n), n)  # row i of C_xy C_yx
+        if any(row[j] + (i == j) + cross[j] for j in part_x):
+            raise IdentityViolationError("C_xx + I is not -C_xy C_yx")
+    q = charpoly(_trusted_matrix(tuple(tuple(rows[i][j] - (i == j) for j in part_x)
+                                       for i in part_x))).coeffs  # Q = C_xx - I
+    nx, lift = len(part_x), len(part_y) - len(part_x)
+    w = _width(sum(abs(v) << k for k, v in enumerate(q)) << max(lift, 0))
+    acc = q[nx]
+    for j in range(nx):
+        acc += (acc << 2 * w) + (q[nx - 1 - j] << w * (j + 1))
+    for _ in range(lift):
+        acc += acc << w
+    chi = _decode(acc, w)
+    if lift < 0:
+        try:
+            chi = chi.divexact(IntPoly((1, 1)) ** -lift)
+        except ArithmeticError:
+            raise IdentityViolationError(f"(1 + lambda)^{-lift} does not divide the Schur form") from None
+    return chi
+
+
+@lru_cache(maxsize=None)
 def coxeter_number(diagram: Diagram) -> int:
     """Order of the bicolored Coxeter transformation of a finite diagram:
     the period of x, the indicator vector of the colour class that holds
@@ -109,19 +177,30 @@ def coxeter_number(diagram: Diagram) -> int:
     lcm of their orders.  No shorter start will do: the all-ones vector has
     period 2 on the affine finite part of T(3,3,4), and e_0 alone has
     period 2 on A1 + A2, whose C has order 6.
+
+    The walk stops at the half-turn.  Let u be the involution of x's class
+    S, so u x = x - 2x = -x (no two vertices of S are bonded), and v the
+    other one.  Step x_(j+1) = v x_j for even j and u x_j for odd j, v
+    first.  As u and v are involutions and u x = -x, x_(-1-j) = -x_j; so
+    x_m = -x_(m-1) iff x_m = x_(-m) iff (u v)^m x = x, and u v is C or its
+    inverse.  The first such m is h, reached in h single-factor products
+    instead of 2h.
     """
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
-    pair = bicolored_reflections(diagram)  # refuses an odd cycle
-    w1, w2 = _sparse_left(pair.w1), _sparse_left(pair.w2)
-    start = [0] * diagram.size
-    for i in next((part for part in diagram.bipartition if 0 in part), ()):
-        start[i] = 1
-    bound, x = 10 * diagram.size**2, start
-    for k in range(1, bound + 1):
-        x = w2(w1(x))
-        if x == start:
-            return k
+    bicolored_reflections(diagram)  # refuses an odd cycle
+    w1, w2 = bicolored_products(diagram)
+    part_x, part_y = diagram.bipartition
+    on_x = 0 in part_x  # then u = w2, and w1 steps first
+    x = [0] * diagram.size
+    for i in part_x if on_x else part_y:
+        x[i] = 1
+    steps = cycle((w1, w2) if on_x else (w2, w1))
+    bound = 10 * diagram.size**2
+    for m in range(1, bound + 1):
+        back, x = list(map(neg, x)), next(steps)(x)
+        if x == back:
+            return m
     raise DomainError(f"order exceeds the bound {bound}; diagram is not finite type")
 
 
@@ -141,7 +220,7 @@ def char_polys(did: DiagramId, k: int | None = None) -> tuple[IntPoly, IntPoly]:
     the CD diagram for B, and the closed form for family A, which needs the
     conjugacy parameter k of the cycle splitting.
     """
-    chi = charpoly(coxeter_transform(build(did)))
+    chi = coxeter_charpoly(build(did))
     if did.family == "A":
         if k is None:
             raise MissingParameterError(
@@ -150,7 +229,7 @@ def char_polys(did: DiagramId, k: int | None = None) -> tuple[IntPoly, IntPoly]:
         return chi, affine_A_charpoly(did.rank, k)
     partner = "CD" if did.family == "B" else did.family
     ext = build(DiagramId(partner, did.rank), extended=True)
-    chi_affine = charpoly(coxeter_transform(ext))
+    chi_affine = coxeter_charpoly(ext)
     if chi_affine(1) != 0:
         raise IdentityViolationError("affine characteristic polynomial misses lambda = 1")
     return chi, chi_affine

@@ -33,11 +33,12 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from .coxeter import bicolored_reflections, coxeter_number, coxeter_transform
+from .coxeter import (bicolored_products, bicolored_reflections, coxeter_charpoly, coxeter_number,
+                      coxeter_transform)
 from .diagram import BpgId, Diagram, DiagramId, build, finite_part, folded_pair, molien_group
 from .errors import CatalogCorruptionError, DomainError
 from .exact import (IntMatrix, IntPoly, _agree, _norm, _pack, _sparse_left, _three_term,
-                    _trusted_matrix, _unpack, _width, charpoly)
+                    _trusted_matrix, _unpack, _width)
 from .kostant import component_series, generating_function, packed_series
 from .molien import _molien_sums, enumerate_group, molien_coeffs
 from .orbit import assembling_vectors, z_polynomials
@@ -121,10 +122,10 @@ def verify_ebeling(diagram: Diagram) -> Report:
     second identity is replaced by the closed cycle form (t^m - 1)^2.
     """
     gf = generating_function(diagram)  # raises DomainError on a finite diagram
-    chi = charpoly(coxeter_transform(finite_part(diagram)))
+    chi = coxeter_charpoly(finite_part(diagram))
     checks = [("det M_0(t) = chi(t^2)", _of_t2(gf.numerators[0], chi))]
     if diagram.bipartition is not None:
-        chi_a = charpoly(coxeter_transform(diagram))
+        chi_a = coxeter_charpoly(diagram)
         checks.append(("det M(t) = chi_affine(t^2)", _of_t2(gf.det_m, chi_a)))
     else:
         m = diagram.size
@@ -192,7 +193,7 @@ def verify_z_recurrence(ext: Diagram) -> Report:
 
     # C is coxeter_transform's own operator: as w2 after w1 it would test associativity
     a_fin, pair, c = finite.bonds, bicolored_reflections(finite), coxeter_transform(finite)
-    a, w1, w2, cx = map(_sparse_left, (a_fin, *pair, c))  # each applied more than once
+    (w1, w2), (a, cx) = bicolored_products(finite), map(_sparse_left, (a_fin, c))  # each applied twice
 
     na, n1, nc = _norm(a_fin), _norm(pair.w1), _norm(c)
     m1, m2, pc = 1 + n1, 1 + _norm(pair.w2), 1 + nc  # bound ||1 - w1||, ||1 - w2||, ||1 + C||

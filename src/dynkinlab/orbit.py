@@ -21,10 +21,10 @@ from itertools import chain
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .coxeter import bicolored_reflections, coxeter_number
+from .coxeter import bicolored_products, coxeter_number
 from .diagram import Diagram, finite_part, nil_root
 from .errors import CatalogCorruptionError, DomainError, ExcludedDiagramError, IdentityViolationError
-from .exact import IntPoly, _sparse_left, _trusted, format_poly
+from .exact import IntPoly, _trusted, format_poly
 
 _CELL = 3  # characters per grid cell
 
@@ -36,7 +36,7 @@ def tau_orbit(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     """tau^(n) beta for n = 0..h-1 on the finite part of an extended
     diagram: step n applies w1 when n is odd and w2 when it is even, so
     every even step lands on C^(n/2) beta.  The sparse products of w1 and
-    w2 are built once, before the h - 1 steps."""
+    w2 are the pair's own (`bicolored_products`), built when h was found."""
     finite = finite_part(diagram)
     h = coxeter_number(finite)
     if h % 2:
@@ -47,8 +47,7 @@ def tau_orbit(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     if delta[0] != 1:
         raise CatalogCorruptionError("nil root affine coordinate is not 1")
     beta = delta[1:]
-    pair = bicolored_reflections(finite)
-    w1, w2 = _sparse_left(pair.w1), _sparse_left(pair.w2)
+    w1, w2 = bicolored_products(finite)
     if tuple(w2(beta)) != beta:
         raise CatalogCorruptionError("w2 does not fix beta")
     out = [beta]

@@ -265,7 +265,8 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     """From cold, one `verify all` solves each nil root, finds each Coxeter
     number, sums each Molien series and finds each prime field once, however
     many checks read it; it also forms each C = w2 w1 and each 2I - K once,
-    C with no matrix product.  A warm second run prints the same bytes."""
+    C with no matrix product, and each walked pair's sparse products once.
+    A warm second run prints the same bytes."""
     clear_package_caches()
     solved, products = [], []
     real, matmul = diagram.nullspace_primitive, IntMatrix.__matmul__
@@ -290,6 +291,9 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     keys = {(d.cartan, d.bipartition) for d in (*map(finite_part, exts), *exts, *ade) if d.bipartition}
     assert products == []
     assert coxeter._bicolored.cache_info().misses == len(keys) == 78
+    # only the 18 A/D/E pairs are walked (h, the orbit, the block identities),
+    # and each builds its two sparse products once
+    assert coxeter._products.cache_info().misses == len({(d.cartan, d.bipartition) for d in ade}) == 18
     # 2I - K is read on every extended diagram and on the even-h finite ADE ones
     even = {d.cartan for d in ade if coxeter_number(d) % 2 == 0}
     assert diagram._bonds.cache_info().misses == len({ext.cartan for ext in exts} | even) == 55

@@ -665,11 +665,10 @@ def test_negative_series_fails_the_nonnegativity_line(capsys, monkeypatch):
 
 
 def test_broken_orbit_walk_is_an_identity_violation(capsys, monkeypatch):
-    """With w1 and w2 swapped the walk's own check refuses E6: exit 2, one
-    line on stderr, no traceback."""
-    real = orbit.bicolored_reflections
-    monkeypatch.setattr(orbit, "bicolored_reflections",
-                        lambda d: real(d)._replace(w1=real(d).w2, w2=real(d).w1))
+    """With the cached products of w1 and w2 swapped the walk's own check
+    refuses E6: exit 2, one line on stderr, no traceback."""
+    real = orbit.bicolored_products
+    monkeypatch.setattr(orbit, "bicolored_products", lambda d: real(d)[::-1])
     caches = (orbit.tau_orbit, orbit.assembling_vectors)
     for c in caches:
         c.cache_clear()

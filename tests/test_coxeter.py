@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 import sympy
 
+from dynkinlab import coxeter
 from dynkinlab import diagram as diagram_module
 from dynkinlab import exact
 from dynkinlab.cli import main
@@ -15,6 +17,7 @@ from dynkinlab.coxeter import (
     affine_A_charpoly,
     bicolored_reflections,
     char_polys,
+    coxeter_charpoly,
     coxeter_number,
     coxeter_transform,
     ebeling_quotient,
@@ -28,7 +31,7 @@ from dynkinlab.diagram import (
     finite_part,
     nil_root,
 )
-from dynkinlab.errors import DomainError, ExcludedDiagramError, MissingParameterError
+from dynkinlab.errors import DomainError, ExcludedDiagramError, IdentityViolationError, MissingParameterError
 from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, charpoly
 from oracles import (HYPERBOLIC, clear_package_caches, dense_order, lincomb, list_charpoly, list_coxeter_number,
                      matvec, star_tree)
@@ -493,3 +496,80 @@ def test_coxeter_number_cached_over_verify_all(capsys):
     capsys.readouterr()
     info = coxeter_number.cache_info()
     assert 0 < info.misses <= 18 < info.hits + info.misses
+
+
+def random_tree(rng: random.Random, n: int) -> Diagram:
+    """A finite diagram on a random tree of n vertices, vertex i > 0 bonded
+    to a random earlier one with -K_ij and -K_ji drawn from 1..3: Cartan-like
+    and bipartite, whatever its type."""
+    bonds = [(rng.randrange(i), i, rng.randint(1, 3), rng.randint(1, 3)) for i in range(1, n)]
+    return diagram_module._make(None, False, tuple(f"v{i}" for i in range(n)),
+                                diagram_module._cartan(n, bonds))
+
+
+def test_coxeter_charpoly_is_faddeev_leverrier_on_c():
+    """chi from Q = C_xx - I, lifted by the Schur complement, equals FL on
+    the whole C: on the 78 bipartite catalog diagrams, at the rank limits,
+    on the hyperbolic controls, T(3,3,3) and random trees.  D128 (65 + 63)
+    has nx > ny, so the lift divides by (1 + lambda)^2; A127 (63 + 64) has
+    nx < ny; A1 has no part_x at all.  The list oracle, about 0.4 s a
+    matrix at rank 128, checks every case below rank 128 and those two."""
+    diagrams = [d for ext in catalog_extended() for d in (ext, finite_part(ext)) if d.bipartition is not None]
+    assert len(diagrams) == 78
+    limits = [build(DiagramId.parse(name)) for name in ("D128", "A127", "A128", "B128", "C128")]
+    limits += [build(DiagramId.parse(name), extended=True)
+               for name in ("D128", "A127", "B128", "C128", "DD128", "CD64")]
+    trees = [star_tree(*pqr) for pqr in (*HYPERBOLIC, (3, 3, 3))]
+    rng = random.Random(43)
+    diagrams += limits + trees + [finite_part(t) for t in trees]
+    diagrams += [random_tree(rng, rng.randint(1, 24)) for _ in range(40)]
+    sides = {name: tuple(map(len, build(DiagramId.parse(name)).bipartition)) for name in ("D128", "A127", "A1")}
+    assert sides == {"D128": (65, 63), "A127": (63, 64), "A1": (0, 1)}
+    assert {len(d.bipartition[0]) > len(d.bipartition[1]) for d in diagrams[-40:]} == {True, False}
+    for d in diagrams:
+        c = coxeter_transform(d)
+        chi = coxeter_charpoly(d)
+        assert chi == charpoly(c), d.name
+        if d.size < 128 or d in limits[:2]:
+            assert chi == list_charpoly(c), d.name
+
+
+def _perturbed(monkeypatch, pick):
+    """coxeter_transform with one entry of C one higher, at the (i, j) that
+    pick(part_x, part_y) names."""
+    real = coxeter.coxeter_transform
+
+    def patched(d):
+        rows = [list(row) for row in real(d).rows]
+        i, j = pick(*d.bipartition)
+        rows[i][j] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(coxeter, "coxeter_transform", patched)
+
+
+BLOCK_FACTS = [
+    (lambda xs, ys: (ys[0], ys[0]), "C_yy is not -I"),
+    (lambda xs, ys: (ys[-1], ys[0]), "C_yy is not -I"),
+    (lambda xs, ys: (xs[0], ys[0]), "C_xx + I is not -C_xy C_yx"),
+    (lambda xs, ys: (xs[-1], ys[-1]), "C_xx + I is not -C_xy C_yx"),
+]
+
+
+@pytest.mark.parametrize("pick, message", BLOCK_FACTS)
+def test_coxeter_charpoly_checks_both_block_facts(monkeypatch, pick, message):
+    """One C_yy entry or one C_xy entry off by one breaks the fact the
+    Schur complement rests on, and chi is refused, not computed wrong."""
+    _perturbed(monkeypatch, pick)
+    for name in ("E6", "D5", "B3"):
+        with pytest.raises(IdentityViolationError) as exc:
+            coxeter_charpoly(build(DiagramId.parse(name)))
+        assert str(exc.value) == message, name
+
+
+@pytest.mark.parametrize("pick, message", BLOCK_FACTS[::2])
+def test_broken_block_fact_is_an_identity_violation_on_the_cli(capsys, monkeypatch, pick, message):
+    _perturbed(monkeypatch, pick)
+    code = main(["verify", "ebeling", "E6"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"identity violation: {message}\n")

@@ -268,3 +268,29 @@ def test_only_the_matrix_identities_size_a_width_in_mckay():
         "def named(p):\n    width = _width\n    return width\n"
     )
     assert _width_callers(sample) == ["closed", "kernel", "outer"]
+
+
+# what a function must not read for chi to come from C alone
+NOT_C = {"cartan", "bonds", "bicolored_reflections"}
+
+
+def _reads_besides_c(tree: ast.Module, name: str) -> list[str]:
+    """The names in NOT_C that the module-level function `name` mentions,
+    as a name or an attribute, in its body or in a function nested in it."""
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+    return sorted(_named(func) & NOT_C)
+
+
+def test_coxeter_charpoly_reads_c_alone():
+    """chi's one input is C, through `coxeter_transform`: neither the Cartan
+    matrix, the bonds nor the pair, so it cannot agree with another side
+    by reading that side's data."""
+    assert _reads_besides_c(_trees()["coxeter"], "coxeter_charpoly") == []
+    sample = ast.parse(
+        "def cartan_side(d):\n    return d.cartan\n"
+        "def pair_side(d):\n    return bicolored_reflections(d).w1\n"
+        "def nested(d):\n    def inner():\n        return d.bonds\n    return inner\n"
+        "def c_side(d):\n    return coxeter_transform(d).rows\n"
+    )
+    assert [_reads_besides_c(sample, name) for name in ("cartan_side", "pair_side", "nested", "c_side")] == [
+        ["cartan"], ["bicolored_reflections"], ["bonds"], []]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import dynkinlab.coxeter as coxeter
 import dynkinlab.exact as exact
 import dynkinlab.orbit as orbit
 from dynkinlab.coxeter import coxeter_number
@@ -118,9 +119,10 @@ def cold_orbit():
 
 
 def test_swapped_involutions_do_not_fix_the_highest_root(cold_orbit, monkeypatch):
-    real = orbit.bicolored_reflections
-    monkeypatch.setattr(orbit, "bicolored_reflections",
-                        lambda d: real(d)._replace(w1=real(d).w2, w2=real(d).w1))
+    """The walk reads w1 and w2 as the pair's cached products; swapped, w2
+    no longer fixes beta."""
+    real = orbit.bicolored_products
+    monkeypatch.setattr(orbit, "bicolored_products", lambda d: real(d)[::-1])
     for name in ("E6", "D5", "A3", "E8", "B3", "G2", "DD4"):
         with pytest.raises(CatalogCorruptionError) as exc:
             tau_orbit(ext(name))
@@ -136,9 +138,9 @@ def test_a_longer_walk_does_not_end_at_minus_beta(cold_orbit, monkeypatch):
 
 
 def test_walk_builds_the_sparse_products_once(cold_orbit, monkeypatch):
-    """D128 has h = 254: each involution's product is built before the walk,
-    not at each of its 253 steps.  The Coxeter number, whose walk builds
-    its own two, is cached first."""
+    """D128 has h = 254: the walk steps by the products of w1 and w2 that
+    the Coxeter number's walk built, cached first, so it builds none, not
+    one at each of its 253 steps."""
     d = ext("D128")
     assert coxeter_number(finite_part(d)) == 254
     real, built = exact._sparse_left, []
@@ -147,10 +149,10 @@ def test_walk_builds_the_sparse_products_once(cold_orbit, monkeypatch):
         built.append((m.nrows, m.ncols))
         return real(m)
 
-    monkeypatch.setattr(exact, "_sparse_left", counting)
-    monkeypatch.setattr(orbit, "_sparse_left", counting, raising=False)
+    for module in (exact, coxeter, orbit):  # orbit too, were it to build its own again
+        monkeypatch.setattr(module, "_sparse_left", counting, raising=False)
     taus = tau_orbit(d)
-    assert len(taus) == 254 and len(built) <= 3
+    assert len(taus) == 254 and built == []
 
 
 @pytest.mark.parametrize("n, vertex, message", [
