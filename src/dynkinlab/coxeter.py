@@ -12,20 +12,23 @@ similarity.
 No reflection is multiplied out: K[i, j] = 0 for i != j in one class, so
 the product over a class is the class sum I - sum(e_i K_i), whose class
 rows are e_i - K_i and whose other rows are the identity's (Steinberg 1959;
-A'Campo 1976).  C then has about four nonzeros per row (317 on D80).  Its
-part_y rows are w1's, as w2 is the identity there, so forming C sums only
-its part_x rows, over the nonzeros of both factors.  The order of C is
-the period of one vector, a colour class's indicator, stepped through the
-pair, w1 and then w2; each sparse product by a factor passes the identity
-rows through, so it sums one colour class only.  C itself is read by
-charpoly and by the checks that take it as one operator.
+A'Campo 1976).  The class rows, about three nonzeros each, read from K's
+nonzero entries, are the pair's one form (`_class_rows`); everything else
+is derived from them where it is read.  The walks step by their sparse
+products, which sum one colour class each: the order of C is the period
+of one vector, a colour class's indicator, stepped through the pair, w1
+and then w2, and `orbit` walks beta the same way.  C = w2 w1 has about
+four nonzeros per row (317 on D80) and is formed only when
+`coxeter_transform` is asked for it, by charpoly and by the checks that
+take it as one operator; the dense pair only for the API and the
+z-recurrence bounds.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import cycle
-from operator import neg
+from itertools import compress, cycle
+from operator import add, neg
 from typing import Callable, NamedTuple
 
 from .diagram import Diagram, DiagramId, build
@@ -41,7 +44,7 @@ from .exact import (
     RatFunc,
     _decode,
     _row_product,
-    _sparse_left,
+    _sparse_rows,
     _terms,
     _trusted_matrix,
     _width,
@@ -56,52 +59,73 @@ class BicoloredPair(NamedTuple):
     w2: IntMatrix
 
 
-def _class_sum(cartan: IntMatrix, part: tuple[int, ...]) -> IntMatrix:
-    """prod(S_i, i in part) as the class sum I - sum(e_i (row_i K), i in part)."""
-    k, rows = cartan.rows, list(IntMatrix.identity(cartan.nrows).rows)
-    for r in set(part):
-        row = list(map(neg, k[r]))
-        row[r] += 1
-        rows[r] = tuple(row)
-    return _trusted_matrix(tuple(rows))
+Parts = tuple[tuple[int, ...], tuple[int, ...]]
+ClassRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 @lru_cache(maxsize=None)
-def _bicolored(cartan: IntMatrix, parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-               ) -> tuple[BicoloredPair, IntMatrix]:
-    """The pair and C = w2 w1; cached per process on all they depend on, the
-    Cartan matrix and the bipartition, which two diagrams may share.  Row i
-    of C is row i of w2 times w1: w1's own row off part_x, where w2's row
-    is e_i, and on part_x summed over w2's nonzeros by `_row_product`."""
+def _class_rows(cartan: IntMatrix, parts: Parts | None) -> tuple[ClassRows, ClassRows]:
+    """(w1's, w2's) class rows: for each vertex i of part_y, then of part_x,
+    (i, the nonzeros (j, a) of row i of I - e_i K_i), read off row i of K's
+    nonzero entries, a = [i = j] - K_ij; cached per process on all they
+    depend on, the Cartan matrix and the bipartition, which two diagrams
+    may share."""
     if parts is None:
         raise ExcludedDiagramError("diagram has an odd cycle, hence no bicolored decomposition")
-    part_x, part_y = parts
-    pair = BicoloredPair(w1=_class_sum(cartan, part_y), w2=_class_sum(cartan, part_x))
-    rows, right, n = list(pair.w1.rows), _terms(pair.w1), cartan.nrows
-    for i in part_x:
-        rows[i] = _row_product(pair.w2.rows[i], right, range(n), n)
-    return pair, _trusted_matrix(tuple(rows))
+    k, cols, out = cartan.rows, range(cartan.ncols), []
+    for part in parts[::-1]:
+        rows = []
+        for i in part:
+            row = k[i]
+            rows.append((i, tuple([(j, (i == j) - row[j]) for j in compress(cols, row)])))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def _factor(rows: ClassRows, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """One factor's rows as `_terms`: its class rows, and (i, 1) elsewhere."""
+    terms = [((i, 1),) for i in range(n)]
+    for i, row in rows:
+        terms[i] = row
+    return terms
 
 
 def bicolored_reflections(diagram: Diagram) -> BicoloredPair:
-    return _bicolored(diagram.cartan, diagram.bipartition)[0]
-
-
-def coxeter_transform(diagram: Diagram) -> IntMatrix:
-    return _bicolored(diagram.cartan, diagram.bipartition)[1]
+    """The pair as dense matrices, each row its terms times I."""
+    n = diagram.size
+    eye, classes = _factor((), n), _class_rows(diagram.cartan, diagram.bipartition)
+    return BicoloredPair(*(_trusted_matrix(tuple(_row_product(row, eye, n) for row in _factor(rows, n)))
+                           for rows in classes))
 
 
 @lru_cache(maxsize=None)
-def _products(cartan: IntMatrix, parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-              ) -> tuple[Callable, Callable]:
-    """The `_sparse_left` products of w1 and w2, cached per process on the
-    same key as `_bicolored`; a separate cache, as most pairs never walk."""
-    pair = _bicolored(cartan, parts)[0]
-    return _sparse_left(pair.w1), _sparse_left(pair.w2)
+def _transform(cartan: IntMatrix, parts: Parts | None) -> IntMatrix:
+    """C = w2 w1, row i the terms of w2's row i times w1 by `_row_product`:
+    w1's own row on part_y, where w2's row is e_i; cached on the class
+    rows' key, and formed only when C itself is read."""
+    (ys, xs), n = _class_rows(cartan, parts), cartan.nrows
+    w1, rows = _factor(ys, n), [()] * n
+    for i, _ in ys:
+        rows[i] = _row_product(((i, 1),), w1, n)
+    for i, row in xs:
+        rows[i] = _row_product(row, w1, n)
+    return _trusted_matrix(tuple(rows))
+
+
+def coxeter_transform(diagram: Diagram) -> IntMatrix:
+    return _transform(diagram.cartan, diagram.bipartition)
+
+
+@lru_cache(maxsize=None)
+def _products(cartan: IntMatrix, parts: Parts | None) -> tuple[Callable, Callable]:
+    """The sparse products of w1 and w2 (`_sparse_rows` over the class
+    rows), cached on the same key, as most pairs never walk."""
+    return tuple(_sparse_rows(cartan.nrows, rows) for rows in _class_rows(cartan, parts))
 
 
 def bicolored_products(diagram: Diagram) -> tuple[Callable, Callable]:
-    """(x -> w1 x, x -> w2 x), built once per pair for every walk by it."""
+    """(x -> w1 x, x -> w2 x), built once per pair for every walk by it;
+    refuses an odd cycle."""
     return _products(diagram.cartan, diagram.bipartition)
 
 
@@ -121,8 +145,10 @@ def coxeter_charpoly(diagram: Diagram) -> IntPoly:
     lambda^nx q((lambda^2 + 1) / lambda) = sum q_k (lambda^2 + 1)^k lambda^(nx - k).
 
     C is read through `coxeter_transform` only, and both block facts are
-    checked on its nonzeros, the second as one `_row_product` of each
-    C_xy row against C_yx's terms.  The sum is evaluated by Horner at
+    checked on it: C_yy on its nonzeros, and C_xx + I = -C_xy C_yx one
+    part_x row at a time, row i of C plus one `_row_product` of its terms
+    against C_yx's, whose part_x entries are those of -e_i; that row's
+    part_x entries less e_i are row i of Q.  The sum is evaluated by Horner at
     lambda = 2^w, acc <- acc (lambda^2 + 1) + q_(nx-1-j) lambda^(j+1),
     times (1 + lambda) ny - nx times, and decoded once: each coefficient is
     at most sum |q_k| 2^k 2^max(ny - nx, 0) in absolute value.  For nx > ny
@@ -134,12 +160,17 @@ def coxeter_charpoly(diagram: Diagram) -> IntPoly:
     if any([(j, a) for j, a in terms[i] if j in ys] != [(i, -1)] for i in part_y):
         raise IdentityViolationError("C_yy is not -I")
     yx = [[(j, a) for j, a in row if j not in ys] if l in ys else [] for l, row in enumerate(terms)]
-    for i in part_x:
-        row, cross = rows[i], _row_product(rows[i], yx, range(n), n)  # row i of C_xy C_yx
-        if any(row[j] + (i == j) + cross[j] for j in part_x):
+    q_rows = []
+    for k, i in enumerate(part_x):
+        row = rows[i]
+        total = list(map(add, row, _row_product(terms[i], yx, n)))  # row i of C + C_xy C_yx
+        total[i] += 1
+        if any(map(total.__getitem__, part_x)):
             raise IdentityViolationError("C_xx + I is not -C_xy C_yx")
-    q = charpoly(_trusted_matrix(tuple(tuple(rows[i][j] - (i == j) for j in part_x)
-                                       for i in part_x))).coeffs  # Q = C_xx - I
+        q_row = list(map(row.__getitem__, part_x))  # row i of C_xx
+        q_row[k] -= 1
+        q_rows.append(tuple(q_row))
+    q = charpoly(_trusted_matrix(tuple(q_rows))).coeffs  # Q = C_xx - I
     nx, lift = len(part_x), len(part_y) - len(part_x)
     w = _width(sum(abs(v) << k for k, v in enumerate(q)) << max(lift, 0))
     acc = q[nx]
@@ -188,8 +219,7 @@ def coxeter_number(diagram: Diagram) -> int:
     """
     if diagram.extended:
         raise DomainError("the affine Coxeter transformation has infinite order")
-    bicolored_reflections(diagram)  # refuses an odd cycle
-    w1, w2 = bicolored_products(diagram)
+    w1, w2 = bicolored_products(diagram)  # refuses an odd cycle
     part_x, part_y = diagram.bipartition
     on_x = 0 in part_x  # then u = w2, and w1 steps first
     x = [0] * diagram.size

@@ -295,10 +295,6 @@ class IntMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return _trusted_matrix(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -318,8 +314,8 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions differ")
-        m, inner, right = other.ncols, range(other.nrows), _terms(other)
-        return _trusted_matrix(tuple(_row_product(row, right, inner, m) for row in self.rows))
+        right, m = _terms(other), other.ncols
+        return _trusted_matrix(tuple(_row_product(row, right, m) for row in _terms(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -340,30 +336,24 @@ def _terms(m: IntMatrix) -> list[list[tuple[int, int]]]:
     return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
 
 
-def _row_product(row: Sequence[int], right: list[list[tuple[int, int]]], inner: range,
+def _row_product(row: Iterable[tuple[int, int]], right: Sequence[Sequence[tuple[int, int]]],
                  m: int) -> tuple[int, ...]:
-    """row times the matrix whose rows are `right` as `_terms`, m columns:
-    a times the nonzeros of row l of it added into a zero row, for each
-    nonzero a = row[l], so one multiply-add per pair of nonzeros."""
+    """The row whose nonzeros are the (l, a) of `row` times the matrix whose
+    rows are `right` as `_terms`, m columns: a times the nonzeros of row l
+    of it added into a zero row, so one multiply-add per pair of nonzeros."""
     acc = [0] * m
-    for l in compress(inner, row):
-        a = row[l]
+    for l, a in row:
         for j, b in right[l]:
             acc[j] += a * b
     return tuple(acc)
 
 
-def _sparse_left(m: IntMatrix):
-    """x -> m x, row i the sum of a * x[l] over the nonzero a = m[i, l] only,
-    +-1 as a plain add or subtract, and x[i] itself where row i is the
-    identity's, so a product by a bicolored involution sums one colour
-    class's rows.  x may hold ints, IntPolys or packed rows (`_pack` is
-    additive); an all-zero row gives x's own zero.  The terms (l, a) are
-    picked out once, by `_terms`, so a caller that applies m in a loop
-    builds the product once, before the loop."""
-    terms = _terms(m)
-    n = len(terms)
-    sums = [(i, row) for i, row in enumerate(terms) if row != [(i, 1)]]  # all but the identity's
+def _sparse_rows(n: int, sums: Sequence[tuple[int, Sequence[tuple[int, int]]]]):
+    """x -> m x for the n x n matrix m whose row i is the sum of a * x[l]
+    over the (l, a) of each (i, row) in `sums`, and the identity's on every
+    row that `sums` does not name, which passes x[i] itself through.  +-1
+    is a plain add or subtract.  x may hold ints, IntPolys or packed rows
+    (`_pack` is additive); a row with no terms gives x's own zero."""
 
     def product(x: Sequence) -> list:
         zero = x[0] * 0 if x else 0
@@ -377,6 +367,15 @@ def _sparse_left(m: IntMatrix):
         return out
 
     return product
+
+
+def _sparse_left(m: IntMatrix):
+    """x -> m x by `_sparse_rows`, over m's rows as `_terms` but its
+    identity rows, so a product by a bicolored involution sums one colour
+    class's rows.  The terms are picked out once, so a caller that applies
+    m in a loop builds the product once, before the loop."""
+    terms = _terms(m)
+    return _sparse_rows(len(terms), [(i, row) for i, row in enumerate(terms) if row != [(i, 1)]])
 
 
 def _width(bound: int) -> int:

@@ -30,8 +30,9 @@ sum picks up z(t)_0 = 1 + t^h.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coxeter import (bicolored_products, bicolored_reflections, coxeter_charpoly, coxeter_number,
                       coxeter_transform)
@@ -97,10 +98,18 @@ def closed_form_component0(did: DiagramId) -> tuple[IntPoly, IntPoly]:
     return 1 + IntPoly.monomial(h), (1 - IntPoly.monomial(a)) * (1 - IntPoly.monomial(b))
 
 
+@lru_cache(maxsize=None)
+def _operator(m: IntMatrix) -> Callable:
+    """x -> m x by `_sparse_left`, built once per matrix that two checks
+    apply: B = 2I - K (the Kostant relation and McKay's shift) and A^semi
+    (the observation and the z-recurrence); cached per process."""
+    return _sparse_left(m)
+
+
 def verify_kostant_relation(diagram: Diagram, nterms: int) -> Report:
     """B v_n = v_{n-1} + v_{n+1} for 1 <= n < nterms, plus the closed
     rational-function identity t B x = (1 + t^2) x - e0."""
-    b = _sparse_left(diagram.bonds)  # applied to both sides
+    b = _operator(diagram.bonds)  # applied to both sides
     v, w, negative, y = packed_series(diagram, nterms + 1)
     _, holds = _three_term(b(v), v, w, nterms + 1)
     # x = y / det M: t B y + det M e0 = (1 + t^2) y in Z[t], at t = 2^w (injective there)
@@ -175,7 +184,7 @@ def _semi_relation(ext: Diagram, n: int, *routes: Iterable[Sequence[int]]) -> li
     `_three_term` on its finite rows (rows[i - 1] is vertex i) for degrees
     k < n.  Each slot is at most (2 + ||A^semi||) max|p_i|."""
     a_semi = semi_affine(ext)
-    semi, bound, out = _sparse_left(a_semi), 2 + _norm(a_semi), []  # for every route
+    semi, bound, out = _operator(a_semi), 2 + _norm(a_semi), []  # for every route
     for rows in map(list, routes):
         w = _width(bound * max(sum(map(abs, row)) for row in rows))
         x = _pack(rows, w)
@@ -279,7 +288,7 @@ def mckay_matrix_numeric(bid: BpgId, nterms: int) -> Report:
     v, w, negative, _ = packed_series(ext, nterms + 2)
     if negative is not None:
         raise negative
-    bv = _sparse_left(b)(v)
+    bv = _operator(b)(v)
     _, holds = _three_term(bv, v, w, nterms + 2)
     comp0 = _unpack(bv[0], nterms + 2, w)[:-1] == [m0[n] + m0[n + 2] for n in range(nterms + 1)]
     checks = [

@@ -99,6 +99,11 @@ def zeros(n: int, m: int) -> IntMatrix:
     return IntMatrix(((0,) * m,) * n)
 
 
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
 def cramer_matrix(diagram: Diagram) -> tuple[tuple[IntPoly, ...], ...]:
     """The rows of M(t) = (1 + t^2) I - t B."""
     q = 1 + T**2
@@ -252,7 +257,7 @@ def list_charpoly(m: IntMatrix) -> IntPoly:
     n = m.nrows
     if n == 0:
         return IntPoly.one()
-    ident = IntMatrix.identity(n)
+    ident = identity(n)
     coeffs = [1]
     mk = ident
     for k in range(1, n + 1):
@@ -413,7 +418,7 @@ def product_route(check: str, target: Diagram | DiagramId) -> list[list[tuple]]:
         a_fin = finite.bonds
         pair = mckay.bicolored_reflections(finite)
         c = mckay.coxeter_transform(finite)
-        ident = IntMatrix.identity(finite.size)
+        ident = identity(finite.size)
         minus_w1, minus_w2, plus_c = (lincomb((1, ident), (s, m))
                                       for s, m in ((-1, pair.w1), (-1, pair.w2), (1, c)))
         return [[(a_fin @ minus_w2 @ pair.w1, minus_w1 @ plus_c)],
@@ -424,7 +429,7 @@ def product_route(check: str, target: Diagram | DiagramId) -> list[list[tuple]]:
 def dense_order(m: IntMatrix, limit: int) -> int | None:
     """The least k <= limit with m^k = I, or None, from the dense powers
     m^k = m m^(k-1) of `list_matmul`: m whole, with no factor stepped."""
-    ident, cur = IntMatrix.identity(m.nrows), m
+    ident, cur = identity(m.nrows), m
     for k in range(1, limit + 1):
         if cur == ident:
             return k

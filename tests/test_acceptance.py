@@ -14,9 +14,12 @@ import pytest
 
 import dynkinlab.coxeter as coxeter
 import dynkinlab.diagram as diagram
+import dynkinlab.exact as exact
+import dynkinlab.mckay as mckay
 import dynkinlab.molien as molien
+import dynkinlab.orbit as orbit
 from dynkinlab.cli import main
-from dynkinlab.coxeter import bicolored_reflections, char_polys, coxeter_number, ebeling_quotient
+from dynkinlab.coxeter import bicolored_reflections, char_polys, coxeter_number, coxeter_transform, ebeling_quotient
 from dynkinlab.diagram import (
     SIMPLY_LACED,
     DiagramId,
@@ -39,7 +42,7 @@ from dynkinlab.mckay import (
 )
 from dynkinlab.molien import enumerate_group, molien_coeffs
 from dynkinlab.orbit import assembling_vectors, render_orbit_table, render_z_polynomials, render_z_table, z_polynomials
-from oracles import clear_package_caches, cramer_solve, lincomb, multiplicities, parse_poly, zeros
+from oracles import clear_package_caches, cramer_solve, identity, lincomb, multiplicities, parse_poly, zeros
 
 L = IntPoly.monomial(1)
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,7 +53,7 @@ def _eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
     n = m.nrows
     acc = zeros(n, n)
     for c in reversed(p.coeffs):
-        acc = lincomb((1, acc @ m), (c, IntMatrix.identity(n)))
+        acc = lincomb((1, acc @ m), (c, identity(n)))
     return acc
 
 
@@ -206,7 +209,7 @@ def test_property_suites():
     for ext in catalog_extended():
         d = finite_part(ext)
         pair = bicolored_reflections(d)
-        ident = IntMatrix.identity(d.size)
+        ident = identity(d.size)
         assert pair.w1 @ pair.w1 == ident
         assert pair.w2 @ pair.w2 == ident
 
@@ -248,25 +251,40 @@ def test_property_suites():
 
 
 def _count_orders(monkeypatch) -> list:
-    """Record the bicolored pair of every Coxeter number the package
-    computes: in `coxeter`, only `coxeter_number` reads the pair through
-    the module's own `bicolored_reflections`, once per cache miss."""
-    orders, real = [], coxeter.bicolored_reflections
+    """Record the diagram of every Coxeter number the package computes: in
+    `coxeter`, only `coxeter_number` reads the pair's sparse products
+    through the module's own `bicolored_products`, once per cache miss."""
+    orders, real = [], coxeter.bicolored_products
 
     def counted(d):
-        orders.append(real(d))
-        return orders[-1]
+        orders.append(d)
+        return real(d)
 
-    monkeypatch.setattr(coxeter, "bicolored_reflections", counted)
+    monkeypatch.setattr(coxeter, "bicolored_products", counted)
     return orders
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record the matrix of every sparse product `exact._sparse_left` builds,
+    under each name the package reads it by."""
+    built, real = [], exact._sparse_left
+
+    def counted(m):
+        built.append(m)
+        return real(m)
+
+    for module in (exact, coxeter, orbit, mckay):
+        monkeypatch.setattr(module, "_sparse_left", counted, raising=False)
+    return built
 
 
 def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
     """From cold, one `verify all` solves each nil root, finds each Coxeter
     number, sums each Molien series and finds each prime field once, however
-    many checks read it; it also forms each C = w2 w1 and each 2I - K once,
-    C with no matrix product, and each walked pair's sparse products once.
-    A warm second run prints the same bytes."""
+    many checks read it; it also builds each pair's class rows, each C = w2
+    w1 and each 2I - K once, C with no matrix product, each walked pair's
+    sparse products once, and each operator that two checks apply, B and
+    A^semi, once.  A warm second run prints the same bytes."""
     clear_package_caches()
     solved, products = [], []
     real, matmul = diagram.nullspace_primitive, IntMatrix.__matmul__
@@ -281,30 +299,43 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
 
     monkeypatch.setattr(diagram, "nullspace_primitive", counted)
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_product)
-    orders = _count_orders(monkeypatch)
+    orders, built = _count_orders(monkeypatch), _count_builds(monkeypatch)
     assert main(["verify", "all", "--terms", "40"]) == 0
     cold = capsys.readouterr().out
-    # C and its pair depend on (Cartan matrix, bipartition) only: finite_part(ext)
-    # and build(did) share one C, and ebeling, orbit and z-recurrence read it
+    # the pair depends on (Cartan matrix, bipartition) only: finite_part(ext)
+    # and build(did) share one pair, and ebeling, orbit and z-recurrence read it
     exts = catalog_extended()
     ade = [build(ext.did) for ext in exts if ext.did.family in SIMPLY_LACED]
     keys = {(d.cartan, d.bipartition) for d in (*map(finite_part, exts), *exts, *ade) if d.bipartition}
     assert products == []
-    assert coxeter._bicolored.cache_info().misses == len(keys) == 78
+    assert coxeter._class_rows.cache_info().misses == len(keys) == 78
+    # every key's chi reads its C, formed once from the class rows
+    assert coxeter._transform.cache_info().misses == len(keys) == 78
     # only the 18 A/D/E pairs are walked (h, the orbit, the block identities),
     # and each builds its two sparse products once
-    assert coxeter._products.cache_info().misses == len({(d.cartan, d.bipartition) for d in ade}) == 18
+    walked_pairs = {(d.cartan, d.bipartition) for d in ade}
+    assert coxeter._products.cache_info().misses == len(walked_pairs) == 18
     # 2I - K is read on every extended diagram and on the even-h finite ADE ones
     even = {d.cartan for d in ade if coxeter_number(d) % 2 == 0}
     assert diagram._bonds.cache_info().misses == len({ext.cartan for ext in exts} | even) == 55
     # only the orbit walk reads nil roots, on the 14 even-h A/D/E diagrams;
     # the 18 A/D/E Coxeter numbers are read by the walk, kostant_numbers and
     # the choice of the walk's targets
-    walked = {ext.cartan for ext in exts if ext.did.family in SIMPLY_LACED
-              and coxeter_number(finite_part(ext)) % 2 == 0}
-    assert len(solved) == len(set(solved)) == len(walked) == 14 and set(solved) == walked
-    assert len(orders) == len(set(orders)) == len(ade) == 18
-    assert set(orders) == set(map(bicolored_reflections, ade))
+    walked = [ext for ext in exts if ext.did.family in SIMPLY_LACED
+              and coxeter_number(finite_part(ext)) % 2 == 0]
+    assert len(solved) == len(set(solved)) == len(walked) == 14
+    assert set(solved) == {ext.cartan for ext in walked}
+    assert len(orders) == len({(d.cartan, d.bipartition) for d in orders}) == len(ade) == 18
+    assert {(d.cartan, d.bipartition) for d in orders} == walked_pairs
+    # one sparse operator per matrix: B of every extended diagram (read again
+    # by McKay's shift) and A^semi of every walked one (observation and
+    # z-recurrence), each through mckay's cache, and A and C of the walked
+    # finite parts, applied by z-recurrence alone
+    operators = {ext.bonds for ext in exts} | {mckay.semi_affine(ext) for ext in walked}
+    assert mckay._operator.cache_info().misses == len(operators) == 55
+    assert set(built) - operators == {m for ext in walked for m in (finite_part(ext).bonds,
+                                                                     coxeter_transform(finite_part(ext)))}
+    assert len(built) == len(set(built)) == 55 + 2 * 14
     sums, fields = molien._molien_sums.cache_info(), molien._field.cache_info()
     # molien and mckay-shift sum each catalog group to 40 and 41 terms, and
     # molien-folded both groups of each fold's Molien pair to 40
@@ -318,12 +349,16 @@ def test_verify_all_derives_each_shared_fact_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["verify", "orbit-form", "D16"], ["zpoly", "D24"],
-                                  ["verify", "orbit-form", "B16"]])
+                                  ["verify", "orbit-form", "B16"], ["zpoly", "D37"]])
 def test_one_walk_finds_its_coxeter_number_once(capsys, monkeypatch, argv):
     """The walk, Kostant's numbers and the finite part they read agree on
-    one F, so a cold single command orders its C once."""
+    one F, so a cold single command orders its pair once, from class rows
+    built once; it walks by w1 and w2 alone, so it forms no C."""
     clear_package_caches()
     orders = _count_orders(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(orders) == 1
+    ext = build(DiagramId.parse(argv[-1]), extended=True)
+    assert orders == [finite_part(ext)]
+    assert coxeter._class_rows.cache_info().misses == 1
+    assert coxeter._transform.cache_info().currsize == 0

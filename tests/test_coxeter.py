@@ -13,8 +13,9 @@ from dynkinlab import diagram as diagram_module
 from dynkinlab import exact
 from dynkinlab.cli import main
 from dynkinlab.coxeter import (
-    _class_sum,
+    _class_rows,
     affine_A_charpoly,
+    bicolored_products,
     bicolored_reflections,
     char_polys,
     coxeter_charpoly,
@@ -33,8 +34,8 @@ from dynkinlab.diagram import (
 )
 from dynkinlab.errors import DomainError, ExcludedDiagramError, IdentityViolationError, MissingParameterError
 from dynkinlab.exact import IntMatrix, IntPoly, RatFunc, charpoly
-from oracles import (HYPERBOLIC, clear_package_caches, dense_order, lincomb, list_charpoly, list_coxeter_number,
-                     matvec, star_tree)
+from oracles import (HYPERBOLIC, clear_package_caches, dense_order, identity, lincomb, list_charpoly,
+                     list_coxeter_number, matvec, star_tree)
 
 L = IntPoly.monomial(1)
 
@@ -64,7 +65,7 @@ def reflection_product(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
     """prod(S_i, i in part) as a chain of dense products of the reflections
     S_i = I - e_i (row_i K)."""
     k, n = diagram.cartan, diagram.size
-    out = IntMatrix.identity(n)
+    out = identity(n)
     for i in part:
         s_i = IntMatrix(
             tuple((1 if r == c else 0) - (k[i, c] if r == i else 0) for c in range(n))
@@ -75,7 +76,7 @@ def reflection_product(diagram: Diagram, part: tuple[int, ...]) -> IntMatrix:
 
 
 def matrix_power(m: IntMatrix, k: int) -> IntMatrix:
-    out = IntMatrix.identity(m.nrows)
+    out = identity(m.nrows)
     for _ in range(k):
         out = out @ m
     return out
@@ -94,16 +95,20 @@ def test_pair_matches_reflection_products_on_catalog():
 
 
 def test_bonds_and_class_sums_match_their_entrywise_forms():
+    """2I - K entrywise, and each class row the nonzeros of row i of I - e_i
+    K_i in column order, for the pair's classes and for any two classes:
+    `_class_rows` assumes no product structure, only the rows it reads."""
     exts = list(catalog_extended())
     exts += [build(DiagramId.parse(t), extended=True) for t in ("D128", "A127")]
     for d in [d for ext in exts for d in (ext, finite_part(ext))]:
         k, n = d.cartan.rows, d.size
-        assert d.bonds == lincomb((2, IntMatrix.identity(n)), (-1, d.cartan))
-        for part in (d.bipartition or ()) + (tuple(range(0, n, 3)), ()):
-            assert _class_sum(d.cartan, part) == IntMatrix(
-                tuple((1 if r == c else 0) - (k[r][c] if r in part else 0) for c in range(n))
-                for r in range(n)
-            ), (d.labels, part)
+        assert d.bonds == lincomb((2, identity(n)), (-1, d.cartan))
+        for parts in (d.bipartition or ((), ())), (tuple(range(0, n, 3)), ()), ((), tuple(range(1, n, 2))):
+            rows = _class_rows(d.cartan, parts)
+            assert [[i for i, _ in c] for c in rows] == [list(parts[1]), list(parts[0])]  # w1's, then w2's
+            for i, row in (r for c in rows for r in c):
+                entries = [(1 if i == c else 0) - k[i][c] for c in range(n)]
+                assert type(row) is tuple and row == tuple((c, v) for c, v in enumerate(entries) if v), (d.labels, i)
 
 
 def test_coxeter_number_closed_forms():
@@ -119,7 +124,7 @@ def test_coxeter_number_closed_forms():
 def test_a1_pair():
     pair = bicolored_reflections(build(DiagramId("A", 1)))
     assert pair.w1 == IntMatrix(((-1,),))
-    assert pair.w2 == IntMatrix.identity(1)
+    assert pair.w2 == identity(1)
 
 
 def test_e6_pair_matches_block_matrices():
@@ -133,17 +138,17 @@ def test_e6_pair_matches_block_matrices():
 def test_e6_coxeter_block_form():
     d = build(DiagramId("E6"))
     c = coxeter_transform(d)
-    b = lincomb((2, IntMatrix.identity(6)), (-1, d.cartan))
+    b = lincomb((2, identity(6)), (-1, d.cartan))
     bxy = IntMatrix(tuple(row[3:] for row in b.rows[:3]))
     byx = IntMatrix(tuple(row[:3] for row in b.rows[3:]))
     # C = ((B_xy B_yx - I, -B_xy), (B_yx, -I)) in (x | y) block order
     top = IntMatrix(
         tuple(
-            tuple(lincomb((1, bxy @ byx), (-1, IntMatrix.identity(3))).rows[i] + lincomb((-1, bxy)).rows[i])
+            tuple(lincomb((1, bxy @ byx), (-1, identity(3))).rows[i] + lincomb((-1, bxy)).rows[i])
             for i in range(3)
         )
     )
-    bottom = IntMatrix(tuple(tuple(byx.rows[i] + lincomb((-1, IntMatrix.identity(3))).rows[i]) for i in range(3)))
+    bottom = IntMatrix(tuple(tuple(byx.rows[i] + lincomb((-1, identity(3))).rows[i]) for i in range(3)))
     assert c == IntMatrix(top.rows + bottom.rows)
 
 
@@ -157,7 +162,7 @@ def test_involutions_and_determinant():
                 DiagramId("B", 3), DiagramId("C", 4), DiagramId("F4"), DiagramId("G2")]:
         d = build(did)
         pair = bicolored_reflections(d)
-        ident = IntMatrix.identity(d.size)
+        ident = identity(d.size)
         assert pair.w1 @ pair.w1 == ident
         assert pair.w2 @ pair.w2 == ident
         c = coxeter_transform(d)
@@ -254,8 +259,8 @@ def test_coxeter_number_matches_charpoly_roots():
         d = build(did)
         assert coxeter_number(d) == h
         c = coxeter_transform(d)
-        assert matrix_power(c, h) == IntMatrix.identity(d.size)
-        assert all(matrix_power(c, m) != IntMatrix.identity(d.size) for m in range(1, h))
+        assert matrix_power(c, h) == identity(d.size)
+        assert all(matrix_power(c, m) != identity(d.size) for m in range(1, h))
 
 
 def test_packed_kernel_against_list_products_on_catalog():
@@ -532,6 +537,87 @@ def test_coxeter_charpoly_is_faddeev_leverrier_on_c():
         assert chi == charpoly(c), d.name
         if d.size < 128 or d in limits[:2]:
             assert chi == list_charpoly(c), d.name
+
+
+# the rank limits whose C is formed from the class rows of a long chain, a
+# cycle or a non-symmetric folded K
+LIMITS = ("D128", "A127", "B128", "C128", "DD128", "CD64")
+
+
+def wide_diagrams() -> list[Diagram]:
+    """The 78 bipartite catalog diagrams; the rank limits, the hyperbolic
+    controls and T(3,3,3), each extended and its finite part; 40 seeded
+    random trees with bonds from 1..3."""
+    diagrams = [d for ext in catalog_extended() for d in (ext, finite_part(ext)) if d.bipartition is not None]
+    exts = [build(DiagramId.parse(name), extended=True) for name in LIMITS]
+    exts += [star_tree(*pqr) for pqr in (*HYPERBOLIC, (3, 3, 3))]
+    rng = random.Random(44)
+    diagrams += [d for e in exts for d in (e, finite_part(e))]
+    return diagrams + [random_tree(rng, rng.randint(1, 24)) for _ in range(40)]
+
+
+def test_dense_pair_is_the_entrywise_reflection_product():
+    """w1 and w2, built from the class rows, are I - sum(e_i K_i) over part_y
+    and part_x entry by entry, and below rank 25 also the chain of dense
+    reflection products."""
+    diagrams = wide_diagrams()
+    assert len(diagrams) == 78 + 2 * 10 + 40
+    for d in diagrams:
+        pair, (part_x, part_y), k, n = bicolored_reflections(d), d.bipartition, d.cartan.rows, d.size
+        for w, part in ((pair.w1, set(part_y)), (pair.w2, set(part_x))):
+            assert w.rows == tuple(tuple((r == c) - (k[r][c] if r in part else 0) for c in range(n))
+                                   for r in range(n)), d.name
+        if n < 25:
+            assert (pair.w1, pair.w2) == (reflection_product(d, part_y), reflection_product(d, part_x))
+
+
+def test_coxeter_transform_is_w2_times_w1():
+    """C, formed from the class rows, equals the dense pair's product by
+    `IntMatrix.__matmul__`."""
+    for d in wide_diagrams():
+        pair = bicolored_reflections(d)
+        assert coxeter_transform(d) == pair.w2 @ pair.w1, d.name
+
+
+def test_walk_products_are_the_dense_matrix_vector_products():
+    """Each sparse product of the pair, on int and on IntPoly vectors, equals
+    the dense sum over every entry of the matching row."""
+    rng = random.Random(45)
+    for d in wide_diagrams():
+        pair, n = bicolored_reflections(d), d.size
+        for product, w in zip(bicolored_products(d), pair):
+            x = [rng.randint(-9, 9) for _ in range(n)]
+            p = [IntPoly((rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(n)]
+            assert tuple(product(x)) == matvec(w, x), d.name
+            assert tuple(product(p)) == matvec(w, p), d.name
+
+
+def test_every_form_refuses_an_odd_cycle():
+    """The odd extended A cycles and a finite triangle with a tail have no
+    bicolored decomposition: every form derived from the class rows, and
+    each reader of them, refuses them with one message, from cold caches."""
+    triangle = diagram_module._make(None, False, ("a", "b", "c", "d"), diagram_module._cartan(
+        4, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1), (2, 3, 1, 2)]))
+    cycles = [build(DiagramId("A", n), extended=True) for n in (2, 4, 10, 128)] + [triangle]
+    readers = (bicolored_reflections, coxeter_transform, bicolored_products, coxeter_charpoly)
+    for d in cycles:
+        assert d.bipartition is None
+        for read in readers + ((coxeter_number,) if not d.extended else ()):
+            clear_package_caches()
+            with pytest.raises(ExcludedDiagramError) as exc:
+                read(d)
+            assert str(exc.value) == "diagram has an odd cycle, hence no bicolored decomposition"
+
+
+@pytest.mark.parametrize("m", [3, 5, 10, 20])
+def test_coxeter_charpoly_on_stars(m):
+    """K_(1,m) with its centre 0 has nx = 1 and ny = m: chi lifts a 1 x 1 Q by
+    (1 + lambda)^(m - 1), and its coefficients outgrow sum |q_k| 2^k, so
+    the width needs the factor 2^(ny - nx)."""
+    d = diagram_module._make(None, False, tuple(f"v{i}" for i in range(m + 1)),
+                             diagram_module._cartan(m + 1, [(0, i, 1, 1) for i in range(1, m + 1)]))
+    assert d.bipartition == ((0,), tuple(range(1, m + 1)))
+    assert coxeter_charpoly(d) == list_charpoly(coxeter_transform(d))
 
 
 def _perturbed(monkeypatch, pick):

@@ -42,6 +42,7 @@ from oracles import (
     det,
     gather_series,
     gauss_jordan_nullspace,
+    identity,
     lincomb,
     list_charpoly,
     list_matmul,
@@ -68,7 +69,7 @@ def eval_matrix(p: IntPoly, m: IntMatrix) -> IntMatrix:
     n = m.nrows
     acc = zeros(n, n)
     for c in reversed(p.coeffs):
-        acc = lincomb((1, acc @ m), (c, IntMatrix.identity(n)))
+        acc = lincomb((1, acc @ m), (c, identity(n)))
     return acc
 
 
@@ -177,7 +178,7 @@ def test_poly_gcd_with_zero_operands_against_sympy():
 
 def test_charpoly_frozen_values():
     assert charpoly(IntMatrix(())) == IntPoly.one()
-    assert charpoly(IntMatrix.identity(2)) == (T - 1) ** 2
+    assert charpoly(identity(2)) == (T - 1) ** 2
     assert charpoly(IntMatrix(((0, 0, 0),) * 3)) == T**3  # row norm 0
     # Coxeter transformation of the rank-2 chain
     assert charpoly(IntMatrix(((0, -1), (1, -1)))) == T**2 + T + 1
@@ -259,7 +260,7 @@ def test_nullspace_frozen_values():
     )
     assert nullspace_primitive(k4) == (1, 1, 1, 1, 2)
     with pytest.raises(RankError):
-        nullspace_primitive(IntMatrix.identity(2))
+        nullspace_primitive(identity(2))
     with pytest.raises(RankError):
         nullspace_primitive(zeros(2, 2))
 
@@ -1002,9 +1003,9 @@ def test_ratfunc_equivalence_random():
 
 def test_matrix_basics():
     m = IntMatrix(((1, 2), (3, 4)))
-    assert m @ IntMatrix.identity(2) == m
+    assert m @ identity(2) == m
     assert _sparse_left(m)((1, 1)) == [3, 7]
-    assert IntMatrix.identity(2) @ m == m
+    assert identity(2) @ m == m
     assert int_det(m) == -2
     assert charpoly(m).coeff(1) == -5  # minus the trace
 

@@ -23,7 +23,7 @@ from dynkinlab.mckay import (
     verify_z_recurrence,
 )
 from dynkinlab.orbit import assembling_vectors, z_polynomials
-from oracles import HYPERBOLIC, dense_neighbors, lincomb, parse_poly, product_route, star_tree
+from oracles import HYPERBOLIC, dense_neighbors, identity, lincomb, parse_poly, product_route, star_tree
 
 
 def fin(name: str):
@@ -198,7 +198,7 @@ def test_observation_worked_values():
 
 def test_semi_affine_equals_two_i_minus_cartan_inside():
     d = fin("D5")
-    inner = lincomb((2, IntMatrix.identity(d.size)), (-1, d.cartan))
+    inner = lincomb((2, identity(d.size)), (-1, d.cartan))
     assert d.bonds == inner
 
 

@@ -140,19 +140,25 @@ def test_a_longer_walk_does_not_end_at_minus_beta(cold_orbit, monkeypatch):
 def test_walk_builds_the_sparse_products_once(cold_orbit, monkeypatch):
     """D128 has h = 254: the walk steps by the products of w1 and w2 that
     the Coxeter number's walk built, cached first, so it builds none, not
-    one at each of its 253 steps."""
+    one at each of its 253 steps, and reads no class rows again."""
     d = ext("D128")
     assert coxeter_number(finite_part(d)) == 254
-    real, built = exact._sparse_left, []
+    rows = coxeter._class_rows.cache_info()
+    built = []
 
-    def counting(m):
-        built.append((m.nrows, m.ncols))
-        return real(m)
+    def counting(real):
+        def counted(*args):
+            built.append(real.__name__)
+            return real(*args)
+        return counted
 
-    for module in (exact, coxeter, orbit):  # orbit too, were it to build its own again
-        monkeypatch.setattr(module, "_sparse_left", counting, raising=False)
+    for name in ("_sparse_left", "_sparse_rows"):
+        real = getattr(exact, name)
+        for module in (exact, coxeter, orbit):  # orbit too, were it to build its own again
+            monkeypatch.setattr(module, name, counting(real), raising=False)
     taus = tau_orbit(d)
     assert len(taus) == 254 and built == []
+    assert coxeter._class_rows.cache_info().misses == rows.misses
 
 
 @pytest.mark.parametrize("n, vertex, message", [
